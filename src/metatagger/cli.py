@@ -12,7 +12,8 @@ Path keys accepted in config files: train_file, dev_file, pretrained_file,
 checkpoint_file, log_file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
-(unreadable or malformed files, alignment failures, corrupt checkpoints).
+(unreadable or malformed files, alignment failures, corrupt checkpoints,
+training driven to non-finite values).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 from . import data, evaluation, training
 from .data import DataError
 from .evaluation import AlignmentError
+from .tensor import NonFiniteError
 
 SEED_ENV = "METATAGGER_SEED"
 PATH_KEYS = ("train_file", "dev_file", "pretrained_file",
@@ -351,6 +353,9 @@ def main(argv=None) -> int:
         return 1
     except (DataError, AlignmentError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except NonFiniteError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -103,7 +103,8 @@ def parse_conllu(text: str) -> list[Sentence]:
     Word lines become Tokens; multiword range lines ("1-2") and empty-node
     lines ("1.1") are retained in raw_lines but produce no Token. A block
     containing only comments yields a token-less Sentence so that rewriting
-    preserves the file structure.
+    preserves the file structure. Lines may end in "\r\n"; the "\r" is
+    dropped.
     """
     sentences: list[Sentence] = []
     block: list[str] = []
@@ -123,7 +124,7 @@ def parse_conllu(text: str) -> list[Sentence]:
             Token(form=cols[COL_FORM],
                   gold_upos=cols[COL_UPOS],
                   gold_xpos=cols[COL_XPOS],
-                  gold_feats=morph_bundle_tag(cols[COL_FEATS]),
+                  gold_feats=cols[COL_FEATS],
                   char_span=spans[k])
             for k, cols in enumerate(token_cols)
         ]
@@ -133,6 +134,7 @@ def parse_conllu(text: str) -> list[Sentence]:
         block, token_cols, token_line_idx = [], [], []
 
     for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line == "":
             flush()
             continue
@@ -148,6 +150,10 @@ def parse_conllu(text: str) -> list[Sentence]:
         tok_id = cols[COL_ID]
         if _is_range_id(tok_id) or _is_empty_node_id(tok_id):
             continue
+        try:
+            cols[COL_FEATS] = morph_bundle_tag(cols[COL_FEATS])
+        except DataError as e:
+            raise DataError(f"line {lineno}: {e}") from None
         token_cols.append(cols)
         token_line_idx.append(len(block) - 1)
     flush()

@@ -12,6 +12,11 @@
 Each encoder owns an output head so it can be trained against its own
 cross-entropy loss. Sentence inputs must have vocabulary ids attached
 (data.assign_ids) before encoding.
+
+Encoders take a batch of sentences (a lone Sentence is a batch of one) and
+return one row per token, sentences in batch order. Dropout comes from
+``masks``, drawn by ``nn.draw_masks`` over the encoder's
+``dropout_sites``; without masks the encoder runs as at evaluation.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ class CharSentEncoderParams:
     lstm_dropout: float = 0.0
     mlp_dropout: float = 0.0
 
+    def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
+        return ([("emb", self.char_table.shape[1], self.emb_dropout)]
+                + nn.stack_sites(self.stack, self.lstm_dropout)
+                + [("mlp", self.mlp.output_size, self.mlp_dropout)])
+
     def parameters(self, prefix: str = "char_sent"):
         return ([(f"{prefix}.char_table", self.char_table)]
                 + self.stack.parameters(f"{prefix}.stack")
@@ -75,33 +85,56 @@ def char_sent_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
                                  emb_dropout, lstm_dropout, mlp_dropout)
 
 
-def encode_chars_sentence(p: CharSentEncoderParams, sentence: Sentence,
-                          training: bool = False,
-                          rng: np.random.Generator | None = None
+def as_batch(batch) -> list[Sentence]:
+    """The sentences of a batch; a lone Sentence is a batch of one."""
+    return [batch] if isinstance(batch, Sentence) else list(batch)
+
+
+def token_counts(batch) -> list[int]:
+    return [len(s.tokens) for s in as_batch(batch)]
+
+
+def _char_batch(batch, op: str) -> list[Sentence]:
+    """Check a batch for the character encoders."""
+    batch = as_batch(batch)
+    for s in batch:
+        if len(s.tokens) == 0:
+            raise T.ShapeError(f"{op}: sentence has no tokens")
+        if s.char_ids is None:
+            raise ValueError(
+                "sentence has no char ids; run data.assign_ids first")
+    return batch
+
+
+def encode_chars_sentence(p: CharSentEncoderParams, batch,
+                          masks: dict | None = None
                           ) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-token (gathered rep, MLP output, logits) for one sentence."""
-    if len(sentence.tokens) == 0:
-        raise T.ShapeError("encode_chars_sentence: sentence has no tokens")
-    if sentence.char_ids is None:
-        raise ValueError("sentence has no char ids; run data.assign_ids first")
-    n_stream = len(sentence.char_ids)
-    emb = nn.embedding_lookup(p.char_table, sentence.char_ids)
-    emb = nn.dropout(emb, p.emb_dropout, mode="single_mask",
-                     training=training, rng=rng)
-    f, b = nn.bilstm_stack_run(p.stack, emb, dropout_rate=p.lstm_dropout,
-                               training=training, rng=rng)
-    firsts = [t.char_span[0] for t in sentence.tokens]
-    lasts = [t.char_span[1] for t in sentence.tokens]
-    for pos in (firsts[0], lasts[-1]):
-        if not 0 <= pos < n_stream:
-            raise T.ShapeError(
-                f"token span position {pos} outside stream of {n_stream}")
+    """Per-token (gathered rep, MLP output, logits) for a batch: one
+    packed BiLSTM run over the sentences' character streams."""
+    batch = _char_batch(batch, "encode_chars_sentence")
+    masks = masks or {}
+    stream_lens = [len(s.char_ids) for s in batch]
+    firsts, lasts = [], []
+    offset = 0
+    for s, n_stream in zip(batch, stream_lens):
+        for pos in (s.tokens[0].char_span[0], s.tokens[-1].char_span[1]):
+            if not 0 <= pos < n_stream:
+                raise T.ShapeError(
+                    f"token span position {pos} outside stream of {n_stream}")
+        firsts += [offset + t.char_span[0] for t in s.tokens]
+        lasts += [offset + t.char_span[1] for t in s.tokens]
+        offset += n_stream
+    emb = nn.embedding_lookup(p.char_table,
+                              np.concatenate([s.char_ids for s in batch]))
+    emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
+    f, b = nn.bilstm_stack_run(p.stack, emb, lengths=stream_lens,
+                               masks=masks)
     source = {"F_1st": (f, firsts), "F_last": (f, lasts),
               "B_1st": (b, firsts), "B_last": (b, lasts)}
     parts = [T.take_rows(*source[name]) for name in p.gather]
     g = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    m = nn.dropout(nn.mlp_apply(p.mlp, g), p.mlp_dropout, mode="single_mask",
-                   training=training, rng=rng)
+    m = nn.apply_mask(nn.mlp_apply(p.mlp, g), masks.get("mlp"),
+                      token_counts(batch))
     return g, m, nn.classify(p.classifier, m)
 
 
@@ -114,6 +147,12 @@ class CharTokenEncoderParams:
     classifier: nn.ClassifierParams
     emb_dropout: float = 0.0
     lstm_dropout: float = 0.0
+
+    def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
+        """Per token: the embedding mask, then the state mask."""
+        return [("emb", self.char_table.shape[1], self.emb_dropout),
+                ("state", self.lstm.hidden_size, self.lstm_dropout)
+                ] * len(sentence.tokens)
 
     def parameters(self, prefix: str = "char_token"):
         return ([(f"{prefix}.char_table", self.char_table)]
@@ -137,28 +176,19 @@ def char_token_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
                                   emb_dropout, lstm_dropout)
 
 
-def encode_chars_token(p: CharTokenEncoderParams, sentence: Sentence,
-                       training: bool = False,
-                       rng: np.random.Generator | None = None
-                       ) -> tuple[Tensor, Tensor]:
-    """Per-token (rep, logits); the rep of a token depends only on its form."""
-    if len(sentence.tokens) == 0:
-        raise T.ShapeError("encode_chars_token: sentence has no tokens")
-    if sentence.char_ids is None:
-        raise ValueError("sentence has no char ids; run data.assign_ids first")
-    hidden = p.lstm.hidden_size
-    reps = []
-    for tok in sentence.tokens:
-        a, b = tok.char_span
-        ids = sentence.char_ids[a:b + 1]
-        emb = nn.embedding_lookup(p.char_table, ids)
-        emb = nn.dropout(emb, p.emb_dropout, mode="single_mask",
-                         training=training, rng=rng)
-        mask = nn.state_dropout_mask(hidden, p.lstm_dropout, training, rng)
-        states = nn.lstm_run(p.lstm, emb, mask)
-        rep = nn.char_attention(p.attn_vec, states)
-        reps.append(T.reshape(rep, (1, hidden)))
-    reps = T.concat(reps, axis=0) if len(reps) > 1 else reps[0]
+def encode_chars_token(p: CharTokenEncoderParams, batch,
+                       masks: dict | None = None) -> tuple[Tensor, Tensor]:
+    """Per-token (rep, logits); the rep of a token depends only on its form.
+    One packed LSTM run over every token's characters."""
+    batch = _char_batch(batch, "encode_chars_token")
+    masks = masks or {}
+    spans = [(s, t.char_span) for s in batch for t in s.tokens]
+    lens = [b - a + 1 for _, (a, b) in spans]
+    ids = np.concatenate([s.char_ids[a:b + 1] for s, (a, b) in spans])
+    emb = nn.apply_mask(nn.embedding_lookup(p.char_table, ids),
+                        masks.get("emb"), lens)
+    states = nn.lstm_run(p.lstm, emb, masks.get("state"), lens)
+    reps = nn.char_attention(p.attn_vec, states, lens)
     return reps, nn.classify(p.classifier, reps)
 
 
@@ -172,6 +202,11 @@ class WordEncoderParams:
     emb_dropout: float = 0.0
     lstm_dropout: float = 0.0
     mlp_dropout: float = 0.0
+
+    def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
+        return ([("emb", self.learned.shape[1], self.emb_dropout)]
+                + nn.stack_sites(self.stack, self.lstm_dropout)
+                + [("mlp", self.mlp.output_size, self.mlp_dropout)])
 
     def parameters(self, prefix: str = "word"):
         # the pretrained matrix is intentionally absent: it is not a
@@ -204,23 +239,22 @@ def word_encoder(n_words: int, n_tags: int, *, emb_dim: int,
                              emb_dropout, lstm_dropout, mlp_dropout)
 
 
-def encode_words(p: WordEncoderParams, sentence: Sentence,
-                 training: bool = False,
-                 rng: np.random.Generator | None = None
+def encode_words(p: WordEncoderParams, batch, masks: dict | None = None
                  ) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-token (BiLSTM output, MLP output, logits) over the word sequence."""
-    if len(sentence.tokens) == 0:
+    """Per-token (BiLSTM output, MLP output, logits) for a batch: one packed
+    BiLSTM run over the sentences' word sequences."""
+    batch = as_batch(batch)
+    if any(len(s.tokens) == 0 for s in batch):
         raise T.ShapeError("encode_words: sentence has no tokens")
-    ids = [t.word_id for t in sentence.tokens]
+    masks = masks or {}
+    ids = [t.word_id for s in batch for t in s.tokens]
     if any(i is None for i in ids):
         raise ValueError("sentence has no word ids; run data.assign_ids first")
+    lens = token_counts(batch)
     emb = T.add(nn.embedding_lookup(p.learned, ids),
                 nn.embedding_lookup(p.pretrained, ids))
-    emb = nn.dropout(emb, p.emb_dropout, mode="single_mask",
-                     training=training, rng=rng)
-    f, b = nn.bilstm_stack_run(p.stack, emb, dropout_rate=p.lstm_dropout,
-                               training=training, rng=rng)
+    emb = nn.apply_mask(emb, masks.get("emb"), lens)
+    f, b = nn.bilstm_stack_run(p.stack, emb, lengths=lens, masks=masks)
     o = T.concat([f, b], axis=1)
-    m = nn.dropout(nn.mlp_apply(p.mlp, o), p.mlp_dropout, mode="single_mask",
-                   training=training, rng=rng)
+    m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lens)
     return o, m, nn.classify(p.classifier, m)

@@ -25,6 +25,10 @@ class MetaParams:
     lstm_dropout: float = 0.0
     mlp_dropout: float = 0.0
 
+    def dropout_sites(self, sentence) -> list[nn.Site]:
+        return (nn.stack_sites(self.stack, self.lstm_dropout)
+                + [("mlp", self.mlp.output_size, self.mlp_dropout)])
+
     def parameters(self, prefix: str = "meta"):
         return (self.stack.parameters(f"{prefix}.stack")
                 + self.mlp.parameters(f"{prefix}.mlp")
@@ -43,23 +47,27 @@ def meta_params(char_rep_size: int, word_rep_size: int, n_tags: int, *,
     return MetaParams(stack, mlp, cls, lstm_dropout, mlp_dropout)
 
 
-def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor,
-            training: bool = False, rng: np.random.Generator | None = None,
-            detach: bool = True) -> tuple[Tensor, Tensor]:
-    """Per-token (combined rep, logits). ``detach=True`` stops gradient at
-    the inputs, keeping the encoders untouched by this model's loss."""
+def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths=None,
+            masks: dict | None = None, detach: bool = True
+            ) -> tuple[Tensor, Tensor]:
+    """Per-token (combined rep, logits) for the sentences whose token rows
+    the encoder outputs stack, split by ``lengths`` (None is one sentence).
+    Dropout comes from ``masks`` (see ``MetaParams.dropout_sites``).
+    ``detach=True`` stops gradient at the inputs, keeping the encoders
+    untouched by this model's loss."""
     if m_chars.shape[0] != m_word.shape[0]:
         raise T.ShapeError(
             f"combine: {m_chars.shape[0]} char outputs vs "
             f"{m_word.shape[0]} word outputs")
+    if lengths is None:
+        lengths = [m_chars.shape[0]]
+    masks = masks or {}
     if detach:
         m_chars, m_word = m_chars.detach(), m_word.detach()
     cw = T.concat([m_chars, m_word], axis=1)
-    f, b = nn.bilstm_stack_run(p.stack, cw, dropout_rate=p.lstm_dropout,
-                               training=training, rng=rng)
-    m = nn.dropout(nn.mlp_apply(p.mlp, T.concat([f, b], axis=1)),
-                   p.mlp_dropout, mode="single_mask", training=training,
-                   rng=rng)
+    f, b = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)
+    m = nn.apply_mask(nn.mlp_apply(p.mlp, T.concat([f, b], axis=1)),
+                      masks.get("mlp"), lengths)
     return m, nn.classify(p.classifier, m)
 
 

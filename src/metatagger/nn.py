@@ -4,20 +4,32 @@ Contains embeddings, inverted dropout, LSTM cells, stacked BiLSTMs, the
 single-affine ELU MLP, linear classifiers, softmax cross-entropy and the
 attention pool used by the token-internal character baseline.
 
-Two routes exist for the LSTM: ``lstm_step`` composes primitive ops (the
-readable reference), while ``lstm_run`` is a fused sequence op with a
-hand-written backward pass. The fused op is what the encoders use; the
-tests pin it to the composed version and to finite differences.
+The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
+of different lengths, packed time-major the way PyTorch's PackedSequence
+is. The input projection of every row is one matrix product; each step
+advances the sequences still running with one (live, H) @ (H, 4H)
+product; the hand-written backward mirrors the loop. ``lstm_step``
+composes the same cell from primitive ops and is the readable reference
+the tests pin the fused op to.
+
+Batches are B sequences stacked row-wise with their ``lengths``.
+Dropout masks are drawn up front, sequence by sequence, by
+``draw_masks`` and applied per sequence, so a batch consumes the random
+generator exactly as running its sequences one at a time would.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+# One dropout site of a model: (key, mask width, rate).
+Site = tuple[str, int, float]
 
 
 def _gaussian(shape, rng: np.random.Generator, std: float) -> Tensor:
@@ -63,13 +75,37 @@ def dropout(x: Tensor, rate: float, *, mode: str = "single_mask",
     return T.mul(x, Tensor(mask))
 
 
-def state_dropout_mask(size: int, rate: float, training: bool,
-                       rng: np.random.Generator | None) -> np.ndarray | None:
-    """Recurrent-state mask for one LSTM direction, reused at every step."""
-    if not training or rate == 0.0:
-        return None
-    keep = 1.0 - rate
-    return (rng.random(size) < keep) / keep
+def draw_masks(rng: np.random.Generator, units, *site_fns
+               ) -> list[dict[str, np.ndarray]]:
+    """Inverted-dropout masks for a batch, one dict per model.
+
+    ``site_fns[m](unit)`` lists the sites model m draws for one unit (a
+    sentence, or a sequence), in the order its forward pass draws them.
+    Draws go unit by unit and, within a unit, model by model in the order
+    given: the draws a loop over the units would make. Each dict maps a
+    site key to its masks stacked in unit order, one (size,) row per draw;
+    a site with rate 0 draws nothing and has no entry.
+    """
+    rows = [defaultdict(list) for _ in site_fns]
+    for unit in units:
+        for out, sites in zip(rows, site_fns):
+            for key, size, rate in sites(unit):
+                if not 0.0 <= rate < 1.0:
+                    raise ValueError(
+                        f"dropout rate must be in [0, 1), got {rate}")
+                if rate:
+                    keep = 1.0 - rate
+                    out[key].append((rng.random(size) < keep) / keep)
+    return [{key: np.stack(masks) for key, masks in r.items()} for r in rows]
+
+
+def apply_mask(x: Tensor, mask: np.ndarray | None, lengths) -> Tensor:
+    """Multiply the rows of each sequence of ``x`` by its own row of
+    ``mask`` (one per sequence, reused at every position); identity for
+    None."""
+    if mask is None:
+        return x
+    return T.mul(x, Tensor(np.repeat(mask, lengths, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +170,58 @@ def lstm_step(params: LstmParams, x_t: Tensor, h_prev: Tensor,
     return h, c
 
 
-def lstm_run(params: LstmParams, xs: Tensor,
-             h_mask: np.ndarray | None = None) -> Tensor:
-    """Run the cell over a (time, input) matrix; returns (time, hidden).
+def _sigmoid_(v: np.ndarray) -> None:
+    """Stable logistic, in place."""
+    np.negative(v, out=v)
+    np.logaddexp(0.0, v, out=v)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
 
-    Fused into a single tape node: the whole-sequence backward is written by
-    hand, which keeps the tape short. When ``h_mask`` is given it multiplies
-    the hidden state (including h0) before each recurrence step, the same
-    mask at every step.
+
+def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
+    """Sequence lengths of a batch of ``n`` stacked rows; None is one
+    sequence of all of them."""
+    if lengths is None:
+        return np.array([n], dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
+            or lengths.sum() != n:
+        raise T.ShapeError(f"{op}: lengths {lengths.tolist()} must be >= 1 "
+                           f"and sum to the {n} rows")
+    return lengths
+
+
+def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time-major packed layout of stacked sequences.
+
+    Sequences are sorted longest first (ties keep batch order), so at step
+    t the live ones are a prefix of that order, ``batch_sizes[t]`` of them.
+    Returns (rows, batch_sizes, order): packed row i holds stacked row
+    ``rows[i]``, and sorted sequence r is batch sequence ``order[r]``.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    live = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]
+    steps, ranks = np.nonzero(live)  # row-major: time, then sorted rank
+    starts = np.cumsum(lengths) - lengths
+    return starts[order[ranks]] + steps, live.sum(axis=1), order
+
+
+def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
+             lengths=None) -> Tensor:
+    """Run the cell over B sequences stacked as the rows of ``xs``.
+
+    ``lengths`` (B,) splits the N rows into sequences, in order; None is
+    one sequence. Returns the (N, hidden) hidden states in the same row
+    order. Every sequence starts from h0/c0. When ``h_mask`` is given,
+    (hidden,) for all sequences or (B, hidden) for one row each, it
+    multiplies the hidden state (including h0) before each recurrence
+    step, the same mask at every step of a sequence.
+
+    One tape node: the forward runs packed time-major (see ``_packing``)
+    and the backward, written by hand, mirrors it. When the op is not
+    recorded, values only the backward reads (tanh of the cell states and
+    the masked hidden states each step read) are not stored.
     """
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise T.ShapeError(
@@ -150,63 +230,86 @@ def lstm_run(params: LstmParams, xs: Tensor,
     n = xs.shape[0]
     if n == 0:
         raise T.ShapeError("lstm_run: empty sequence")
+    lengths = _check_lengths(lengths, n, "lstm_run")
+    n_seq = lengths.size
     hs = params.hidden_size
     wx, wh = params.w_x.data, params.w_h.data
-    mask = np.ones(hs) if h_mask is None else h_mask
+    rows, batch_sizes, order = _packing(lengths)
+    mask = None
+    if h_mask is not None:
+        h_mask = np.asarray(h_mask, dtype=np.float64)
+        if h_mask.shape not in ((hs,), (n_seq, hs)):
+            raise T.ShapeError(f"lstm_run: h_mask shape {h_mask.shape} is "
+                               f"neither ({hs},) nor ({n_seq}, {hs})")
+        mask = np.broadcast_to(h_mask, (n_seq, hs))[order]
+    inputs = (xs, params.w_x, params.w_h, params.bias, params.h0, params.c0)
+    track = T.tracking(inputs)
 
-    pre_x = xs.data @ wx + params.bias.data  # (n, 4H)
-    ig = np.empty((n, hs)); fg = np.empty((n, hs))
-    gg = np.empty((n, hs)); og = np.empty((n, hs))
-    tc = np.empty((n, hs))
-    c_prevs = np.empty((n, hs))
-    h_tilde = np.empty((n, hs))  # masked previous hidden state per step
+    x = xs.data[rows]
+    gates = x @ wx  # pre-activations, turned into gate values step by step
+    gates += params.bias.data
+    cs = np.empty((n, hs))
     out = np.empty((n, hs))
-
-    h = params.h0.data
-    c = params.c0.data
-    for t in range(n):
-        ht = h * mask
-        h_tilde[t] = ht
-        c_prevs[t] = c
-        s = pre_x[t] + ht @ wh
-        ig[t] = np.exp(-np.logaddexp(0.0, -s[:hs]))
-        fg[t] = np.exp(-np.logaddexp(0.0, -s[hs:2 * hs]))
-        gg[t] = np.tanh(s[2 * hs:3 * hs])
-        og[t] = np.exp(-np.logaddexp(0.0, -s[3 * hs:]))
-        c = fg[t] * c + ig[t] * gg[t]
-        tc[t] = np.tanh(c)
-        h = og[t] * tc[t]
-        out[t] = h
-
-    xs_data = xs.data
+    tcs = np.empty((n, hs)) if track else None
+    h_tilde = np.empty((n, hs)) if track else None  # masked h each step read
+    h0 = np.broadcast_to(params.h0.data, (n_seq, hs))
+    c0 = np.broadcast_to(params.c0.data, (n_seq, hs))
+    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    for t, k in enumerate(batch_sizes):
+        r0, r1 = offsets[t], offsets[t] + k
+        if t == 0:
+            hp, cp = h0[:k], c0[:k]
+        else:
+            p0 = offsets[t - 1]
+            hp, cp = out[p0:p0 + k], cs[p0:p0 + k]
+        if mask is not None:
+            hp = hp * mask[:k]
+        if track:
+            h_tilde[r0:r1] = hp
+        a = gates[r0:r1]
+        a += hp @ wh
+        _sigmoid_(a[:, :2 * hs])
+        np.tanh(a[:, 2 * hs:3 * hs], out=a[:, 2 * hs:3 * hs])
+        _sigmoid_(a[:, 3 * hs:])
+        c = cs[r0:r1]
+        np.multiply(a[:, hs:2 * hs], cp, out=c)
+        c += a[:, :hs] * a[:, 2 * hs:3 * hs]
+        tc = np.tanh(c)
+        np.multiply(a[:, 3 * hs:], tc, out=out[r0:r1])
+        if track:
+            tcs[r0:r1] = tc
 
     def bwd(g_out):
+        g = g_out[rows]
         d_s = np.empty((n, 4 * hs))
-        dh_rec = np.zeros(hs)
-        dc_next = np.zeros(hs)
-        for t in range(n - 1, -1, -1):
-            dh = g_out[t] + dh_rec
-            do = dh * tc[t]
-            dc = dc_next + dh * og[t] * (1.0 - tc[t] * tc[t])
-            df = dc * c_prevs[t]
-            di = dc * gg[t]
-            dg = dc * ig[t]
-            dc_next = dc * fg[t]
-            d_s[t, :hs] = di * ig[t] * (1.0 - ig[t])
-            d_s[t, hs:2 * hs] = df * fg[t] * (1.0 - fg[t])
-            d_s[t, 2 * hs:3 * hs] = dg * (1.0 - gg[t] * gg[t])
-            d_s[t, 3 * hs:] = do * og[t] * (1.0 - og[t])
-            dh_rec = (d_s[t] @ wh.T) * mask
-        d_xs = d_s @ wx.T
-        d_wx = xs_data.T @ d_s
-        d_wh = h_tilde.T @ d_s
-        d_bias = d_s.sum(axis=0)
-        return (d_xs, d_wx, d_wh, d_bias, dh_rec, dc_next)
+        dh = np.zeros((n_seq, hs))  # gradient reaching h_{t-1}, per sequence
+        dc = np.zeros((n_seq, hs))
+        for t in range(len(batch_sizes) - 1, -1, -1):
+            k = batch_sizes[t]
+            r0, r1 = offsets[t], offsets[t] + k
+            cp = c0[:k] if t == 0 else cs[offsets[t - 1]:offsets[t - 1] + k]
+            a, tc = gates[r0:r1], tcs[r0:r1]
+            ig, fg = a[:, :hs], a[:, hs:2 * hs]
+            gg, og = a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
+            dht = g[r0:r1] + dh[:k]
+            dct = dc[:k] + dht * og * (1.0 - tc * tc)
+            ds = d_s[r0:r1]
+            ds[:, :hs] = dct * gg * ig * (1.0 - ig)
+            ds[:, hs:2 * hs] = dct * cp * fg * (1.0 - fg)
+            ds[:, 2 * hs:3 * hs] = dct * ig * (1.0 - gg * gg)
+            ds[:, 3 * hs:] = dht * tc * og * (1.0 - og)
+            dc[:k] = dct * fg
+            dh[:k] = ds @ wh.T
+            if mask is not None:
+                dh[:k] *= mask[:k]
+        d_xs = np.empty((n, xs.shape[1]))
+        d_xs[rows] = d_s @ wx.T
+        return (d_xs, x.T @ d_s, h_tilde.T @ d_s, d_s.sum(axis=0),
+                dh.sum(axis=0), dc.sum(axis=0))
 
-    return T.record("lstm_run",
-                    (xs, params.w_x, params.w_h, params.bias,
-                     params.h0, params.c0),
-                    out, bwd)
+    result = np.empty_like(out)
+    result[rows] = out
+    return T.record("lstm_run", inputs, result, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +348,55 @@ def bilstm_stack(input_size: int, hidden_size: int, depth: int,
     return BiLstmStack(layers)
 
 
+def stack_sites(stack: BiLstmStack, rate: float) -> list[Site]:
+    """Dropout sites of a stack run, in draw order: per layer the input
+    mask, then the forward and the backward state masks."""
+    sites = []
+    for j, (p_fwd, p_bwd) in enumerate(stack.layers):
+        sites += [(f"layer{j}.in", p_fwd.input_size, rate),
+                  (f"layer{j}.fwd", p_fwd.hidden_size, rate),
+                  (f"layer{j}.bwd", p_bwd.hidden_size, rate)]
+    return sites
+
+
+def _reversal(lengths) -> np.ndarray:
+    """Row index reversing each stacked sequence within its own span."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths) - 1
+    starts = ends + 1 - lengths
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    return starts[seq] + ends[seq] - np.arange(ends[-1] + 1)
+
+
 def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *,
                      dropout_rate: float = 0.0, training: bool = False,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[Tensor, Tensor]:
-    """Top-layer forward and backward output matrices, each (time, hidden).
+                     rng: np.random.Generator | None = None, lengths=None,
+                     masks: dict | None = None) -> tuple[Tensor, Tensor]:
+    """Top-layer forward and backward outputs, each (rows, hidden), for
+    the sequences stacked in ``xs`` (split by ``lengths``; None is one).
 
-    The same rate drives input dropout (one feature mask per layer, reused
-    across time) and recurrent-state dropout (one mask per direction per
-    layer, applied inside the recurrence).
+    Dropout uses ``masks`` (keys from ``stack_sites``) when given, else,
+    in training, masks drawn from ``rng`` per sequence at ``dropout_rate``:
+    one input mask per layer, reused across time, and one recurrent-state
+    mask per direction per layer, applied inside the recurrence.
     """
     if xs.shape[0] == 0:
         raise T.ShapeError("bilstm_stack_run: empty sequence")
     if stack.depth == 0:
         raise T.ShapeError("bilstm_stack_run: stack has no layers")
+    lengths = _check_lengths(lengths, xs.shape[0], "bilstm_stack_run")
+    if masks is None:
+        masks = {}
+        if training:
+            masks = draw_masks(rng, lengths,
+                               lambda _: stack_sites(stack, dropout_rate))[0]
+    rev = _reversal(lengths)
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):
-        h = dropout(h, dropout_rate, mode="single_mask", training=training,
-                    rng=rng)
-        m_f = state_dropout_mask(p_fwd.hidden_size, dropout_rate, training, rng)
-        m_b = state_dropout_mask(p_bwd.hidden_size, dropout_rate, training, rng)
-        f = lstm_run(p_fwd, h, m_f)
-        b = T.flip_rows(lstm_run(p_bwd, T.flip_rows(h), m_b))
+        h = apply_mask(h, masks.get(f"layer{j}.in"), lengths)
+        f = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths)
+        b = T.take_rows(lstm_run(p_bwd, T.take_rows(h, rev),
+                                 masks.get(f"layer{j}.bwd"), lengths), rev)
         if j + 1 < stack.depth:
             h = T.concat([f, b], axis=1)
     return f, b
@@ -328,9 +458,10 @@ def classify(params: ClassifierParams, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # losses and prediction
 
-def softmax_xent_rows(logits: Tensor, golds) -> Tensor:
-    """Mean over rows of -log softmax(row)[gold]; max-subtracted for
-    stability. One fused tape node."""
+def softmax_xent_rows(logits: Tensor, golds, weights=None) -> Tensor:
+    """Weighted sum over rows of -log softmax(row)[gold]; the weights
+    default to 1/rows, the mean. Max-subtracted for stability. One fused
+    tape node."""
     golds = np.asarray(golds, dtype=np.intp)
     if logits.ndim != 2:
         raise T.ShapeError(f"softmax_xent: logits must be 2-D, got {logits.shape}")
@@ -342,17 +473,23 @@ def softmax_xent_rows(logits: Tensor, golds) -> Tensor:
         raise T.ShapeError("softmax_xent: empty batch")
     if golds.min() < 0 or golds.max() >= k:
         raise IndexError(f"softmax_xent: gold label out of range 0..{k - 1}")
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise T.ShapeError(
+            f"softmax_xent: {n} logit rows vs {weights.shape} weights")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     probs = ez / ez.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    loss = float(-np.mean(np.log(probs[rows, golds])))
+    loss = float(-np.dot(weights, np.log(probs[rows, golds])))
 
     def bwd(g):
         d = probs.copy()
         d[rows, golds] -= 1.0
-        return (d * (g / n),)
+        return (d * (g * weights)[:, None],)
 
     return T.record("softmax_xent", (logits,), np.float64(loss), bwd)
 
@@ -364,19 +501,6 @@ def softmax_xent(logits: Tensor, gold: int) -> Tensor:
     return softmax_xent_rows(T.reshape(logits, (1, logits.shape[0])), [gold])
 
 
-def softmax_vec(x: Tensor) -> Tensor:
-    """Softmax over a vector, as a differentiable op."""
-    if x.ndim != 1:
-        raise T.ShapeError(f"softmax_vec: expected a vector, got {x.shape}")
-    e = np.exp(x.data - x.data.max())
-    out = e / e.sum()
-
-    def bwd(g):
-        return (out * (g - np.dot(g, out)),)
-
-    return T.record("softmax_vec", (x,), out, bwd)
-
-
 def predict_tags(logits: Tensor) -> np.ndarray:
     """Argmax per row; ties resolve to the lowest tag id."""
     return np.argmax(logits.data, axis=-1)
@@ -385,17 +509,39 @@ def predict_tags(logits: Tensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # token-internal character attention (DQM pooling)
 
-def char_attention(score_vec: Tensor, states: Tensor) -> Tensor:
-    """Attention pool over per-character LSTM states, plus the final state.
+def char_attention(score_vec: Tensor, states: Tensor, lengths=None) -> Tensor:
+    """Attention pool over each token's character LSTM states, plus the
+    token's final state.
 
-    Scores are dot products with a learned vector; the softmax-weighted sum
-    of states is added to the last state to form the token representation.
+    ``states`` stacks the tokens' states, split by ``lengths``; None is one
+    token. Scores are dot products with a learned vector; the
+    softmax-weighted sum of a token's states (softmax within the token) is
+    added to its last state. Returns (tokens, hidden), or (hidden,) for
+    ``lengths=None``. One fused tape node.
     """
     if states.ndim != 2 or states.shape[0] == 0:
         raise T.ShapeError(f"char_attention: need (chars, hidden) states, "
                            f"got {states.shape}")
     n, h = states.shape
-    alpha = softmax_vec(T.matmul(states, score_vec))
-    pooled = T.matmul(alpha, states)
-    final = T.reshape(T.slice_rows(states, n - 1, n), (h,))
-    return T.add(pooled, final)
+    lens = _check_lengths(lengths, n, "char_attention")
+    ends = np.cumsum(lens)
+    starts, lasts = ends - lens, ends - 1
+    seg = np.repeat(np.arange(lens.size), lens)
+    s, v = states.data, score_vec.data
+    scores = s @ v
+    e = np.exp(scores - np.maximum.reduceat(scores, starts)[seg])
+    alpha = e / np.add.reduceat(e, starts)[seg]
+    out = np.add.reduceat(alpha[:, None] * s, starts, axis=0) + s[lasts]
+
+    def bwd(g):
+        g = g.reshape(lens.size, h)
+        g_rows = g[seg]
+        d_alpha = (s * g_rows).sum(axis=1)
+        d_scores = alpha * (d_alpha
+                            - np.add.reduceat(alpha * d_alpha, starts)[seg])
+        d_states = alpha[:, None] * g_rows + np.outer(d_scores, v)
+        d_states[lasts] += g
+        return (s.T @ d_scores, d_states)
+
+    return T.record("char_attention", (score_vec, states),
+                    out[0] if lengths is None else out, bwd)

@@ -13,6 +13,7 @@ test-suite are meaningful at 1e-4 relative tolerance.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,7 +98,7 @@ class Node:
         self.backward_fn = backward_fn
 
 
-_ACTIVE: list["Graph"] = []
+_ACTIVE: list["Graph | None"] = []  # None entries are no_grad scopes
 
 
 class Graph:
@@ -146,6 +147,23 @@ def active_graph() -> Graph | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
+@contextmanager
+def no_grad():
+    """Scope in which ops record nothing and return untracked tensors, even
+    inside a ``Graph``; a ``Graph`` entered within it records again."""
+    _ACTIVE.append(None)
+    try:
+        yield
+    finally:
+        _ACTIVE.pop()
+
+
+def tracking(inputs) -> bool:
+    """Whether an op over ``inputs`` would be recorded, so a fused op can
+    skip keeping state that only its backward reads."""
+    return active_graph() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn: Callable) -> Tensor:
     """Create an op's output tensor, recording it on the active graph.
 
@@ -153,11 +171,10 @@ def record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn: Callable) 
     hand-written backward closures; the closure receives the output gradient
     and returns one gradient (or None) per input, in order.
     """
-    graph = active_graph()
-    track = graph is not None and any(t.requires_grad for t in inputs)
+    track = tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        graph.nodes.append(Node(op, inputs, out, backward_fn))
+        active_graph().nodes.append(Node(op, inputs, out, backward_fn))
     return out
 
 

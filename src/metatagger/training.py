@@ -10,6 +10,7 @@ deterministic checkpoint container, and the per-epoch log line format.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -267,68 +268,89 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
                        char_token=char_token, word=word, combiner=combiner)
 
 
-def char_forward(model: TaggerModel, sentence: Sentence, training=False,
-                 rng=None) -> tuple[Tensor, Tensor]:
-    """(representation consumed by the combiner, char-head logits)."""
+def char_forward(model: TaggerModel, batch, masks: dict | None = None
+                 ) -> tuple[Tensor, Tensor]:
+    """(representation consumed by the combiner, char-head logits), one
+    row per token of the batch."""
     if model.char_sent is not None:
-        _, m, logits = encoders.encode_chars_sentence(
-            model.char_sent, sentence, training=training, rng=rng)
+        _, m, logits = encoders.encode_chars_sentence(model.char_sent, batch,
+                                                      masks)
     else:
-        m, logits = encoders.encode_chars_token(
-            model.char_token, sentence, training=training, rng=rng)
+        m, logits = encoders.encode_chars_token(model.char_token, batch,
+                                                masks)
     return m, logits
 
 
-def word_forward(model: TaggerModel, sentence: Sentence, training=False,
-                 rng=None) -> tuple[Tensor, Tensor]:
-    _, m, logits = encoders.encode_words(model.word, sentence,
-                                         training=training, rng=rng)
+def word_forward(model: TaggerModel, batch, masks: dict | None = None
+                 ) -> tuple[Tensor, Tensor]:
+    _, m, logits = encoders.encode_words(model.word, batch, masks)
     return m, logits
 
 
-def meta_forward(model: TaggerModel, sentence: Sentence, training=False,
-                 rng=None, detach=True) -> Tensor:
-    m_c, _ = char_forward(model, sentence, training, rng)
-    m_w, _ = word_forward(model, sentence, training, rng)
-    _, logits = meta.combine(model.combiner, m_c, m_w, training=training,
-                             rng=rng, detach=detach)
+def meta_forward(model: TaggerModel, batch, masks: dict | None = None,
+                 detach: bool = True) -> Tensor:
+    """Combiner logits. ``masks`` maps "char", "word" and "meta" to each
+    model's dropout masks. With ``detach`` the encoders run off the tape:
+    no gradient can reach them, so nothing of theirs is recorded."""
+    masks = masks or {}
+    with T.no_grad() if detach else contextlib.nullcontext():
+        m_c, _ = char_forward(model, batch, masks.get("char"))
+        m_w, _ = word_forward(model, batch, masks.get("word"))
+    _, logits = meta.combine(model.combiner, m_c, m_w,
+                             encoders.token_counts(batch), masks.get("meta"),
+                             detach=detach)
     return logits
 
 
-def predict_sentence(model: TaggerModel, sentence: Sentence) -> list[str]:
-    """Tag strings from the combiner head (the only head used at test time)."""
-    if len(sentence.tokens) == 0:
-        return []
-    logits = meta_forward(model, sentence, training=False)
+def _head_logits(model: TaggerModel, batch, head: str,
+                 masks: dict | None = None, detach: bool = True
+                 ) -> list[Tensor]:
+    """Logits of one head ("char", "word" or "meta"), or of all three for
+    "joint", where the combiner's loss reaches the encoders."""
+    masks = masks or {}
+    if head == "char":
+        return [char_forward(model, batch, masks.get("char"))[1]]
+    if head == "word":
+        return [word_forward(model, batch, masks.get("word"))[1]]
+    if head == "meta":
+        return [meta_forward(model, batch, masks, detach)]
+    m_c, logits_c = char_forward(model, batch, masks.get("char"))
+    m_w, logits_w = word_forward(model, batch, masks.get("word"))
+    _, logits_m = meta.combine(model.combiner, m_c, m_w,
+                               encoders.token_counts(batch),
+                               masks.get("meta"), detach=False)
+    return [logits_c, logits_w, logits_m]
+
+
+def _predict(model: TaggerModel, sentences: list[Sentence],
+             head: str) -> list[list[str]]:
+    """Tag strings from one head, ``batch_size`` sentences at a time, off
+    the tape. Token-less sentences get no tags."""
     names = model.vocabs.tag_strings()
-    return [names[i] for i in meta.predict(logits)]
+    tagged = [s for s in sentences if s.tokens]
+    size = model.config.batch_size
+    found = []
+    with T.no_grad():
+        for start in range(0, len(tagged), size):
+            batch = tagged[start:start + size]
+            [logits] = _head_logits(model, batch, head)
+            ids = np.split(meta.predict(logits),
+                           np.cumsum(encoders.token_counts(batch))[:-1])
+            found += [[names[i] for i in row] for row in ids]
+    found = iter(found)
+    return [next(found) if s.tokens else [] for s in sentences]
 
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[list[str]]:
-    return [predict_sentence(model, s) for s in sentences]
-
-
-def _head_accuracy(model, sentences, head: str) -> float:
-    """Dev accuracy through a single head (used by ablation reports)."""
-    names = model.vocabs.tag_strings()
-    preds = []
-    for s in sentences:
-        if len(s.tokens) == 0:
-            preds.append([])
-            continue
-        if head == "char":
-            _, logits = char_forward(model, s)
-        elif head == "word":
-            _, logits = word_forward(model, s)
-        else:
-            logits = meta_forward(model, s)
-        preds.append([names[i] for i in meta.predict(logits)])
-    return score(sentences, preds, model.config.task).accuracy
+    """Tag strings from the combiner head (the only head used at test time)."""
+    return _predict(model, sentences, "meta")
 
 
 def evaluate(model: TaggerModel, sentences: list[Sentence],
              head: str = "meta") -> float:
-    return _head_accuracy(model, sentences, head)
+    """Accuracy of one head ("char", "word" or "meta") on ``sentences``."""
+    return score(sentences, _predict(model, sentences, head),
+                 model.config.task).accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +368,8 @@ def _gold_ids(vocabs: Vocabs, sentence: Sentence, task: str) -> list[int]:
 
 
 def _mean_loss(losses: list[Tensor]) -> Tensor:
+    """Mean of per-sentence losses; a batch loss weights its rows so it
+    equals this over the sentences' mean token losses."""
     total = losses[0]
     for l in losses[1:]:
         total = T.add(total, l)
@@ -357,42 +381,51 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
+# the models whose dropout masks a pass draws, in draw order per sentence
+_PASS_VIEWS = {"char": ("char",), "word": ("word",),
+               "meta": ("char", "word", "meta"),
+               "joint": ("char", "word", "meta")}
+
+
+def _draw_masks(model: TaggerModel, batch: list[Sentence], head: str,
+                rng: np.random.Generator) -> dict[str, dict]:
+    """Dropout masks of the models a pass runs, keyed by view; drawn
+    sentence by sentence, in the order the per-sentence forward used."""
+    char = model.char_sent if model.char_sent is not None \
+        else model.char_token
+    sites = {"char": char.dropout_sites, "word": model.word.dropout_sites,
+             "meta": model.combiner.dropout_sites}
+    views = _PASS_VIEWS[head]
+    return dict(zip(views, nn.draw_masks(rng, batch,
+                                         *(sites[v] for v in views))))
+
+
 def _run_pass(model, sentences, order, batch_size, optimizer, rng,
               head: str, detach=True) -> float:
     """One full pass over the training data for one loss head. Returns the
-    mean per-batch loss."""
+    mean per-batch loss.
+
+    A batch's loss is the mean over its sentences of each sentence's mean
+    token loss (summed over the three heads for "joint"), computed in one
+    forward over the whole batch by weighting token rows 1/(n_s * B).
+    """
     task = model.config.task
     batch_losses = []
     for batch_idx in _batches(order, batch_size):
         optimizer.zero_grad()
+        batch = [sentences[si] for si in batch_idx]
+        golds = np.concatenate([_gold_ids(model.vocabs, s, task)
+                                for s in batch])
+        weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
+                                  for s in batch])
+        masks = _draw_masks(model, batch, head, rng)
         with T.Graph() as g:
-            losses = []
-            for si in batch_idx:
-                s = sentences[si]
-                golds = _gold_ids(model.vocabs, s, task)
-                if head == "char":
-                    _, logits = char_forward(model, s, training=True, rng=rng)
-                    losses.append(nn.softmax_xent_rows(logits, golds))
-                elif head == "word":
-                    _, logits = word_forward(model, s, training=True, rng=rng)
-                    losses.append(nn.softmax_xent_rows(logits, golds))
-                elif head == "meta":
-                    logits = meta_forward(model, s, training=True, rng=rng,
-                                          detach=detach)
-                    losses.append(nn.softmax_xent_rows(logits, golds))
-                else:  # joint: sum of the three heads, no detach
-                    m_c, logits_c = char_forward(model, s, training=True,
-                                                 rng=rng)
-                    m_w, logits_w = word_forward(model, s, training=True,
-                                                 rng=rng)
-                    _, logits_m = meta.combine(model.combiner, m_c, m_w,
-                                               training=True, rng=rng,
-                                               detach=False)
-                    losses.append(T.add(
-                        T.add(nn.softmax_xent_rows(logits_c, golds),
-                              nn.softmax_xent_rows(logits_w, golds)),
-                        nn.softmax_xent_rows(logits_m, golds)))
-            batch_loss = _mean_loss(losses)
+            losses = [nn.softmax_xent_rows(logits, golds, weights)
+                      for logits in _head_logits(model, batch, head, masks,
+                                                 detach)]
+            batch_loss = losses[0]
+            for l in losses[1:]:
+                batch_loss = T.add(batch_loss, l)
         g.backward(batch_loss)
         optimizer.step()
         batch_losses.append(batch_loss.item())
@@ -586,6 +619,19 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
+_MANIFEST_KEYS = ("config", "vocabs", "best_score", "best_epoch", "arrays")
+_VOCAB_KEYS = ("words", "chars", "tags", "task")
+
+
+def _require(path: str, what: str, mapping, keys) -> None:
+    """Reject a manifest part that is not a mapping holding ``keys``."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: checkpoint {what} is not a JSON object")
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{path}: checkpoint {what} has no {key!r} key")
+
+
 def checkpoint_load(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -596,12 +642,17 @@ def checkpoint_load(path: str) -> Checkpoint:
         manifest = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: corrupt manifest: {e}") from None
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) \
+            or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"{path}: checkpoint version {manifest.get('version')} is not "
             f"supported (expected {CHECKPOINT_VERSION})")
+    _require(path, "manifest", manifest, _MANIFEST_KEYS)
+    _require(path, "vocabs", manifest["vocabs"], _VOCAB_KEYS)
+    for entry in manifest["arrays"]:
+        _require(path, "array entry", entry, ("name", "shape"))
     body = blob[newline + 1:]
     arrays = {}
     offset = 0

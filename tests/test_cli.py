@@ -116,6 +116,39 @@ class TestExitCodes:
                          "--output", str(tmp_path / "o.conllu")]) == 2
 
 
+    def test_manifest_without_arrays_is_data_error(self, trained, tmp_path,
+                                                   corpus_dir, capsys):
+        import json
+        head, _, body = (trained / "model.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        del manifest["arrays"]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="'arrays'"):
+            training.checkpoint_load(bad)
+        capsys.readouterr()
+        assert cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'arrays'" in err
+
+    def test_non_finite_training_is_data_error(self, corpus_dir, tmp_path,
+                                               capsys):
+        train = data.parse_conllu((corpus_dir / "train.conllu").read_text())
+        vectors = tmp_path / "nan.vec"
+        vectors.write_text("".join(f"{t.form} nan nan nan nan nan nan\n"
+                                   for t in train[0].tokens))
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--pretrained", str(vectors),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained):
         ckpt = training.checkpoint_load(str(trained / "model.ckpt"))

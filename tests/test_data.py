@@ -51,6 +51,21 @@ class TestParse:
     def test_empty_input(self):
         assert data.parse_conllu("") == []
 
+    def test_crlf_text_parses_like_lf_text(self):
+        for name in ("tiny.conllu", "ranges.conllu"):
+            text = load(name)
+            crlf = data.parse_conllu(text.replace("\n", "\r\n"))
+            lf = data.parse_conllu(text)
+            assert [s.raw_lines for s in crlf] == [s.raw_lines for s in lf]
+            assert [s.tokens for s in crlf] == [s.tokens for s in lf]
+            assert data.write_conllu(crlf) == text
+
+    def test_malformed_feats_names_line(self):
+        text = ("1\tDog\tdog\tNOUN\tNN\tNumber=Sing\t2\tnsubj\t_\t_\n"
+                "2\tbarks\tbark\tVERB\tVBZ\tMood\t0\troot\t_\t_\n")
+        with pytest.raises(data.DataError, match="line 2: .*'Mood'"):
+            data.parse_conllu(text)
+
     def test_char_spans_cover_forms(self):
         for s in data.parse_conllu(load("ranges.conllu")):
             for tok in s.tokens:

@@ -329,3 +329,103 @@ class TestMeta:
     def test_predict_tie_break(self):
         z = T.tensor([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
         np.testing.assert_array_equal(meta.predict(z), [0, 1])
+
+
+class TestBatches:
+    """A batch equals its sentences run one at a time, dropout included,
+    when both draw masks from generators in the same state."""
+
+    texts = ["the dog barks", "a", "cats chase the small dog", "ab cd"]
+
+    def dropout_triple(self, vocabs):
+        rng = np.random.default_rng(41)
+        kw = dict(lstm_dropout=0.3, mlp_dropout=0.2, lstm_init="scaled")
+        cs = encoders.char_sent_encoder(
+            vocabs.n_chars, vocabs.n_tags, emb_dim=5, hidden=6, depth=2,
+            mlp_size=7, rng=rng, mlp_init="scaled", emb_dropout=0.1, **kw)
+        ct = encoders.char_token_encoder(
+            vocabs.n_chars, vocabs.n_tags, emb_dim=5, hidden=6, rng=rng,
+            emb_dropout=0.1, lstm_dropout=0.3, lstm_init="scaled")
+        wd = encoders.word_encoder(
+            vocabs.n_words, vocabs.n_tags, emb_dim=4,
+            pretrained=rng.normal(size=(vocabs.n_words, 4)), hidden=6,
+            depth=2, mlp_size=7, rng=rng, mlp_init="scaled",
+            emb_dropout=0.25, **kw)
+        mp = meta.meta_params(7, 7, vocabs.n_tags, hidden=5, depth=2,
+                              mlp_size=6, rng=rng, mlp_init="scaled", **kw)
+        return cs, ct, wd, mp
+
+    def assert_batch_equals_singletons(self, p, encode, sents):
+        r_batch, r_one = np.random.default_rng(5), np.random.default_rng(5)
+        [masks] = nn.draw_masks(r_batch, sents, p.dropout_sites)
+        batched = encode(p, sents, masks)
+        singles = []
+        for s in sents:
+            [masks] = nn.draw_masks(r_one, [s], p.dropout_sites)
+            singles.append(encode(p, s, masks))
+        for i, out in enumerate(batched):
+            want = np.concatenate([one[i].data for one in singles])
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        assert r_batch.random() == r_one.random()
+
+    def test_char_sentence_encoder(self):
+        sents, vocabs = make_world(self.texts)
+        cs = self.dropout_triple(vocabs)[0]
+        self.assert_batch_equals_singletons(cs, encoders.encode_chars_sentence, sents)
+
+    def test_char_token_encoder(self):
+        sents, vocabs = make_world(self.texts)
+        ct = self.dropout_triple(vocabs)[1]
+        self.assert_batch_equals_singletons(ct, encoders.encode_chars_token, sents)
+
+    def test_word_encoder(self):
+        sents, vocabs = make_world(self.texts)
+        wd = self.dropout_triple(vocabs)[2]
+        self.assert_batch_equals_singletons(wd, encoders.encode_words, sents)
+
+    def test_combiner(self):
+        sents, vocabs = make_world(self.texts)
+        cs, _, wd, mp = self.dropout_triple(vocabs)
+        _, m_c, _ = encoders.encode_chars_sentence(cs, sents)
+        _, m_w, _ = encoders.encode_words(wd, sents)
+
+        rows = np.concatenate([[0], np.cumsum(encoders.token_counts(sents))])
+
+        def combine(p, batch, masks):
+            batch = encoders.as_batch(batch)
+            pick = np.concatenate([np.arange(rows[k], rows[k + 1])
+                                   for k, s in enumerate(sents)
+                                   if any(s is b for b in batch)])
+            return meta.combine(p, T.Tensor(m_c.data[pick]),
+                                T.Tensor(m_w.data[pick]),
+                                encoders.token_counts(batch), masks)
+
+        self.assert_batch_equals_singletons(mp, combine, sents)
+
+    def test_batch_gradients_equal_summed_singletons(self):
+        sents, vocabs = make_world(self.texts)
+        cs = self.dropout_triple(vocabs)[0]
+        golds = [vocabs.tag_id(t) for s in sents for t in s.gold_tags("xpos")]
+
+        def grads(batches):
+            T.zero_grads(cs.parameters())
+            with T.Graph() as g:
+                losses = []
+                start = 0
+                for batch in batches:
+                    _, _, logits = encoders.encode_chars_sentence(cs, batch)
+                    n = logits.shape[0]
+                    losses.append(T.scale(nn.softmax_xent_rows(
+                        logits, golds[start:start + n]), n))
+                    start += n
+                loss = losses[0]
+                for l in losses[1:]:
+                    loss = T.add(loss, l)
+            g.backward(loss)
+            return {n: p.grad.copy() for n, p in cs.parameters()}
+
+        batched = grads([sents])
+        singles = grads([[s] for s in sents])
+        for name in batched:
+            np.testing.assert_allclose(batched[name], singles[name], rtol=0,
+                                       atol=1e-12, err_msg=name)

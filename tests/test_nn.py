@@ -418,3 +418,143 @@ def test_lstm_run_deterministic(nsteps, seed):
     a = nn.lstm_run(p, xs)
     b = nn.lstm_run(p, xs)
     assert np.array_equal(a.data, b.data)
+
+
+# --- packed batches: one lstm_run call over ragged sequences --------------
+
+def lstm_grads(p, xs_parts, loss_fn):
+    """Loss and the gradients of every LSTM parameter and input part."""
+    T.zero_grads(p.parameters("p"))
+    for x in xs_parts:
+        x.grad = None
+    with T.Graph() as g:
+        loss = loss_fn()
+    g.backward(loss)
+    grads = {n: t.grad.copy() for n, t in p.parameters("p")}
+    grads["xs"] = np.concatenate([x.grad for x in xs_parts])
+    return loss.item(), grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(["none", "shared", "per_sequence"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_packed_batch_matches_separate_runs(lengths, hidden, width,
+                                            mask_kind, seed):
+    g = np.random.default_rng(seed)
+    p = nn.lstm_params(width, hidden, g)
+    for _, t in p.parameters("p"):  # nonzero start state and bias
+        t.data[...] = g.normal(size=t.shape)
+    n, b = sum(lengths), len(lengths)
+    xs_data = g.normal(size=(n, width))
+    w = g.normal(size=(n, hidden))
+    mask = {"none": None,
+            "shared": (g.random(hidden) < 0.6) / 0.6,
+            "per_sequence": (g.random((b, hidden)) < 0.6) / 0.6}[mask_kind]
+    starts = np.cumsum(lengths) - lengths
+
+    xs = T.Tensor(xs_data, requires_grad=True)
+    out = {}
+
+    def batched():
+        out["batched"] = nn.lstm_run(p, xs, mask, lengths)
+        return T.tsum(T.mul(out["batched"], T.tensor(w)))
+
+    parts = [T.Tensor(xs_data[a:a + k], requires_grad=True)
+             for a, k in zip(starts, lengths)]
+
+    def separate():
+        rows = []
+        for i, (x, a, k) in enumerate(zip(parts, starts, lengths)):
+            m = mask[i] if mask_kind == "per_sequence" else mask
+            rows.append(T.mul(nn.lstm_run(p, x, m), T.tensor(w[a:a + k])))
+        out["separate"] = T.concat(rows, axis=0)
+        return T.tsum(out["separate"])
+
+    loss_a, grads_a = lstm_grads(p, [xs], batched)
+    loss_b, grads_b = lstm_grads(p, parts, separate)
+    assert abs(loss_a - loss_b) < 1e-12
+    np.testing.assert_allclose(out["batched"].data * w,
+                               out["separate"].data, rtol=0, atol=1e-12)
+    for name in grads_a:
+        np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=0,
+                                   atol=1e-12, err_msg=name)
+
+
+class TestPackedBatch:
+    def test_grad_check_ragged_masked_batch(self):
+        p = nn.lstm_params(2, 3, np.random.default_rng(19))
+        for _, t in p.parameters("p"):
+            t.data[...] = rng.normal(size=t.shape)
+        xs = T.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        w = rng.normal(size=(7, 3))
+        mask = np.array([[1 / 0.7, 0.0, 1 / 0.7],
+                         [1 / 0.7, 1 / 0.7, 1 / 0.7],
+                         [0.0, 1 / 0.7, 1 / 0.7]])
+
+        def f():
+            out = nn.lstm_run(p, xs, mask, lengths=[2, 4, 1])
+            return T.tsum(T.mul(out, T.tensor(w)))
+
+        assert T.grad_check(f, p.parameters("lstm") + [("xs", xs)]) < 1e-4
+
+    def test_bad_lengths_and_mask_raise(self):
+        p = small_lstm()
+        xs = T.Tensor(np.zeros((4, 3)))
+        for lengths in ([2, 1], [4, 0], []):
+            with pytest.raises(T.ShapeError):
+                nn.lstm_run(p, xs, lengths=lengths)
+        with pytest.raises(T.ShapeError):
+            nn.lstm_run(p, xs, np.ones((3, 4)), lengths=[2, 2])
+
+    def test_stack_reverses_each_sequence_in_its_span(self):
+        stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(6))
+        lengths = [3, 1, 4]
+        xs = rng.normal(size=(8, 3))
+        f, b = nn.bilstm_stack_run(stack, T.Tensor(xs), lengths=lengths)
+        for a, k in zip(np.cumsum(lengths) - lengths, lengths):
+            fs, bs = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]))
+            np.testing.assert_allclose(f.data[a:a + k], fs.data, atol=1e-12)
+            np.testing.assert_allclose(b.data[a:a + k], bs.data, atol=1e-12)
+
+    def test_stack_dropout_draws_sequence_by_sequence(self):
+        stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(7))
+        lengths = [2, 5]
+        xs = rng.normal(size=(7, 3))
+        r_batch, r_seq = np.random.default_rng(8), np.random.default_rng(8)
+        f, _ = nn.bilstm_stack_run(stack, T.Tensor(xs), dropout_rate=0.4,
+                                   training=True, rng=r_batch,
+                                   lengths=lengths)
+        for a, k in zip(np.cumsum(lengths) - lengths, lengths):
+            fs, _ = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
+                                        dropout_rate=0.4, training=True,
+                                        rng=r_seq)
+            np.testing.assert_allclose(f.data[a:a + k], fs.data, atol=1e-12)
+
+    def test_char_attention_batch_matches_tokens(self):
+        v = T.Tensor(rng.normal(size=3), requires_grad=True)
+        s = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        lengths = [1, 3, 2]
+        got = nn.char_attention(v, s, lengths)
+        for i, (a, k) in enumerate(zip(np.cumsum(lengths) - lengths,
+                                       lengths)):
+            one = nn.char_attention(v, T.Tensor(s.data[a:a + k]))
+            np.testing.assert_allclose(got.data[i], one.data, atol=1e-12)
+        err = T.grad_check(lambda: T.tsum(T.mul(
+            nn.char_attention(v, s, lengths),
+            T.tensor(np.arange(9.0).reshape(3, 3)))), [("v", v), ("s", s)])
+        assert err < 1e-6
+
+    def test_weighted_xent_is_weighted_sum_of_rows(self):
+        z = rng.normal(size=(3, 5))
+        golds = [1, 0, 4]
+        w = np.array([0.5, 0.25, 2.0])
+        per_row = [nn.softmax_xent(T.tensor(z[i]), golds[i]).item()
+                   for i in range(3)]
+        got = nn.softmax_xent_rows(T.Tensor(z), golds, w).item()
+        assert abs(got - np.dot(w, per_row)) < 1e-12
+        logits = T.Tensor(z, requires_grad=True)
+        err = T.grad_check(lambda: nn.softmax_xent_rows(logits, golds, w),
+                           [("z", logits)])
+        assert err < 1e-6

@@ -313,3 +313,24 @@ def test_backward_is_deterministic(seed):
         return w.grad.copy()
 
     assert np.array_equal(run(), run())
+
+
+class TestNoGrad:
+    def test_records_nothing_inside_a_graph(self):
+        w = rt(2, 2)
+        with T.Graph() as g:
+            with T.no_grad():
+                y = T.tanh(w)
+            z = T.tsum(T.tanh(w))
+        assert not y.requires_grad
+        assert [n.op for n in g.nodes] == ["tanh", "sum"]
+        assert z.requires_grad
+
+    def test_graph_inside_no_grad_records(self):
+        w = rt(2)
+        with T.no_grad():
+            with T.Graph() as g:
+                loss = T.tsum(w)
+            g.backward(loss)
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+        assert T.active_graph() is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metatagger import data, training
+from metatagger import data, nn, training
 from metatagger import tensor as T
 
 
@@ -290,6 +290,25 @@ class TestTrainLoop:
         dev = data.parse_conllu("1\tzz\t_\t_\tNEVER\t_\t0\t_\t_\t_\n")
         ckpt = training.train(small_config(max_epochs=1), tr, dev)
         assert 0.0 <= ckpt.best_score <= 1.0
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("head", ["char", "word", "meta", "joint"])
+    def test_batch_loss_is_mean_of_sentence_means(self, head):
+        sents = mini_corpus(5)
+        model, tr, _ = training.prepare(small_config(), sents, sents)
+        opt = training.Adam(model.all_parameters(), lr=0.0)
+        got = training._run_pass(model, tr, np.arange(len(tr)), len(tr), opt,
+                                 np.random.default_rng(3), head)
+        rng = np.random.default_rng(3)
+        per_sentence = []
+        for s in tr:
+            golds = training._gold_ids(model.vocabs, s, "xpos")
+            masks = training._draw_masks(model, [s], head, rng)
+            per_sentence.append(sum(
+                nn.softmax_xent_rows(logits, golds).item()
+                for logits in training._head_logits(model, s, head, masks)))
+        assert abs(got - np.mean(per_sentence)) < 1e-12
 
 
 class TestCheckpoint:
