@@ -53,8 +53,8 @@ def _read_text(path: str) -> str:
         raise DataError(f"{path}: {e.strerror or e}") from None
 
 
-def _parse_corpus(path: str) -> list[data.Sentence]:
-    return data.parse_conllu(_read_text(path))
+def _parse_corpus(path: str, task: str) -> list[data.Sentence]:
+    return data.parse_conllu(_read_text(path), task)
 
 
 def _load_checkpoint(path: str) -> training.Checkpoint:
@@ -119,9 +119,9 @@ def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
     if "train_file" not in paths:
         raise CliUsageError("a training corpus is required "
                             "(--train or train_file in the config)")
-    train_sents = _parse_corpus(paths["train_file"])
+    train_sents = _parse_corpus(paths["train_file"], config.task)
     if "dev_file" in paths:
-        dev_sents = _parse_corpus(paths["dev_file"])
+        dev_sents = _parse_corpus(paths["dev_file"], config.task)
     else:
         train_sents, dev_sents = data.dev_split(train_sents, fraction=0.1,
                                                 seed=config.seed)
@@ -161,7 +161,7 @@ def cmd_train(ns) -> int:
 def cmd_tag(ns) -> int:
     ckpt = _load_checkpoint(ns.checkpoint)
     model = ckpt.rebuild()
-    sentences = data.parse_conllu(_read_text(ns.input))
+    sentences = _parse_corpus(ns.input, ckpt.config.task)
     data.assign_ids(sentences, ckpt.vocabs)
     tags = training.tag_corpus(model, sentences)
     text = data.write_conllu(sentences, tags, task=ckpt.config.task)
@@ -173,8 +173,8 @@ def cmd_tag(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    gold = _parse_corpus(ns.gold)
-    pred = _parse_corpus(ns.pred)
+    gold = _parse_corpus(ns.gold, ns.task)
+    pred = _parse_corpus(ns.pred, ns.task)
     report = evaluation.score(gold, pred, ns.task)
     for line in report.lines():
         print(line)

@@ -31,7 +31,7 @@ class Token:
     form: str
     gold_upos: str
     gold_xpos: str
-    gold_feats: str  # canonical bundle string
+    gold_feats: str  # canonical bundle string, unless parsed for upos/xpos
     char_span: tuple[int, int]  # inclusive (first, last) into the char stream
     word_id: int | None = None
 
@@ -97,7 +97,7 @@ def _is_empty_node_id(tok_id: str) -> bool:
     return "." in tok_id
 
 
-def parse_conllu(text: str) -> list[Sentence]:
+def parse_conllu(text: str, task: str | None = None) -> list[Sentence]:
     """Parse CoNLL-U text into Sentences.
 
     Word lines become Tokens; multiword range lines ("1-2") and empty-node
@@ -105,7 +105,12 @@ def parse_conllu(text: str) -> list[Sentence]:
     containing only comments yields a token-less Sentence so that rewriting
     preserves the file structure. Lines may end in "\r\n"; the "\r" is
     dropped.
+
+    The FEATS column is canonicalized (see ``morph_bundle_tag``) unless
+    ``task`` names another column, in which case it is kept as written
+    and a malformed bundle is no error.
     """
+    canonical_feats = task in (None, "feats")
     sentences: list[Sentence] = []
     block: list[str] = []
     token_cols: list[list[str]] = []
@@ -150,10 +155,11 @@ def parse_conllu(text: str) -> list[Sentence]:
         tok_id = cols[COL_ID]
         if _is_range_id(tok_id) or _is_empty_node_id(tok_id):
             continue
-        try:
-            cols[COL_FEATS] = morph_bundle_tag(cols[COL_FEATS])
-        except DataError as e:
-            raise DataError(f"line {lineno}: {e}") from None
+        if canonical_feats:
+            try:
+                cols[COL_FEATS] = morph_bundle_tag(cols[COL_FEATS])
+            except DataError as e:
+                raise DataError(f"line {lineno}: {e}") from None
         token_cols.append(cols)
         token_line_idx.append(len(block) - 1)
     flush()

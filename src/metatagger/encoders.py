@@ -127,12 +127,16 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch,
     emb = nn.embedding_lookup(p.char_table,
                               np.concatenate([s.char_ids for s in batch]))
     emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
-    f, b = nn.bilstm_stack_run(p.stack, emb, lengths=stream_lens,
-                               masks=masks)
-    source = {"F_1st": (f, firsts), "F_last": (f, lasts),
-              "B_1st": (b, firsts), "B_last": (b, lasts)}
-    parts = [T.take_rows(*source[name]) for name in p.gather]
-    g = T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    out = nn.bilstm_stack_run(p.stack, emb, lengths=stream_lens, masks=masks)
+    # As (2 * chars, hidden), row 2i is the forward state at character i
+    # and row 2i + 1 the backward one: one gather picks every part.
+    firsts, lasts = 2 * np.array(firsts), 2 * np.array(lasts)
+    source = {"F_1st": firsts, "F_last": lasts,
+              "B_1st": firsts + 1, "B_last": lasts + 1}
+    ids = np.stack([source[name] for name in p.gather], axis=1).reshape(-1)
+    hidden = p.stack.hidden_size
+    g = T.reshape(T.take_rows(T.reshape(out, (2 * offset, hidden)), ids),
+                  (len(firsts), len(p.gather) * hidden))
     m = nn.apply_mask(nn.mlp_apply(p.mlp, g), masks.get("mlp"),
                       token_counts(batch))
     return g, m, nn.classify(p.classifier, m)
@@ -254,7 +258,6 @@ def encode_words(p: WordEncoderParams, batch, masks: dict | None = None
     emb = T.add(nn.embedding_lookup(p.learned, ids),
                 nn.embedding_lookup(p.pretrained, ids))
     emb = nn.apply_mask(emb, masks.get("emb"), lens)
-    f, b = nn.bilstm_stack_run(p.stack, emb, lengths=lens, masks=masks)
-    o = T.concat([f, b], axis=1)
+    o = nn.bilstm_stack_run(p.stack, emb, lengths=lens, masks=masks)
     m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lens)
     return o, m, nn.classify(p.classifier, m)

@@ -65,9 +65,8 @@ def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths=None,
     if detach:
         m_chars, m_word = m_chars.detach(), m_word.detach()
     cw = T.concat([m_chars, m_word], axis=1)
-    f, b = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)
-    m = nn.apply_mask(nn.mlp_apply(p.mlp, T.concat([f, b], axis=1)),
-                      masks.get("mlp"), lengths)
+    o = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)
+    m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lengths)
     return m, nn.classify(p.classifier, m)
 
 

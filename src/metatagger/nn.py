@@ -12,6 +12,16 @@ product; the hand-written backward mirrors the loop. ``lstm_step``
 composes the same cell from primitive ops and is the readable reference
 the tests pin the fused op to.
 
+A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
+which reads each sequence from its end through a reversed packing and
+writes its states beside the forward ones. The two directions share no
+state, so for large enough layers the reverse one runs on a single
+module-level worker thread while the caller runs the forward one, in
+the forward and in the backward pass; numpy releases the GIL in its
+products, so they overlap even with single-threaded BLAS. The worker
+runs plain numpy only: the tape is read and written on the calling
+thread, and each direction does exactly the arithmetic it would alone.
+
 Batches are B sequences stacked row-wise with their ``lengths``.
 Dropout masks are drawn up front, sequence by sequence, by
 ``draw_masks`` and applied per sequence, so a batch consumes the random
@@ -21,6 +31,7 @@ generator exactly as running its sequences one at a time would.
 from __future__ import annotations
 
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,67 +202,82 @@ def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
     return lengths
 
 
-def _packing(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _packing(lengths: np.ndarray, reverse: bool = False
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-major packed layout of stacked sequences.
 
     Sequences are sorted longest first (ties keep batch order), so at step
     t the live ones are a prefix of that order, ``batch_sizes[t]`` of them.
     Returns (rows, batch_sizes, order): packed row i holds stacked row
     ``rows[i]``, and sorted sequence r is batch sequence ``order[r]``.
+    With ``reverse`` step t reads each sequence's t-th row from its end.
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     live = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]
     steps, ranks = np.nonzero(live)  # row-major: time, then sorted rank
+    seqs = order[ranks]
+    if reverse:
+        steps = lengths[seqs] - 1 - steps
     starts = np.cumsum(lengths) - lengths
-    return starts[order[ranks]] + steps, live.sum(axis=1), order
+    return starts[seqs] + steps, live.sum(axis=1), order
 
 
-def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
-             lengths=None) -> Tensor:
-    """Run the cell over B sequences stacked as the rows of ``xs``.
+# Multiply-adds of one direction (rows x 4H x (input + H)) below which a
+# two-direction lstm_run runs both directions on the calling thread: for
+# small layers the hand-off to the worker and the contention for the GIL
+# cost more than the second core gives back (break-even measured near 1e7
+# on a 2-core x86 VM with single-threaded OpenBLAS).
+_PARALLEL_MIN_WORK = 1 << 24
+# Starts its thread on the first submit, not at import.
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_run")
 
-    ``lengths`` (B,) splits the N rows into sequences, in order; None is
-    one sequence. Returns the (N, hidden) hidden states in the same row
-    order. Every sequence starts from h0/c0. When ``h_mask`` is given,
-    (hidden,) for all sequences or (B, hidden) for one row each, it
-    multiplies the hidden state (including h0) before each recurrence
-    step, the same mask at every step of a sequence.
 
-    One tape node: the forward runs packed time-major (see ``_packing``)
-    and the backward, written by hand, mirrors it. When the op is not
-    recorded, values only the backward reads (tanh of the cell states and
-    the masked hidden states each step read) are not stored.
+def _both(parallel: bool, first, second) -> tuple:
+    """Results of the calls ``first`` and ``second``, each (fn, *args).
+
+    With ``parallel`` the second runs on the worker thread while this one
+    runs the first. The worker is always waited for before this returns or
+    raises; an exception raised on it is raised here, unless the first call
+    raised already.
     """
-    if xs.ndim != 2 or xs.shape[1] != params.input_size:
-        raise T.ShapeError(
-            f"lstm_run: input shape {xs.shape} incompatible with "
-            f"input_size {params.input_size}")
-    n = xs.shape[0]
-    if n == 0:
-        raise T.ShapeError("lstm_run: empty sequence")
-    lengths = _check_lengths(lengths, n, "lstm_run")
-    n_seq = lengths.size
-    hs = params.hidden_size
-    wx, wh = params.w_x.data, params.w_h.data
-    rows, batch_sizes, order = _packing(lengths)
-    mask = None
-    if h_mask is not None:
-        h_mask = np.asarray(h_mask, dtype=np.float64)
-        if h_mask.shape not in ((hs,), (n_seq, hs)):
-            raise T.ShapeError(f"lstm_run: h_mask shape {h_mask.shape} is "
-                               f"neither ({hs},) nor ({n_seq}, {hs})")
-        mask = np.broadcast_to(h_mask, (n_seq, hs))[order]
-    inputs = (xs, params.w_x, params.w_h, params.bias, params.h0, params.c0)
-    track = T.tracking(inputs)
+    if not parallel:
+        return first[0](*first[1:]), second[0](*second[1:])
+    future = _WORKER.submit(*second)
+    try:
+        a = first[0](*first[1:])
+    except BaseException:
+        wait([future])
+        raise
+    return a, future.result()
 
-    x = xs.data[rows]
-    gates = x @ wx  # pre-activations, turned into gate values step by step
+
+def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
+               rows: np.ndarray, batch_sizes: np.ndarray, dest: np.ndarray,
+               track: bool):
+    """One direction of ``lstm_run`` in plain numpy, safe to run off the
+    calling thread: it never touches the tape.
+
+    Runs the packed rows ``rows`` of ``xs`` (layout from ``_packing``),
+    writes the hidden state of stacked row ``rows[i]`` to ``dest[rows[i]]``
+    and returns the backward closure, or None unless ``track``. Without
+    ``track`` only what the next step reads is kept: no packed copy of the
+    input, and the cell state rolls over two (B, H) buffers.
+    """
+    n, hs = rows.size, params.hidden_size
+    n_seq = batch_sizes[0]
+    wx, wh = params.w_x.data, params.w_h.data
+    if track:
+        x = xs[rows]
+        gates = x @ wx  # pre-activations, turned into gate values step by step
+        cs = np.empty((n, hs))
+        tcs = np.empty((n, hs))
+        h_tilde = np.empty((n, hs))  # masked h each step read
+    else:
+        gates = xs[rows] @ wx
+        c_roll = np.empty((2, n_seq, hs))
     gates += params.bias.data
-    cs = np.empty((n, hs))
     out = np.empty((n, hs))
-    tcs = np.empty((n, hs)) if track else None
-    h_tilde = np.empty((n, hs)) if track else None  # masked h each step read
     h0 = np.broadcast_to(params.h0.data, (n_seq, hs))
     c0 = np.broadcast_to(params.c0.data, (n_seq, hs))
     offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
@@ -261,7 +287,8 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
             hp, cp = h0[:k], c0[:k]
         else:
             p0 = offsets[t - 1]
-            hp, cp = out[p0:p0 + k], cs[p0:p0 + k]
+            hp = out[p0:p0 + k]
+            cp = cs[p0:p0 + k] if track else c_roll[(t - 1) % 2, :k]
         if mask is not None:
             hp = hp * mask[:k]
         if track:
@@ -271,13 +298,16 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
         _sigmoid_(a[:, :2 * hs])
         np.tanh(a[:, 2 * hs:3 * hs], out=a[:, 2 * hs:3 * hs])
         _sigmoid_(a[:, 3 * hs:])
-        c = cs[r0:r1]
+        c = cs[r0:r1] if track else c_roll[t % 2, :k]
         np.multiply(a[:, hs:2 * hs], cp, out=c)
         c += a[:, :hs] * a[:, 2 * hs:3 * hs]
         tc = np.tanh(c)
         np.multiply(a[:, 3 * hs:], tc, out=out[r0:r1])
         if track:
             tcs[r0:r1] = tc
+    dest[rows] = out
+    if not track:
+        return None
 
     def bwd(g_out):
         g = g_out[rows]
@@ -307,8 +337,85 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
         return (d_xs, x.T @ d_s, h_tilde.T @ d_s, d_s.sum(axis=0),
                 dh.sum(axis=0), dc.sum(axis=0))
 
-    result = np.empty_like(out)
-    result[rows] = out
+    return bwd
+
+
+def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
+             lengths=None, *, reverse: LstmParams | None = None,
+             reverse_mask: np.ndarray | None = None) -> Tensor:
+    """Run the cell over B sequences stacked as the rows of ``xs``.
+
+    ``lengths`` (B,) splits the N rows into sequences, in order; None is
+    one sequence. Returns the (N, hidden) hidden states in the same row
+    order. Every sequence starts from h0/c0. When ``h_mask`` is given,
+    (hidden,) for all sequences or (B, hidden) for one row each, it
+    multiplies the hidden state (including h0) before each recurrence
+    step, the same mask at every step of a sequence.
+
+    With ``reverse`` (and its own ``reverse_mask``) the op is one BiLSTM
+    layer: a second direction reads each sequence from its end, and the
+    result is (N, 2 * hidden), the forward states then the reverse ones,
+    row by row. The reverse direction runs on a worker thread while this
+    one runs the forward direction, forward and backward alike, unless
+    the layer is too small to gain from it (``_PARALLEL_MIN_WORK``).
+
+    One tape node: the forward runs packed time-major (see ``_packing``)
+    and the backward, written by hand, mirrors it. When the op is not
+    recorded, values only the backward reads are not stored.
+    """
+    if xs.ndim != 2 or xs.shape[1] != params.input_size:
+        raise T.ShapeError(
+            f"lstm_run: input shape {xs.shape} incompatible with "
+            f"input_size {params.input_size}")
+    if reverse is not None and (reverse.input_size, reverse.hidden_size) \
+            != (params.input_size, params.hidden_size):
+        raise T.ShapeError(
+            f"lstm_run: reverse direction is {reverse.input_size} -> "
+            f"{reverse.hidden_size}, forward {params.input_size} -> "
+            f"{params.hidden_size}")
+    n = xs.shape[0]
+    if n == 0:
+        raise T.ShapeError("lstm_run: empty sequence")
+    lengths = _check_lengths(lengths, n, "lstm_run")
+    hs = params.hidden_size
+    rows, batch_sizes, order = _packing(lengths)
+
+    def sorted_mask(m, name):
+        if m is None:
+            return None
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape not in ((hs,), (lengths.size, hs)):
+            raise T.ShapeError(f"lstm_run: {name} shape {m.shape} is neither "
+                               f"({hs},) nor ({lengths.size}, {hs})")
+        return np.broadcast_to(m, (lengths.size, hs))[order]
+
+    mask = sorted_mask(h_mask, "h_mask")
+    directions = [params] if reverse is None else [params, reverse]
+    inputs = (xs,) + tuple(t for p in directions for t in (
+        p.w_x, p.w_h, p.bias, p.h0, p.c0))
+    track = T.tracking(inputs)
+    if reverse is None:
+        result = np.empty((n, hs))
+        bwd = _direction(params, xs.data, mask, rows, batch_sizes, result,
+                         track)
+        return T.record("lstm_run", inputs, result, bwd)
+
+    rev_mask = sorted_mask(reverse_mask, "reverse_mask")
+    rev_rows = _packing(lengths, reverse=True)[0]
+    parallel = n * 4 * hs * (params.input_size + hs) >= _PARALLEL_MIN_WORK
+    result = np.empty((n, 2 * hs))
+    bwd_f, bwd_r = _both(
+        parallel,
+        (_direction, params, xs.data, mask, rows, batch_sizes,
+         result[:, :hs], track),
+        (_direction, reverse, xs.data, rev_mask, rev_rows, batch_sizes,
+         result[:, hs:], track))
+
+    def bwd(g_out):
+        g_f, g_r = _both(parallel, (bwd_f, g_out[:, :hs]),
+                         (bwd_r, g_out[:, hs:]))
+        return (g_f[0] + g_r[0],) + g_f[1:] + g_r[1:]
+
     return T.record("lstm_run", inputs, result, bwd)
 
 
@@ -359,21 +466,14 @@ def stack_sites(stack: BiLstmStack, rate: float) -> list[Site]:
     return sites
 
 
-def _reversal(lengths) -> np.ndarray:
-    """Row index reversing each stacked sequence within its own span."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    ends = np.cumsum(lengths) - 1
-    starts = ends + 1 - lengths
-    seq = np.repeat(np.arange(lengths.size), lengths)
-    return starts[seq] + ends[seq] - np.arange(ends[-1] + 1)
-
-
 def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *,
                      dropout_rate: float = 0.0, training: bool = False,
                      rng: np.random.Generator | None = None, lengths=None,
-                     masks: dict | None = None) -> tuple[Tensor, Tensor]:
-    """Top-layer forward and backward outputs, each (rows, hidden), for
-    the sequences stacked in ``xs`` (split by ``lengths``; None is one).
+                     masks: dict | None = None) -> Tensor:
+    """Top-layer outputs, (rows, 2 * hidden) with the forward states then
+    the backward ones, for the sequences stacked in ``xs`` (split by
+    ``lengths``; None is one). Each layer is one two-direction
+    ``lstm_run``.
 
     Dropout uses ``masks`` (keys from ``stack_sites``) when given, else,
     in training, masks drawn from ``rng`` per sequence at ``dropout_rate``:
@@ -390,16 +490,12 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *,
         if training:
             masks = draw_masks(rng, lengths,
                                lambda _: stack_sites(stack, dropout_rate))[0]
-    rev = _reversal(lengths)
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):
         h = apply_mask(h, masks.get(f"layer{j}.in"), lengths)
-        f = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths)
-        b = T.take_rows(lstm_run(p_bwd, T.take_rows(h, rev),
-                                 masks.get(f"layer{j}.bwd"), lengths), rev)
-        if j + 1 < stack.depth:
-            h = T.concat([f, b], axis=1)
-    return f, b
+        h = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths,
+                     reverse=p_bwd, reverse_mask=masks.get(f"layer{j}.bwd"))
+    return h
 
 
 # ---------------------------------------------------------------------------

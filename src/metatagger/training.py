@@ -650,9 +650,28 @@ def checkpoint_load(path: str) -> Checkpoint:
             f"{path}: checkpoint version {manifest.get('version')} is not "
             f"supported (expected {CHECKPOINT_VERSION})")
     _require(path, "manifest", manifest, _MANIFEST_KEYS)
+    _require(path, "config", manifest["config"], ())
     _require(path, "vocabs", manifest["vocabs"], _VOCAB_KEYS)
+    for key in ("words", "chars", "tags"):
+        ids = manifest["vocabs"][key]
+        if not isinstance(ids, dict) or not all(
+                type(i) is int for i in ids.values()):
+            raise ValueError(f"{path}: checkpoint vocabs key {key!r} is not "
+                             f"a JSON object of integer ids")
+    if not isinstance(manifest["arrays"], list):
+        raise ValueError(f"{path}: checkpoint manifest key 'arrays' is not "
+                         f"a list")
     for entry in manifest["arrays"]:
         _require(path, "array entry", entry, ("name", "shape"))
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"{path}: checkpoint array entry key 'name' is "
+                             f"not a string")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{path}: checkpoint array entry key 'shape' of "
+                             f"{entry['name']!r} is not a list of "
+                             f"non-negative integers")
     body = blob[newline + 1:]
     arrays = {}
     offset = 0

@@ -133,6 +133,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "'arrays'" in err
 
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda m: m.update(arrays=5), "'arrays'"),
+        (lambda m: m.update(arrays={"name": "x"}), "'arrays'"),
+        (lambda m: m["arrays"][0].update(shape=7), "'shape'"),
+        (lambda m: m["arrays"][0].update(shape="ab"), "'shape'"),
+        (lambda m: m["arrays"][0].update(shape=[2, -1]), "'shape'"),
+        (lambda m: m["arrays"][0].update(shape=[2.0]), "'shape'"),
+        (lambda m: m["arrays"][0].update(shape=[True]), "'shape'"),
+        (lambda m: m["arrays"][0].update(name=["x"]), "'name'"),
+        (lambda m: m.update(config=[]), "config"),
+        (lambda m: m["vocabs"].update(words=5), "'words'"),
+        (lambda m: m["vocabs"].update(tags=["K1", "K2"]), "'tags'"),
+        (lambda m: m["vocabs"]["chars"].update(a="1"), "'chars'"),
+    ])
+    def test_manifest_with_wrong_json_types_is_data_error(
+            self, trained, tmp_path, corpus_dir, capsys, mutate, key):
+        import json
+        head, _, body = (trained / "model.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        mutate(manifest)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=key):
+            training.checkpoint_load(bad)
+        capsys.readouterr()
+        assert cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and key in err
+
     def test_non_finite_training_is_data_error(self, corpus_dir, tmp_path,
                                                capsys):
         train = data.parse_conllu((corpus_dir / "train.conllu").read_text())
@@ -204,6 +236,25 @@ class TestTagAndEval:
         for line in lines[2:4]:
             cols = line.split("\t")
             assert cols[4] in ("K1", "K2", "S1", "S2")
+
+    def test_malformed_feats_matters_only_to_the_feats_task(
+            self, trained, tmp_path, capsys):
+        text = ("1\tvamos\t_\t_\tK1\tCase\t0\t_\t_\t_\n"
+                "2\tnos\t_\t_\tK2\t_\t0\t_\t_\t_\n")
+        src = tmp_path / "in.conllu"
+        src.write_text(text)
+        out = tmp_path / "out.conllu"
+        assert cli.main(["tag", "--checkpoint", str(trained / "model.ckpt"),
+                         "--input", str(src), "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[0].split("\t")[5] == "Case"
+        assert cli.main(["eval", "--gold", str(src), "--pred", str(src),
+                         "--task", "xpos"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--gold", str(src), "--pred", str(src),
+                         "--task", "feats"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "line 1: malformed feature pair 'Case'" in err
 
     def test_eval_identical_files(self, corpus_dir, capsys):
         gold = str(corpus_dir / "dev.conllu")

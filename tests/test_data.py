@@ -66,6 +66,19 @@ class TestParse:
         with pytest.raises(data.DataError, match="line 2: .*'Mood'"):
             data.parse_conllu(text)
 
+    def test_malformed_feats_is_checked_only_for_the_feats_task(self):
+        text = ("1\tDog\tdog\tNOUN\tNN\tNumber=Sing|Case=Nom\t2\tnsubj\t_\t_\n"
+                "2\tbarks\tbark\tVERB\tVBZ\tMood\t0\troot\t_\t_\n")
+        with pytest.raises(data.DataError, match="line 2: .*'Mood'"):
+            data.parse_conllu(text, "feats")
+        for task in ("upos", "xpos"):
+            [s] = data.parse_conllu(text, task)
+            assert [t.gold_feats for t in s.tokens] == \
+                ["Number=Sing|Case=Nom", "Mood"]
+            assert s.gold_tags(task) == (["NOUN", "VERB"] if task == "upos"
+                                         else ["NN", "VBZ"])
+            assert data.write_conllu([s]) == text
+
     def test_char_spans_cover_forms(self):
         for s in data.parse_conllu(load("ranges.conllu")):
             for tok in s.tokens:

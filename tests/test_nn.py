@@ -154,22 +154,27 @@ class TestLstmRunFused:
             nn.lstm_run(p, T.Tensor(np.zeros((4, 7))))
 
 
+def halves(out):
+    """The forward and the backward states of a BiLSTM output."""
+    h = out.shape[1] // 2
+    return out.data[:, :h], out.data[:, h:]
+
+
 class TestBiLstmStack:
     def test_shapes_depth3(self):
         stack = nn.bilstm_stack(5, 8, 3, np.random.default_rng(0))
         xs = T.Tensor(rng.normal(size=(7, 5)))
-        f, b = nn.bilstm_stack_run(stack, xs)
-        assert f.shape == (7, 8) and b.shape == (7, 8)
+        assert nn.bilstm_stack_run(stack, xs).shape == (7, 16)
 
     def test_depth1_length1_equals_single_step(self):
         stack = nn.bilstm_stack(3, 4, 1, np.random.default_rng(1))
         x = rng.normal(size=(1, 3))
-        f, b = nn.bilstm_stack_run(stack, T.Tensor(x))
+        f, b = halves(nn.bilstm_stack_run(stack, T.Tensor(x)))
         pf, pb = stack.layers[0]
         hf, _ = nn.lstm_step(pf, T.tensor(x[0]), pf.h0, pf.c0)
         hb, _ = nn.lstm_step(pb, T.tensor(x[0]), pb.h0, pb.c0)
-        np.testing.assert_allclose(f.data[0], hf.data, atol=1e-12)
-        np.testing.assert_allclose(b.data[0], hb.data, atol=1e-12)
+        np.testing.assert_allclose(f[0], hf.data, atol=1e-12)
+        np.testing.assert_allclose(b[0], hb.data, atol=1e-12)
 
     def test_reversal_symmetry(self):
         # swap directions and reverse input: forward outputs become the
@@ -179,10 +184,11 @@ class TestBiLstmStack:
         pf, pb = stack.layers[0]
         swapped = nn.BiLstmStack([(pb, pf)])
         xs = rng.normal(size=(5, 3))
-        f1, b1 = nn.bilstm_stack_run(stack, T.Tensor(xs))
-        f2, b2 = nn.bilstm_stack_run(swapped, T.Tensor(xs[::-1].copy()))
-        np.testing.assert_allclose(b1.data, f2.data[::-1], atol=1e-12)
-        np.testing.assert_allclose(f1.data, b2.data[::-1], atol=1e-12)
+        f1, b1 = halves(nn.bilstm_stack_run(stack, T.Tensor(xs)))
+        f2, b2 = halves(nn.bilstm_stack_run(swapped,
+                                            T.Tensor(xs[::-1].copy())))
+        np.testing.assert_allclose(b1, f2[::-1], atol=1e-12)
+        np.testing.assert_allclose(f1, b2[::-1], atol=1e-12)
 
     def test_empty_sequence_raises(self):
         stack = nn.bilstm_stack(3, 4, 1, np.random.default_rng(0))
@@ -194,22 +200,21 @@ class TestBiLstmStack:
         xs = rng.normal(size=(4, 2))
 
         def f():
-            fo, bo = nn.bilstm_stack_run(stack, T.Tensor(xs))
-            return T.tsum(T.concat([fo, bo], axis=1))
+            return T.tsum(nn.bilstm_stack_run(stack, T.Tensor(xs)))
 
         assert T.grad_check(f, stack.parameters("stack")) < 1e-6
 
     def test_dropout_changes_output_and_eval_does_not(self):
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
         xs = T.Tensor(rng.normal(size=(6, 3)))
-        base_f, _ = nn.bilstm_stack_run(stack, xs)
-        drop_f, _ = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
-                                        training=True,
-                                        rng=np.random.default_rng(0))
-        eval_f, _ = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
+        base = nn.bilstm_stack_run(stack, xs)
+        drop = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
+                                   training=True,
+                                   rng=np.random.default_rng(0))
+        evaluated = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
                                         training=False)
-        assert not np.array_equal(base_f.data, drop_f.data)
-        np.testing.assert_array_equal(base_f.data, eval_f.data)
+        assert not np.array_equal(base.data, drop.data)
+        np.testing.assert_array_equal(base.data, evaluated.data)
 
 
 class TestMlpAndClassifier:
@@ -512,25 +517,26 @@ class TestPackedBatch:
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(6))
         lengths = [3, 1, 4]
         xs = rng.normal(size=(8, 3))
-        f, b = nn.bilstm_stack_run(stack, T.Tensor(xs), lengths=lengths)
+        out = nn.bilstm_stack_run(stack, T.Tensor(xs), lengths=lengths)
         for a, k in zip(np.cumsum(lengths) - lengths, lengths):
-            fs, bs = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]))
-            np.testing.assert_allclose(f.data[a:a + k], fs.data, atol=1e-12)
-            np.testing.assert_allclose(b.data[a:a + k], bs.data, atol=1e-12)
+            one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]))
+            np.testing.assert_allclose(out.data[a:a + k], one.data,
+                                       atol=1e-12)
 
     def test_stack_dropout_draws_sequence_by_sequence(self):
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(7))
         lengths = [2, 5]
         xs = rng.normal(size=(7, 3))
         r_batch, r_seq = np.random.default_rng(8), np.random.default_rng(8)
-        f, _ = nn.bilstm_stack_run(stack, T.Tensor(xs), dropout_rate=0.4,
-                                   training=True, rng=r_batch,
-                                   lengths=lengths)
+        out = nn.bilstm_stack_run(stack, T.Tensor(xs), dropout_rate=0.4,
+                                  training=True, rng=r_batch,
+                                  lengths=lengths)
         for a, k in zip(np.cumsum(lengths) - lengths, lengths):
-            fs, _ = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
-                                        dropout_rate=0.4, training=True,
-                                        rng=r_seq)
-            np.testing.assert_allclose(f.data[a:a + k], fs.data, atol=1e-12)
+            one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
+                                      dropout_rate=0.4, training=True,
+                                      rng=r_seq)
+            np.testing.assert_allclose(out.data[a:a + k], one.data,
+                                       atol=1e-12)
 
     def test_char_attention_batch_matches_tokens(self):
         v = T.Tensor(rng.normal(size=3), requires_grad=True)
@@ -558,3 +564,229 @@ class TestPackedBatch:
         err = T.grad_check(lambda: nn.softmax_xent_rows(logits, golds, w),
                            [("z", logits)])
         assert err < 1e-6
+
+
+# --- two directions in one lstm_run, the reverse one on the worker --------
+
+def reversal(lengths):
+    """Row index reversing each stacked sequence within its own span."""
+    lengths = np.asarray(lengths)
+    ends = np.cumsum(lengths) - 1
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    return (ends + 1 - lengths)[seq] + ends[seq] - np.arange(ends[-1] + 1)
+
+
+def bilayer_grads(loss_fn, p_f, p_b, xs):
+    T.zero_grads(p_f.parameters("f") + p_b.parameters("b"))
+    xs.grad = None
+    with T.Graph() as g:
+        out = loss_fn()
+        loss = T.tsum(out)
+    g.backward(loss)
+    grads = [t.grad for _, t in p_f.parameters("f") + p_b.parameters("b")]
+    return [out.data] + grads + [xs.grad]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(["none", "shared", "per_sequence"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_two_directions_match_the_composed_layer_bitwise(
+        lengths, hidden, width, mask_kind, seed):
+    g = np.random.default_rng(seed)
+    p_f, p_b = (nn.lstm_params(width, hidden, g) for _ in range(2))
+    for _, t in p_f.parameters("f") + p_b.parameters("b"):
+        t.data[...] = g.normal(size=t.shape)
+    n, b = sum(lengths), len(lengths)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    w = T.tensor(g.normal(size=(n, 2 * hidden)))
+
+    def draw():
+        if mask_kind == "none":
+            return None
+        size = hidden if mask_kind == "shared" else (b, hidden)
+        return (g.random(size) < 0.6) / 0.6
+
+    m_f, m_b = draw(), draw()
+    rev = reversal(lengths)
+
+    def fused():
+        return T.mul(nn.lstm_run(p_f, xs, m_f, lengths, reverse=p_b,
+                                 reverse_mask=m_b), w)
+
+    def composed():
+        f = nn.lstm_run(p_f, xs, m_f, lengths)
+        r = T.take_rows(nn.lstm_run(p_b, T.take_rows(xs, rev), m_b,
+                                    lengths), rev)
+        return T.mul(T.concat([f, r], axis=1), w)
+
+    want = bilayer_grads(composed, p_f, p_b, xs)
+    inline = bilayer_grads(fused, p_f, p_b, xs)
+    saved = nn._PARALLEL_MIN_WORK
+    nn._PARALLEL_MIN_WORK = 0
+    try:
+        worker = bilayer_grads(fused, p_f, p_b, xs)
+    finally:
+        nn._PARALLEL_MIN_WORK = saved
+    for a, b_, c in zip(want, inline, worker):
+        assert np.array_equal(a, b_) and np.array_equal(a, c)
+
+
+class TestTwoDirections:
+    @pytest.fixture
+    def worker_path(self, monkeypatch):
+        monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0)
+
+    @staticmethod
+    def layer(seed=23):
+        g = np.random.default_rng(seed)
+        p_f, p_b = nn.lstm_params(2, 3, g), nn.lstm_params(2, 3, g)
+        for _, t in p_f.parameters("f") + p_b.parameters("b"):
+            t.data[...] = g.normal(size=t.shape)
+        return p_f, p_b
+
+    def test_grad_check_ragged_masked_batch(self, worker_path):
+        p_f, p_b = self.layer()
+        xs = T.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        w = T.tensor(rng.normal(size=(7, 6)))
+        m_f = np.array([[1 / 0.7, 0.0, 1 / 0.7],
+                        [1 / 0.7, 1 / 0.7, 1 / 0.7],
+                        [0.0, 1 / 0.7, 1 / 0.7]])
+        m_b = np.array([0.0, 1 / 0.7, 1 / 0.7])
+
+        def f():
+            out = nn.lstm_run(p_f, xs, m_f, lengths=[2, 4, 1], reverse=p_b,
+                              reverse_mask=m_b)
+            return T.tsum(T.mul(out, w))
+
+        params = p_f.parameters("f") + p_b.parameters("b") + [("xs", xs)]
+        assert T.grad_check(f, params) < 1e-4
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_one_tape_node_per_layer(self, worker_path, depth):
+        stack = nn.bilstm_stack(3, 4, depth, np.random.default_rng(9))
+        xs = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        with T.Graph() as g:
+            nn.bilstm_stack_run(stack, xs, lengths=[4, 2])
+        assert [node.op for node in g.nodes] == ["lstm_run"] * depth
+
+    def test_tape_is_touched_only_from_the_calling_thread(
+            self, worker_path, monkeypatch):
+        import threading
+        threads = set()
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(T, "record", spy(T.record))
+        monkeypatch.setattr(T, "tracking", spy(T.tracking))
+        stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(10))
+        xs = T.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        with T.Graph() as g:
+            loss = T.tsum(nn.bilstm_stack_run(stack, xs, lengths=[3, 4]))
+        g.backward(loss)
+        with T.no_grad():
+            nn.bilstm_stack_run(stack, xs, lengths=[3, 4])
+        assert threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_worker_error_propagates_and_the_next_call_works(
+            self, worker_path, monkeypatch, stage):
+        import threading
+        p_f, p_b = self.layer()
+        xs = T.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        direction = nn._direction
+
+        def failing(*args):
+            on_worker = threading.current_thread() is not \
+                threading.main_thread()
+            if on_worker and stage == "forward":
+                raise RuntimeError("worker failed")
+            bwd = direction(*args)
+
+            def failing_bwd(g):
+                if threading.current_thread() is not \
+                        threading.main_thread():
+                    raise RuntimeError("worker failed")
+                return bwd(g)
+            return failing_bwd
+
+        def run():
+            with T.Graph() as g:
+                loss = T.tsum(nn.lstm_run(p_f, xs, lengths=[2, 3],
+                                          reverse=p_b))
+            g.backward(loss)
+            return loss.item()
+
+        want = run()
+        monkeypatch.setattr(nn, "_direction", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run()
+        monkeypatch.setattr(nn, "_direction", direction)
+        assert run() == want
+
+    def test_caller_error_still_waits_for_the_worker(self, worker_path,
+                                                      monkeypatch):
+        import threading
+        import time
+        p_f, p_b = self.layer()
+        xs = T.Tensor(rng.normal(size=(5, 2)))
+        direction, finished = nn._direction, []
+
+        def slow_worker(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("caller failed")
+            time.sleep(0.05)
+            finished.append(True)
+            return direction(*args)
+
+        monkeypatch.setattr(nn, "_direction", slow_worker)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            nn.lstm_run(p_f, xs, lengths=[2, 3], reverse=p_b)
+        assert finished == [True]
+
+    def test_concurrent_callers_get_the_inline_result(self, monkeypatch):
+        import sys
+        import threading
+        p_f, p_b = self.layer()
+        xs = T.Tensor(rng.normal(size=(9, 2)))
+        lengths, mask = [4, 1, 4], np.array([1 / 0.7, 0.0, 1 / 0.7])
+
+        def run():
+            return nn.lstm_run(p_f, xs, mask, lengths, reverse=p_b,
+                               reverse_mask=mask[::-1]).data
+
+        want = run()
+        monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0)
+        wrong = []
+
+        def caller():
+            for _ in range(50):
+                if not np.array_equal(run(), want):
+                    wrong.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert not wrong
+
+    def test_reverse_direction_must_match_the_forward_one(self):
+        p_f = small_lstm(i=3, h=4)
+        xs = T.Tensor(np.zeros((4, 3)))
+        with pytest.raises(T.ShapeError):
+            nn.lstm_run(p_f, xs, reverse=small_lstm(i=3, h=5))
+        with pytest.raises(T.ShapeError):
+            nn.lstm_run(p_f, xs, reverse=small_lstm(i=3, h=4),
+                        reverse_mask=np.ones(5))
