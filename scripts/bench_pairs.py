@@ -10,10 +10,12 @@ each workload of BENCHMARK.json; the side that runs first alternates
 from pair to pair.
 
 Writes BENCH_<LABEL>.json at the root of this checkout: for each workload
-and end-to-end metric of BENCHMARK.json, the median, first and third
-quartile of each side and in how many pairs the change is better, then
-every run. A run that exits non-zero or prints no result is recorded with
-its exit code and left out of the summary.
+the failed and attempted operations of each side and, for each end-to-end
+metric of BENCHMARK.json, the median, first and third quartile of each
+side, in how many pairs the change is better, whether that meets the rule
+for claiming a gain and whether the change stays within the metric's
+bound; then every run. A run that exits non-zero or prints no result is
+recorded with its exit code and left out of the summary.
 """
 
 from __future__ import annotations
@@ -62,24 +64,40 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per side: correct runs and operations; per metric of ``metrics``
+    (BENCHMARK.json's end_to_end entries): each side's spread, the pairs
+    the change wins, whether a gain may be claimed (``gain_rule_met``: at
+    least 9 in 10 pairs won and the change's median better than the
+    parent's by more than the parent's q3 - q1) and whether the change's
+    median is worse than the parent's by no more than the metric's
+    relative ``bound`` (``within_bound``)."""
     pairs = {}
     for r in runs:
         if "metrics" in r:
             pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
     pairs = [p for p in pairs.values() if len(p) == 2]
     out = {"runs_correct": f"{sum(r.get('correct', False) for r in runs)}"
-                           f"/{len(runs)}"}
+                           f"/{len(runs)}",
+           "operations": {side: {key: sum(r.get(key, 0) for r in runs
+                                          if r["side"] == side)
+                                 for key in ("failed", "attempted")}
+                          for side in ("parent", "change")}}
     if len(pairs) < 2:
         return out
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
         sides = {side: [p[side][name] for p in pairs]
                  for side in ("parent", "change")}
-        better = sum((c > p) if higher else (c < p)
+        better = sum(sign * (c - p) > 0
                      for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"parent": spread(sides["parent"]),
-                     "change": spread(sides["change"]),
-                     "change_better_pairs": f"{better}/{len(pairs)}"}
+        parent, change = spread(sides["parent"]), spread(sides["change"])
+        gain = sign * (change["median"] - parent["median"])
+        out[name] = {
+            "parent": parent, "change": change,
+            "change_better_pairs": f"{better}/{len(pairs)}",
+            "gain_rule_met": 10 * better >= 9 * len(pairs)
+            and gain > parent["q3"] - parent["q1"],
+            "within_bound": gain >= -m["bound"] * parent["median"]}
     return out
 
 

@@ -8,9 +8,11 @@ The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
 is. The input projection of every row is one matrix product; each step
 advances the sequences still running with one (live, H) @ (H, 4H)
-product; the hand-written backward mirrors the loop. ``lstm_step``
-composes the same cell from primitive ops and is the readable reference
-the tests pin the fused op to.
+product; the hand-written backward mirrors the loop. Its gates use the
+package's one logistic, ``tensor.logistic_``, in place on each step's
+pre-activations, as ``tensor.sigmoid`` does. ``lstm_step`` composes the
+same cell from primitive ops and is the readable reference the tests pin
+the fused op to.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -181,14 +183,6 @@ def lstm_step(params: LstmParams, x_t: Tensor, h_prev: Tensor,
     return h, c
 
 
-def _sigmoid_(v: np.ndarray) -> None:
-    """Stable logistic, in place."""
-    np.negative(v, out=v)
-    np.logaddexp(0.0, v, out=v)
-    np.negative(v, out=v)
-    np.exp(v, out=v)
-
-
 def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
     """Sequence lengths of a batch of ``n`` stacked rows; None is one
     sequence of all of them."""
@@ -295,9 +289,9 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
             h_tilde[r0:r1] = hp
         a = gates[r0:r1]
         a += hp @ wh
-        _sigmoid_(a[:, :2 * hs])
+        T.logistic_(a[:, :2 * hs])
         np.tanh(a[:, 2 * hs:3 * hs], out=a[:, 2 * hs:3 * hs])
-        _sigmoid_(a[:, 3 * hs:])
+        T.logistic_(a[:, 3 * hs:])
         c = cs[r0:r1] if track else c_roll[t % 2, :k]
         np.multiply(a[:, hs:2 * hs], cp, out=c)
         c += a[:, :hs] * a[:, 2 * hs:3 * hs]

@@ -320,8 +320,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return record("concat", tuple(parts), out, bwd)
 
 
+def logistic_(v: np.ndarray) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-v)), in place; returns ``v``.
+
+    For v below about -709 exp(-v) overflows to inf and the result is
+    exactly 0, which is why the overflow is not reported. The one logistic
+    of the package: ``sigmoid`` and the fused LSTM gates both use it.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+    v += 1.0
+    np.divide(1.0, v, out=v)
+    return v
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = np.exp(-np.logaddexp(0.0, -a.data))  # stable logistic
+    out = logistic_(a.data.copy())
 
     def bwd(g):
         return (g * out * (1.0 - out),)

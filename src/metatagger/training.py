@@ -118,24 +118,43 @@ def config_from_dict(values: dict) -> TrainConfig:
 
 
 def _coerce(raw, typ: str, key: str):
+    """``raw`` as a value of the field type ``typ``: strings are parsed,
+    other values (JSON from a checkpoint, an int flag) must already have
+    that type; an int passes for a float, a bool for neither."""
     if not isinstance(raw, str):
+        ok = {"int": int, "float": (int, float), "bool": bool, "str": ()}[typ]
+        if isinstance(raw, bool) != (typ == "bool") \
+                or not isinstance(raw, ok):
+            raise ValueError(f"config key {key!r}: {raw!r} is not a {typ}")
         return raw
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
+    try:
+        if typ == "int":
+            return int(raw)
+        if typ == "float":
+            return float(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: cannot read {raw!r} as "
+                         f"{typ}") from None
     if typ == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {key}: cannot read {raw!r} as bool")
+        raise ValueError(f"config key {key!r}: cannot read {raw!r} as bool")
     return raw
 
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+# Elements of one parameter that Adam.step updates at a time: the block's
+# slices of the parameter, gradient and moments and the two scratch buffers
+# (128 KiB each) stay in cache across the ufuncs of an update. Over the
+# three default-size optimizers on a 2-vCPU x86 VM, 2^13 to 2^15 took about
+# 250 ms a step, 2^12 about 330 and the unblocked formula 320 to 360.
+_ADAM_BLOCK = 1 << 14
+
 
 class Adam:
     """Adam with bias correction and multiplicative per-step rate decay.
@@ -161,25 +180,53 @@ class Adam:
         return self.lr * self.decay ** self.steps
 
     def step(self) -> None:
+        """One update of every parameter with a gradient, in place.
+
+        Each parameter is walked in blocks of ``_ADAM_BLOCK`` elements, so
+        the arithmetic runs in cache on two block-sized scratch buffers and
+        makes no full-size temporary. Per element it is the plain formula,
+        the same ufuncs in the same order:
+
+            m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            p -= rate * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+        so parameters and moments are bitwise what it gives. A block's
+        gradient is checked before the block is updated: a NaN or inf
+        raises ``NonFiniteError`` naming the parameter.
+        """
         rate = self.effective_rate()
         self.steps += 1
         t = self.steps
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = self.beta1, self.beta2, self.epsilon
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+        scratch = np.empty((2, _ADAM_BLOCK))
+        finite = np.empty(_ADAM_BLOCK, dtype=bool)
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise T.NonFiniteError(f"non-finite gradient in {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p.data -= rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = self.m[name], self.v[name]
+            assert p.data.flags.c_contiguous and m.flags.c_contiguous \
+                and v.flags.c_contiguous, f"{name}: update would hit a copy"
+            flat_p, flat_m, flat_v, flat_g = (
+                x.reshape(-1) for x in (p.data, m, v, g))
+            for i in range(0, flat_p.size, _ADAM_BLOCK):
+                j = min(i + _ADAM_BLOCK, flat_p.size)
+                gb, mb, vb = flat_g[i:j], flat_m[i:j], flat_v[i:j]
+                a, b = scratch[0, :j - i], scratch[1, :j - i]
+                if not np.isfinite(gb, out=finite[:j - i]).all():
+                    raise T.NonFiniteError(f"non-finite gradient in {name}")
+                mb *= b1
+                mb += np.multiply(1 - b1, gb, out=a)
+                vb *= b2
+                vb += np.multiply(1 - b2, np.multiply(gb, gb, out=a), out=a)
+                np.divide(mb, c1, out=a)  # m_hat
+                a *= rate
+                np.divide(vb, c2, out=b)  # v_hat
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                flat_p[i:j] -= a
 
     def zero_grad(self) -> None:
         for _, p in self.params:

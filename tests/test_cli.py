@@ -143,6 +143,8 @@ class TestExitCodes:
         (lambda m: m["arrays"][0].update(shape=[True]), "'shape'"),
         (lambda m: m["arrays"][0].update(name=["x"]), "'name'"),
         (lambda m: m.update(config=[]), "config"),
+        (lambda m: m["config"].update(seed=[1]), "'seed'"),
+        (lambda m: m["config"].update(lstm_dropout="x"), "'lstm_dropout'"),
         (lambda m: m["vocabs"].update(words=5), "'words'"),
         (lambda m: m["vocabs"].update(tags=["K1", "K2"]), "'tags'"),
         (lambda m: m["vocabs"]["chars"].update(a="1"), "'chars'"),

@@ -2,6 +2,8 @@
 reference cell, agreement between the fused sequence op and the composed
 per-step route, and finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,48 @@ def test_lstm_run_deterministic(nsteps, seed):
     a = nn.lstm_run(p, xs)
     b = nn.lstm_run(p, xs)
     assert np.array_equal(a.data, b.data)
+
+
+# --- the shared logistic against the formula it replaced ------------------
+
+def logaddexp_logistic(v):
+    """The logistic as the package computed it before, exp(-log(1 + e^-v))."""
+    return np.exp(-np.logaddexp(0.0, -v))
+
+
+LOGISTIC_ATOL = 2.3e-16
+
+
+def test_sigmoid_matches_the_logaddexp_formula():
+    x = np.linspace(-800.0, 800.0, 200_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = T.sigmoid(T.tensor(x)).data
+    assert np.abs(got - logaddexp_logistic(x)).max() <= LOGISTIC_ATOL
+
+
+def test_lstm_run_gates_match_the_logaddexp_formula(monkeypatch):
+    g = np.random.default_rng(5)
+    p_f, p_b = nn.lstm_params(3, 6, g), nn.lstm_params(3, 6, g)
+    # the biases spread the gate pre-activations over [-800, 800]
+    p_f.bias.data[...] = np.linspace(-800.0, 800.0, 24)
+    p_b.bias.data[...] = np.linspace(800.0, -800.0, 24)
+    errors = []
+    logistic = T.logistic_
+
+    def checked(v):
+        before = v.copy()
+        logistic(v)
+        errors.append(np.abs(v - logaddexp_logistic(before)).max())
+        return v
+
+    monkeypatch.setattr(T, "logistic_", checked)
+    xs = T.Tensor(g.normal(size=(9, 3)), requires_grad=True)
+    with warnings.catch_warnings(), T.Graph():
+        warnings.simplefilter("error", RuntimeWarning)
+        nn.lstm_run(p_f, xs, lengths=[4, 5], reverse=p_b)
+    # two calls per step (i and f, then o), five steps, two directions
+    assert len(errors) == 20 and max(errors) <= LOGISTIC_ATOL
 
 
 # --- packed batches: one lstm_run call over ragged sequences --------------

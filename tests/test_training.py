@@ -77,6 +77,75 @@ class TestAdam:
         assert abs(p.data) < 0.05
 
 
+def unblocked_adam_step(opt):
+    """Adam.step as one whole-array formula per parameter: the oracle the
+    blocked, in-place step must match bit for bit."""
+    rate = opt.effective_rate()
+    opt.steps += 1
+    t = opt.steps
+    b1, b2 = opt.beta1, opt.beta2
+    for name, p in opt.params:
+        g = p.grad
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise T.NonFiniteError(f"non-finite gradient in {name}")
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p.data -= rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+
+
+BLOCK = training._ADAM_BLOCK
+
+
+class TestBlockedAdam:
+    SHAPES = {"scalar": (), "small": (3, 5), "two_blocks": (2, BLOCK),
+              "ragged": (2 * BLOCK + 7,)}
+
+    def params(self, seed=0):
+        g = np.random.default_rng(seed)
+        return [(name, T.Tensor(g.normal(size=shape), requires_grad=True))
+                for name, shape in self.SHAPES.items()]
+
+    def test_matches_the_unblocked_formula_bitwise(self):
+        blocked, plain = self.params(), self.params()
+        opts = (training.Adam(blocked, lr=0.01, decay=0.99),
+                training.Adam(plain, lr=0.01, decay=0.99))
+        g = np.random.default_rng(1)
+        for step in range(6):
+            for (name, a), (_, b) in zip(blocked, plain):
+                # scales from tiny to large, exact zeros, one skipped param
+                grad = np.where(g.random(a.shape) < 0.1, 0.0,
+                                g.normal(size=a.shape)
+                                * 10.0 ** g.integers(-8, 4))
+                skip = name == "small" and step == 2
+                a.grad = None if skip else grad
+                b.grad = None if skip else grad.copy()
+            opts[0].step()
+            unblocked_adam_step(opts[1])
+            for (name, a), (_, b) in zip(blocked, plain):
+                assert np.array_equal(a.data, b.data), name
+                assert np.array_equal(opts[0].m[name], opts[1].m[name]), name
+                assert np.array_equal(opts[0].v[name], opts[1].v[name]), name
+        assert opts[0].steps == opts[1].steps == 6
+
+    def test_nan_in_the_last_block_names_the_parameter(self):
+        params = self.params()
+        opt = training.Adam(params)
+        for name, p in params:
+            p.grad = np.zeros(p.shape)
+        grad = dict(params)["ragged"].grad
+        grad[-1] = np.nan
+        with pytest.raises(T.NonFiniteError, match="ragged"):
+            opt.step()
+
+
 class TestConfig:
     def test_reference_defaults(self):
         c = training.TrainConfig()
@@ -121,6 +190,22 @@ class TestConfig:
         assert c.learning_rate == 0.01
         assert c.lowercase_pretrained_fallback is False
         assert c.task == "feats"
+
+    @pytest.mark.parametrize("key, raw", [
+        ("seed", [1]), ("seed", True), ("seed", 1.0), ("seed", None),
+        ("lstm_dropout", "x"), ("lstm_dropout", False),
+        ("lowercase_pretrained_fallback", 1), ("task", 3),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, raw):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            training.config_from_dict({key: raw})
+
+    def test_from_dict_keeps_values_of_the_field_type(self):
+        c = training.config_from_dict({
+            "seed": 3, "lstm_dropout": 0, "learning_rate": 0.5,
+            "lowercase_pretrained_fallback": False, "task": "upos"})
+        assert (c.seed, c.lstm_dropout, c.learning_rate) == (3, 0, 0.5)
+        assert c.lowercase_pretrained_fallback is False and c.task == "upos"
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="nope"):
