@@ -1,9 +1,8 @@
 """Combiner model: a BiLSTM over the concatenated per-token outputs of the
 character and word models, with its own MLP and classifier.
 
-In the default (separate-optimization) mode the encoder outputs are detached
-before concatenation, so the combiner's loss cannot move encoder weights.
-Joint mode skips the detach; it exists for the optimization ablation.
+Whether the combiner's loss reaches the encoders is decided by
+``training.forward``, which hands this model their outputs.
 """
 
 from __future__ import annotations
@@ -48,13 +47,10 @@ def meta_params(char_rep_size: int, word_rep_size: int, n_tags: int, *,
 
 
 def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths=None,
-            masks: dict | None = None, detach: bool = True
-            ) -> tuple[Tensor, Tensor]:
+            masks: dict | None = None) -> tuple[Tensor, Tensor]:
     """Per-token (combined rep, logits) for the sentences whose token rows
     the encoder outputs stack, split by ``lengths`` (None is one sentence).
-    Dropout comes from ``masks`` (see ``MetaParams.dropout_sites``).
-    ``detach=True`` stops gradient at the inputs, keeping the encoders
-    untouched by this model's loss."""
+    Dropout comes from ``masks`` (see ``MetaParams.dropout_sites``)."""
     if m_chars.shape[0] != m_word.shape[0]:
         raise T.ShapeError(
             f"combine: {m_chars.shape[0]} char outputs vs "
@@ -62,12 +58,7 @@ def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths=None,
     if lengths is None:
         lengths = [m_chars.shape[0]]
     masks = masks or {}
-    if detach:
-        m_chars, m_word = m_chars.detach(), m_word.detach()
     cw = T.concat([m_chars, m_word], axis=1)
     o = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)
     m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lengths)
     return m, nn.classify(p.classifier, m)
-
-
-predict = nn.predict_tags

@@ -1,6 +1,6 @@
 """Neural layers on top of the tensor core.
 
-Contains embeddings, inverted dropout, LSTM cells, stacked BiLSTMs, the
+Contains embeddings, inverted dropout masks, the LSTM, stacked BiLSTMs, the
 single-affine ELU MLP, linear classifiers, softmax cross-entropy and the
 attention pool used by the token-internal character baseline.
 
@@ -10,9 +10,9 @@ is. The input projection of every row is one matrix product; each step
 advances the sequences still running with one (live, H) @ (H, 4H)
 product; the hand-written backward mirrors the loop. Its gates use the
 package's one logistic, ``tensor.logistic_``, in place on each step's
-pre-activations, as ``tensor.sigmoid`` does. ``lstm_step`` composes the
-same cell from primitive ops and is the readable reference the tests pin
-the fused op to.
+pre-activations, as ``tensor.sigmoid`` does. The readable reference the
+tests pin the fused op to, the same cell composed from primitive ops,
+is ``lstm_step`` in ``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -64,29 +64,6 @@ def init_std(kind: str, fan_in: int) -> float:
 
 # ---------------------------------------------------------------------------
 # dropout
-
-def dropout(x: Tensor, rate: float, *, mode: str = "single_mask",
-            training: bool = True, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout. "single_mask" reuses one feature mask across all
-    rows of a matrix (the variational style); "per_position" draws an
-    independent mask per entry. Identity when not training or rate is 0.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    keep = 1.0 - rate
-    if mode == "per_position":
-        mask = (rng.random(x.shape) < keep) / keep
-    elif mode == "single_mask":
-        row = (rng.random(x.shape[-1]) < keep) / keep
-        mask = np.broadcast_to(row, x.shape).copy()
-    else:
-        raise ValueError(f"unknown dropout mode {mode!r}")
-    return T.mul(x, Tensor(mask))
-
 
 def draw_masks(rng: np.random.Generator, units, *site_fns
                ) -> list[dict[str, np.ndarray]]:
@@ -162,25 +139,6 @@ def lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator,
         h0=_zeros((hidden_size,)),
         c0=_zeros((hidden_size,)),
     )
-
-
-def lstm_step(params: LstmParams, x_t: Tensor, h_prev: Tensor,
-              c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One cell update from primitive ops: i,f,o = sigmoid, g = tanh,
-    c = f*c_prev + i*g, h = o*tanh(c)."""
-    hs = params.hidden_size
-    if x_t.shape != (params.input_size,):
-        raise T.ShapeError(
-            f"lstm_step: input shape {x_t.shape} != ({params.input_size},)")
-    s = T.add(T.add(T.matmul(x_t, params.w_x), T.matmul(h_prev, params.w_h)),
-              params.bias)
-    i = T.sigmoid(T.slice_rows(s, 0, hs))
-    f = T.sigmoid(T.slice_rows(s, hs, 2 * hs))
-    g = T.tanh(T.slice_rows(s, 2 * hs, 3 * hs))
-    o = T.sigmoid(T.slice_rows(s, 3 * hs, 4 * hs))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h = T.mul(o, T.tanh(c))
-    return h, c
 
 
 def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
@@ -460,30 +418,23 @@ def stack_sites(stack: BiLstmStack, rate: float) -> list[Site]:
     return sites
 
 
-def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *,
-                     dropout_rate: float = 0.0, training: bool = False,
-                     rng: np.random.Generator | None = None, lengths=None,
+def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths=None,
                      masks: dict | None = None) -> Tensor:
     """Top-layer outputs, (rows, 2 * hidden) with the forward states then
     the backward ones, for the sequences stacked in ``xs`` (split by
     ``lengths``; None is one). Each layer is one two-direction
     ``lstm_run``.
 
-    Dropout uses ``masks`` (keys from ``stack_sites``) when given, else,
-    in training, masks drawn from ``rng`` per sequence at ``dropout_rate``:
-    one input mask per layer, reused across time, and one recurrent-state
-    mask per direction per layer, applied inside the recurrence.
+    Dropout comes from ``masks`` (keys from ``stack_sites``): one input
+    mask per layer, reused across time, and one recurrent-state mask per
+    direction per layer, applied inside the recurrence.
     """
     if xs.shape[0] == 0:
         raise T.ShapeError("bilstm_stack_run: empty sequence")
     if stack.depth == 0:
         raise T.ShapeError("bilstm_stack_run: stack has no layers")
     lengths = _check_lengths(lengths, xs.shape[0], "bilstm_stack_run")
-    if masks is None:
-        masks = {}
-        if training:
-            masks = draw_masks(rng, lengths,
-                               lambda _: stack_sites(stack, dropout_rate))[0]
+    masks = masks or {}
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):
         h = apply_mask(h, masks.get(f"layer{j}.in"), lengths)
@@ -584,13 +535,6 @@ def softmax_xent_rows(logits: Tensor, golds, weights=None) -> Tensor:
     return T.record("softmax_xent", (logits,), np.float64(loss), bwd)
 
 
-def softmax_xent(logits: Tensor, gold: int) -> Tensor:
-    """Cross-entropy of a single logits vector against one gold index."""
-    if logits.ndim != 1:
-        raise T.ShapeError(f"softmax_xent: expected a vector, got {logits.shape}")
-    return softmax_xent_rows(T.reshape(logits, (1, logits.shape[0])), [gold])
-
-
 def predict_tags(logits: Tensor) -> np.ndarray:
     """Argmax per row; ties resolve to the lowest tag id."""
     return np.argmax(logits.data, axis=-1)
@@ -606,14 +550,13 @@ def char_attention(score_vec: Tensor, states: Tensor, lengths=None) -> Tensor:
     ``states`` stacks the tokens' states, split by ``lengths``; None is one
     token. Scores are dot products with a learned vector; the
     softmax-weighted sum of a token's states (softmax within the token) is
-    added to its last state. Returns (tokens, hidden), or (hidden,) for
-    ``lengths=None``. One fused tape node.
+    added to its last state. Returns (tokens, hidden). One fused tape
+    node.
     """
     if states.ndim != 2 or states.shape[0] == 0:
         raise T.ShapeError(f"char_attention: need (chars, hidden) states, "
                            f"got {states.shape}")
-    n, h = states.shape
-    lens = _check_lengths(lengths, n, "char_attention")
+    lens = _check_lengths(lengths, states.shape[0], "char_attention")
     ends = np.cumsum(lens)
     starts, lasts = ends - lens, ends - 1
     seg = np.repeat(np.arange(lens.size), lens)
@@ -624,7 +567,6 @@ def char_attention(score_vec: Tensor, states: Tensor, lengths=None) -> Tensor:
     out = np.add.reduceat(alpha[:, None] * s, starts, axis=0) + s[lasts]
 
     def bwd(g):
-        g = g.reshape(lens.size, h)
         g_rows = g[seg]
         d_alpha = (s * g_rows).sum(axis=1)
         d_scores = alpha * (d_alpha
@@ -633,5 +575,4 @@ def char_attention(score_vec: Tensor, states: Tensor, lengths=None) -> Tensor:
         d_states[lasts] += g
         return (s.T @ d_scores, d_states)
 
-    return T.record("char_attention", (score_vec, states),
-                    out[0] if lengths is None else out, bwd)
+    return T.record("char_attention", (score_vec, states), out, bwd)

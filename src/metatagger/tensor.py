@@ -187,45 +187,23 @@ def zero_grads(params) -> None:
 # ---------------------------------------------------------------------------
 # construction
 
-_RNG = np.random.default_rng(0)
-
-
-def seed_rng(seed: int) -> None:
-    """Reseed the module RNG used by ``create(..., init="gaussian")``."""
-    global _RNG
-    _RNG = np.random.default_rng(seed)
-
-
-def create(shape: Sequence[int], init: str = "zeros", *, values=None,
+def create(shape: Sequence[int], init: str = "zeros", *,
            rng: np.random.Generator | None = None, mean: float = 0.0,
            std: float = 1.0, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from an initializer: "zeros", "gaussian" or "explicit".
-
-    Gaussian draws come from ``rng`` when given, else from the module RNG
-    (see ``seed_rng``). Explicit values must match the requested shape.
-    """
+    """Build a tensor from an initializer: "zeros", or "gaussian" with
+    draws from ``rng``, which it requires."""
     shape = tuple(int(d) for d in shape)
     if any(d < 1 for d in shape):
         raise ShapeError(f"create: dimensions must be >= 1, got {shape}")
     if init == "zeros":
         data = np.zeros(shape)
     elif init == "gaussian":
-        gen = rng if rng is not None else _RNG
-        data = gen.normal(mean, std, size=shape)
-    elif init == "explicit":
-        data = np.asarray(values, dtype=np.float64)
-        if data.shape != shape:
-            if data.size != int(np.prod(shape)):
-                raise ShapeError(
-                    f"create: {data.size} explicit values do not fill shape {shape}")
-            data = data.reshape(shape)
+        if rng is None:
+            raise ValueError("create: gaussian init needs an rng")
+        data = rng.normal(mean, std, size=shape)
     else:
         raise ValueError(f"create: unknown init {init!r}")
     return Tensor(data, requires_grad=requires_grad)
-
-
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +381,6 @@ def take_rows(a: Tensor, ids) -> Tensor:
         return (full,)
 
     return record("take_rows", (a,), a.data[ids], bwd)
-
-
-def flip_rows(a: Tensor) -> Tensor:
-    """Reverse row order (time reversal for the backward LSTM direction)."""
-    def bwd(g):
-        return (g[::-1].copy(),)
-
-    return record("flip_rows", (a,), a.data[::-1].copy(), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -2,7 +2,10 @@
 one full pass per model in the order character, word, meta. Dev accuracy of
 the meta predictions drives model selection; the best parameter triple is
 what a run returns. Joint mode (single summed loss, one optimizer, no
-detach) exists for the optimization ablation.
+detach) exists for the optimization ablation. ``forward`` is the one
+forward of all three heads, for training, evaluation and tagging alike:
+it decides which encoders run, what is taped and where the meta head's
+gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -192,7 +196,9 @@ class Adam:
 
         so parameters and moments are bitwise what it gives. A block's
         gradient is checked before the block is updated: a NaN or inf
-        raises ``NonFiniteError`` naming the parameter.
+        raises ``NonFiniteError`` naming the parameter. The step is then
+        partly applied (``steps`` advanced, earlier parameters and blocks
+        updated), so the optimizer and the model must be discarded.
         """
         rate = self.effective_rate()
         self.steps += 1
@@ -315,58 +321,52 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
                        char_token=char_token, word=word, combiner=combiner)
 
 
-def char_forward(model: TaggerModel, batch, masks: dict | None = None
-                 ) -> tuple[Tensor, Tensor]:
-    """(representation consumed by the combiner, char-head logits), one
-    row per token of the batch."""
-    if model.char_sent is not None:
-        _, m, logits = encoders.encode_chars_sentence(model.char_sent, batch,
-                                                      masks)
-    else:
-        m, logits = encoders.encode_chars_token(model.char_token, batch,
-                                                masks)
-    return m, logits
+_HEADS = ("char", "word", "meta")
 
 
-def word_forward(model: TaggerModel, batch, masks: dict | None = None
-                 ) -> tuple[Tensor, Tensor]:
-    _, m, logits = encoders.encode_words(model.word, batch, masks)
-    return m, logits
+def _views(heads) -> tuple[str, ...]:
+    """The models a forward over ``heads`` runs, in the order char, word,
+    meta: the meta head runs all three."""
+    return tuple(v for v in _HEADS if v in heads or "meta" in heads)
 
 
-def meta_forward(model: TaggerModel, batch, masks: dict | None = None,
-                 detach: bool = True) -> Tensor:
-    """Combiner logits. ``masks`` maps "char", "word" and "meta" to each
-    model's dropout masks. With ``detach`` the encoders run off the tape:
-    no gradient can reach them, so nothing of theirs is recorded."""
+def forward(model: TaggerModel, batch, heads, masks: dict | None = None,
+            detach: bool = True) -> list[Tensor]:
+    """Logits of each head in ``heads``, a subset of ("char", "word",
+    "meta") in that order, one row per token of the batch. ``masks`` maps
+    "char", "word" and "meta" to each model's dropout masks (see
+    ``_draw_masks``).
+
+    An encoder runs only when a requested head needs it; the meta head
+    needs both, whose per-token outputs the combiner reads. With
+    ``detach`` (separate optimization) the combiner's loss cannot move
+    encoder weights: an encoder whose own head is not requested runs off
+    the tape, so nothing of it is recorded, and otherwise its output is
+    detached before the combiner. Without it (joint optimization, kept for
+    the optimization ablation) the meta head's gradient reaches the
+    encoders.
+    """
     masks = masks or {}
-    with T.no_grad() if detach else contextlib.nullcontext():
-        m_c, _ = char_forward(model, batch, masks.get("char"))
-        m_w, _ = word_forward(model, batch, masks.get("word"))
-    _, logits = meta.combine(model.combiner, m_c, m_w,
-                             encoders.token_counts(batch), masks.get("meta"),
-                             detach=detach)
-    return logits
-
-
-def _head_logits(model: TaggerModel, batch, head: str,
-                 masks: dict | None = None, detach: bool = True
-                 ) -> list[Tensor]:
-    """Logits of one head ("char", "word" or "meta"), or of all three for
-    "joint", where the combiner's loss reaches the encoders."""
-    masks = masks or {}
-    if head == "char":
-        return [char_forward(model, batch, masks.get("char"))[1]]
-    if head == "word":
-        return [word_forward(model, batch, masks.get("word"))[1]]
-    if head == "meta":
-        return [meta_forward(model, batch, masks, detach)]
-    m_c, logits_c = char_forward(model, batch, masks.get("char"))
-    m_w, logits_w = word_forward(model, batch, masks.get("word"))
-    _, logits_m = meta.combine(model.combiner, m_c, m_w,
-                               encoders.token_counts(batch),
-                               masks.get("meta"), detach=False)
-    return [logits_c, logits_w, logits_m]
+    reps, logits = {}, {}
+    for view in (v for v in _views(heads) if v != "meta"):
+        off_tape = detach and view not in heads
+        with T.no_grad() if off_tape else contextlib.nullcontext():
+            if view == "word":
+                _, rep, out = encoders.encode_words(model.word, batch,
+                                                    masks.get("word"))
+            elif model.char_sent is not None:
+                _, rep, out = encoders.encode_chars_sentence(
+                    model.char_sent, batch, masks.get("char"))
+            else:
+                rep, out = encoders.encode_chars_token(
+                    model.char_token, batch, masks.get("char"))
+        reps[view] = rep.detach() if detach else rep
+        logits[view] = out
+    if "meta" in heads:
+        _, logits["meta"] = meta.combine(
+            model.combiner, reps["char"], reps["word"],
+            encoders.token_counts(batch), masks.get("meta"))
+    return [logits[h] for h in heads]
 
 
 def _predict(model: TaggerModel, sentences: list[Sentence],
@@ -380,8 +380,8 @@ def _predict(model: TaggerModel, sentences: list[Sentence],
     with T.no_grad():
         for start in range(0, len(tagged), size):
             batch = tagged[start:start + size]
-            [logits] = _head_logits(model, batch, head)
-            ids = np.split(meta.predict(logits),
+            [logits] = forward(model, batch, (head,))
+            ids = np.split(nn.predict_tags(logits),
                            np.cumsum(encoders.token_counts(batch))[:-1])
             found += [[names[i] for i in row] for row in ids]
     found = iter(found)
@@ -414,47 +414,33 @@ def _gold_ids(vocabs: Vocabs, sentence: Sentence, task: str) -> list[int]:
     return ids
 
 
-def _mean_loss(losses: list[Tensor]) -> Tensor:
-    """Mean of per-sentence losses; a batch loss weights its rows so it
-    equals this over the sentences' mean token losses."""
-    total = losses[0]
-    for l in losses[1:]:
-        total = T.add(total, l)
-    return T.scale(total, 1.0 / len(losses))
-
-
 def _batches(order: np.ndarray, size: int):
     for start in range(0, len(order), size):
         yield order[start:start + size]
 
 
-# the models whose dropout masks a pass draws, in draw order per sentence
-_PASS_VIEWS = {"char": ("char",), "word": ("word",),
-               "meta": ("char", "word", "meta"),
-               "joint": ("char", "word", "meta")}
-
-
-def _draw_masks(model: TaggerModel, batch: list[Sentence], head: str,
+def _draw_masks(model: TaggerModel, batch: list[Sentence], heads,
                 rng: np.random.Generator) -> dict[str, dict]:
-    """Dropout masks of the models a pass runs, keyed by view; drawn
-    sentence by sentence, in the order the per-sentence forward used."""
+    """Dropout masks of the models a forward over ``heads`` runs, keyed by
+    view; drawn sentence by sentence, in the order the per-sentence
+    forward used."""
     char = model.char_sent if model.char_sent is not None \
         else model.char_token
     sites = {"char": char.dropout_sites, "word": model.word.dropout_sites,
              "meta": model.combiner.dropout_sites}
-    views = _PASS_VIEWS[head]
+    views = _views(heads)
     return dict(zip(views, nn.draw_masks(rng, batch,
                                          *(sites[v] for v in views))))
 
 
 def _run_pass(model, sentences, order, batch_size, optimizer, rng,
-              head: str, detach=True) -> float:
-    """One full pass over the training data for one loss head. Returns the
-    mean per-batch loss.
+              heads, detach=True) -> float:
+    """One full pass over the training data for the loss of ``heads`` (see
+    ``forward``). Returns the mean per-batch loss.
 
     A batch's loss is the mean over its sentences of each sentence's mean
-    token loss (summed over the three heads for "joint"), computed in one
-    forward over the whole batch by weighting token rows 1/(n_s * B).
+    token loss (summed over the heads), computed in one forward over the
+    whole batch by weighting token rows 1/(n_s * B).
     """
     task = model.config.task
     batch_losses = []
@@ -465,11 +451,11 @@ def _run_pass(model, sentences, order, batch_size, optimizer, rng,
                                 for s in batch])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
                                   for s in batch])
-        masks = _draw_masks(model, batch, head, rng)
+        masks = _draw_masks(model, batch, heads, rng)
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds, weights)
-                      for logits in _head_logits(model, batch, head, masks,
-                                                 detach)]
+                      for logits in forward(model, batch, heads, masks,
+                                            detach)]
             batch_loss = losses[0]
             for l in losses[1:]:
                 batch_loss = T.add(batch_loss, l)
@@ -488,9 +474,12 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
     """Character pass, then word pass, then meta pass, each over the whole
     shuffled corpus with its own optimizer. The meta pass sees the encoders
     as just updated this epoch, through detached outputs."""
-    c = _run_pass(model, sentences, order, batch_size, opt_char, rng, "char")
-    w = _run_pass(model, sentences, order, batch_size, opt_word, rng, "word")
-    m = _run_pass(model, sentences, order, batch_size, opt_meta, rng, "meta")
+    c = _run_pass(model, sentences, order, batch_size, opt_char, rng,
+                  ("char",))
+    w = _run_pass(model, sentences, order, batch_size, opt_word, rng,
+                  ("word",))
+    m = _run_pass(model, sentences, order, batch_size, opt_meta, rng,
+                  ("meta",))
     return c, w, m
 
 
@@ -597,7 +586,7 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
         else:
             joint = _run_pass(model, train_sentences, order,
                               config.batch_size, opt_all, dropout_rng,
-                              "joint", detach=False)
+                              _HEADS, detach=False)
             c = w = m = joint
         acc = evaluate(model, dev_sentences)
         emit(f"epoch={epoch} char_loss={c:.6f} word_loss={w:.6f} "
@@ -679,6 +668,37 @@ def _require(path: str, what: str, mapping, keys) -> None:
             raise ValueError(f"{path}: checkpoint {what} has no {key!r} key")
 
 
+def _check_structure(path: str, config: TrainConfig,
+                     shapes: dict[str, list[int]]) -> None:
+    """Reject a config whose layer counts and widths differ from the saved
+    arrays', before ``Checkpoint.rebuild`` allocates a model of it."""
+    def saved(name: str, axis: int) -> int:
+        if len(shapes.get(name, ())) <= axis:
+            raise ValueError(f"{path}: checkpoint is missing array {name!r} "
+                             f"or its axis {axis}")
+        return shapes[name][axis]
+
+    saved("word.pretrained", 1)  # the word embedding width comes from it
+    char = "char_sent" if config.char_encoder == "sentence" else "char_token"
+    expected = {"char_emb_dim": saved(f"{char}.char_table", 1),
+                "mlp_size": saved("word.mlp.weight", 1)}
+    stacks = {"word_bilstm": "word.stack", "meta_bilstm": "meta.stack"}
+    if char == "char_sent":
+        stacks["char_bilstm"] = "char_sent.stack"
+    else:
+        expected["char_bilstm_size"] = saved("char_token.lstm.w_h", 0)
+    for key, prefix in stacks.items():
+        layers = {name.split(".")[2] for name in shapes
+                  if name.startswith(f"{prefix}.layer")}
+        expected[f"{key}_layers"] = len(layers)
+        expected[f"{key}_size"] = saved(f"{prefix}.layer0.fwd.w_h", 0)
+    for key, value in expected.items():
+        if getattr(config, key) != value:
+            raise ValueError(f"{path}: checkpoint config key {key!r} is "
+                             f"{getattr(config, key)!r}, the saved arrays "
+                             f"have {value}")
+
+
 def checkpoint_load(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -692,19 +712,24 @@ def checkpoint_load(path: str) -> Checkpoint:
     if not isinstance(manifest, dict) \
             or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if manifest.get("version") != CHECKPOINT_VERSION:
+    if type(manifest.get("version")) is not int \
+            or manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint version {manifest.get('version')} is not "
+            f"{path}: checkpoint version {manifest.get('version')!r} is not "
             f"supported (expected {CHECKPOINT_VERSION})")
     _require(path, "manifest", manifest, _MANIFEST_KEYS)
     _require(path, "config", manifest["config"], ())
     _require(path, "vocabs", manifest["vocabs"], _VOCAB_KEYS)
-    for key in ("words", "chars", "tags"):
+    for key, first in (("words", 1), ("chars", 1), ("tags", 0)):
         ids = manifest["vocabs"][key]
         if not isinstance(ids, dict) or not all(
                 type(i) is int for i in ids.values()):
             raise ValueError(f"{path}: checkpoint vocabs key {key!r} is not "
                              f"a JSON object of integer ids")
+        if sorted(ids.values()) != list(range(first, first + len(ids))):
+            raise ValueError(f"{path}: checkpoint vocabs key {key!r} does "
+                             f"not number its entries {first}, {first + 1}, "
+                             f"... once each")
     if not isinstance(manifest["arrays"], list):
         raise ValueError(f"{path}: checkpoint manifest key 'arrays' is not "
                          f"a list")
@@ -719,13 +744,15 @@ def checkpoint_load(path: str) -> Checkpoint:
             raise ValueError(f"{path}: checkpoint array entry key 'shape' of "
                              f"{entry['name']!r} is not a list of "
                              f"non-negative integers")
+    config = config_from_dict(manifest["config"])
+    _check_structure(path, config, {entry["name"]: entry["shape"]
+                                    for entry in manifest["arrays"]})
     body = blob[newline + 1:]
     arrays = {}
     offset = 0
     for entry in manifest["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         chunk = body[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise ValueError(f"{path}: truncated checkpoint "
@@ -735,7 +762,6 @@ def checkpoint_load(path: str) -> Checkpoint:
         offset += nbytes
     if offset != len(body):
         raise ValueError(f"{path}: trailing bytes after the last array")
-    config = config_from_dict(manifest["config"])
     vocabs = Vocabs(words=manifest["vocabs"]["words"],
                     chars=manifest["vocabs"]["chars"],
                     tags=manifest["vocabs"]["tags"],

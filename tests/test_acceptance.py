@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metatagger import (cli, data, evaluation, meta, nn, synthetic,
-                        tensor as T, training)
+import oracles
+from metatagger import (cli, data, evaluation, nn, synthetic, tensor as T,
+                        training)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,13 +74,12 @@ def joint_loss(model, sentences):
     losses = []
     for s in sentences:
         golds = training._gold_ids(model.vocabs, s, model.config.task)
-        m_c, logits_c = training.char_forward(model, s)
-        m_w, logits_w = training.word_forward(model, s)
-        _, logits_m = meta.combine(model.combiner, m_c, m_w, detach=False)
+        logits_c, logits_w, logits_m = training.forward(
+            model, s, ("char", "word", "meta"), detach=False)
         losses.append(T.add(T.add(nn.softmax_xent_rows(logits_c, golds),
                                   nn.softmax_xent_rows(logits_w, golds)),
                             nn.softmax_xent_rows(logits_m, golds)))
-    return training._mean_loss(losses)
+    return oracles.mean_loss(losses)
 
 
 def test_criterion_01_gradients():
@@ -142,7 +142,7 @@ def test_criterion_02_gradient_isolation():
 
     def meta_loss(detach):
         golds = training._gold_ids(model.vocabs, tr[0], "xpos")
-        logits = training.meta_forward(model, tr[0], detach=detach)
+        [logits] = training.forward(model, tr[0], ("meta",), detach=detach)
         return nn.softmax_xent_rows(logits, golds)
 
     T.zero_grads(model.all_parameters())

@@ -1,8 +1,13 @@
 """CLI behavior: config layering, exit codes, file round trips."""
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatagger import cli, data, synthetic, training
 
@@ -74,6 +79,11 @@ class TestPrintConfig:
         cli.main(["train", "--print-config", "--config", str(cfg),
                   "--set", "seed=11"])
         assert "seed = 11" in capsys.readouterr().out
+
+
+def set_first(ids: dict, value) -> None:
+    """Give the first entry of a vocabulary map the id ``value``."""
+    ids[next(iter(ids))] = value
 
 
 class TestExitCodes:
@@ -148,6 +158,39 @@ class TestExitCodes:
         (lambda m: m["vocabs"].update(words=5), "'words'"),
         (lambda m: m["vocabs"].update(tags=["K1", "K2"]), "'tags'"),
         (lambda m: m["vocabs"]["chars"].update(a="1"), "'chars'"),
+        *(pytest.param(mutate, key, id=name) for name, mutate, key in [
+            ("word-id-negative",
+             lambda m: set_first(m["vocabs"]["words"], -1), "'words'"),
+            ("word-id-huge",
+             lambda m: set_first(m["vocabs"]["words"], 10 ** 30), "'words'"),
+            ("word-id-repeated",
+             lambda m: set_first(m["vocabs"]["words"], 2), "'words'"),
+            ("char-id-negative",
+             lambda m: set_first(m["vocabs"]["chars"], -1), "'chars'"),
+            ("char-id-huge",
+             lambda m: set_first(m["vocabs"]["chars"], 10 ** 30), "'chars'"),
+            ("tag-id-repeated",
+             lambda m: set_first(m["vocabs"]["tags"], 1), "'tags'"),
+            ("char-layers-huge",
+             lambda m: m["config"].update(char_bilstm_layers=10 ** 30),
+             "'char_bilstm_layers'"),
+            ("meta-layers-huge",
+             lambda m: m["config"].update(meta_bilstm_layers=100000),
+             "'meta_bilstm_layers'"),
+            ("char-size-huge",
+             lambda m: m["config"].update(char_bilstm_size=10 ** 12),
+             "'char_bilstm_size'"),
+            ("word-size-other",
+             lambda m: m["config"].update(word_bilstm_size=11),
+             "'word_bilstm_size'"),
+            ("mlp-size-huge",
+             lambda m: m["config"].update(mlp_size=10 ** 9), "'mlp_size'"),
+            ("char-emb-dim-other",
+             lambda m: m["config"].update(char_emb_dim=7), "'char_emb_dim'"),
+            ("version-bool", lambda m: m.update(version=True), "version"),
+            ("version-multiline",
+             lambda m: m.update(version="1\n2"), "version"),
+        ]),
     ])
     def test_manifest_with_wrong_json_types_is_data_error(
             self, trained, tmp_path, corpus_dir, capsys, mutate, key):
@@ -181,6 +224,61 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
+def manifest_paths(value, path=()):
+    """Every key path into a JSON value, the value's own path first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from manifest_paths(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.booleans(), st.integers(max_value=-1),
+    st.integers(min_value=2 ** 31, max_value=10 ** 40), st.floats(),
+    st.text(max_size=8), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.none())
+
+
+@pytest.fixture(scope="module")
+def checkpoint_parts(trained):
+    blob = (trained / "model.ckpt").read_bytes()
+    head, _, body = blob.partition(b"\n")
+    manifest = json.loads(head)
+    return blob, head, body, list(manifest_paths(manifest))[1:]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_exits_cleanly(trained, corpus_dir,
+                                          checkpoint_parts, data):
+    """A checkpoint cut at any byte, or with one manifest value replaced,
+    makes ``tag`` exit 0, 1 or 2, with one stderr line when not 0."""
+    blob, head, body, paths = checkpoint_parts
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        manifest = json.loads(head)
+        *parents, last = data.draw(st.sampled_from(paths), label="path")
+        target = manifest
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(JSON_VALUES, label="value")
+        mutated = json.dumps(manifest).encode() + b"\n" + body
+    bad = trained / "fuzzed.ckpt"
+    bad.write_bytes(mutated)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(trained / "fuzzed.conllu")])
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestTrain:

@@ -265,7 +265,9 @@ class TestMeta:
         with T.Graph() as g:
             _, m_c, _ = encoders.encode_chars_sentence(cs, sents[0])
             _, m_w, _ = encoders.encode_words(wd, sents[0])
-            _, logits = meta.combine(mp, m_c, m_w, detach=detach)
+            if detach:
+                m_c, m_w = m_c.detach(), m_w.detach()
+            _, logits = meta.combine(mp, m_c, m_w)
             loss = nn.softmax_xent_rows(logits, golds)
         g.backward(loss)
 
@@ -327,8 +329,8 @@ class TestMeta:
         assert T.grad_check(f, mp.parameters()) < 1e-6
 
     def test_predict_tie_break(self):
-        z = T.tensor([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-        np.testing.assert_array_equal(meta.predict(z), [0, 1])
+        z = T.Tensor([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+        np.testing.assert_array_equal(nn.predict_tags(z), [0, 1])
 
 
 class TestBatches:

@@ -1,6 +1,6 @@
 """Layer tests. The LSTM is pinned three ways: an independently written
 reference cell, agreement between the fused sequence op and the composed
-per-step route, and finite differences."""
+per-step route (``oracles.lstm_step``), and finite differences."""
 
 import warnings
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from metatagger import nn
 from metatagger import tensor as T
 
@@ -40,8 +41,8 @@ class TestLstmStep:
         p = small_lstm()
         for t in p.parameters("p"):
             t[1].data[...] = 0.0
-        x = T.tensor(rng.normal(size=3))
-        h, c = nn.lstm_step(p, x, p.h0, p.c0)
+        x = T.Tensor(rng.normal(size=3))
+        h, c = oracles.lstm_step(p, x, p.h0, p.c0)
         assert not h.data.any() and not c.data.any()
 
     def test_matches_reference_cell_100_random(self):
@@ -50,7 +51,8 @@ class TestLstmStep:
             x = rng.normal(size=4)
             h = rng.normal(size=4)
             c = rng.normal(size=4)
-            got_h, got_c = nn.lstm_step(p, T.tensor(x), T.tensor(h), T.tensor(c))
+            got_h, got_c = oracles.lstm_step(p, T.Tensor(x), T.Tensor(h),
+                                             T.Tensor(c))
             want_h, want_c = ref_lstm_cell(p.w_x.data, p.w_h.data, p.bias.data,
                                            x, h, c)
             np.testing.assert_allclose(got_h.data, want_h, atol=1e-12)
@@ -59,14 +61,14 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         p = small_lstm()
         with pytest.raises(T.ShapeError):
-            nn.lstm_step(p, T.tensor(np.zeros(5)), p.h0, p.c0)
+            oracles.lstm_step(p, T.Tensor(np.zeros(5)), p.h0, p.c0)
 
     def test_grad_check(self):
         p = small_lstm(seed=7)
-        x = T.tensor(rng.normal(size=3))
+        x = T.Tensor(rng.normal(size=3))
 
         def f():
-            h, c = nn.lstm_step(p, x, p.h0, p.c0)
+            h, c = oracles.lstm_step(p, x, p.h0, p.c0)
             return T.tsum(T.add(h, c))
 
         assert T.grad_check(f, p.parameters("lstm")) < 1e-6
@@ -75,17 +77,17 @@ class TestLstmStep:
 def composed_run(p, xs_data, mask=None, weights=None):
     """lstm_run re-expressed with per-step primitive ops."""
     xs = T.Tensor(xs_data)
-    mask_t = T.tensor(mask) if mask is not None else None
+    mask_t = T.Tensor(mask) if mask is not None else None
     h, c = p.h0, p.c0
     rows = []
     for t in range(xs_data.shape[0]):
         h_in = T.mul(h, mask_t) if mask_t is not None else h
         x_t = T.reshape(T.slice_rows(xs, t, t + 1), (p.input_size,))
-        h, c = nn.lstm_step(p, x_t, h_in, c)
+        h, c = oracles.lstm_step(p, x_t, h_in, c)
         rows.append(T.reshape(h, (1, p.hidden_size)))
     out = T.concat(rows, axis=0)
     if weights is not None:
-        out = T.mul(out, T.tensor(weights))
+        out = T.mul(out, T.Tensor(weights))
     return T.tsum(out)
 
 
@@ -107,7 +109,7 @@ class TestLstmRunFused:
 
         def fused():
             out = nn.lstm_run(p, T.Tensor(xs), mask)
-            return T.tsum(T.mul(out, T.tensor(w)))
+            return T.tsum(T.mul(out, T.Tensor(w)))
 
         loss_a, grads_a = self.grads_of(fused, p)
         loss_b, grads_b = self.grads_of(lambda: composed_run(p, xs, mask, w), p)
@@ -131,7 +133,7 @@ class TestLstmRunFused:
 
         def f():
             out = nn.lstm_run(p, T.Tensor(xs))
-            return T.tsum(T.mul(out, T.tensor(w)))
+            return T.tsum(T.mul(out, T.Tensor(w)))
 
         assert T.grad_check(f, p.parameters("lstm")) < 1e-6
 
@@ -156,6 +158,12 @@ class TestLstmRunFused:
             nn.lstm_run(p, T.Tensor(np.zeros((4, 7))))
 
 
+def stack_masks(rng, stack, rate, lengths):
+    """Dropout masks of a stack run over sequences of ``lengths``."""
+    return nn.draw_masks(rng, lengths,
+                         lambda _: nn.stack_sites(stack, rate))[0]
+
+
 def halves(out):
     """The forward and the backward states of a BiLSTM output."""
     h = out.shape[1] // 2
@@ -173,8 +181,8 @@ class TestBiLstmStack:
         x = rng.normal(size=(1, 3))
         f, b = halves(nn.bilstm_stack_run(stack, T.Tensor(x)))
         pf, pb = stack.layers[0]
-        hf, _ = nn.lstm_step(pf, T.tensor(x[0]), pf.h0, pf.c0)
-        hb, _ = nn.lstm_step(pb, T.tensor(x[0]), pb.h0, pb.c0)
+        hf, _ = oracles.lstm_step(pf, T.Tensor(x[0]), pf.h0, pf.c0)
+        hb, _ = oracles.lstm_step(pb, T.Tensor(x[0]), pb.h0, pb.c0)
         np.testing.assert_allclose(f[0], hf.data, atol=1e-12)
         np.testing.assert_allclose(b[0], hb.data, atol=1e-12)
 
@@ -210,26 +218,24 @@ class TestBiLstmStack:
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
         xs = T.Tensor(rng.normal(size=(6, 3)))
         base = nn.bilstm_stack_run(stack, xs)
-        drop = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
-                                   training=True,
-                                   rng=np.random.default_rng(0))
-        evaluated = nn.bilstm_stack_run(stack, xs, dropout_rate=0.5,
-                                        training=False)
+        masks = stack_masks(np.random.default_rng(0), stack, 0.5, [6])
+        drop = nn.bilstm_stack_run(stack, xs, masks=masks)
+        evaluated = nn.bilstm_stack_run(stack, xs, masks={})
         assert not np.array_equal(base.data, drop.data)
         np.testing.assert_array_equal(base.data, evaluated.data)
 
 
 class TestMlpAndClassifier:
     def test_identity_map_elu(self):
-        p = nn.MlpParams(weight=T.tensor(np.eye(2), requires_grad=True),
+        p = nn.MlpParams(weight=T.Tensor(np.eye(2), requires_grad=True),
                          bias=T.Tensor(np.zeros(2), requires_grad=True))
-        out = nn.mlp_apply(p, T.tensor([1.0, -1.0]))
+        out = nn.mlp_apply(p, T.Tensor([1.0, -1.0]))
         np.testing.assert_allclose(out.data, [1.0, np.exp(-1) - 1], atol=1e-12)
 
     def test_zero_params_zero_output(self):
         p = nn.MlpParams(weight=T.Tensor(np.zeros((3, 2))),
                          bias=T.Tensor(np.zeros(2)))
-        out = nn.mlp_apply(p, T.tensor([1.0, 2.0, 3.0]))
+        out = nn.mlp_apply(p, T.Tensor([1.0, 2.0, 3.0]))
         assert not out.data.any()
 
     def test_grad_check(self):
@@ -251,31 +257,31 @@ class TestMlpAndClassifier:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss = nn.softmax_xent(T.tensor(np.zeros(4)), 2)
+        loss = oracles.softmax_xent(T.Tensor(np.zeros(4)), 2)
         assert abs(loss.item() - np.log(4)) < 1e-12
 
     def test_extreme_logits_stable(self):
-        loss = nn.softmax_xent(T.tensor([1000.0, 0.0]), 0)
+        loss = oracles.softmax_xent(T.Tensor([1000.0, 0.0]), 0)
         assert 0 <= loss.item() < 1e-12
 
     def test_brute_force_oracle(self):
         z = rng.normal(size=10) * 3
         g = 4
         want = -np.log(np.exp(z[g]) / np.exp(z).sum())
-        got = nn.softmax_xent(T.tensor(z), g).item()
+        got = oracles.softmax_xent(T.Tensor(z), g).item()
         assert abs(got - want) < 1e-12
 
     def test_rows_mean(self):
         z = rng.normal(size=(3, 5))
         golds = [1, 0, 4]
-        per_row = [nn.softmax_xent(T.tensor(z[i]), golds[i]).item()
+        per_row = [oracles.softmax_xent(T.Tensor(z[i]), golds[i]).item()
                    for i in range(3)]
         got = nn.softmax_xent_rows(T.Tensor(z), golds).item()
         assert abs(got - np.mean(per_row)) < 1e-12
 
     def test_gold_out_of_range(self):
         with pytest.raises(IndexError):
-            nn.softmax_xent(T.tensor([0.0, 1.0]), 2)
+            oracles.softmax_xent(T.Tensor([0.0, 1.0]), 2)
 
     def test_grad_check(self):
         w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -300,14 +306,14 @@ class TestCharAttention:
         v = T.Tensor(rng.normal(size=4), requires_grad=True)
         s = rng.normal(size=(1, 4))
         out = nn.char_attention(v, T.Tensor(s))
-        np.testing.assert_allclose(out.data, 2 * s[0], atol=1e-12)
+        np.testing.assert_allclose(out.data, 2 * s, atol=1e-12)
 
     def test_identical_states_convexity(self):
         v = T.Tensor(rng.normal(size=4))
         row = rng.normal(size=4)
         s = np.tile(row, (5, 1))
         out = nn.char_attention(v, T.Tensor(s))
-        np.testing.assert_allclose(out.data, 2 * row, atol=1e-12)
+        np.testing.assert_allclose(out.data, [2 * row], atol=1e-12)
 
     def test_brute_force_oracle(self):
         v = rng.normal(size=4)
@@ -316,12 +322,12 @@ class TestCharAttention:
         e = np.exp(scores - scores.max())
         alpha = e / e.sum()
         want = alpha @ s + s[-1]
-        got = nn.char_attention(T.tensor(v), T.Tensor(s))
-        np.testing.assert_allclose(got.data, want, atol=1e-12)
+        got = nn.char_attention(T.Tensor(v), T.Tensor(s))
+        np.testing.assert_allclose(got.data, [want], atol=1e-12)
 
     def test_empty_states_raise(self):
         with pytest.raises(T.ShapeError):
-            nn.char_attention(T.tensor(np.zeros(4)), T.Tensor(np.zeros((0, 4))))
+            nn.char_attention(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((0, 4))))
 
     def test_grad_check(self):
         v = T.Tensor(rng.normal(size=3), requires_grad=True)
@@ -331,28 +337,37 @@ class TestCharAttention:
         assert err < 1e-6
 
 
+def one_site(rate, size):
+    """Sites of a model with one dropout site of ``size`` features."""
+    return lambda _: [("x", size, rate)]
+
+
 class TestDropout:
+    """Inverted dropout as the models run it: masks drawn by
+    ``draw_masks``, applied per sequence by ``apply_mask``."""
+
     def test_rate_zero_identity(self):
-        x = T.Tensor(rng.normal(size=(3, 4)))
-        assert nn.dropout(x, 0.0, training=True,
-                          rng=np.random.default_rng(0)) is x
+        r = np.random.default_rng(0)
+        assert nn.draw_masks(r, [1, 2], one_site(0.0, 4)) == [{}]
+        assert r.random() == np.random.default_rng(0).random()
 
     def test_eval_identity(self):
         x = T.Tensor(rng.normal(size=(3, 4)))
-        assert nn.dropout(x, 0.33, training=False) is x
+        assert nn.apply_mask(x, None, [3]) is x
 
     def test_survivor_statistics(self):
-        x = T.Tensor(np.ones(10000))
-        y = nn.dropout(x, 0.5, mode="per_position", training=True,
-                       rng=np.random.default_rng(3))
-        survivors = y.data[y.data != 0]
+        [masks] = nn.draw_masks(np.random.default_rng(3), [1],
+                                one_site(0.5, 10000))
+        y = masks["x"][0]
+        survivors = y[y != 0]
         assert 0.45 <= survivors.size / 10000 <= 0.55
         np.testing.assert_allclose(survivors, 2.0)
 
     def test_single_mask_shared_across_rows(self):
         x = T.Tensor(np.ones((50, 20)))
-        y = nn.dropout(x, 0.4, mode="single_mask", training=True,
-                       rng=np.random.default_rng(4))
+        [masks] = nn.draw_masks(np.random.default_rng(4), [50],
+                                one_site(0.4, 20))
+        y = nn.apply_mask(x, masks["x"], [50])
         # every column is either fully kept or fully dropped
         col_kept = (y.data != 0).all(axis=0)
         col_dropped = (y.data == 0).all(axis=0)
@@ -360,11 +375,10 @@ class TestDropout:
         assert col_dropped.any() and col_kept.any()
 
     def test_bad_rate(self):
-        x = T.Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            nn.dropout(x, 1.0, training=True, rng=np.random.default_rng(0))
+            nn.draw_masks(np.random.default_rng(0), [1], one_site(1.0, 3))
         with pytest.raises(ValueError):
-            nn.dropout(x, -0.1, training=True, rng=np.random.default_rng(0))
+            nn.draw_masks(np.random.default_rng(0), [1], one_site(-0.1, 3))
 
 
 class TestEmbedding:
@@ -392,10 +406,10 @@ class TestEmbedding:
 
 class TestPredict:
     def test_argmax(self):
-        assert nn.predict_tags(T.tensor([[0.1, 0.9, 0.3]])) == [1]
+        assert nn.predict_tags(T.Tensor([[0.1, 0.9, 0.3]])) == [1]
 
     def test_tie_lowest_id(self):
-        assert nn.predict_tags(T.tensor([[0.5, 0.5, 0.5]])) == [0]
+        assert nn.predict_tags(T.Tensor([[0.5, 0.5, 0.5]])) == [0]
 
     def test_scale_invariance(self):
         z = rng.normal(size=(6, 4))
@@ -410,8 +424,8 @@ class TestPredict:
 def test_xent_nonneg_and_shift_invariant(zs, data):
     gold = data.draw(st.integers(0, len(zs) - 1))
     z = np.array(zs)
-    a = nn.softmax_xent(T.tensor(z), gold).item()
-    b = nn.softmax_xent(T.tensor(z + 7.3), gold).item()
+    a = oracles.softmax_xent(T.Tensor(z), gold).item()
+    b = oracles.softmax_xent(T.Tensor(z + 7.3), gold).item()
     assert a >= 0
     assert abs(a - b) < 1e-10
 
@@ -441,7 +455,7 @@ def test_sigmoid_matches_the_logaddexp_formula():
     x = np.linspace(-800.0, 800.0, 200_001)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = T.sigmoid(T.tensor(x)).data
+        got = T.sigmoid(T.Tensor(x)).data
     assert np.abs(got - logaddexp_logistic(x)).max() <= LOGISTIC_ATOL
 
 
@@ -508,7 +522,7 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
 
     def batched():
         out["batched"] = nn.lstm_run(p, xs, mask, lengths)
-        return T.tsum(T.mul(out["batched"], T.tensor(w)))
+        return T.tsum(T.mul(out["batched"], T.Tensor(w)))
 
     parts = [T.Tensor(xs_data[a:a + k], requires_grad=True)
              for a, k in zip(starts, lengths)]
@@ -517,7 +531,7 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
         rows = []
         for i, (x, a, k) in enumerate(zip(parts, starts, lengths)):
             m = mask[i] if mask_kind == "per_sequence" else mask
-            rows.append(T.mul(nn.lstm_run(p, x, m), T.tensor(w[a:a + k])))
+            rows.append(T.mul(nn.lstm_run(p, x, m), T.Tensor(w[a:a + k])))
         out["separate"] = T.concat(rows, axis=0)
         return T.tsum(out["separate"])
 
@@ -544,7 +558,7 @@ class TestPackedBatch:
 
         def f():
             out = nn.lstm_run(p, xs, mask, lengths=[2, 4, 1])
-            return T.tsum(T.mul(out, T.tensor(w)))
+            return T.tsum(T.mul(out, T.Tensor(w)))
 
         assert T.grad_check(f, p.parameters("lstm") + [("xs", xs)]) < 1e-4
 
@@ -572,13 +586,13 @@ class TestPackedBatch:
         lengths = [2, 5]
         xs = rng.normal(size=(7, 3))
         r_batch, r_seq = np.random.default_rng(8), np.random.default_rng(8)
-        out = nn.bilstm_stack_run(stack, T.Tensor(xs), dropout_rate=0.4,
-                                  training=True, rng=r_batch,
-                                  lengths=lengths)
+        out = nn.bilstm_stack_run(
+            stack, T.Tensor(xs), lengths=lengths,
+            masks=stack_masks(r_batch, stack, 0.4, lengths))
         for a, k in zip(np.cumsum(lengths) - lengths, lengths):
             one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
-                                      dropout_rate=0.4, training=True,
-                                      rng=r_seq)
+                                      masks=stack_masks(r_seq, stack, 0.4,
+                                                        [k]))
             np.testing.assert_allclose(out.data[a:a + k], one.data,
                                        atol=1e-12)
 
@@ -590,17 +604,17 @@ class TestPackedBatch:
         for i, (a, k) in enumerate(zip(np.cumsum(lengths) - lengths,
                                        lengths)):
             one = nn.char_attention(v, T.Tensor(s.data[a:a + k]))
-            np.testing.assert_allclose(got.data[i], one.data, atol=1e-12)
+            np.testing.assert_allclose(got.data[i], one.data[0], atol=1e-12)
         err = T.grad_check(lambda: T.tsum(T.mul(
             nn.char_attention(v, s, lengths),
-            T.tensor(np.arange(9.0).reshape(3, 3)))), [("v", v), ("s", s)])
+            T.Tensor(np.arange(9.0).reshape(3, 3)))), [("v", v), ("s", s)])
         assert err < 1e-6
 
     def test_weighted_xent_is_weighted_sum_of_rows(self):
         z = rng.normal(size=(3, 5))
         golds = [1, 0, 4]
         w = np.array([0.5, 0.25, 2.0])
-        per_row = [nn.softmax_xent(T.tensor(z[i]), golds[i]).item()
+        per_row = [oracles.softmax_xent(T.Tensor(z[i]), golds[i]).item()
                    for i in range(3)]
         got = nn.softmax_xent_rows(T.Tensor(z), golds, w).item()
         assert abs(got - np.dot(w, per_row)) < 1e-12
@@ -644,7 +658,7 @@ def test_two_directions_match_the_composed_layer_bitwise(
         t.data[...] = g.normal(size=t.shape)
     n, b = sum(lengths), len(lengths)
     xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
-    w = T.tensor(g.normal(size=(n, 2 * hidden)))
+    w = T.Tensor(g.normal(size=(n, 2 * hidden)))
 
     def draw():
         if mask_kind == "none":
@@ -693,7 +707,7 @@ class TestTwoDirections:
     def test_grad_check_ragged_masked_batch(self, worker_path):
         p_f, p_b = self.layer()
         xs = T.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
-        w = T.tensor(rng.normal(size=(7, 6)))
+        w = T.Tensor(rng.normal(size=(7, 6)))
         m_f = np.array([[1 / 0.7, 0.0, 1 / 0.7],
                         [1 / 0.7, 1 / 0.7, 1 / 0.7],
                         [0.0, 1 / 0.7, 1 / 0.7]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metatagger import data, nn, training
+from metatagger import data, encoders, meta, nn, training
 from metatagger import tensor as T
 
 
@@ -269,7 +269,7 @@ class TestScheduleLocality:
         for head, opt in zip(("char", "word", "meta"), opts):
             before = snap()
             training._run_pass(model, tr, order, config.batch_size, opt,
-                               rng, head)
+                               rng, (head,))
             after = snap()
             for name in after:
                 changed = not np.array_equal(before[name], after[name])
@@ -359,7 +359,7 @@ class TestTrainLoop:
         before = {n: p.data.copy() for n, p in model.char_parameters()}
         opt = training.Adam(model.all_parameters())
         training._run_pass(model, tr, np.arange(len(tr)), config.batch_size,
-                           opt, np.random.default_rng(0), "joint",
+                           opt, np.random.default_rng(0), training._HEADS,
                            detach=False)
         assert any(not np.array_equal(before[n], p.data)
                    for n, p in model.char_parameters())
@@ -377,23 +377,85 @@ class TestTrainLoop:
         assert 0.0 <= ckpt.best_score <= 1.0
 
 
+# the head sets of the passes: (heads, detach)
+PASSES = {"char": (("char",), True), "word": (("word",), True),
+          "meta": (("meta",), True), "joint": (training._HEADS, False)}
+
+
 class TestBatchLoss:
-    @pytest.mark.parametrize("head", ["char", "word", "meta", "joint"])
+    @pytest.mark.parametrize("head", list(PASSES))
     def test_batch_loss_is_mean_of_sentence_means(self, head):
+        heads, detach = PASSES[head]
         sents = mini_corpus(5)
         model, tr, _ = training.prepare(small_config(), sents, sents)
         opt = training.Adam(model.all_parameters(), lr=0.0)
         got = training._run_pass(model, tr, np.arange(len(tr)), len(tr), opt,
-                                 np.random.default_rng(3), head)
+                                 np.random.default_rng(3), heads, detach)
         rng = np.random.default_rng(3)
         per_sentence = []
         for s in tr:
             golds = training._gold_ids(model.vocabs, s, "xpos")
-            masks = training._draw_masks(model, [s], head, rng)
+            masks = training._draw_masks(model, [s], heads, rng)
             per_sentence.append(sum(
                 nn.softmax_xent_rows(logits, golds).item()
-                for logits in training._head_logits(model, s, head, masks)))
+                for logits in training.forward(model, s, heads, masks,
+                                               detach)))
         assert abs(got - np.mean(per_sentence)) < 1e-12
+
+
+class TestForward:
+    """``forward`` runs only the encoders a head needs and tapes only ops
+    the loss's gradient reaches."""
+
+    @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
+    @pytest.mark.parametrize("head", list(PASSES))
+    def test_every_recorded_node_gets_a_gradient(self, head, char_encoder):
+        heads, detach = PASSES[head]
+        sents = mini_corpus(4)
+        model, tr, _ = training.prepare(
+            small_config(char_encoder=char_encoder), sents, sents)
+        golds = np.concatenate([training._gold_ids(model.vocabs, s, "xpos")
+                                for s in tr])
+        masks = training._draw_masks(model, tr, heads,
+                                     np.random.default_rng(0))
+        T.zero_grads(model.all_parameters())
+        with T.Graph() as g:
+            losses = [nn.softmax_xent_rows(logits, golds) for logits in
+                      training.forward(model, tr, heads, masks, detach)]
+            loss = losses[0]
+            for l in losses[1:]:
+                loss = T.add(loss, l)
+        g.backward(loss)
+        assert g.nodes
+        idle = [node.op for node in g.nodes if node.output.grad is None]
+        assert not idle, f"{head}: taped ops without a gradient: {idle}"
+
+    RUNS = {"char": ["encode_chars_sentence"], "word": ["encode_words"],
+            "meta": ["combine", "encode_chars_sentence", "encode_words"]}
+    RUNS["joint"] = RUNS["meta"]
+
+    @pytest.mark.parametrize("head", list(PASSES))
+    def test_a_head_runs_only_what_it_needs(self, monkeypatch, head):
+        heads, detach = PASSES[head]
+        sents = mini_corpus(3)
+        model, tr, _ = training.prepare(small_config(), sents, sents)
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("encode_chars_sentence", "encode_chars_token",
+                     "encode_words"):
+            counted(encoders, name)
+        counted(meta, "combine")
+        logits = training.forward(model, tr, heads, detach=detach)
+        assert len(logits) == len(heads)
+        assert sorted(calls) == self.RUNS[head]
 
 
 class TestCheckpoint:
