@@ -12,8 +12,8 @@ Path keys accepted in config files: train_file, dev_file, pretrained_file,
 checkpoint_file, log_file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
-(unreadable or malformed files, alignment failures, corrupt checkpoints,
-training driven to non-finite values).
+(unreadable, unwritable or malformed files, alignment failures, corrupt
+checkpoints, training driven to non-finite values).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, training
-from .data import DataError
-from .evaluation import AlignmentError
 from .tensor import NonFiniteError
 
 SEED_ENV = "METATAGGER_SEED"
@@ -47,23 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror or e}") from None
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _parse_corpus(path: str, task: str) -> list[data.Sentence]:
     return data.parse_conllu(_read_text(path), task)
-
-
-def _load_checkpoint(path: str) -> training.Checkpoint:
-    try:
-        return training.checkpoint_load(path)
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
-    except ValueError as e:
-        raise DataError(str(e)) from None
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -159,7 +145,7 @@ def cmd_train(ns) -> int:
 
 
 def cmd_tag(ns) -> int:
-    ckpt = _load_checkpoint(ns.checkpoint)
+    ckpt = training.checkpoint_load(ns.checkpoint)
     model = ckpt.rebuild()
     sentences = _parse_corpus(ns.input, ckpt.config.task)
     data.assign_ids(sentences, ckpt.vocabs)
@@ -351,14 +337,15 @@ def main(argv=None) -> int:
     except CliUsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, AlignmentError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
     except NonFiniteError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except ValueError as e:  # data.DataError, evaluation.AlignmentError, ...
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # a file named on the command line or in a config
+        where = f"{e.filename}: " if e.filename is not None else ""
+        print(f"data error: {where}{e.strerror or e}", file=sys.stderr)
         return 2
 
 

@@ -13,10 +13,10 @@ Each encoder owns an output head so it can be trained against its own
 cross-entropy loss. Sentence inputs must have vocabulary ids attached
 (data.assign_ids) before encoding.
 
-Encoders take a batch of sentences (a lone Sentence is a batch of one) and
-return one row per token, sentences in batch order. Dropout comes from
-``masks``, drawn by ``nn.draw_masks`` over the encoder's
-``dropout_sites``; without masks the encoder runs as at evaluation.
+Encoders take a batch, a list of sentences, and return one row per token,
+sentences in batch order. Dropout comes from ``masks``, drawn by
+``nn.draw_masks`` over the encoder's ``dropout_sites``; without masks the
+encoder runs as at evaluation.
 """
 
 from __future__ import annotations
@@ -85,33 +85,26 @@ def char_sent_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
                                  emb_dropout, lstm_dropout, mlp_dropout)
 
 
-def as_batch(batch) -> list[Sentence]:
-    """The sentences of a batch; a lone Sentence is a batch of one."""
-    return [batch] if isinstance(batch, Sentence) else list(batch)
+def token_counts(batch: list[Sentence]) -> list[int]:
+    return [len(s.tokens) for s in batch]
 
 
-def token_counts(batch) -> list[int]:
-    return [len(s.tokens) for s in as_batch(batch)]
-
-
-def _char_batch(batch, op: str) -> list[Sentence]:
+def _check_char_batch(batch: list[Sentence], op: str) -> None:
     """Check a batch for the character encoders."""
-    batch = as_batch(batch)
     for s in batch:
         if len(s.tokens) == 0:
             raise T.ShapeError(f"{op}: sentence has no tokens")
         if s.char_ids is None:
             raise ValueError(
                 "sentence has no char ids; run data.assign_ids first")
-    return batch
 
 
-def encode_chars_sentence(p: CharSentEncoderParams, batch,
+def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
                           masks: dict | None = None
                           ) -> tuple[Tensor, Tensor, Tensor]:
     """Per-token (gathered rep, MLP output, logits) for a batch: one
     packed BiLSTM run over the sentences' character streams."""
-    batch = _char_batch(batch, "encode_chars_sentence")
+    _check_char_batch(batch, "encode_chars_sentence")
     masks = masks or {}
     stream_lens = [len(s.char_ids) for s in batch]
     firsts, lasts = [], []
@@ -124,8 +117,8 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch,
         firsts += [offset + t.char_span[0] for t in s.tokens]
         lasts += [offset + t.char_span[1] for t in s.tokens]
         offset += n_stream
-    emb = nn.embedding_lookup(p.char_table,
-                              np.concatenate([s.char_ids for s in batch]))
+    emb = T.take_rows(p.char_table,
+                      np.concatenate([s.char_ids for s in batch]))
     emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
     out = nn.bilstm_stack_run(p.stack, emb, lengths=stream_lens, masks=masks)
     # As (2 * chars, hidden), row 2i is the forward state at character i
@@ -180,16 +173,16 @@ def char_token_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
                                   emb_dropout, lstm_dropout)
 
 
-def encode_chars_token(p: CharTokenEncoderParams, batch,
+def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
                        masks: dict | None = None) -> tuple[Tensor, Tensor]:
     """Per-token (rep, logits); the rep of a token depends only on its form.
     One packed LSTM run over every token's characters."""
-    batch = _char_batch(batch, "encode_chars_token")
+    _check_char_batch(batch, "encode_chars_token")
     masks = masks or {}
     spans = [(s, t.char_span) for s in batch for t in s.tokens]
     lens = [b - a + 1 for _, (a, b) in spans]
     ids = np.concatenate([s.char_ids[a:b + 1] for s, (a, b) in spans])
-    emb = nn.apply_mask(nn.embedding_lookup(p.char_table, ids),
+    emb = nn.apply_mask(T.take_rows(p.char_table, ids),
                         masks.get("emb"), lens)
     states = nn.lstm_run(p.lstm, emb, masks.get("state"), lens)
     reps = nn.char_attention(p.attn_vec, states, lens)
@@ -243,11 +236,10 @@ def word_encoder(n_words: int, n_tags: int, *, emb_dim: int,
                              emb_dropout, lstm_dropout, mlp_dropout)
 
 
-def encode_words(p: WordEncoderParams, batch, masks: dict | None = None
-                 ) -> tuple[Tensor, Tensor, Tensor]:
+def encode_words(p: WordEncoderParams, batch: list[Sentence],
+                 masks: dict | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Per-token (BiLSTM output, MLP output, logits) for a batch: one packed
     BiLSTM run over the sentences' word sequences."""
-    batch = as_batch(batch)
     if any(len(s.tokens) == 0 for s in batch):
         raise T.ShapeError("encode_words: sentence has no tokens")
     masks = masks or {}
@@ -255,8 +247,7 @@ def encode_words(p: WordEncoderParams, batch, masks: dict | None = None
     if any(i is None for i in ids):
         raise ValueError("sentence has no word ids; run data.assign_ids first")
     lens = token_counts(batch)
-    emb = T.add(nn.embedding_lookup(p.learned, ids),
-                nn.embedding_lookup(p.pretrained, ids))
+    emb = T.add(T.take_rows(p.learned, ids), T.take_rows(p.pretrained, ids))
     emb = nn.apply_mask(emb, masks.get("emb"), lens)
     o = nn.bilstm_stack_run(p.stack, emb, lengths=lens, masks=masks)
     m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lens)

@@ -46,17 +46,16 @@ def meta_params(char_rep_size: int, word_rep_size: int, n_tags: int, *,
     return MetaParams(stack, mlp, cls, lstm_dropout, mlp_dropout)
 
 
-def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths=None,
+def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths,
             masks: dict | None = None) -> tuple[Tensor, Tensor]:
     """Per-token (combined rep, logits) for the sentences whose token rows
-    the encoder outputs stack, split by ``lengths`` (None is one sentence).
-    Dropout comes from ``masks`` (see ``MetaParams.dropout_sites``)."""
+    the encoder outputs stack, split by ``lengths``, the sentences' token
+    counts. Dropout comes from ``masks`` (see
+    ``MetaParams.dropout_sites``)."""
     if m_chars.shape[0] != m_word.shape[0]:
         raise T.ShapeError(
             f"combine: {m_chars.shape[0]} char outputs vs "
             f"{m_word.shape[0]} word outputs")
-    if lengths is None:
-        lengths = [m_chars.shape[0]]
     masks = masks or {}
     cw = T.concat([m_chars, m_word], axis=1)
     o = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)

@@ -1,6 +1,6 @@
 """Neural layers on top of the tensor core.
 
-Contains embeddings, inverted dropout masks, the LSTM, stacked BiLSTMs, the
+Contains inverted dropout masks, the LSTM, stacked BiLSTMs, the
 single-affine ELU MLP, linear classifiers, softmax cross-entropy and the
 attention pool used by the token-internal character baseline.
 
@@ -10,9 +10,9 @@ is. The input projection of every row is one matrix product; each step
 advances the sequences still running with one (live, H) @ (H, 4H)
 product; the hand-written backward mirrors the loop. Its gates use the
 package's one logistic, ``tensor.logistic_``, in place on each step's
-pre-activations, as ``tensor.sigmoid`` does. The readable reference the
-tests pin the fused op to, the same cell composed from primitive ops,
-is ``lstm_step`` in ``tests/oracles.py``.
+pre-activations. The readable reference the tests pin the fused op to,
+the same cell composed from primitive ops, is ``lstm_step`` in
+``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -96,14 +96,6 @@ def apply_mask(x: Tensor, mask: np.ndarray | None, lengths) -> Tensor:
     if mask is None:
         return x
     return T.mul(x, Tensor(np.repeat(mask, lengths, axis=0)))
-
-
-# ---------------------------------------------------------------------------
-# embeddings
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows; gradients scatter-add into the table."""
-    return T.take_rows(table, ids)
 
 
 # ---------------------------------------------------------------------------

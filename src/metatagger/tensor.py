@@ -1,7 +1,8 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
-The op set is deliberately small: just enough 1-D/2-D primitives to express
-embedding lookups, LSTM recurrences, MLPs and cross-entropy losses. Forward
+The op set is deliberately small: just the ops the tagger's forward pass
+runs, with the fused LSTM, loss and attention ops of ``nn`` registered
+through ``record``. Matrix products take 2-D operands only. Forward
 values are computed eagerly; when a :class:`Graph` is active, every op that
 touches a ``requires_grad`` tensor appends a tape entry, and ``backward``
 replays the tape in reverse. Gradients accumulate additively when a tensor
@@ -28,7 +29,7 @@ class GraphError(RuntimeError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised when a gradient check encounters NaN or infinity."""
+    """Raised when a gradient or a loss holds NaN or infinity."""
 
 
 class Tensor:
@@ -63,23 +64,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """View of the same values that no gradient can flow into."""
         return Tensor(self.data, requires_grad=False)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -178,12 +162,6 @@ def record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn: Callable) 
     return out
 
 
-def zero_grads(params) -> None:
-    """Clear accumulated gradients on an iterable of (name, Tensor) pairs."""
-    for _, p in params:
-        p.grad = None
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -236,43 +214,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record("elementwise_mul", (a, b), out, bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * c
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D operands."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
 
     def bwd(g):
-        return (g * c,)
+        return (g @ bd.T, ad.T @ g)
 
-    return record("scale", (a,), out, bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2-D x 2-D, 1-D x 2-D and 2-D x 1-D operands."""
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            return (g @ bd.T, ad.T @ g)
-
-    elif a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            return (bd @ g, np.outer(ad, g))
-
-    elif a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            return (np.outer(g, bd), ad.T @ g)
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     return record("matmul", (a, b), a.data @ b.data, bwd)
 
 
@@ -303,7 +255,8 @@ def logistic_(v: np.ndarray) -> np.ndarray:
 
     For v below about -709 exp(-v) overflows to inf and the result is
     exactly 0, which is why the overflow is not reported. The one logistic
-    of the package: ``sigmoid`` and the fused LSTM gates both use it.
+    of the package: the fused LSTM gates use it, in place on each step's
+    pre-activations.
     """
     with np.errstate(over="ignore"):
         np.negative(v, out=v)
@@ -311,24 +264,6 @@ def logistic_(v: np.ndarray) -> np.ndarray:
     v += 1.0
     np.divide(1.0, v, out=v)
     return v
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = logistic_(a.data.copy())
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return record("sigmoid", (a,), out, bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return record("tanh", (a,), out, bwd)
 
 
 def elu(a: Tensor) -> Tensor:
@@ -340,31 +275,6 @@ def elu(a: Tensor) -> Tensor:
         return (g * np.where(pos, 1.0, out + 1.0),)
 
     return record("elu", (a,), out, bwd)
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    shape = a.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return record("sum", (a,), np.sum(a.data), bwd)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous range along axis 0."""
-    n = a.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice: range [{start}, {stop}) out of bounds for {a.shape}")
-    shape = a.shape
-
-    def bwd(g):
-        full = np.zeros(shape)
-        full[start:stop] = g
-        return (full,)
-
-    return record("slice", (a,), a.data[start:stop].copy(), bwd)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
@@ -391,48 +301,3 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(old),)
 
     return record("reshape", (a,), a.data.reshape(shape), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def grad_check(f: Callable[[], Tensor], params, eps: float = 1e-5) -> float:
-    """Compare analytic gradients of ``f`` against central finite differences.
-
-    ``f`` must rebuild its forward pass on every call and be deterministic
-    (fix any dropout masks or disable them). ``params`` is an iterable of
-    (name, Tensor) pairs; every entry of every parameter is perturbed.
-
-    Returns max over entries of |analytic - numeric| / max(1, |a|, |n|).
-    """
-    params = list(params)
-    zero_grads(params)
-    with Graph() as g:
-        loss = f()
-    g.backward(loss)
-    analytic = {}
-    for name, p in params:
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise NonFiniteError(f"non-finite analytic gradient in {name}")
-        analytic[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-
-    if eps <= 0:
-        raise ValueError("grad_check: eps must be positive")
-    worst = 0.0
-    for name, p in params:
-        flat = p.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = float(f().data)
-            flat[i] = orig - eps
-            down = float(f().data)
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NonFiniteError(f"non-finite loss while perturbing {name}[{i}]")
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(ana[i] - numeric) / max(1.0, abs(ana[i]), abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

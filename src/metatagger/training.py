@@ -31,6 +31,13 @@ from .tensor import Tensor
 CHECKPOINT_FORMAT = "metatagger-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# The structural sizes and the dropout rates ``TrainConfig.validate`` bounds.
+_SIZE_KEYS = ("char_bilstm_layers", "word_bilstm_layers", "meta_bilstm_layers",
+              "char_bilstm_size", "word_bilstm_size", "meta_bilstm_size",
+              "mlp_size", "char_emb_dim", "word_emb_dim")
+_DROPOUT_KEYS = ("lstm_dropout", "mlp_dropout", "word_emb_dropout",
+                 "char_emb_dropout")
+
 
 @dataclass
 class TrainConfig:
@@ -97,6 +104,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        for key in _SIZE_KEYS:
+            if getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r} must be >= 1, got "
+                                 f"{getattr(self, key)!r}")
+        for key in _DROPOUT_KEYS:
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"config key {key!r} must be in [0, 1), "
+                                 f"got {getattr(self, key)!r}")
         self.gather_parts()
 
 
@@ -330,8 +345,8 @@ def _views(heads) -> tuple[str, ...]:
     return tuple(v for v in _HEADS if v in heads or "meta" in heads)
 
 
-def forward(model: TaggerModel, batch, heads, masks: dict | None = None,
-            detach: bool = True) -> list[Tensor]:
+def forward(model: TaggerModel, batch: list[Sentence], heads,
+            masks: dict | None = None, detach: bool = True) -> list[Tensor]:
     """Logits of each head in ``heads``, a subset of ("char", "word",
     "meta") in that order, one row per token of the batch. ``masks`` maps
     "char", "word" and "meta" to each model's dropout masks (see

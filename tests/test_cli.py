@@ -210,6 +210,49 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ") and key in err
 
+    @pytest.mark.parametrize("setting", [
+        "word_bilstm_layers=0", "meta_bilstm_layers=0", "mlp_size=0",
+        "char_bilstm_size=-1", "char_emb_dim=0", "word_emb_dim=0",
+        "lstm_dropout=1.5"])
+    def test_bad_structural_value_is_usage(self, corpus_dir, tmp_path,
+                                           capsys, setting):
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err
+        key = setting.partition("=")[0]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--pretrained", "missing.vec"), ("--pretrained", ""),
+        ("--checkpoint", "no_dir/m.ckpt"), ("--log", "no_dir/train.log"),
+    ], ids=["pretrained-missing", "pretrained-directory",
+            "checkpoint-directory-missing", "log-directory-missing"])
+    def test_unusable_train_path_is_data_error(self, corpus_dir, tmp_path,
+                                               capsys, flag, name):
+        path = str(tmp_path / name)
+        paths = {"--checkpoint": str(tmp_path / "m.ckpt"), flag: path}
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         *(x for pair in paths.items() for x in pair),
+                         "--set", "max_epochs=0"] + SMALL_OVERRIDES[2:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and path in err
+
+    def test_checkpoint_directory_is_data_error(self, corpus_dir, tmp_path,
+                                                capsys):
+        code = cli.main(["tag", "--checkpoint", str(tmp_path),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {tmp_path}: ")
+
     def test_non_finite_training_is_data_error(self, corpus_dir, tmp_path,
                                                capsys):
         train = data.parse_conllu((corpus_dir / "train.conllu").read_text())
@@ -270,15 +313,10 @@ def test_mutated_checkpoint_exits_cleanly(trained, corpus_dir,
         mutated = json.dumps(manifest).encode() + b"\n" + body
     bad = trained / "fuzzed.ckpt"
     bad.write_bytes(mutated)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["tag", "--checkpoint", str(bad),
-                         "--input", str(corpus_dir / "dev.conllu"),
-                         "--output", str(trained / "fuzzed.conllu")])
-    assert code in (0, 1, 2)
-    if code:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert_clean_exit(*run_quietly(
+        ["tag", "--checkpoint", str(bad),
+         "--input", str(corpus_dir / "dev.conllu"),
+         "--output", str(trained / "fuzzed.conllu")]))
 
 
 class TestTrain:
@@ -424,3 +462,115 @@ class TestGridAndAblate:
     def test_zero_seeds_is_usage(self, corpus_dir):
         assert cli.main(["ablate", "--axis", "context", "--seeds", "0",
                          "--train", str(corpus_dir / "train.conllu")]) == 1
+
+
+# --- malformed train/tag inputs: exit 0, 1 or 2, one line, no traceback ----
+
+TINY_RUN = ["--set", "max_epochs=0", "--set", "batch_size=2",
+            "--set", "char_bilstm_layers=1", "--set", "word_bilstm_layers=1",
+            "--set", "meta_bilstm_layers=1", "--set", "char_bilstm_size=2",
+            "--set", "word_bilstm_size=2", "--set", "meta_bilstm_size=2",
+            "--set", "mlp_size=2", "--set", "char_emb_dim=2",
+            "--set", "word_emb_dim=2"]
+
+
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U text with CRLF line ends, 9 or 11 columns, range ids, empty
+    forms and malformed FEATS mixed into well-formed lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        for i in range(draw(st.integers(1, 3))):
+            tok_id = draw(st.sampled_from([str(i + 1)] * 4 + [f"{i + 1}-2"]))
+            form = draw(st.sampled_from(["ab", "b", "ca", "a b"] * 2 + [""]))
+            feats = draw(st.sampled_from(["_", "Case=Nom", "Case=Nom|Num=Sg",
+                                          "Case", "=", "Case=Nom|"]))
+            xpos = draw(st.sampled_from(["X1", "X2"]))
+            cols = [tok_id, form, "_", "K1", xpos, feats, "0", "_", "_", "_"]
+            n_cols = draw(st.sampled_from([10] * 10 + [9, 11]))
+            lines.append("\t".join((cols + ["_"])[:n_cols]))
+        lines.append("")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def embedding_texts(draw):
+    """A vector file for the forms of ``GOOD_CONLLU``: maybe a header,
+    maybe no vectors, dimensions that may disagree between lines."""
+    lines = [draw(st.sampled_from(["", "3 2\n", "2 3\n"]))]
+    for form in draw(st.lists(st.sampled_from(["ab", "b", "zz"]),
+                              max_size=3)):
+        dim = draw(st.integers(1, 3))
+        values = draw(st.lists(st.sampled_from(["0.5", "-1", "x", "nan"]),
+                               min_size=dim, max_size=dim))
+        lines.append(" ".join([form] + values) + "\n")
+    return "".join(lines)
+
+
+GOOD_CONLLU = ("1\tab\t_\t_\tX1\t_\t0\t_\t_\t_\n"
+               "2\tb\t_\t_\tX2\t_\t0\t_\t_\t_\n\n"
+               "1\tb\t_\t_\tX2\t_\t0\t_\t_\t_\n\n")
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert len(err.splitlines()) == 1, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A scratch directory holding a tiny checkpoint per task, trained on
+    ``GOOD_CONLLU``."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "good.conllu").write_text(GOOD_CONLLU)
+    for task in ("xpos", "feats"):
+        assert run_quietly(["train", "--train", str(d / "good.conllu"),
+                            "--dev", str(d / "good.conllu"), "--task", task,
+                            "--checkpoint", str(d / f"{task}.ckpt")]
+                           + TINY_RUN)[0] == 0
+    return d
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=conllu_texts(), task=st.sampled_from(["xpos", "feats"]),
+       with_dev=st.booleans())
+def test_malformed_conllu_exits_cleanly(fuzz_dir, text, task, with_dev):
+    """``train`` on a fuzzed corpus, and ``tag`` of it with a good model."""
+    corpus = fuzz_dir / "corpus.conllu"
+    corpus.write_bytes(text.encode("utf-8"))
+    dev = ["--dev", str(corpus)] if with_dev else []
+    assert_clean_exit(*run_quietly(
+        ["train", "--train", str(corpus), *dev, "--task", task,
+         "--checkpoint", str(fuzz_dir / "m.ckpt")] + TINY_RUN))
+    assert_clean_exit(*run_quietly(
+        ["tag", "--checkpoint", str(fuzz_dir / f"{task}.ckpt"),
+         "--input", str(corpus), "--output", str(fuzz_dir / "tagged.conllu")]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(vectors=embedding_texts())
+def test_malformed_embeddings_exit_cleanly(fuzz_dir, vectors):
+    emb = fuzz_dir / "vectors.txt"
+    emb.write_text(vectors)
+    good = str(fuzz_dir / "good.conllu")
+    code, err = run_quietly(["train", "--train", good, "--dev", good,
+                             "--pretrained", str(emb),
+                             "--checkpoint", str(fuzz_dir / "e.ckpt")]
+                            + TINY_RUN)
+    assert_clean_exit(code, err)
+    dims = {len(l.split()) - 1 for l in vectors.splitlines()
+            if not l[0].isdigit()}  # the header is the one numeric line
+    if len(dims) != 1:  # ragged, or a header and no vectors
+        assert code == 2

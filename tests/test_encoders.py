@@ -4,6 +4,7 @@ embeddings, and the combiner's gradient isolation."""
 import numpy as np
 import pytest
 
+import oracles
 from metatagger import data, encoders, meta, nn
 from metatagger import tensor as T
 
@@ -39,7 +40,7 @@ class TestCharSentence:
     def test_shapes_full_gather(self):
         sents, vocabs = make_world(["the dog barks"])
         cs, _, _ = small_encoders(vocabs)
-        g, m, logits = encoders.encode_chars_sentence(cs, sents[0])
+        g, m, logits = encoders.encode_chars_sentence(cs, [sents[0]])
         assert g.shape == (3, 4 * 6)
         assert m.shape == (3, 7)
         assert logits.shape == (3, vocabs.n_tags)
@@ -47,7 +48,7 @@ class TestCharSentence:
     def test_single_char_token_degeneracy(self):
         sents, vocabs = make_world(["a bc d"])
         cs, _, _ = small_encoders(vocabs)
-        g, _, _ = encoders.encode_chars_sentence(cs, sents[0])
+        g, _, _ = encoders.encode_chars_sentence(cs, [sents[0]])
         h = 6
         for row in (0, 2):  # "a" and "d" are single characters
             f1, fl = g.data[row, 0:h], g.data[row, h:2 * h]
@@ -64,30 +65,30 @@ class TestCharSentence:
                            gather=("B_last", "F_1st"))[0]
         b = small_encoders(vocabs, seed=rng_seed,
                            gather=("F_1st", "B_last"))[0]
-        ga, _, _ = encoders.encode_chars_sentence(a, sents[0])
-        gb, _, _ = encoders.encode_chars_sentence(b, sents[0])
+        ga, _, _ = encoders.encode_chars_sentence(a, [sents[0]])
+        gb, _, _ = encoders.encode_chars_sentence(b, [sents[0]])
         assert np.array_equal(ga.data, gb.data)
         assert a.gather == b.gather == ("F_1st", "B_last")
 
     def test_subset_gather_shapes(self):
         sents, vocabs = make_world(["ab cd"])
         cs = small_encoders(vocabs, gather=("F_last", "B_1st"))[0]
-        g, m, _ = encoders.encode_chars_sentence(cs, sents[0])
+        g, m, _ = encoders.encode_chars_sentence(cs, [sents[0]])
         assert g.shape == (2, 2 * 6)
 
     def test_neighbor_perturbation_changes_rep(self):
         # same middle token, different final token
         sents, vocabs = make_world(["aa bb cc", "aa bb cd"])
         cs, _, _ = small_encoders(vocabs)
-        g1, _, _ = encoders.encode_chars_sentence(cs, sents[0])
-        g2, _, _ = encoders.encode_chars_sentence(cs, sents[1])
+        g1, _, _ = encoders.encode_chars_sentence(cs, [sents[0]])
+        g2, _, _ = encoders.encode_chars_sentence(cs, [sents[1]])
         assert np.abs(g1.data[1] - g2.data[1]).max() > 0
 
     def test_deterministic_without_dropout(self):
         sents, vocabs = make_world(["the dog"])
         cs, _, _ = small_encoders(vocabs)
-        a = encoders.encode_chars_sentence(cs, sents[0])[1].data
-        b = encoders.encode_chars_sentence(cs, sents[0])[1].data
+        a = encoders.encode_chars_sentence(cs, [sents[0]])[1].data
+        b = encoders.encode_chars_sentence(cs, [sents[0]])[1].data
         assert np.array_equal(a, b)
 
     def test_empty_sentence_raises(self):
@@ -96,14 +97,14 @@ class TestCharSentence:
         empty = data.Sentence(tokens=[], chars="", raw_lines=[],
                               token_line_idx=[], char_ids=np.array([], int))
         with pytest.raises(T.ShapeError):
-            encoders.encode_chars_sentence(cs, empty)
+            encoders.encode_chars_sentence(cs, [empty])
 
     def test_missing_ids_raises(self):
         sents, vocabs = make_world(["x y"])
         cs, _, _ = small_encoders(vocabs)
         sents[0].char_ids = None
         with pytest.raises(ValueError):
-            encoders.encode_chars_sentence(cs, sents[0])
+            encoders.encode_chars_sentence(cs, [sents[0]])
 
     def test_grad_check(self):
         sents, vocabs = make_world(["ab c"])
@@ -111,10 +112,10 @@ class TestCharSentence:
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
 
         def f():
-            _, _, logits = encoders.encode_chars_sentence(cs, sents[0])
+            _, _, logits = encoders.encode_chars_sentence(cs, [sents[0]])
             return nn.softmax_xent_rows(logits, golds)
 
-        assert T.grad_check(f, cs.parameters()) < 1e-6
+        assert oracles.grad_check(f, cs.parameters()) < 1e-6
 
     def test_bad_gather_rejected(self):
         with pytest.raises(ValueError):
@@ -128,29 +129,29 @@ class TestCharToken:
         # identical middle token in different contexts
         sents, vocabs = make_world(["aa bb cc", "zz bb yy"])
         _, ct, _ = small_encoders(vocabs)
-        r1, _ = encoders.encode_chars_token(ct, sents[0])
-        r2, _ = encoders.encode_chars_token(ct, sents[1])
+        r1, _ = encoders.encode_chars_token(ct, [sents[0]])
+        r2, _ = encoders.encode_chars_token(ct, [sents[1]])
         assert np.array_equal(r1.data[1], r2.data[1])
 
     def test_identical_forms_identical_reps(self):
         sents, vocabs = make_world(["dog chased dog"])
         _, ct, _ = small_encoders(vocabs)
-        r, _ = encoders.encode_chars_token(ct, sents[0])
+        r, _ = encoders.encode_chars_token(ct, [sents[0]])
         assert np.array_equal(r.data[0], r.data[2])
 
     def test_single_char_token_rep(self):
         sents, vocabs = make_world(["a"])
         _, ct, _ = small_encoders(vocabs)
-        r, _ = encoders.encode_chars_token(ct, sents[0])
+        r, _ = encoders.encode_chars_token(ct, [sents[0]])
         ids = sents[0].char_ids
-        emb = nn.embedding_lookup(ct.char_table, ids)
+        emb = T.take_rows(ct.char_table, ids)
         states = nn.lstm_run(ct.lstm, emb)
         np.testing.assert_allclose(r.data[0], 2 * states.data[0], atol=1e-12)
 
     def test_shapes(self):
         sents, vocabs = make_world(["the dog barks"])
         _, ct, _ = small_encoders(vocabs)
-        r, logits = encoders.encode_chars_token(ct, sents[0])
+        r, logits = encoders.encode_chars_token(ct, [sents[0]])
         assert r.shape == (3, 6)
         assert logits.shape == (3, vocabs.n_tags)
 
@@ -160,26 +161,25 @@ class TestCharToken:
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
 
         def f():
-            _, logits = encoders.encode_chars_token(ct, sents[0])
+            _, logits = encoders.encode_chars_token(ct, [sents[0]])
             return nn.softmax_xent_rows(logits, golds)
 
-        assert T.grad_check(f, ct.parameters()) < 1e-6
+        assert oracles.grad_check(f, ct.parameters()) < 1e-6
 
 
 class TestWordEncoder:
     def test_zero_init_absent_pretrained_gives_zero_input(self):
         sents, vocabs = make_world(["new words here"])
         _, _, wd = small_encoders(vocabs)
-        emb = T.add(nn.embedding_lookup(wd.learned,
-                                        [t.word_id for t in sents[0].tokens]),
-                    nn.embedding_lookup(wd.pretrained,
-                                        [t.word_id for t in sents[0].tokens]))
+        ids = [t.word_id for t in sents[0].tokens]
+        emb = T.add(T.take_rows(wd.learned, ids),
+                    T.take_rows(wd.pretrained, ids))
         assert not emb.data.any()
 
     def test_shapes(self):
         sents, vocabs = make_world(["the dog barks"])
         _, _, wd = small_encoders(vocabs)
-        o, m, logits = encoders.encode_words(wd, sents[0])
+        o, m, logits = encoders.encode_words(wd, [sents[0]])
         assert o.shape == (3, 12)
         assert m.shape == (3, 7)
         assert logits.shape == (3, vocabs.n_tags)
@@ -194,7 +194,7 @@ class TestWordEncoder:
                                    mlp_init="scaled")
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
         with T.Graph() as g:
-            _, _, logits = encoders.encode_words(wd, sents[0])
+            _, _, logits = encoders.encode_words(wd, [sents[0]])
             loss = nn.softmax_xent_rows(logits, golds)
         g.backward(loss)
         assert wd.pretrained.grad is None
@@ -217,8 +217,8 @@ class TestWordEncoder:
                                        depth=1, mlp_size=7,
                                        rng=np.random.default_rng(7),
                                        lstm_init="scaled", mlp_init="scaled")
-        a = encoders.encode_words(wd_zero, sents[0])[2].data
-        b = encoders.encode_words(wd_pre, sents[0])[2].data
+        a = encoders.encode_words(wd_zero, [sents[0]])[2].data
+        b = encoders.encode_words(wd_pre, [sents[0]])[2].data
         assert not np.array_equal(a, b)
 
     def test_shape_mismatch_pretrained(self):
@@ -238,10 +238,10 @@ class TestWordEncoder:
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
 
         def f():
-            _, _, logits = encoders.encode_words(wd, sents[0])
+            _, _, logits = encoders.encode_words(wd, [sents[0]])
             return nn.softmax_xent_rows(logits, golds)
 
-        assert T.grad_check(f, wd.parameters()) < 1e-6
+        assert oracles.grad_check(f, wd.parameters()) < 1e-6
 
 
 def build_triple(vocabs, seed=21):
@@ -263,11 +263,11 @@ class TestMeta:
         for _, p in (cs.parameters() + wd.parameters() + mp.parameters()):
             p.grad = None
         with T.Graph() as g:
-            _, m_c, _ = encoders.encode_chars_sentence(cs, sents[0])
-            _, m_w, _ = encoders.encode_words(wd, sents[0])
+            _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
+            _, m_w, _ = encoders.encode_words(wd, [sents[0]])
             if detach:
                 m_c, m_w = m_c.detach(), m_w.detach()
-            _, logits = meta.combine(mp, m_c, m_w)
+            _, logits = meta.combine(mp, m_c, m_w, [len(sents[0])])
             loss = nn.softmax_xent_rows(logits, golds)
         g.backward(loss)
 
@@ -296,22 +296,22 @@ class TestMeta:
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((3, 3)))
         with pytest.raises(T.ShapeError):
-            meta.combine(mp, a, b)
+            meta.combine(mp, a, b, [2])
 
     def test_single_token_sentence(self):
         sents, vocabs = make_world(["hello"])
         cs, wd, mp = build_triple(vocabs)
-        _, m_c, _ = encoders.encode_chars_sentence(cs, sents[0])
-        _, m_w, _ = encoders.encode_words(wd, sents[0])
-        m, logits = meta.combine(mp, m_c, m_w)
+        _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
+        _, m_w, _ = encoders.encode_words(wd, [sents[0]])
+        m, logits = meta.combine(mp, m_c, m_w, [1])
         assert m.shape == (1, 6)
         assert logits.shape == (1, vocabs.n_tags)
 
     def test_combined_width(self):
         sents, vocabs = make_world(["a bb"])
         cs, wd, mp = build_triple(vocabs)
-        _, m_c, _ = encoders.encode_chars_sentence(cs, sents[0])
-        _, m_w, _ = encoders.encode_words(wd, sents[0])
+        _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
+        _, m_w, _ = encoders.encode_words(wd, [sents[0]])
         cw = T.concat([m_c.detach(), m_w.detach()], axis=1)
         assert cw.shape[1] == m_c.shape[1] + m_w.shape[1]
 
@@ -321,12 +321,12 @@ class TestMeta:
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
 
         def f():
-            _, m_c, _ = encoders.encode_chars_sentence(cs, sents[0])
-            _, m_w, _ = encoders.encode_words(wd, sents[0])
-            _, logits = meta.combine(mp, m_c, m_w)
+            _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
+            _, m_w, _ = encoders.encode_words(wd, [sents[0]])
+            _, logits = meta.combine(mp, m_c, m_w, [len(sents[0])])
             return nn.softmax_xent_rows(logits, golds)
 
-        assert T.grad_check(f, mp.parameters()) < 1e-6
+        assert oracles.grad_check(f, mp.parameters()) < 1e-6
 
     def test_predict_tie_break(self):
         z = T.Tensor([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
@@ -364,7 +364,7 @@ class TestBatches:
         singles = []
         for s in sents:
             [masks] = nn.draw_masks(r_one, [s], p.dropout_sites)
-            singles.append(encode(p, s, masks))
+            singles.append(encode(p, [s], masks))
         for i, out in enumerate(batched):
             want = np.concatenate([one[i].data for one in singles])
             np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -394,7 +394,6 @@ class TestBatches:
         rows = np.concatenate([[0], np.cumsum(encoders.token_counts(sents))])
 
         def combine(p, batch, masks):
-            batch = encoders.as_batch(batch)
             pick = np.concatenate([np.arange(rows[k], rows[k + 1])
                                    for k, s in enumerate(sents)
                                    if any(s is b for b in batch)])
@@ -410,15 +409,15 @@ class TestBatches:
         golds = [vocabs.tag_id(t) for s in sents for t in s.gold_tags("xpos")]
 
         def grads(batches):
-            T.zero_grads(cs.parameters())
+            oracles.zero_grads(cs.parameters())
             with T.Graph() as g:
                 losses = []
                 start = 0
                 for batch in batches:
                     _, _, logits = encoders.encode_chars_sentence(cs, batch)
                     n = logits.shape[0]
-                    losses.append(T.scale(nn.softmax_xent_rows(
-                        logits, golds[start:start + n]), n))
+                    losses.append(T.mul(nn.softmax_xent_rows(
+                        logits, golds[start:start + n]), T.Tensor(float(n))))
                     start += n
                 loss = losses[0]
                 for l in losses[1:]:

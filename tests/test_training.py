@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from metatagger import data, encoders, meta, nn, training
 from metatagger import tensor as T
 
@@ -398,7 +399,7 @@ class TestBatchLoss:
             masks = training._draw_masks(model, [s], heads, rng)
             per_sentence.append(sum(
                 nn.softmax_xent_rows(logits, golds).item()
-                for logits in training.forward(model, s, heads, masks,
+                for logits in training.forward(model, [s], heads, masks,
                                                detach)))
         assert abs(got - np.mean(per_sentence)) < 1e-12
 
@@ -418,7 +419,7 @@ class TestForward:
                                 for s in tr])
         masks = training._draw_masks(model, tr, heads,
                                      np.random.default_rng(0))
-        T.zero_grads(model.all_parameters())
+        oracles.zero_grads(model.all_parameters())
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds) for logits in
                       training.forward(model, tr, heads, masks, detach)]
