@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 from pathlib import Path
@@ -117,6 +118,15 @@ def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
     return train_sents, dev_sents
 
 
+def _check_destination(path: str) -> None:
+    """Raise the OSError that writing ``path`` at the end of a run would:
+    its directory must exist and the path must not be a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_train(ns) -> int:
     config, paths = effective_config(ns)
     if ns.print_config:
@@ -125,6 +135,9 @@ def cmd_train(ns) -> int:
     if "checkpoint_file" not in paths:
         raise CliUsageError("a checkpoint path is required "
                             "(--checkpoint or checkpoint_file in the config)")
+    for key in ("checkpoint_file", "log_file"):
+        if key in paths:
+            _check_destination(paths[key])
     train_sents, dev_sents = _corpora(config, paths)
     log_lines: list[str] = []
 

@@ -155,6 +155,8 @@ def parse_conllu(text: str, task: str | None = None) -> list[Sentence]:
         tok_id = cols[COL_ID]
         if _is_range_id(tok_id) or _is_empty_node_id(tok_id):
             continue
+        if cols[COL_FORM] == "":
+            raise DataError(f"line {lineno}: empty token form")
         if canonical_feats:
             try:
                 cols[COL_FEATS] = morph_bundle_tag(cols[COL_FEATS])

@@ -204,21 +204,22 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
 
     Runs the packed rows ``rows`` of ``xs`` (layout from ``_packing``),
     writes the hidden state of stacked row ``rows[i]`` to ``dest[rows[i]]``
-    and returns the backward closure, or None unless ``track``. Without
-    ``track`` only what the next step reads is kept: no packed copy of the
-    input, and the cell state rolls over two (B, H) buffers.
+    and returns the backward closure, or None unless ``track``. The closure
+    keeps the gate values, the cell states and the masked states the steps
+    read; it gathers the packed input from ``xs`` again and takes the tanh
+    of the cell states once, so neither is stored. Without ``track`` only
+    what the next step reads is kept: the cell state rolls over two (B, H)
+    buffers.
     """
     n, hs = rows.size, params.hidden_size
     n_seq = batch_sizes[0]
     wx, wh = params.w_x.data, params.w_h.data
+    # pre-activations, turned into gate values step by step
+    gates = xs[rows] @ wx
     if track:
-        x = xs[rows]
-        gates = x @ wx  # pre-activations, turned into gate values step by step
         cs = np.empty((n, hs))
-        tcs = np.empty((n, hs))
         h_tilde = np.empty((n, hs))  # masked h each step read
     else:
-        gates = xs[rows] @ wx
         c_roll = np.empty((2, n_seq, hs))
     gates += params.bias.data
     out = np.empty((n, hs))
@@ -245,16 +246,14 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
         c = cs[r0:r1] if track else c_roll[t % 2, :k]
         np.multiply(a[:, hs:2 * hs], cp, out=c)
         c += a[:, :hs] * a[:, 2 * hs:3 * hs]
-        tc = np.tanh(c)
-        np.multiply(a[:, 3 * hs:], tc, out=out[r0:r1])
-        if track:
-            tcs[r0:r1] = tc
+        np.multiply(a[:, 3 * hs:], np.tanh(c), out=out[r0:r1])
     dest[rows] = out
     if not track:
         return None
 
     def bwd(g_out):
         g = g_out[rows]
+        tcs = np.tanh(cs)
         d_s = np.empty((n, 4 * hs))
         dh = np.zeros((n_seq, hs))  # gradient reaching h_{t-1}, per sequence
         dc = np.zeros((n_seq, hs))
@@ -278,7 +277,7 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
                 dh[:k] *= mask[:k]
         d_xs = np.empty((n, xs.shape[1]))
         d_xs[rows] = d_s @ wx.T
-        return (d_xs, x.T @ d_s, h_tilde.T @ d_s, d_s.sum(axis=0),
+        return (d_xs, xs[rows].T @ d_s, h_tilde.T @ d_s, d_s.sum(axis=0),
                 dh.sum(axis=0), dc.sum(axis=0))
 
     return bwd

@@ -90,8 +90,12 @@ class Graph:
 
     Append order is a topological order by construction, so ``backward``
     is a single reverse sweep. A graph is single-use: build it, call
-    ``backward`` once, discard it. Parameters outlive graphs; their ``grad``
-    fields keep accumulating until cleared by the caller.
+    ``backward`` once, discard it. The sweep releases saved state as it
+    goes: each node's backward closure, and with it the forward values only
+    that closure held, is dropped once it has run, so memory falls as the
+    gradients grow. The nodes, their outputs and the outputs' ``grad``
+    stay. Parameters outlive graphs; their ``grad`` fields keep
+    accumulating until cleared by the caller.
     """
 
     def __init__(self):
@@ -118,6 +122,7 @@ class Graph:
             if out_grad is None:
                 continue
             input_grads = node.backward_fn(out_grad)
+            node.backward_fn = None
             for tensor, g in zip(node.inputs, input_grads):
                 if g is None or not tensor.requires_grad:
                     continue

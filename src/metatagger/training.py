@@ -1,11 +1,15 @@
-"""Training: three cross-entropy losses, three Adam optimizers, one epoch =
-one full pass per model in the order character, word, meta. Dev accuracy of
-the meta predictions drives model selection; the best parameter triple is
-what a run returns. Joint mode (single summed loss, one optimizer, no
-detach) exists for the optimization ablation. ``forward`` is the one
-forward of all three heads, for training, evaluation and tagging alike:
-it decides which encoders run, what is taped and where the meta head's
-gradient stops.
+"""Training: three cross-entropy losses, three Adam optimizers. An epoch is
+one pass over the shuffled corpus; each batch gets one forward of the
+character, word and meta heads, one backward of their three summed losses
+and one step of each model's optimizer. The encoders' outputs reach the
+combiner detached, so each model learns from its own loss alone and the
+meta model reads the encoders as they stood before this batch's update.
+Dev accuracy of the meta predictions drives model selection; the best
+parameter triple is what a run returns. Joint mode (the same loop without
+the detach, one optimizer) exists for the optimization ablation.
+``forward`` is the one forward of all three heads, for training,
+evaluation and tagging alike: it decides which encoders run, what is
+taped and where the meta head's gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.
@@ -363,7 +367,10 @@ def forward(model: TaggerModel, batch: list[Sentence], heads,
     """
     masks = masks or {}
     reps, logits = {}, {}
-    for view in (v for v in _views(heads) if v != "meta"):
+    views = _views(heads)
+    # Word before character: the backward sweep then frees the character
+    # tape, the largest, before any word gradient is allocated.
+    for view in (v for v in ("word", "char") if v in views):
         off_tape = detach and view not in heads
         with T.no_grad() if off_tape else contextlib.nullcontext():
             if view == "word":
@@ -448,37 +455,42 @@ def _draw_masks(model: TaggerModel, batch: list[Sentence], heads,
                                          *(sites[v] for v in views))))
 
 
-def _run_pass(model, sentences, order, batch_size, optimizer, rng,
-              heads, detach=True) -> float:
-    """One full pass over the training data for the loss of ``heads`` (see
-    ``forward``). Returns the mean per-batch loss.
+def _run_epoch(model, sentences, order, batch_size, optimizers, rng,
+               detach) -> list[float]:
+    """One pass over the shuffled training data. Per batch: one forward of
+    all three heads (see ``forward``), one backward of their summed losses,
+    then one step of each optimizer in ``optimizers``. Returns the mean
+    per-batch loss of the char, word and meta heads and of their sum.
 
-    A batch's loss is the mean over its sentences of each sentence's mean
-    token loss (summed over the heads), computed in one forward over the
-    whole batch by weighting token rows 1/(n_s * B).
+    A head's batch loss is the mean over its sentences of each sentence's
+    mean token loss, computed in one forward over the whole batch by
+    weighting token rows 1/(n_s * B). Gradients are cleared before each
+    batch and after the last one, the first optimizer's last: the
+    benchmark charges a batch's traced work to the view cleared last.
     """
     task = model.config.task
     batch_losses = []
     for batch_idx in _batches(order, batch_size):
-        optimizer.zero_grad()
+        for opt in reversed(optimizers):
+            opt.zero_grad()
         batch = [sentences[si] for si in batch_idx]
         golds = np.concatenate([_gold_ids(model.vocabs, s, task)
                                 for s in batch])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
                                   for s in batch])
-        masks = _draw_masks(model, batch, heads, rng)
+        masks = _draw_masks(model, batch, _HEADS, rng)
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds, weights)
-                      for logits in forward(model, batch, heads, masks,
+                      for logits in forward(model, batch, _HEADS, masks,
                                             detach)]
-            batch_loss = losses[0]
-            for l in losses[1:]:
-                batch_loss = T.add(batch_loss, l)
-        g.backward(batch_loss)
-        optimizer.step()
-        batch_losses.append(batch_loss.item())
-    optimizer.zero_grad()
-    return float(np.mean(batch_losses))
+            total = T.add(T.add(losses[0], losses[1]), losses[2])
+        g.backward(total)
+        for opt in optimizers:
+            opt.step()
+        batch_losses.append([l.item() for l in losses + [total]])
+    for opt in reversed(optimizers):
+        opt.zero_grad()
+    return [float(np.mean(column)) for column in zip(*batch_losses)]
 
 
 def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
@@ -486,15 +498,15 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
                             sentences: list[Sentence], order: np.ndarray,
                             batch_size: int, rng: np.random.Generator
                             ) -> tuple[float, float, float]:
-    """Character pass, then word pass, then meta pass, each over the whole
-    shuffled corpus with its own optimizer. The meta pass sees the encoders
-    as just updated this epoch, through detached outputs."""
-    c = _run_pass(model, sentences, order, batch_size, opt_char, rng,
-                  ("char",))
-    w = _run_pass(model, sentences, order, batch_size, opt_word, rng,
-                  ("word",))
-    m = _run_pass(model, sentences, order, batch_size, opt_meta, rng,
-                  ("meta",))
+    """One epoch of synchronized training over the shuffled corpus: per
+    batch one forward of the three heads, one backward of the three summed
+    losses and one step each of ``opt_char``, ``opt_word`` and
+    ``opt_meta``. The encoders' outputs are detached before the combiner,
+    so each model's gradient comes from its own loss alone, and the meta
+    model reads the encoders as they stood before this batch's update.
+    Returns the mean per-batch loss of the char, word and meta heads."""
+    c, w, m, _ = _run_epoch(model, sentences, order, batch_size,
+                            (opt_char, opt_word, opt_meta), rng, detach=True)
     return c, w, m
 
 
@@ -599,9 +611,9 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
                 model, opt_char, opt_word, opt_meta, train_sentences, order,
                 config.batch_size, dropout_rng)
         else:
-            joint = _run_pass(model, train_sentences, order,
-                              config.batch_size, opt_all, dropout_rng,
-                              _HEADS, detach=False)
+            *_, joint = _run_epoch(model, train_sentences, order,
+                                   config.batch_size, (opt_all,),
+                                   dropout_rng, detach=False)
             c = w = m = joint
         acc = evaluate(model, dev_sentences)
         emit(f"epoch={epoch} char_loss={c:.6f} word_loss={w:.6f} "

@@ -243,6 +243,31 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ") and path in err
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--checkpoint", "no_dir/m.ckpt"), ("--checkpoint", ""),
+        ("--log", "no_dir/train.log"), ("--log", ""),
+    ], ids=["checkpoint-directory-missing", "checkpoint-is-a-directory",
+            "log-directory-missing", "log-is-a-directory"])
+    def test_unusable_destination_fails_before_training(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, flag, name):
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", never)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = str(out / name)
+        paths = {"--checkpoint": str(out / "m.ckpt"), flag: path}
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         *(x for pair in paths.items() for x in pair)]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {path}: ")
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_directory_is_data_error(self, corpus_dir, tmp_path,
                                                 capsys):
         code = cli.main(["tag", "--checkpoint", str(tmp_path),

@@ -48,6 +48,13 @@ class TestParse:
         with pytest.raises(data.DataError, match="line 1"):
             data.parse_conllu(text)
 
+    def test_empty_form_names_line(self):
+        text = ("1\tDog\tdog\tNOUN\tNN\t_\t2\tnsubj\t_\t_\n"
+                "2\t\tbark\tVERB\tVBZ\t_\t0\troot\t_\t_\n")
+        with pytest.raises(data.DataError,
+                           match=r"^line 2: empty token form$"):
+            data.parse_conllu(text)
+
     def test_empty_input(self):
         assert data.parse_conllu("") == []
 

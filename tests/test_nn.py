@@ -3,6 +3,7 @@ reference cell, agreement between the fused sequence op and the composed
 per-step route (``oracles.lstm_step``), and finite differences."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -91,7 +92,36 @@ def composed_run(p, xs_data, mask=None, weights=None):
     return oracles.tsum(out)
 
 
+def closure_arrays(fn) -> list[np.ndarray]:
+    """The arrays a backward closure holds, through the closures it holds."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            found += closure_arrays(value)
+    return found
+
+
 class TestLstmRunFused:
+    def test_taped_run_saves_gates_cell_and_masked_states_only(self):
+        """Beside its inputs, a taped run keeps for its backward the (n, 4H)
+        gate values and the (n, H) cell and masked states: no packed copy
+        of the input, no tanh of the cell states. The sweep frees them."""
+        n, width, hs = 7, 5, 3
+        p = nn.lstm_params(width, hs, np.random.default_rng(0))
+        xs = T.Tensor(rng.normal(size=(n, width)), requires_grad=True)
+        with T.Graph() as g:
+            loss = oracles.tsum(nn.lstm_run(p, xs, np.ones(hs)))
+        saved = [a for a in closure_arrays(g.nodes[0].backward_fn)
+                 if a.ndim == 2 and a.shape[0] == n and a is not xs.data]
+        assert sorted(a.shape[1] for a in saved) == [hs, hs, 4 * hs]
+        refs = [weakref.ref(a) for a in saved]
+        del saved
+        g.backward(loss)
+        assert all(r() is None for r in refs)
+
     def grads_of(self, loss_fn, p):
         oracles.zero_grads(p.parameters("p"))
         with T.Graph() as g:
@@ -725,6 +755,18 @@ class TestTwoDirections:
 
         params = p_f.parameters("f") + p_b.parameters("b") + [("xs", xs)]
         assert oracles.grad_check(f, params) < 1e-4
+
+    def test_backward_frees_both_directions_saved_state(self, worker_path):
+        p_f, p_b = self.layer()
+        xs = T.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        with T.Graph() as g:
+            loss = oracles.tsum(nn.lstm_run(p_f, xs, lengths=[2, 4, 1],
+                                            reverse=p_b))
+        refs = [weakref.ref(a) for a in closure_arrays(g.nodes[0].backward_fn)
+                if a.shape[:1] == (7,) and a.ndim == 2 and a is not xs.data]
+        assert len(refs) == 6  # gates, cell and masked states per direction
+        g.backward(loss)
+        assert all(r() is None for r in refs)
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_one_tape_node_per_layer(self, worker_path, depth):

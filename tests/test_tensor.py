@@ -3,6 +3,7 @@ checked against central finite differences, plus tape semantics
 (accumulation, reuse errors, determinism) and ``oracles.grad_check``."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,30 @@ class TestGraphSemantics:
         with T.Graph() as g:
             loss = tsum(a)
         g.backward(loss)
+        with pytest.raises(T.GraphError):
+            g.backward(loss)
+
+    def test_backward_releases_what_only_a_closure_held(self):
+        a = rt(3)
+
+        def scaled(x):
+            saved = np.full(x.shape, 2.0)  # held by the closure alone
+
+            def bwd(grad):
+                return (grad * saved,)
+            return T.record("scaled", (x,), x.data * 2.0, bwd), \
+                weakref.ref(saved)
+
+        with T.Graph() as g:
+            y, saved = scaled(a)
+            loss = tsum(y)
+        assert saved() is not None
+        g.backward(loss)
+        assert saved() is None
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        # the nodes, their outputs and the outputs' gradients stay
+        assert [node.op for node in g.nodes] == ["scaled", "sum"]
+        assert all(node.output.grad is not None for node in g.nodes)
         with pytest.raises(T.GraphError):
             g.backward(loss)
 

@@ -249,37 +249,58 @@ def small_config(**over):
 
 
 class TestScheduleLocality:
-    def test_each_pass_touches_only_its_model(self):
+    def test_one_batch_moves_each_model_by_its_own_loss(self):
+        """One batch of ``train_epoch_synchronous``: each optimizer moves
+        only its own model, and the gradient it steps on, taken from the
+        three summed losses, is bitwise the gradient of its view's loss
+        alone under the same dropout masks."""
         sents = mini_corpus(6)
-        config = small_config(lstm_dropout=0.0, mlp_dropout=0.0,
-                              word_emb_dropout=0.0, char_emb_dropout=0.0)
+        config = small_config()
         model, tr, _ = training.prepare(config, sents, sents)
-        opts = [training.Adam(ps) for ps in (model.char_parameters(),
-                                             model.word_parameters(),
-                                             model.meta_parameters())]
-        order = np.arange(len(tr))
-        rng = np.random.default_rng(0)
+        views = {"char": model.char_parameters(),
+                 "word": model.word_parameters(),
+                 "meta": model.meta_parameters()}
+        golds = np.concatenate([training._gold_ids(model.vocabs, s, "xpos")
+                                for s in tr])
+        weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(tr)))
+                                  for s in tr])
+        masks = training._draw_masks(model, tr, training._HEADS,
+                                     np.random.default_rng(5))
+        own = {}
+        for k, view in enumerate(training._HEADS):
+            oracles.zero_grads(model.all_parameters())
+            with T.Graph() as g:
+                logits = training.forward(model, tr, training._HEADS, masks)
+                loss = nn.softmax_xent_rows(logits[k], golds, weights)
+            g.backward(loss)
+            own[view] = {n: p.grad.copy() for n, p in views[view]}
+        oracles.zero_grads(model.all_parameters())
 
-        def snap():
-            return {n: a.copy() for n, a in model.array_manifest()}
+        stepped, moved = {}, {}
 
-        groups = {"char": [n for n, _ in model.char_parameters()],
-                  "word": [n for n, _ in model.word_parameters()],
-                  "meta": [n for n, _ in model.meta_parameters()]}
+        class Recording(training.Adam):
+            def __init__(self, view):
+                super().__init__(views[view])
+                self.view = view
 
-        for head, opt in zip(("char", "word", "meta"), opts):
-            before = snap()
-            training._run_pass(model, tr, order, config.batch_size, opt,
-                               rng, (head,))
-            after = snap()
-            for name in after:
-                changed = not np.array_equal(before[name], after[name])
-                if name in groups[head]:
-                    continue  # its own params may change (not all must)
-                assert not changed, f"{head} pass moved {name}"
-            own_moved = any(not np.array_equal(before[n], after[n])
-                            for n in groups[head])
-            assert own_moved, f"{head} pass moved nothing of its own"
+            def step(self):
+                before = {n: a.copy() for n, a in model.array_manifest()}
+                stepped[self.view] = {n: p.grad.copy()
+                                      for n, p in self.params}
+                super().step()
+                moved[self.view] = {n for n, a in model.array_manifest()
+                                    if not np.array_equal(before[n], a)}
+
+        opts = [Recording(view) for view in training._HEADS]
+        training.train_epoch_synchronous(model, *opts, tr,
+                                         np.arange(len(tr)), len(tr),
+                                         np.random.default_rng(5))
+        for view, params in views.items():
+            names = {n for n, _ in params}
+            assert moved[view] and moved[view] <= names, view
+            assert stepped[view].keys() == own[view].keys()
+            for name, grad in stepped[view].items():
+                assert np.array_equal(grad, own[view][name]), name
 
     def test_zero_learning_rate_is_side_effect_free(self):
         sents = mini_corpus(5)
@@ -359,9 +380,8 @@ class TestTrainLoop:
         model, tr, dv = training.prepare(config, sents, sents)
         before = {n: p.data.copy() for n, p in model.char_parameters()}
         opt = training.Adam(model.all_parameters())
-        training._run_pass(model, tr, np.arange(len(tr)), config.batch_size,
-                           opt, np.random.default_rng(0), training._HEADS,
-                           detach=False)
+        training._run_epoch(model, tr, np.arange(len(tr)), config.batch_size,
+                            (opt,), np.random.default_rng(0), detach=False)
         assert any(not np.array_equal(before[n], p.data)
                    for n, p in model.char_parameters())
 
@@ -378,29 +398,45 @@ class TestTrainLoop:
         assert 0.0 <= ckpt.best_score <= 1.0
 
 
-# the head sets of the passes: (heads, detach)
+# the head sets ``forward`` serves, (heads, detach): one head alone, all
+# three for separate training and all three for joint training
 PASSES = {"char": (("char",), True), "word": (("word",), True),
-          "meta": (("meta",), True), "joint": (training._HEADS, False)}
+          "meta": (("meta",), True), "separate": (training._HEADS, True),
+          "joint": (training._HEADS, False)}
 
 
 class TestBatchLoss:
-    @pytest.mark.parametrize("head", list(PASSES))
+    # head -> index into ``_run_epoch``'s losses, and the detach flag
+    LOSSES = {"char": (0, True), "word": (1, True), "meta": (2, True),
+              "joint": (3, False)}
+
+    @pytest.mark.parametrize("head", list(LOSSES))
     def test_batch_loss_is_mean_of_sentence_means(self, head):
-        heads, detach = PASSES[head]
+        index, detach = self.LOSSES[head]
         sents = mini_corpus(5)
         model, tr, _ = training.prepare(small_config(), sents, sents)
-        opt = training.Adam(model.all_parameters(), lr=0.0)
-        got = training._run_pass(model, tr, np.arange(len(tr)), len(tr), opt,
-                                 np.random.default_rng(3), heads, detach)
+        if detach:
+            opts = [training.Adam(ps, lr=0.0) for ps in (
+                model.char_parameters(), model.word_parameters(),
+                model.meta_parameters())]
+            got = training.train_epoch_synchronous(
+                model, *opts, tr, np.arange(len(tr)), len(tr),
+                np.random.default_rng(3))[index]
+        else:
+            opt = training.Adam(model.all_parameters(), lr=0.0)
+            got = training._run_epoch(model, tr, np.arange(len(tr)), len(tr),
+                                      (opt,), np.random.default_rng(3),
+                                      detach)[index]
         rng = np.random.default_rng(3)
         per_sentence = []
         for s in tr:
             golds = training._gold_ids(model.vocabs, s, "xpos")
-            masks = training._draw_masks(model, [s], heads, rng)
-            per_sentence.append(sum(
-                nn.softmax_xent_rows(logits, golds).item()
-                for logits in training.forward(model, [s], heads, masks,
-                                               detach)))
+            masks = training._draw_masks(model, [s], training._HEADS, rng)
+            losses = [nn.softmax_xent_rows(logits, golds).item()
+                      for logits in training.forward(
+                          model, [s], training._HEADS, masks, detach)]
+            per_sentence.append(sum(losses) if head == "joint"
+                                else losses[index])
         assert abs(got - np.mean(per_sentence)) < 1e-12
 
 
@@ -433,7 +469,7 @@ class TestForward:
 
     RUNS = {"char": ["encode_chars_sentence"], "word": ["encode_words"],
             "meta": ["combine", "encode_chars_sentence", "encode_words"]}
-    RUNS["joint"] = RUNS["meta"]
+    RUNS["separate"] = RUNS["joint"] = RUNS["meta"]
 
     @pytest.mark.parametrize("head", list(PASSES))
     def test_a_head_runs_only_what_it_needs(self, monkeypatch, head):
