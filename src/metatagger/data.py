@@ -278,21 +278,15 @@ def assign_ids(sentences: list[Sentence], vocabs: Vocabs) -> None:
 # ---------------------------------------------------------------------------
 # pretrained embeddings
 
-@dataclass
-class PretrainedEmbeddings:
-    matrix: np.ndarray  # (n_words, dim), frozen; row 0 and uncovered rows 0
-    dim: int
-    covered: int
-    coverage: float
-
-
 def load_pretrained(path: str, vocabs: Vocabs,
-                    lowercase_fallback: bool = True) -> PretrainedEmbeddings:
+                    lowercase_fallback: bool = True) -> np.ndarray:
     """Read a text embedding file ("token v1 .. vd" lines, optional
-    "count dim" header) into a matrix aligned with the word vocabulary.
+    "count dim" header) into the (n_words, dim) matrix aligned with the
+    word vocabulary.
 
-    Vocabulary words missing from the file get zero rows. With
-    ``lowercase_fallback`` a miss retries the lowercased form.
+    Row 0 (the unknown word) and vocabulary words missing from the file
+    get zero rows. With ``lowercase_fallback`` a miss retries the
+    lowercased form.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -324,16 +318,13 @@ def load_pretrained(path: str, vocabs: Vocabs,
         raise DataError(f"embedding file {path} contains no vectors")
 
     matrix = np.zeros((vocabs.n_words, dim))
-    covered = 0
     for word, idx in vocabs.words.items():
         vec = vectors.get(word)
         if vec is None and lowercase_fallback:
             vec = vectors.get(word.lower())
         if vec is not None:
             matrix[idx] = vec
-            covered += 1
-    return PretrainedEmbeddings(matrix=matrix, dim=dim, covered=covered,
-                                coverage=covered / vocabs.n_words)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
     ids = np.concatenate([s.char_ids[a:b + 1] for s, (a, b) in spans])
     emb = nn.apply_mask(T.take_rows(p.char_table, ids),
                         masks.get("emb"), lens)
-    states = nn.lstm_run(p.lstm, emb, masks.get("state"), lens)
+    states = nn.lstm_run(p.lstm, emb, masks.get("state"), lengths=lens)
     reps = nn.char_attention(p.attn_vec, states, lens)
     return reps, nn.classify(p.classifier, reps)
 

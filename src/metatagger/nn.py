@@ -134,10 +134,7 @@ def lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator,
 
 
 def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
-    """Sequence lengths of a batch of ``n`` stacked rows; None is one
-    sequence of all of them."""
-    if lengths is None:
-        return np.array([n], dtype=np.intp)
+    """Sequence lengths of a batch of ``n`` stacked rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
             or lengths.sum() != n:
@@ -284,16 +281,16 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
 
 
 def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
-             lengths=None, *, reverse: LstmParams | None = None,
+             *, lengths, reverse: LstmParams | None = None,
              reverse_mask: np.ndarray | None = None) -> Tensor:
     """Run the cell over B sequences stacked as the rows of ``xs``.
 
-    ``lengths`` (B,) splits the N rows into sequences, in order; None is
-    one sequence. Returns the (N, hidden) hidden states in the same row
-    order. Every sequence starts from h0/c0. When ``h_mask`` is given,
-    (hidden,) for all sequences or (B, hidden) for one row each, it
-    multiplies the hidden state (including h0) before each recurrence
-    step, the same mask at every step of a sequence.
+    ``lengths`` (B,) splits the N rows into sequences, in order; a lone
+    sequence is ``lengths=[N]``. Returns the (N, hidden) hidden states in
+    the same row order. Every sequence starts from h0/c0. When ``h_mask``
+    is given, (B, hidden) with one row per sequence, it multiplies the
+    hidden state (including h0) before each recurrence step, the same
+    mask row at every step of a sequence.
 
     With ``reverse`` (and its own ``reverse_mask``) the op is one BiLSTM
     layer: a second direction reads each sequence from its end, and the
@@ -327,10 +324,10 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
         if m is None:
             return None
         m = np.asarray(m, dtype=np.float64)
-        if m.shape not in ((hs,), (lengths.size, hs)):
-            raise T.ShapeError(f"lstm_run: {name} shape {m.shape} is neither "
-                               f"({hs},) nor ({lengths.size}, {hs})")
-        return np.broadcast_to(m, (lengths.size, hs))[order]
+        if m.shape != (lengths.size, hs):
+            raise T.ShapeError(f"lstm_run: {name} shape {m.shape} is not "
+                               f"({lengths.size}, {hs})")
+        return m[order]
 
     mask = sorted_mask(h_mask, "h_mask")
     directions = [params] if reverse is None else [params, reverse]
@@ -409,12 +406,11 @@ def stack_sites(stack: BiLstmStack, rate: float) -> list[Site]:
     return sites
 
 
-def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths=None,
+def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
                      masks: dict | None = None) -> Tensor:
     """Top-layer outputs, (rows, 2 * hidden) with the forward states then
-    the backward ones, for the sequences stacked in ``xs`` (split by
-    ``lengths``; None is one). Each layer is one two-direction
-    ``lstm_run``.
+    the backward ones, for the sequences stacked in ``xs`` and split by
+    ``lengths`` (B,). Each layer is one two-direction ``lstm_run``.
 
     Dropout comes from ``masks`` (keys from ``stack_sites``): one input
     mask per layer, reused across time, and one recurrent-state mask per
@@ -429,7 +425,7 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths=None,
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):
         h = apply_mask(h, masks.get(f"layer{j}.in"), lengths)
-        h = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths,
+        h = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths=lengths,
                      reverse=p_bwd, reverse_mask=masks.get(f"layer{j}.bwd"))
     return h
 
@@ -534,12 +530,12 @@ def predict_tags(logits: Tensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # token-internal character attention (DQM pooling)
 
-def char_attention(score_vec: Tensor, states: Tensor, lengths=None) -> Tensor:
+def char_attention(score_vec: Tensor, states: Tensor, lengths) -> Tensor:
     """Attention pool over each token's character LSTM states, plus the
     token's final state.
 
-    ``states`` stacks the tokens' states, split by ``lengths``; None is one
-    token. Scores are dot products with a learned vector; the
+    ``states`` stacks the tokens' states, split by ``lengths`` (tokens,).
+    Scores are dot products with a learned vector; the
     softmax-weighted sum of a token's states (softmax within the token) is
     added to its last state. Returns (tokens, hidden). One fused tape
     node.

@@ -1,15 +1,18 @@
 """Training: three cross-entropy losses, three Adam optimizers. An epoch is
 one pass over the shuffled corpus; each batch gets one forward of the
 character, word and meta heads, one backward of their three summed losses
-and one step of each model's optimizer. The encoders' outputs reach the
-combiner detached, so each model learns from its own loss alone and the
-meta model reads the encoders as they stood before this batch's update.
-Dev accuracy of the meta predictions drives model selection; the best
-parameter triple is what a run returns. Joint mode (the same loop without
-the detach, one optimizer) exists for the optimization ablation.
-``forward`` is the one forward of all three heads, for training,
-evaluation and tagging alike: it decides which encoders run, what is
-taped and where the meta head's gradient stops.
+and one step of each model's optimizer. Both schedules run this one loop.
+In separate optimization (the paper's) the encoders' outputs reach the
+combiner detached, so each model learns from its own loss alone; joint
+optimization, kept for the optimization ablation, leaves them attached,
+so the meta loss moves the encoders too. Adam is elementwise, so three
+optimizers with the same settings and step count update the parameters
+exactly as one over all of them would. Either way the meta model reads
+the encoders as they stood before the batch's update. Dev accuracy of
+the meta predictions drives model selection; the best parameter triple
+is what a run returns. ``forward`` is the one forward of all three
+heads, for training, evaluation and tagging alike: it decides which
+encoders run and where the meta head's gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.
@@ -17,7 +20,6 @@ deterministic checkpoint container, and the per-epoch log line format.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -68,18 +70,18 @@ class TrainConfig:
     mlp_dropout: float = 0.33
     word_emb_dropout: float = 0.33
     char_emb_dropout: float = 0.05
-    mlp_activation: str = "elu"  # informational: the only implemented choice
+    mlp_activation: str = "elu"  # the only implemented choice
     mlp_size: int = 400
     char_emb_dim: int = 100
     word_emb_dim: int = 100  # replaced by the pretrained dimension when given
     # initialization
-    word_emb_init: str = "zero"
+    word_emb_init: str = "zero"  # the only implemented choice
     char_emb_init: str = "gaussian"
     mlp_init: str = "gaussian"
     lstm_init: str = "scaled"  # not covered by the table; 1/sqrt(fan_in)
     # optimization
-    optimizer: str = "adam"  # informational: the only implemented choice
-    loss: str = "cross_entropy"  # informational: the only implemented choice
+    optimizer: str = "adam"  # the only implemented choice
+    loss: str = "cross_entropy"  # the only implemented choice
     learning_rate: float = 0.002
     decay: float = 0.999994  # per optimizer step
     adam_epsilon: float = 1e-08
@@ -116,6 +118,17 @@ class TrainConfig:
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"config key {key!r} must be in [0, 1), "
                                  f"got {getattr(self, key)!r}")
+        for key, only in (("mlp_activation", "elu"), ("optimizer", "adam"),
+                          ("loss", "cross_entropy"),
+                          ("word_emb_init", "zero")):
+            if getattr(self, key) != only:
+                raise ValueError(f"config key {key!r} must be {only!r}, the "
+                                 f"only implemented choice, got "
+                                 f"{getattr(self, key)!r}")
+        for key in ("char_emb_init", "mlp_init", "lstm_init"):
+            if getattr(self, key) not in ("gaussian", "scaled"):
+                raise ValueError(f"config key {key!r} must be gaussian or "
+                                 f"scaled, got {getattr(self, key)!r}")
         self.gather_parts()
 
 
@@ -343,12 +356,6 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
 _HEADS = ("char", "word", "meta")
 
 
-def _views(heads) -> tuple[str, ...]:
-    """The models a forward over ``heads`` runs, in the order char, word,
-    meta: the meta head runs all three."""
-    return tuple(v for v in _HEADS if v in heads or "meta" in heads)
-
-
 def forward(model: TaggerModel, batch: list[Sentence], heads,
             masks: dict | None = None, detach: bool = True) -> list[Tensor]:
     """Logits of each head in ``heads``, a subset of ("char", "word",
@@ -358,30 +365,27 @@ def forward(model: TaggerModel, batch: list[Sentence], heads,
 
     An encoder runs only when a requested head needs it; the meta head
     needs both, whose per-token outputs the combiner reads. With
-    ``detach`` (separate optimization) the combiner's loss cannot move
-    encoder weights: an encoder whose own head is not requested runs off
-    the tape, so nothing of it is recorded, and otherwise its output is
-    detached before the combiner. Without it (joint optimization, kept for
-    the optimization ablation) the meta head's gradient reaches the
-    encoders.
+    ``detach`` (separate optimization) each encoder's output is detached
+    before the combiner, so the meta head's loss cannot move encoder
+    weights. Without it (joint optimization) the meta head's gradient
+    reaches the encoders.
     """
     masks = masks or {}
     reps, logits = {}, {}
-    views = _views(heads)
     # Word before character: the backward sweep then frees the character
     # tape, the largest, before any word gradient is allocated.
-    for view in (v for v in ("word", "char") if v in views):
-        off_tape = detach and view not in heads
-        with T.no_grad() if off_tape else contextlib.nullcontext():
-            if view == "word":
-                _, rep, out = encoders.encode_words(model.word, batch,
-                                                    masks.get("word"))
-            elif model.char_sent is not None:
-                _, rep, out = encoders.encode_chars_sentence(
-                    model.char_sent, batch, masks.get("char"))
-            else:
-                rep, out = encoders.encode_chars_token(
-                    model.char_token, batch, masks.get("char"))
+    for view in ("word", "char"):
+        if view not in heads and "meta" not in heads:
+            continue
+        if view == "word":
+            _, rep, out = encoders.encode_words(model.word, batch,
+                                                masks.get("word"))
+        elif model.char_sent is not None:
+            _, rep, out = encoders.encode_chars_sentence(
+                model.char_sent, batch, masks.get("char"))
+        else:
+            rep, out = encoders.encode_chars_token(
+                model.char_token, batch, masks.get("char"))
         reps[view] = rep.detach() if detach else rep
         logits[view] = out
     if "meta" in heads:
@@ -441,34 +445,43 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
-def _draw_masks(model: TaggerModel, batch: list[Sentence], heads,
+def _draw_masks(model: TaggerModel, batch: list[Sentence],
                 rng: np.random.Generator) -> dict[str, dict]:
-    """Dropout masks of the models a forward over ``heads`` runs, keyed by
-    view; drawn sentence by sentence, in the order the per-sentence
-    forward used."""
+    """Dropout masks of the char, word and meta models, keyed by view;
+    drawn sentence by sentence, in the order the per-sentence forward
+    used."""
     char = model.char_sent if model.char_sent is not None \
         else model.char_token
-    sites = {"char": char.dropout_sites, "word": model.word.dropout_sites,
-             "meta": model.combiner.dropout_sites}
-    views = _views(heads)
-    return dict(zip(views, nn.draw_masks(rng, batch,
-                                         *(sites[v] for v in views))))
+    return dict(zip(_HEADS, nn.draw_masks(
+        rng, batch, char.dropout_sites, model.word.dropout_sites,
+        model.combiner.dropout_sites)))
 
 
-def _run_epoch(model, sentences, order, batch_size, optimizers, rng,
-               detach) -> list[float]:
-    """One pass over the shuffled training data. Per batch: one forward of
-    all three heads (see ``forward``), one backward of their summed losses,
-    then one step of each optimizer in ``optimizers``. Returns the mean
-    per-batch loss of the char, word and meta heads and of their sum.
+def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
+                            opt_word: Adam, opt_meta: Adam,
+                            sentences: list[Sentence], order: np.ndarray,
+                            batch_size: int, rng: np.random.Generator
+                            ) -> tuple[float, float, float]:
+    """One epoch of synchronized training over the shuffled corpus, for
+    either schedule of ``model.config.optimization``. Per batch: one
+    forward of the three heads (see ``forward``), one backward of the
+    three summed losses, then one step each of ``opt_char``, ``opt_word``
+    and ``opt_meta``. In separate optimization the encoders' outputs are
+    detached before the combiner, so each model's gradient comes from its
+    own loss alone; in joint optimization the meta loss reaches the
+    encoders too. The meta model reads the encoders as they stood before
+    this batch's update. Returns the mean per-batch loss of the char,
+    word and meta heads.
 
     A head's batch loss is the mean over its sentences of each sentence's
     mean token loss, computed in one forward over the whole batch by
     weighting token rows 1/(n_s * B). Gradients are cleared before each
-    batch and after the last one, the first optimizer's last: the
-    benchmark charges a batch's traced work to the view cleared last.
+    batch and after the last one, ``opt_char``'s last: the benchmark
+    charges a batch's traced work to the view cleared last.
     """
     task = model.config.task
+    detach = model.config.optimization == "separate"
+    optimizers = (opt_char, opt_word, opt_meta)
     batch_losses = []
     for batch_idx in _batches(order, batch_size):
         for opt in reversed(optimizers):
@@ -478,7 +491,7 @@ def _run_epoch(model, sentences, order, batch_size, optimizers, rng,
                                 for s in batch])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
                                   for s in batch])
-        masks = _draw_masks(model, batch, _HEADS, rng)
+        masks = _draw_masks(model, batch, rng)
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds, weights)
                       for logits in forward(model, batch, _HEADS, masks,
@@ -487,27 +500,10 @@ def _run_epoch(model, sentences, order, batch_size, optimizers, rng,
         g.backward(total)
         for opt in optimizers:
             opt.step()
-        batch_losses.append([l.item() for l in losses + [total]])
+        batch_losses.append([l.item() for l in losses])
     for opt in reversed(optimizers):
         opt.zero_grad()
-    return [float(np.mean(column)) for column in zip(*batch_losses)]
-
-
-def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
-                            opt_word: Adam, opt_meta: Adam,
-                            sentences: list[Sentence], order: np.ndarray,
-                            batch_size: int, rng: np.random.Generator
-                            ) -> tuple[float, float, float]:
-    """One epoch of synchronized training over the shuffled corpus: per
-    batch one forward of the three heads, one backward of the three summed
-    losses and one step each of ``opt_char``, ``opt_word`` and
-    ``opt_meta``. The encoders' outputs are detached before the combiner,
-    so each model's gradient comes from its own loss alone, and the meta
-    model reads the encoders as they stood before this batch's update.
-    Returns the mean per-batch loss of the char, word and meta heads."""
-    c, w, m, _ = _run_epoch(model, sentences, order, batch_size,
-                            (opt_char, opt_word, opt_meta), rng, detach=True)
-    return c, w, m
+    return tuple(float(np.mean(column)) for column in zip(*batch_losses))
 
 
 @dataclass
@@ -559,9 +555,8 @@ def prepare(config: TrainConfig, train_sentences: list[Sentence],
     assign_ids(dev_sentences, vocabs)
     pretrained = None
     if pretrained_path is not None:
-        emb = load_pretrained(pretrained_path, vocabs,
-                              config.lowercase_pretrained_fallback)
-        pretrained = emb.matrix
+        pretrained = load_pretrained(pretrained_path, vocabs,
+                                     config.lowercase_pretrained_fallback)
     model = build_model(config, vocabs, pretrained=pretrained)
     return model, train_sentences, dev_sentences
 
@@ -591,12 +586,9 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
     order_rng = np.random.default_rng(order_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    if config.optimization == "separate":
-        opt_char = _make_adam(model.char_parameters(), config)
-        opt_word = _make_adam(model.word_parameters(), config)
-        opt_meta = _make_adam(model.meta_parameters(), config)
-    else:
-        opt_all = _make_adam(model.all_parameters(), config)
+    opt_char = _make_adam(model.char_parameters(), config)
+    opt_word = _make_adam(model.word_parameters(), config)
+    opt_meta = _make_adam(model.meta_parameters(), config)
 
     best_score = evaluate(model, dev_sentences)
     best_epoch = 0
@@ -606,15 +598,9 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
         order = order_rng.permutation(len(train_sentences))
-        if config.optimization == "separate":
-            c, w, m = train_epoch_synchronous(
-                model, opt_char, opt_word, opt_meta, train_sentences, order,
-                config.batch_size, dropout_rng)
-        else:
-            *_, joint = _run_epoch(model, train_sentences, order,
-                                   config.batch_size, (opt_all,),
-                                   dropout_rng, detach=False)
-            c = w = m = joint
+        c, w, m = train_epoch_synchronous(
+            model, opt_char, opt_word, opt_meta, train_sentences, order,
+            config.batch_size, dropout_rng)
         acc = evaluate(model, dev_sentences)
         emit(f"epoch={epoch} char_loss={c:.6f} word_loss={w:.6f} "
              f"meta_loss={m:.6f} dev_acc={acc:.6f}")

@@ -99,15 +99,16 @@ def test_criterion_01_gradients():
 
     lp = nn.lstm_params(3, 4, np.random.default_rng(3))
     worst["lstm_run"] = oracles.grad_check(
-        lambda: oracles.tsum(nn.lstm_run(lp, xs)), lp.parameters("lstm"))
-    mask = np.random.default_rng(4).integers(0, 2, size=4) * 2.0
+        lambda: oracles.tsum(nn.lstm_run(lp, xs, lengths=[4])),
+        lp.parameters("lstm"))
+    mask = np.random.default_rng(4).integers(0, 2, size=(1, 4)) * 2.0
     worst["lstm_run+mask"] = oracles.grad_check(
-        lambda: oracles.tsum(nn.lstm_run(lp, xs, h_mask=mask)),
+        lambda: oracles.tsum(nn.lstm_run(lp, xs, h_mask=mask, lengths=[4])),
         lp.parameters("lstm"))
 
     stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
     worst["bilstm_stack"] = oracles.grad_check(
-        lambda: oracles.tsum(nn.bilstm_stack_run(stack, xs)),
+        lambda: oracles.tsum(nn.bilstm_stack_run(stack, xs, lengths=[4])),
         stack.parameters("st"))
 
     table = T.Tensor(np.random.default_rng(6).standard_normal((5, 3)),
@@ -121,7 +122,7 @@ def test_criterion_01_gradients():
                  requires_grad=True)
     states = T.Tensor(np.random.default_rng(8).standard_normal((6, 4)))
     worst["char_attention"] = oracles.grad_check(
-        lambda: oracles.tsum(nn.char_attention(v, states)), [("v", v)])
+        lambda: oracles.tsum(nn.char_attention(v, states, [6])), [("v", v)])
 
     model, tr = fixture_model()
     worst["full_step"] = oracles.grad_check(lambda: joint_loss(model, tr),

@@ -187,6 +187,8 @@ class TestExitCodes:
              lambda m: m["config"].update(mlp_size=10 ** 9), "'mlp_size'"),
             ("char-emb-dim-other",
              lambda m: m["config"].update(char_emb_dim=7), "'char_emb_dim'"),
+            ("optimizer-unimplemented",
+             lambda m: m["config"].update(optimizer="sgd"), "'optimizer'"),
             ("version-bool", lambda m: m.update(version=True), "version"),
             ("version-multiline",
              lambda m: m.update(version="1\n2"), "version"),
@@ -213,7 +215,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "word_bilstm_layers=0", "meta_bilstm_layers=0", "mlp_size=0",
         "char_bilstm_size=-1", "char_emb_dim=0", "word_emb_dim=0",
-        "lstm_dropout=1.5"])
+        "lstm_dropout=1.5", "optimizer=sgd", "mlp_activation=relu",
+        "loss=hinge", "word_emb_init=gaussian", "mlp_init=foo",
+        "lstm_init=foo", "char_emb_init=foo"])
     def test_bad_structural_value_is_usage(self, corpus_dir, tmp_path,
                                            capsys, setting):
         code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),

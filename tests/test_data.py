@@ -200,36 +200,27 @@ class TestPretrained:
         sents = corpus_of("dog barks loudly")
         v = data.build_vocabs(sents)
         emb = data.load_pretrained(FIXTURES / "vectors.txt", v)
-        assert emb.dim == 3
-        np.testing.assert_array_equal(emb.matrix[data.UNK_ID], [0, 0, 0])
-        np.testing.assert_array_equal(emb.matrix[v.word_id("dog")],
+        assert emb.shape == (v.n_words, 3)
+        np.testing.assert_array_equal(emb[data.UNK_ID], [0, 0, 0])
+        np.testing.assert_array_equal(emb[v.word_id("dog")],
                                       [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(emb.matrix[v.word_id("loudly")],
-                                      [0, 0, 0])
-
-    def test_coverage_fraction(self):
-        # vocab rows: UNK, dog, barks, loudly -> 2 of 4 covered
-        v = data.build_vocabs(corpus_of("dog barks loudly"))
-        emb = data.load_pretrained(FIXTURES / "vectors.txt", v)
-        assert emb.covered == 2
-        assert emb.coverage == 0.5
+        np.testing.assert_array_equal(emb[v.word_id("loudly")], [0, 0, 0])
 
     def test_lowercase_fallback(self):
         v = data.build_vocabs(corpus_of("Dog I"))
         on = data.load_pretrained(FIXTURES / "vectors.txt", v)
         off = data.load_pretrained(FIXTURES / "vectors.txt", v,
                                    lowercase_fallback=False)
-        np.testing.assert_array_equal(on.matrix[v.word_id("Dog")],
-                                      [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(off.matrix[v.word_id("Dog")], [0, 0, 0])
+        np.testing.assert_array_equal(on[v.word_id("Dog")], [-1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(off[v.word_id("Dog")], [0, 0, 0])
 
     def test_header_optional(self, tmp_path):
         p = tmp_path / "noheader.txt"
         p.write_text("a 1.0 2.0\nb 3.0 4.0\n")
         v = data.build_vocabs(corpus_of("a b"))
         emb = data.load_pretrained(p, v)
-        assert emb.dim == 2
-        np.testing.assert_array_equal(emb.matrix[v.word_id("b")], [3, 4])
+        assert emb.shape == (v.n_words, 2)
+        np.testing.assert_array_equal(emb[v.word_id("b")], [3, 4])
 
     def test_inconsistent_dim(self, tmp_path):
         p = tmp_path / "bad.txt"

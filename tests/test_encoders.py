@@ -145,7 +145,7 @@ class TestCharToken:
         r, _ = encoders.encode_chars_token(ct, [sents[0]])
         ids = sents[0].char_ids
         emb = T.take_rows(ct.char_table, ids)
-        states = nn.lstm_run(ct.lstm, emb)
+        states = nn.lstm_run(ct.lstm, emb, lengths=[len(ids)])
         np.testing.assert_allclose(r.data[0], 2 * states.data[0], atol=1e-12)
 
     def test_shapes(self):

@@ -76,9 +76,10 @@ class TestLstmStep:
 
 
 def composed_run(p, xs_data, mask=None, weights=None):
-    """lstm_run re-expressed with per-step primitive ops."""
+    """lstm_run over one sequence re-expressed with per-step primitive
+    ops; ``mask`` is the sequence's (1, hidden) state mask."""
     xs = T.Tensor(xs_data)
-    mask_t = T.Tensor(mask) if mask is not None else None
+    mask_t = T.Tensor(mask[0]) if mask is not None else None
     h, c = p.h0, p.c0
     rows = []
     for t in range(xs_data.shape[0]):
@@ -113,7 +114,8 @@ class TestLstmRunFused:
         p = nn.lstm_params(width, hs, np.random.default_rng(0))
         xs = T.Tensor(rng.normal(size=(n, width)), requires_grad=True)
         with T.Graph() as g:
-            loss = oracles.tsum(nn.lstm_run(p, xs, np.ones(hs)))
+            loss = oracles.tsum(nn.lstm_run(p, xs, np.ones((1, hs)),
+                                            lengths=[n]))
         saved = [a for a in closure_arrays(g.nodes[0].backward_fn)
                  if a.ndim == 2 and a.shape[0] == n and a is not xs.data]
         assert sorted(a.shape[1] for a in saved) == [hs, hs, 4 * hs]
@@ -135,10 +137,10 @@ class TestLstmRunFused:
         p = small_lstm(i=3, h=4, seed=5)
         xs = rng.normal(size=(6, 3))
         w = rng.normal(size=(6, 4))
-        mask = ((rng.random(4) < 0.75) / 0.75) if use_mask else None
+        mask = ((rng.random((1, 4)) < 0.75) / 0.75) if use_mask else None
 
         def fused():
-            out = nn.lstm_run(p, T.Tensor(xs), mask)
+            out = nn.lstm_run(p, T.Tensor(xs), mask, lengths=[6])
             return oracles.tsum(T.mul(out, T.Tensor(w)))
 
         loss_a, grads_a = self.grads_of(fused, p)
@@ -152,7 +154,7 @@ class TestLstmRunFused:
         p = small_lstm(seed=9)
         xs = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         with T.Graph() as g:
-            loss = oracles.tsum(nn.lstm_run(p, xs))
+            loss = oracles.tsum(nn.lstm_run(p, xs, lengths=[4]))
         g.backward(loss)
         assert xs.grad is not None and np.abs(xs.grad).sum() > 0
 
@@ -162,7 +164,7 @@ class TestLstmRunFused:
         w = rng.normal(size=(5, 3))
 
         def f():
-            out = nn.lstm_run(p, T.Tensor(xs))
+            out = nn.lstm_run(p, T.Tensor(xs), lengths=[5])
             return oracles.tsum(T.mul(out, T.Tensor(w)))
 
         assert oracles.grad_check(f, p.parameters("lstm")) < 1e-6
@@ -170,22 +172,23 @@ class TestLstmRunFused:
     def test_grad_check_with_mask(self):
         p = small_lstm(i=2, h=3, seed=17)
         xs = rng.normal(size=(4, 2))
-        mask = np.array([1 / 0.7, 0.0, 1 / 0.7])
+        mask = np.array([[1 / 0.7, 0.0, 1 / 0.7]])
 
         def f():
-            return oracles.tsum(nn.lstm_run(p, T.Tensor(xs), mask))
+            return oracles.tsum(nn.lstm_run(p, T.Tensor(xs), mask,
+                                            lengths=[4]))
 
         assert oracles.grad_check(f, p.parameters("lstm")) < 1e-6
 
     def test_empty_sequence_raises(self):
         p = small_lstm()
         with pytest.raises(T.ShapeError):
-            nn.lstm_run(p, T.Tensor(np.zeros((0, 3))))
+            nn.lstm_run(p, T.Tensor(np.zeros((0, 3))), lengths=[0])
 
     def test_wrong_width_raises(self):
         p = small_lstm()
         with pytest.raises(T.ShapeError):
-            nn.lstm_run(p, T.Tensor(np.zeros((4, 7))))
+            nn.lstm_run(p, T.Tensor(np.zeros((4, 7))), lengths=[4])
 
 
 def stack_masks(rng, stack, rate, lengths):
@@ -204,12 +207,12 @@ class TestBiLstmStack:
     def test_shapes_depth3(self):
         stack = nn.bilstm_stack(5, 8, 3, np.random.default_rng(0))
         xs = T.Tensor(rng.normal(size=(7, 5)))
-        assert nn.bilstm_stack_run(stack, xs).shape == (7, 16)
+        assert nn.bilstm_stack_run(stack, xs, lengths=[7]).shape == (7, 16)
 
     def test_depth1_length1_equals_single_step(self):
         stack = nn.bilstm_stack(3, 4, 1, np.random.default_rng(1))
         x = rng.normal(size=(1, 3))
-        f, b = halves(nn.bilstm_stack_run(stack, T.Tensor(x)))
+        f, b = halves(nn.bilstm_stack_run(stack, T.Tensor(x), lengths=[1]))
         pf, pb = stack.layers[0]
         hf, _ = oracles.lstm_step(pf, T.Tensor(x[0]), pf.h0, pf.c0)
         hb, _ = oracles.lstm_step(pb, T.Tensor(x[0]), pb.h0, pb.c0)
@@ -224,33 +227,37 @@ class TestBiLstmStack:
         pf, pb = stack.layers[0]
         swapped = nn.BiLstmStack([(pb, pf)])
         xs = rng.normal(size=(5, 3))
-        f1, b1 = halves(nn.bilstm_stack_run(stack, T.Tensor(xs)))
+        f1, b1 = halves(nn.bilstm_stack_run(stack, T.Tensor(xs),
+                                            lengths=[5]))
         f2, b2 = halves(nn.bilstm_stack_run(swapped,
-                                            T.Tensor(xs[::-1].copy())))
+                                            T.Tensor(xs[::-1].copy()),
+                                            lengths=[5]))
         np.testing.assert_allclose(b1, f2[::-1], atol=1e-12)
         np.testing.assert_allclose(f1, b2[::-1], atol=1e-12)
 
     def test_empty_sequence_raises(self):
         stack = nn.bilstm_stack(3, 4, 1, np.random.default_rng(0))
         with pytest.raises(T.ShapeError):
-            nn.bilstm_stack_run(stack, T.Tensor(np.zeros((0, 3))))
+            nn.bilstm_stack_run(stack, T.Tensor(np.zeros((0, 3))),
+                                lengths=[0])
 
     def test_grad_check_depth2(self):
         stack = nn.bilstm_stack(2, 3, 2, np.random.default_rng(4))
         xs = rng.normal(size=(4, 2))
 
         def f():
-            return oracles.tsum(nn.bilstm_stack_run(stack, T.Tensor(xs)))
+            return oracles.tsum(nn.bilstm_stack_run(stack, T.Tensor(xs),
+                                                    lengths=[4]))
 
         assert oracles.grad_check(f, stack.parameters("stack")) < 1e-6
 
     def test_dropout_changes_output_and_eval_does_not(self):
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
         xs = T.Tensor(rng.normal(size=(6, 3)))
-        base = nn.bilstm_stack_run(stack, xs)
+        base = nn.bilstm_stack_run(stack, xs, lengths=[6])
         masks = stack_masks(np.random.default_rng(0), stack, 0.5, [6])
-        drop = nn.bilstm_stack_run(stack, xs, masks=masks)
-        evaluated = nn.bilstm_stack_run(stack, xs, masks={})
+        drop = nn.bilstm_stack_run(stack, xs, lengths=[6], masks=masks)
+        evaluated = nn.bilstm_stack_run(stack, xs, lengths=[6], masks={})
         assert not np.array_equal(base.data, drop.data)
         np.testing.assert_array_equal(base.data, evaluated.data)
 
@@ -338,14 +345,14 @@ class TestCharAttention:
     def test_single_char_doubles_state(self):
         v = T.Tensor(rng.normal(size=4), requires_grad=True)
         s = rng.normal(size=(1, 4))
-        out = nn.char_attention(v, T.Tensor(s))
+        out = nn.char_attention(v, T.Tensor(s), [1])
         np.testing.assert_allclose(out.data, 2 * s, atol=1e-12)
 
     def test_identical_states_convexity(self):
         v = T.Tensor(rng.normal(size=4))
         row = rng.normal(size=4)
         s = np.tile(row, (5, 1))
-        out = nn.char_attention(v, T.Tensor(s))
+        out = nn.char_attention(v, T.Tensor(s), [5])
         np.testing.assert_allclose(out.data, [2 * row], atol=1e-12)
 
     def test_brute_force_oracle(self):
@@ -355,18 +362,19 @@ class TestCharAttention:
         e = np.exp(scores - scores.max())
         alpha = e / e.sum()
         want = alpha @ s + s[-1]
-        got = nn.char_attention(T.Tensor(v), T.Tensor(s))
+        got = nn.char_attention(T.Tensor(v), T.Tensor(s), [3])
         np.testing.assert_allclose(got.data, [want], atol=1e-12)
 
     def test_empty_states_raise(self):
         with pytest.raises(T.ShapeError):
-            nn.char_attention(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((0, 4))))
+            nn.char_attention(T.Tensor(np.zeros(4)),
+                              T.Tensor(np.zeros((0, 4))), [0])
 
     def test_grad_check(self):
         v = T.Tensor(rng.normal(size=3), requires_grad=True)
         s = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         err = oracles.grad_check(
-            lambda: oracles.tsum(nn.char_attention(v, s)),
+            lambda: oracles.tsum(nn.char_attention(v, s, [4])),
             [("v", v), ("s", s)])
         assert err < 1e-6
 
@@ -470,8 +478,8 @@ def test_lstm_run_deterministic(nsteps, seed):
     g = np.random.default_rng(seed)
     p = nn.lstm_params(3, 4, g)
     xs = T.Tensor(g.normal(size=(nsteps, 3)))
-    a = nn.lstm_run(p, xs)
-    b = nn.lstm_run(p, xs)
+    a = nn.lstm_run(p, xs, lengths=[nsteps])
+    b = nn.lstm_run(p, xs, lengths=[nsteps])
     assert np.array_equal(a.data, b.data)
 
 
@@ -547,7 +555,7 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
     xs_data = g.normal(size=(n, width))
     w = g.normal(size=(n, hidden))
     mask = {"none": None,
-            "shared": (g.random(hidden) < 0.6) / 0.6,
+            "shared": np.tile((g.random(hidden) < 0.6) / 0.6, (b, 1)),
             "per_sequence": (g.random((b, hidden)) < 0.6) / 0.6}[mask_kind]
     starts = np.cumsum(lengths) - lengths
 
@@ -555,7 +563,7 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
     out = {}
 
     def batched():
-        out["batched"] = nn.lstm_run(p, xs, mask, lengths)
+        out["batched"] = nn.lstm_run(p, xs, mask, lengths=lengths)
         return oracles.tsum(T.mul(out["batched"], T.Tensor(w)))
 
     parts = [T.Tensor(xs_data[a:a + k], requires_grad=True)
@@ -564,8 +572,9 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
     def separate():
         rows = []
         for i, (x, a, k) in enumerate(zip(parts, starts, lengths)):
-            m = mask[i] if mask_kind == "per_sequence" else mask
-            rows.append(T.mul(nn.lstm_run(p, x, m), T.Tensor(w[a:a + k])))
+            m = None if mask is None else mask[i:i + 1]
+            rows.append(T.mul(nn.lstm_run(p, x, m, lengths=[k]),
+                              T.Tensor(w[a:a + k])))
         out["separate"] = T.concat(rows, axis=0)
         return oracles.tsum(out["separate"])
 
@@ -612,7 +621,8 @@ class TestPackedBatch:
         xs = rng.normal(size=(8, 3))
         out = nn.bilstm_stack_run(stack, T.Tensor(xs), lengths=lengths)
         for a, k in zip(np.cumsum(lengths) - lengths, lengths):
-            one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]))
+            one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
+                                      lengths=[k])
             np.testing.assert_allclose(out.data[a:a + k], one.data,
                                        atol=1e-12)
 
@@ -626,6 +636,7 @@ class TestPackedBatch:
             masks=stack_masks(r_batch, stack, 0.4, lengths))
         for a, k in zip(np.cumsum(lengths) - lengths, lengths):
             one = nn.bilstm_stack_run(stack, T.Tensor(xs[a:a + k]),
+                                      lengths=[k],
                                       masks=stack_masks(r_seq, stack, 0.4,
                                                         [k]))
             np.testing.assert_allclose(out.data[a:a + k], one.data,
@@ -638,7 +649,7 @@ class TestPackedBatch:
         got = nn.char_attention(v, s, lengths)
         for i, (a, k) in enumerate(zip(np.cumsum(lengths) - lengths,
                                        lengths)):
-            one = nn.char_attention(v, T.Tensor(s.data[a:a + k]))
+            one = nn.char_attention(v, T.Tensor(s.data[a:a + k]), [k])
             np.testing.assert_allclose(got.data[i], one.data[0], atol=1e-12)
         err = oracles.grad_check(lambda: oracles.tsum(T.mul(
             nn.char_attention(v, s, lengths),
@@ -698,20 +709,21 @@ def test_two_directions_match_the_composed_layer_bitwise(
     def draw():
         if mask_kind == "none":
             return None
-        size = hidden if mask_kind == "shared" else (b, hidden)
-        return (g.random(size) < 0.6) / 0.6
+        if mask_kind == "shared":
+            return np.tile((g.random(hidden) < 0.6) / 0.6, (b, 1))
+        return (g.random((b, hidden)) < 0.6) / 0.6
 
     m_f, m_b = draw(), draw()
     rev = reversal(lengths)
 
     def fused():
-        return T.mul(nn.lstm_run(p_f, xs, m_f, lengths, reverse=p_b,
+        return T.mul(nn.lstm_run(p_f, xs, m_f, lengths=lengths, reverse=p_b,
                                  reverse_mask=m_b), w)
 
     def composed():
-        f = nn.lstm_run(p_f, xs, m_f, lengths)
+        f = nn.lstm_run(p_f, xs, m_f, lengths=lengths)
         r = T.take_rows(nn.lstm_run(p_b, T.take_rows(xs, rev), m_b,
-                                    lengths), rev)
+                                    lengths=lengths), rev)
         return T.mul(T.concat([f, r], axis=1), w)
 
     want = bilayer_grads(composed, p_f, p_b, xs)
@@ -746,7 +758,7 @@ class TestTwoDirections:
         m_f = np.array([[1 / 0.7, 0.0, 1 / 0.7],
                         [1 / 0.7, 1 / 0.7, 1 / 0.7],
                         [0.0, 1 / 0.7, 1 / 0.7]])
-        m_b = np.array([0.0, 1 / 0.7, 1 / 0.7])
+        m_b = np.tile([0.0, 1 / 0.7, 1 / 0.7], (3, 1))
 
         def f():
             out = nn.lstm_run(p_f, xs, m_f, lengths=[2, 4, 1], reverse=p_b,
@@ -859,11 +871,12 @@ class TestTwoDirections:
         import threading
         p_f, p_b = self.layer()
         xs = T.Tensor(rng.normal(size=(9, 2)))
-        lengths, mask = [4, 1, 4], np.array([1 / 0.7, 0.0, 1 / 0.7])
+        lengths = [4, 1, 4]
+        mask = np.tile([1 / 0.7, 0.0, 1 / 0.7], (3, 1))
 
         def run():
-            return nn.lstm_run(p_f, xs, mask, lengths, reverse=p_b,
-                               reverse_mask=mask[::-1]).data
+            return nn.lstm_run(p_f, xs, mask, lengths=lengths, reverse=p_b,
+                               reverse_mask=mask[:, ::-1]).data
 
         want = run()
         monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0)
@@ -891,7 +904,7 @@ class TestTwoDirections:
         p_f = small_lstm(i=3, h=4)
         xs = T.Tensor(np.zeros((4, 3)))
         with pytest.raises(T.ShapeError):
-            nn.lstm_run(p_f, xs, reverse=small_lstm(i=3, h=5))
+            nn.lstm_run(p_f, xs, lengths=[4], reverse=small_lstm(i=3, h=5))
         with pytest.raises(T.ShapeError):
-            nn.lstm_run(p_f, xs, reverse=small_lstm(i=3, h=4),
-                        reverse_mask=np.ones(5))
+            nn.lstm_run(p_f, xs, lengths=[4], reverse=small_lstm(i=3, h=4),
+                        reverse_mask=np.ones((1, 5)))

@@ -248,6 +248,14 @@ def small_config(**over):
     return training.TrainConfig(**base)
 
 
+def three_adams(model, **settings):
+    """One Adam per model, char, word and meta, as ``train_model`` makes
+    them."""
+    return [training.Adam(ps, **settings) for ps in (
+        model.char_parameters(), model.word_parameters(),
+        model.meta_parameters())]
+
+
 class TestScheduleLocality:
     def test_one_batch_moves_each_model_by_its_own_loss(self):
         """One batch of ``train_epoch_synchronous``: each optimizer moves
@@ -264,8 +272,7 @@ class TestScheduleLocality:
                                 for s in tr])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(tr)))
                                   for s in tr])
-        masks = training._draw_masks(model, tr, training._HEADS,
-                                     np.random.default_rng(5))
+        masks = training._draw_masks(model, tr, np.random.default_rng(5))
         own = {}
         for k, view in enumerate(training._HEADS):
             oracles.zero_grads(model.all_parameters())
@@ -301,6 +308,45 @@ class TestScheduleLocality:
             assert stepped[view].keys() == own[view].keys()
             for name, grad in stepped[view].items():
                 assert np.array_equal(grad, own[view][name]), name
+
+    def test_joint_three_adams_step_as_one_adam(self):
+        """Joint mode through the one loop: the three optimizers, each over
+        its own model, leave every parameter bitwise where one Adam over
+        all of them, stepped on the summed loss, leaves it."""
+        config = small_config(optimization="joint")  # 6 sentences: 2 batches
+        model, tr, _ = training.prepare(config, mini_corpus(6),
+                                        mini_corpus(6))
+        oracle, _, _ = training.prepare(config, mini_corpus(6),
+                                        mini_corpus(6))
+        order = np.array([4, 1, 5, 0, 3, 2])
+        initial = [p.data.copy() for _, p in model.all_parameters()]
+        training.train_epoch_synchronous(
+            model, *three_adams(model, lr=config.learning_rate), tr, order,
+            config.batch_size, np.random.default_rng(7))
+
+        opt = training.Adam(oracle.all_parameters(), lr=config.learning_rate)
+        rng = np.random.default_rng(7)
+        for start in range(0, len(order), config.batch_size):
+            batch = [tr[i] for i in order[start:start + config.batch_size]]
+            golds = np.concatenate([
+                training._gold_ids(oracle.vocabs, s, "xpos") for s in batch])
+            weights = np.concatenate([
+                np.full(len(s), 1.0 / (len(s) * len(batch))) for s in batch])
+            masks = training._draw_masks(oracle, batch, rng)
+            opt.zero_grad()
+            with T.Graph() as g:
+                c, w, m = (nn.softmax_xent_rows(logits, golds, weights)
+                           for logits in training.forward(
+                               oracle, batch, training._HEADS, masks,
+                               detach=False))
+                total = T.add(T.add(c, w), m)
+            g.backward(total)
+            opt.step()
+        for (name, got), (_, want) in zip(model.all_parameters(),
+                                          oracle.all_parameters()):
+            assert np.array_equal(got.data, want.data), name
+        assert any(not np.array_equal(a, p.data)
+                   for a, (_, p) in zip(initial, model.all_parameters()))
 
     def test_zero_learning_rate_is_side_effect_free(self):
         sents = mini_corpus(5)
@@ -375,15 +421,20 @@ class TestTrainLoop:
         assert ckpt.best_score >= 0.9
 
     def test_joint_mode_moves_encoder_params(self):
+        """Only in joint mode does the meta loss move the encoders: from
+        the same start, a joint epoch leaves the character encoder
+        elsewhere than a separate one."""
         sents = mini_corpus(6)
-        config = small_config(optimization="joint")
-        model, tr, dv = training.prepare(config, sents, sents)
-        before = {n: p.data.copy() for n, p in model.char_parameters()}
-        opt = training.Adam(model.all_parameters())
-        training._run_epoch(model, tr, np.arange(len(tr)), config.batch_size,
-                            (opt,), np.random.default_rng(0), detach=False)
-        assert any(not np.array_equal(before[n], p.data)
-                   for n, p in model.char_parameters())
+        after = {}
+        for mode in ("separate", "joint"):
+            config = small_config(optimization=mode)
+            model, tr, _ = training.prepare(config, sents, sents)
+            training.train_epoch_synchronous(
+                model, *three_adams(model), tr, np.arange(len(tr)),
+                config.batch_size, np.random.default_rng(0))
+            after[mode] = model.char_parameters()
+        assert any(not np.array_equal(a.data, b.data) for (_, a), (_, b)
+                   in zip(after["separate"], after["joint"]))
 
     def test_token_char_encoder_variant_trains(self):
         sents = mini_corpus(6)
@@ -406,46 +457,41 @@ PASSES = {"char": (("char",), True), "word": (("word",), True),
 
 
 class TestBatchLoss:
-    # head -> index into ``_run_epoch``'s losses, and the detach flag
-    LOSSES = {"char": (0, True), "word": (1, True), "meta": (2, True),
-              "joint": (3, False)}
+    # head -> the indices into ``train_epoch_synchronous``'s losses checked,
+    # and the optimization schedule
+    LOSSES = {"char": ((0,), "separate"), "word": ((1,), "separate"),
+              "meta": ((2,), "separate"), "joint": ((0, 1, 2), "joint")}
 
     @pytest.mark.parametrize("head", list(LOSSES))
     def test_batch_loss_is_mean_of_sentence_means(self, head):
-        index, detach = self.LOSSES[head]
+        indices, mode = self.LOSSES[head]
         sents = mini_corpus(5)
-        model, tr, _ = training.prepare(small_config(), sents, sents)
-        if detach:
-            opts = [training.Adam(ps, lr=0.0) for ps in (
-                model.char_parameters(), model.word_parameters(),
-                model.meta_parameters())]
-            got = training.train_epoch_synchronous(
-                model, *opts, tr, np.arange(len(tr)), len(tr),
-                np.random.default_rng(3))[index]
-        else:
-            opt = training.Adam(model.all_parameters(), lr=0.0)
-            got = training._run_epoch(model, tr, np.arange(len(tr)), len(tr),
-                                      (opt,), np.random.default_rng(3),
-                                      detach)[index]
+        model, tr, _ = training.prepare(small_config(optimization=mode),
+                                        sents, sents)
+        got = training.train_epoch_synchronous(
+            model, *three_adams(model, lr=0.0), tr, np.arange(len(tr)),
+            len(tr), np.random.default_rng(3))
         rng = np.random.default_rng(3)
         per_sentence = []
         for s in tr:
             golds = training._gold_ids(model.vocabs, s, "xpos")
-            masks = training._draw_masks(model, [s], training._HEADS, rng)
-            losses = [nn.softmax_xent_rows(logits, golds).item()
-                      for logits in training.forward(
-                          model, [s], training._HEADS, masks, detach)]
-            per_sentence.append(sum(losses) if head == "joint"
-                                else losses[index])
-        assert abs(got - np.mean(per_sentence)) < 1e-12
+            masks = training._draw_masks(model, [s], rng)
+            per_sentence.append([
+                nn.softmax_xent_rows(logits, golds).item()
+                for logits in training.forward(model, [s], training._HEADS,
+                                               masks, mode == "separate")])
+        for index in indices:
+            want = np.mean([losses[index] for losses in per_sentence])
+            assert abs(got[index] - want) < 1e-12
 
 
 class TestForward:
-    """``forward`` runs only the encoders a head needs and tapes only ops
-    the loss's gradient reaches."""
+    """``forward`` runs only the encoders a head needs. Over the head sets
+    training runs, and for one encoder's head alone, it tapes only ops the
+    loss's gradient reaches."""
 
     @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
-    @pytest.mark.parametrize("head", list(PASSES))
+    @pytest.mark.parametrize("head", [h for h in PASSES if h != "meta"])
     def test_every_recorded_node_gets_a_gradient(self, head, char_encoder):
         heads, detach = PASSES[head]
         sents = mini_corpus(4)
@@ -453,8 +499,7 @@ class TestForward:
             small_config(char_encoder=char_encoder), sents, sents)
         golds = np.concatenate([training._gold_ids(model.vocabs, s, "xpos")
                                 for s in tr])
-        masks = training._draw_masks(model, tr, heads,
-                                     np.random.default_rng(0))
+        masks = training._draw_masks(model, tr, np.random.default_rng(0))
         oracles.zero_grads(model.all_parameters())
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds) for logits in
