@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes the same files as an earlier revision.
+
+    python3 scripts/same_outputs.py REV
+
+Exports REV with `git archive` into a temporary directory and writes a
+synthetic corpus there (scripts/generate_synthetic.py, the complementary
+corpus of 120 training and 40 dev sentences). Then, in REV's tree and in
+this checkout (working tree as it is), each with OPENBLAS_NUM_THREADS=1,
+it runs the command line:
+
+* `train` with the sentence and the token character encoder, each in
+  separate and in joint optimization (2-layer encoders, 3 epochs),
+  writing the `--log` file and the checkpoint, then `tag` of the dev
+  corpus with each checkpoint;
+* `ablate --axis components` and `ablate --axis context`, 2 seeds each.
+
+It prints `same` or `DIFF` for each of the 14 files and exits 0 if all
+are equal, 1 if any differs and 2 if a run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export
+
+SETTINGS = [f"--set={kv}" for kv in (
+    "max_epochs=3", "batch_size=8", "char_bilstm_layers=2",
+    "word_bilstm_layers=2", "meta_bilstm_layers=1", "char_bilstm_size=16",
+    "word_bilstm_size=16", "meta_bilstm_size=16", "mlp_size=16",
+    "char_emb_dim=8", "word_emb_dim=8", "learning_rate=0.01",
+    "mlp_init=scaled", "char_emb_init=scaled")]
+RUNS = [f"{encoder}-{schedule}" for encoder in ("sentence", "token")
+        for schedule in ("separate", "joint")]
+AXES = ("components", "context")
+OUTPUTS = [f"{run}.{ext}" for run in RUNS
+           for ext in ("log", "ckpt", "conllu")] \
+    + [f"ablate-{axis}.csv" for axis in AXES]
+
+
+def commands(train: Path, dev: Path) -> list[list[str]]:
+    """The command-line runs that write ``OUTPUTS`` into the directory
+    they run in."""
+    corpus = ["--train", str(train), "--dev", str(dev), *SETTINGS]
+    out = []
+    for run in RUNS:
+        encoder, schedule = run.split("-")
+        out.append(["train", *corpus, f"--set=char_encoder={encoder}",
+                    "--optimization", schedule, "--checkpoint", f"{run}.ckpt",
+                    "--log", f"{run}.log"])
+        out.append(["tag", "--checkpoint", f"{run}.ckpt", "--input",
+                    str(dev), "--output", f"{run}.conllu"])
+    for axis in AXES:
+        out.append(["ablate", "--axis", axis, "--seeds", "2", *corpus,
+                    "--out", f"ablate-{axis}.csv"])
+    return out
+
+
+def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
+    """Run ``cmds`` with the package of ``tree``, in ``out``."""
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("METATAGGER_SEED", None)
+    for cmd in cmds:
+        subprocess.run([sys.executable, "-m", "metatagger.cli", *cmd],
+                       cwd=out, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+
+def compare(parent: Path, change: Path, names) -> dict[str, bool]:
+    """Whether each named file is byte-equal in the two directories; a file
+    missing on either side is not."""
+    return {name: (parent / name).is_file() and (change / name).is_file()
+            and filecmp.cmp(parent / name, change / name, shallow=False)
+            for name in names}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("rev", help="git revision to compare against")
+    ns = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        export(ns.rev, tmp / "parent")
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "generate_synthetic.py"),
+             str(tmp / "corpus"), "--n-train", "120", "--n-dev", "40"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+            stdout=subprocess.DEVNULL)
+        cmds = commands(tmp / "corpus" / "complementary_train.conllu",
+                        tmp / "corpus" / "complementary_dev.conllu")
+        for side, tree in (("parent", tmp / "parent"), ("change", ROOT)):
+            try:
+                run_side(tree, cmds, tmp / f"{side}-out")
+            except subprocess.CalledProcessError as e:
+                print(f"{side}: metatagger {e.cmd[3]} exited "
+                      f"{e.returncode}", file=sys.stderr)
+                return 2
+        same = compare(tmp / "parent-out", tmp / "change-out", OUTPUTS)
+    for name, equal in same.items():
+        print(f"{'same' if equal else 'DIFF'} {name}")
+    return 0 if all(same.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -228,7 +228,8 @@ def cmd_grid(ns) -> int:
 def _ablation_variants(axis: str):
     """(label, config overrides, evaluation head) per variant. The gather
     and context axes score the character head in isolation; optimization
-    is judged on the combined head."""
+    is judged on the combined head; components scores each head of one
+    model."""
     if axis == "gather":
         return [(strategy.replace(",", "+"), {"gather": strategy}, "char")
                 for strategy in GATHER_ABLATION]
@@ -238,6 +239,9 @@ def _ablation_variants(axis: str):
     if axis == "optimization":
         return [("separate", {"optimization": "separate"}, "meta"),
                 ("joint", {"optimization": "joint"}, "meta")]
+    if axis == "components":
+        return [("char-only", {}, "char"), ("word-only", {}, "word"),
+                ("meta", {}, "meta")]
     raise CliUsageError(f"unknown ablation axis {axis!r}")
 
 
@@ -246,33 +250,21 @@ def cmd_ablate(ns) -> int:
         raise CliUsageError("--seeds must be at least 1")
     config, paths = effective_config(ns)
     train_sents, dev_sents = _corpora(config, paths)
-    pretrained = paths.get("pretrained_file")
-
-    def run(cfg):
-        model, tr, dv = training.prepare(cfg, train_sents, dev_sents,
-                                         pretrained_path=pretrained)
-        training.train_model(model, tr, dv)
-        return model, dv
-
-    results: dict[str, list[float]] = {}
-    if ns.axis == "components":
-        for label in ("char-only", "word-only", "meta"):
-            results[label] = []
-        for k in range(ns.seeds):
-            cfg = dataclasses.replace(config, seed=config.seed + k)
-            model, dv = run(cfg)
-            results["char-only"].append(training.evaluate(model, dv, "char"))
-            results["word-only"].append(training.evaluate(model, dv, "word"))
-            results["meta"].append(training.evaluate(model, dv, "meta"))
-    else:
-        for label, overrides, head in _ablation_variants(ns.axis):
-            accs = []
-            for k in range(ns.seeds):
+    variants = _ablation_variants(ns.axis)
+    results = {label: [] for label, _, _ in variants}
+    for k in range(ns.seeds):
+        trained_with = None
+        for label, overrides, head in variants:
+            # consecutive variants with equal overrides share one model
+            if overrides != trained_with:
                 cfg = dataclasses.replace(config, seed=config.seed + k,
                                           **overrides)
-                model, dv = run(cfg)
-                accs.append(training.evaluate(model, dv, head))
-            results[label] = accs
+                model, tr, dv = training.prepare(
+                    cfg, train_sents, dev_sents,
+                    pretrained_path=paths.get("pretrained_file"))
+                training.train_model(model, tr, dv)
+                trained_with = overrides
+            results[label].append(training.evaluate(model, dv, head))
     rows = evaluation.ablation_report(results)
     print(evaluation.render_table(rows))
     csv = evaluation.render_csv(rows, task=config.task)

@@ -22,6 +22,7 @@ encoder runs as at evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from . import nn
 from . import tensor as T
 from .data import Sentence
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 GATHER_PARTS = ("F_1st", "F_last", "B_1st", "B_last")
 
@@ -52,9 +56,9 @@ class CharSentEncoderParams:
     mlp: nn.MlpParams
     classifier: nn.ClassifierParams
     gather: tuple[str, ...]
-    emb_dropout: float = 0.0
-    lstm_dropout: float = 0.0
-    mlp_dropout: float = 0.0
+    emb_dropout: float
+    lstm_dropout: float
+    mlp_dropout: float
 
     def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
         return ([("emb", self.char_table.shape[1], self.emb_dropout)]
@@ -68,21 +72,23 @@ class CharSentEncoderParams:
                 + self.classifier.parameters(f"{prefix}.classifier"))
 
 
-def char_sent_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
-                      hidden: int = 400, depth: int = 3, mlp_size: int = 400,
-                      gather=GATHER_PARTS, rng: np.random.Generator,
-                      emb_init: str = "gaussian", mlp_init: str = "gaussian",
-                      lstm_init: str = "scaled", emb_dropout: float = 0.0,
-                      lstm_dropout: float = 0.0, mlp_dropout: float = 0.0
-                      ) -> CharSentEncoderParams:
-    gather = canonical_gather(gather)
+def char_sent_encoder(config: TrainConfig, n_chars: int, n_tags: int,
+                      rng: np.random.Generator) -> CharSentEncoderParams:
+    """Character table, BiLSTM stack, MLP and classifier at the config's
+    ``char_*`` sizes and init kinds, gathering ``config.gather_parts()``."""
+    gather = config.gather_parts()
+    emb_dim, hidden = config.char_emb_dim, config.char_bilstm_size
     table = T.create((n_chars, emb_dim), init="gaussian", rng=rng,
-                     std=nn.init_std(emb_init, 1), requires_grad=True)
-    stack = nn.bilstm_stack(emb_dim, hidden, depth, rng, lstm_init)
-    mlp = nn.mlp_params(len(gather) * hidden, mlp_size, rng, mlp_init)
-    cls = nn.classifier_params(mlp_size, n_tags, rng)
+                     std=nn.init_std(config.char_emb_init, 1),
+                     requires_grad=True)
+    stack = nn.bilstm_stack(emb_dim, hidden, config.char_bilstm_layers, rng,
+                            config.lstm_init)
+    mlp = nn.mlp_params(len(gather) * hidden, config.mlp_size, rng,
+                        config.mlp_init)
+    cls = nn.classifier_params(config.mlp_size, n_tags, rng)
     return CharSentEncoderParams(table, stack, mlp, cls, gather,
-                                 emb_dropout, lstm_dropout, mlp_dropout)
+                                 config.char_emb_dropout, config.lstm_dropout,
+                                 config.mlp_dropout)
 
 
 def token_counts(batch: list[Sentence]) -> list[int]:
@@ -142,8 +148,8 @@ class CharTokenEncoderParams:
     lstm: nn.LstmParams
     attn_vec: Tensor
     classifier: nn.ClassifierParams
-    emb_dropout: float = 0.0
-    lstm_dropout: float = 0.0
+    emb_dropout: float
+    lstm_dropout: float
 
     def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
         """Per token: the embedding mask, then the state mask."""
@@ -158,19 +164,21 @@ class CharTokenEncoderParams:
                 + self.classifier.parameters(f"{prefix}.classifier"))
 
 
-def char_token_encoder(n_chars: int, n_tags: int, *, emb_dim: int = 100,
-                       hidden: int = 400, rng: np.random.Generator,
-                       emb_init: str = "gaussian", lstm_init: str = "scaled",
-                       emb_dropout: float = 0.0, lstm_dropout: float = 0.0
-                       ) -> CharTokenEncoderParams:
+def char_token_encoder(config: TrainConfig, n_chars: int, n_tags: int,
+                       rng: np.random.Generator) -> CharTokenEncoderParams:
+    """Character table, one LSTM of ``config.char_bilstm_size`` units,
+    attention vector and classifier, at the config's init kinds."""
+    emb_dim, hidden = config.char_emb_dim, config.char_bilstm_size
     table = T.create((n_chars, emb_dim), init="gaussian", rng=rng,
-                     std=nn.init_std(emb_init, 1), requires_grad=True)
-    lstm = nn.lstm_params(emb_dim, hidden, rng, lstm_init)
+                     std=nn.init_std(config.char_emb_init, 1),
+                     requires_grad=True)
+    lstm = nn.lstm_params(emb_dim, hidden, rng, config.lstm_init)
     attn = T.create((hidden,), init="gaussian", rng=rng,
-                    std=nn.init_std(lstm_init, hidden), requires_grad=True)
+                    std=nn.init_std(config.lstm_init, hidden),
+                    requires_grad=True)
     cls = nn.classifier_params(hidden, n_tags, rng)
     return CharTokenEncoderParams(table, lstm, attn, cls,
-                                  emb_dropout, lstm_dropout)
+                                  config.char_emb_dropout, config.lstm_dropout)
 
 
 def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
@@ -196,9 +204,9 @@ class WordEncoderParams:
     stack: nn.BiLstmStack
     mlp: nn.MlpParams
     classifier: nn.ClassifierParams
-    emb_dropout: float = 0.0
-    lstm_dropout: float = 0.0
-    mlp_dropout: float = 0.0
+    emb_dropout: float
+    lstm_dropout: float
+    mlp_dropout: float
 
     def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
         return ([("emb", self.learned.shape[1], self.emb_dropout)]
@@ -214,26 +222,29 @@ class WordEncoderParams:
                 + self.classifier.parameters(f"{prefix}.classifier"))
 
 
-def word_encoder(n_words: int, n_tags: int, *, emb_dim: int,
-                 pretrained: np.ndarray | None = None, hidden: int = 400,
-                 depth: int = 3, mlp_size: int = 400,
-                 rng: np.random.Generator, mlp_init: str = "gaussian",
-                 lstm_init: str = "scaled", emb_dropout: float = 0.0,
-                 lstm_dropout: float = 0.0, mlp_dropout: float = 0.0
-                 ) -> WordEncoderParams:
+def word_encoder(config: TrainConfig, n_words: int, n_tags: int,
+                 rng: np.random.Generator,
+                 pretrained: np.ndarray | None = None) -> WordEncoderParams:
+    """Learned and frozen embedding tables, BiLSTM stack, MLP and
+    classifier at the config's ``word_*`` sizes and init kinds. The
+    embedding width is the ``pretrained`` matrix's, or
+    ``config.word_emb_dim`` without one (a zero frozen table)."""
     if pretrained is None:
-        pretrained = np.zeros((n_words, emb_dim))
+        pretrained = np.zeros((n_words, config.word_emb_dim))
+    emb_dim, hidden = pretrained.shape[-1], config.word_bilstm_size
     if pretrained.shape != (n_words, emb_dim):
         raise T.ShapeError(
             f"pretrained matrix {pretrained.shape} does not match "
             f"({n_words}, {emb_dim})")
     learned = T.create((n_words, emb_dim), init="zeros", requires_grad=True)
     frozen = Tensor(pretrained, requires_grad=False)
-    stack = nn.bilstm_stack(emb_dim, hidden, depth, rng, lstm_init)
-    mlp = nn.mlp_params(2 * hidden, mlp_size, rng, mlp_init)
-    cls = nn.classifier_params(mlp_size, n_tags, rng)
+    stack = nn.bilstm_stack(emb_dim, hidden, config.word_bilstm_layers, rng,
+                            config.lstm_init)
+    mlp = nn.mlp_params(2 * hidden, config.mlp_size, rng, config.mlp_init)
+    cls = nn.classifier_params(config.mlp_size, n_tags, rng)
     return WordEncoderParams(learned, frozen, stack, mlp, cls,
-                             emb_dropout, lstm_dropout, mlp_dropout)
+                             config.word_emb_dropout, config.lstm_dropout,
+                             config.mlp_dropout)
 
 
 def encode_words(p: WordEncoderParams, batch: list[Sentence],

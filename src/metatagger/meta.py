@@ -8,6 +8,7 @@ Whether the combiner's loss reaches the encoders is decided by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -15,14 +16,17 @@ from . import nn
 from . import tensor as T
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 
 @dataclass
 class MetaParams:
     stack: nn.BiLstmStack
     mlp: nn.MlpParams
     classifier: nn.ClassifierParams
-    lstm_dropout: float = 0.0
-    mlp_dropout: float = 0.0
+    lstm_dropout: float
+    mlp_dropout: float
 
     def dropout_sites(self, sentence) -> list[nn.Site]:
         return (nn.stack_sites(self.stack, self.lstm_dropout)
@@ -34,16 +38,18 @@ class MetaParams:
                 + self.classifier.parameters(f"{prefix}.classifier"))
 
 
-def meta_params(char_rep_size: int, word_rep_size: int, n_tags: int, *,
-                hidden: int = 400, depth: int = 1, mlp_size: int = 400,
-                rng: np.random.Generator, mlp_init: str = "gaussian",
-                lstm_init: str = "scaled", lstm_dropout: float = 0.0,
-                mlp_dropout: float = 0.0) -> MetaParams:
-    stack = nn.bilstm_stack(char_rep_size + word_rep_size, hidden, depth,
-                            rng, lstm_init)
-    mlp = nn.mlp_params(2 * hidden, mlp_size, rng, mlp_init)
-    cls = nn.classifier_params(mlp_size, n_tags, rng)
-    return MetaParams(stack, mlp, cls, lstm_dropout, mlp_dropout)
+def meta_params(config: TrainConfig, char_rep_size: int, n_tags: int,
+                rng: np.random.Generator) -> MetaParams:
+    """BiLSTM stack over a character output of ``char_rep_size`` beside the
+    word model's ``config.mlp_size`` one, then MLP and classifier, at the
+    config's ``meta_*`` sizes and init kinds."""
+    hidden = config.meta_bilstm_size
+    stack = nn.bilstm_stack(char_rep_size + config.mlp_size, hidden,
+                            config.meta_bilstm_layers, rng, config.lstm_init)
+    mlp = nn.mlp_params(2 * hidden, config.mlp_size, rng, config.mlp_init)
+    cls = nn.classifier_params(config.mlp_size, n_tags, rng)
+    return MetaParams(stack, mlp, cls, config.lstm_dropout,
+                      config.mlp_dropout)
 
 
 def combine(p: MetaParams, m_chars: Tensor, m_word: Tensor, lengths,

@@ -174,23 +174,24 @@ _PARALLEL_MIN_WORK = 1 << 24
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_run")
 
 
-def _both(parallel: bool, first, second) -> tuple:
-    """Results of the calls ``first`` and ``second``, each (fn, *args).
+def _run_calls(parallel: bool, calls: list) -> list:
+    """Results of ``calls``, one or two (fn, *args) tuples, in order.
 
-    With ``parallel`` the second runs on the worker thread while this one
-    runs the first. The worker is always waited for before this returns or
-    raises; an exception raised on it is raised here, unless the first call
-    raised already.
+    With ``parallel`` the second of two calls runs on the worker thread
+    while this one runs the first. The worker is always waited for before
+    this returns or raises; an exception raised on it is raised here,
+    unless the first call raised already.
     """
     if not parallel:
-        return first[0](*first[1:]), second[0](*second[1:])
+        return [fn(*args) for fn, *args in calls]
+    (fn, *args), second = calls
     future = _WORKER.submit(*second)
     try:
-        a = first[0](*first[1:])
+        first = fn(*args)
     except BaseException:
         wait([future])
         raise
-    return a, future.result()
+    return [first, future.result()]
 
 
 def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
@@ -299,8 +300,11 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     one runs the forward direction, forward and backward alike, unless
     the layer is too small to gain from it (``_PARALLEL_MIN_WORK``).
 
-    One tape node: the forward runs packed time-major (see ``_packing``)
-    and the backward, written by hand, mirrors it. When the op is not
+    One or two directions take the same path: each is one ``_direction``
+    run over its own packed rows (see ``_packing``) with its mask sorted
+    to the packed order, writing its ``hidden`` columns of the result.
+    One tape node; its backward, written by hand, mirrors the loop of
+    each direction and sums their input gradients. When the op is not
     recorded, values only the backward reads are not stored.
     """
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
@@ -329,32 +333,27 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
                                f"({lengths.size}, {hs})")
         return m[order]
 
-    mask = sorted_mask(h_mask, "h_mask")
-    directions = [params] if reverse is None else [params, reverse]
-    inputs = (xs,) + tuple(t for p in directions for t in (
+    # (params, sorted mask, packed rows) per direction
+    runs = [(params, sorted_mask(h_mask, "h_mask"), rows)]
+    if reverse is not None:
+        runs.append((reverse, sorted_mask(reverse_mask, "reverse_mask"),
+                     _packing(lengths, reverse=True)[0]))
+    inputs = (xs,) + tuple(t for p, _, _ in runs for t in (
         p.w_x, p.w_h, p.bias, p.h0, p.c0))
     track = T.tracking(inputs)
-    if reverse is None:
-        result = np.empty((n, hs))
-        bwd = _direction(params, xs.data, mask, rows, batch_sizes, result,
-                         track)
-        return T.record("lstm_run", inputs, result, bwd)
-
-    rev_mask = sorted_mask(reverse_mask, "reverse_mask")
-    rev_rows = _packing(lengths, reverse=True)[0]
-    parallel = n * 4 * hs * (params.input_size + hs) >= _PARALLEL_MIN_WORK
-    result = np.empty((n, 2 * hs))
-    bwd_f, bwd_r = _both(
-        parallel,
-        (_direction, params, xs.data, mask, rows, batch_sizes,
-         result[:, :hs], track),
-        (_direction, reverse, xs.data, rev_mask, rev_rows, batch_sizes,
-         result[:, hs:], track))
+    parallel = len(runs) == 2 \
+        and n * 4 * hs * (params.input_size + hs) >= _PARALLEL_MIN_WORK
+    result = np.empty((n, len(runs) * hs))
+    bwds = _run_calls(parallel, [
+        (_direction, p, xs.data, mask, r, batch_sizes,
+         result[:, k * hs:(k + 1) * hs], track)
+        for k, (p, mask, r) in enumerate(runs)])
 
     def bwd(g_out):
-        g_f, g_r = _both(parallel, (bwd_f, g_out[:, :hs]),
-                         (bwd_r, g_out[:, hs:]))
-        return (g_f[0] + g_r[0],) + g_f[1:] + g_r[1:]
+        grads = _run_calls(parallel, [
+            (b, g_out[:, k * hs:(k + 1) * hs]) for k, b in enumerate(bwds)])
+        d_xs = sum((g[0] for g in grads[1:]), grads[0][0])
+        return (d_xs,) + tuple(d for g in grads for d in g[1:])
 
     return T.record("lstm_run", inputs, result, bwd)
 

@@ -3,10 +3,12 @@
 The op set is deliberately small: just the ops the tagger's forward pass
 runs, with the fused LSTM, loss and attention ops of ``nn`` registered
 through ``record``. Matrix products take 2-D operands only. Forward
-values are computed eagerly; when a :class:`Graph` is active, every op that
-touches a ``requires_grad`` tensor appends a tape entry, and ``backward``
-replays the tape in reverse. Gradients accumulate additively when a tensor
-feeds several ops.
+values are computed eagerly. Inside the ``with`` block of a
+:class:`Graph`, every op that touches a ``requires_grad`` tensor appends a
+tape entry, and ``backward`` replays the tape in reverse; gradients
+accumulate additively when a tensor feeds several ops. Outside any
+``Graph`` ops record nothing and return untracked tensors: evaluation and
+tagging run there.
 
 Everything runs in double precision so the finite-difference checks in the
 test-suite are meaningful at 1e-4 relative tolerance.
@@ -14,7 +16,6 @@ test-suite are meaningful at 1e-4 relative tolerance.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ class Node:
         self.backward_fn = backward_fn
 
 
-_ACTIVE: list["Graph | None"] = []  # None entries are no_grad scopes
+_ACTIVE: list["Graph"] = []
 
 
 class Graph:
@@ -134,17 +135,6 @@ class Graph:
 
 def active_graph() -> Graph | None:
     return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def no_grad():
-    """Scope in which ops record nothing and return untracked tensors, even
-    inside a ``Graph``; a ``Graph`` entered within it records again."""
-    _ACTIVE.append(None)
-    try:
-        yield
-    finally:
-        _ACTIVE.pop()
 
 
 def tracking(inputs) -> bool:

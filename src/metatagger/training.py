@@ -129,6 +129,20 @@ class TrainConfig:
             if getattr(self, key) not in ("gaussian", "scaled"):
                 raise ValueError(f"config key {key!r} must be gaussian or "
                                  f"scaled, got {getattr(self, key)!r}")
+        # chained comparisons, so that NaN fails them
+        for key, ok, bound in (
+                ("seed", 0 <= self.seed, ">= 0"),
+                ("patience", 0 <= self.patience, ">= 0"),
+                ("learning_rate", 0.0 <= self.learning_rate < math.inf,
+                 "finite and >= 0"),
+                ("decay", 0.0 <= self.decay <= 1.0, "in [0, 1]"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("adam_epsilon", 0.0 < self.adam_epsilon < math.inf,
+                 "finite and > 0")):
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {bound}, got "
+                                 f"{getattr(self, key)!r}")
         self.gather_parts()
 
 
@@ -312,43 +326,18 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
     order is fixed, so a (config, vocabs) pair determines every array."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    word_dim = pretrained.shape[1] if pretrained is not None \
-        else config.word_emb_dim
-
     char_sent = char_token = None
     if config.char_encoder == "sentence":
-        char_sent = encoders.char_sent_encoder(
-            vocabs.n_chars, vocabs.n_tags, emb_dim=config.char_emb_dim,
-            hidden=config.char_bilstm_size, depth=config.char_bilstm_layers,
-            mlp_size=config.mlp_size, gather=config.gather_parts(), rng=rng,
-            emb_init=config.char_emb_init, mlp_init=config.mlp_init,
-            lstm_init=config.lstm_init, emb_dropout=config.char_emb_dropout,
-            lstm_dropout=config.lstm_dropout, mlp_dropout=config.mlp_dropout)
+        char_sent = encoders.char_sent_encoder(config, vocabs.n_chars,
+                                               vocabs.n_tags, rng)
         char_rep_size = config.mlp_size
     else:
-        char_token = encoders.char_token_encoder(
-            vocabs.n_chars, vocabs.n_tags, emb_dim=config.char_emb_dim,
-            hidden=config.char_bilstm_size, rng=rng,
-            emb_init=config.char_emb_init, lstm_init=config.lstm_init,
-            emb_dropout=config.char_emb_dropout,
-            lstm_dropout=config.lstm_dropout)
+        char_token = encoders.char_token_encoder(config, vocabs.n_chars,
+                                                 vocabs.n_tags, rng)
         char_rep_size = config.char_bilstm_size
-
-    word = encoders.word_encoder(
-        vocabs.n_words, vocabs.n_tags, emb_dim=word_dim,
-        pretrained=pretrained, hidden=config.word_bilstm_size,
-        depth=config.word_bilstm_layers, mlp_size=config.mlp_size, rng=rng,
-        mlp_init=config.mlp_init, lstm_init=config.lstm_init,
-        emb_dropout=config.word_emb_dropout,
-        lstm_dropout=config.lstm_dropout, mlp_dropout=config.mlp_dropout)
-
-    combiner = meta.meta_params(
-        char_rep_size, config.mlp_size, vocabs.n_tags,
-        hidden=config.meta_bilstm_size, depth=config.meta_bilstm_layers,
-        mlp_size=config.mlp_size, rng=rng, mlp_init=config.mlp_init,
-        lstm_init=config.lstm_init, lstm_dropout=config.lstm_dropout,
-        mlp_dropout=config.mlp_dropout)
-
+    word = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
+                                 pretrained)
+    combiner = meta.meta_params(config, char_rep_size, vocabs.n_tags, rng)
     return TaggerModel(config=config, vocabs=vocabs, char_sent=char_sent,
                        char_token=char_token, word=word, combiner=combiner)
 
@@ -397,19 +386,19 @@ def forward(model: TaggerModel, batch: list[Sentence], heads,
 
 def _predict(model: TaggerModel, sentences: list[Sentence],
              head: str) -> list[list[str]]:
-    """Tag strings from one head, ``batch_size`` sentences at a time, off
-    the tape. Token-less sentences get no tags."""
+    """Tag strings from one head, ``batch_size`` sentences at a time.
+    Callers run it outside any ``Graph``, so nothing is taped. Token-less
+    sentences get no tags."""
     names = model.vocabs.tag_strings()
     tagged = [s for s in sentences if s.tokens]
     size = model.config.batch_size
     found = []
-    with T.no_grad():
-        for start in range(0, len(tagged), size):
-            batch = tagged[start:start + size]
-            [logits] = forward(model, batch, (head,))
-            ids = np.split(nn.predict_tags(logits),
-                           np.cumsum(encoders.token_counts(batch))[:-1])
-            found += [[names[i] for i in row] for row in ids]
+    for start in range(0, len(tagged), size):
+        batch = tagged[start:start + size]
+        [logits] = forward(model, batch, (head,))
+        ids = np.split(nn.predict_tags(logits),
+                       np.cumsum(encoders.token_counts(batch))[:-1])
+        found += [[names[i] for i in row] for row in ids]
     found = iter(found)
     return [next(found) if s.tokens else [] for s in sentences]
 
@@ -712,14 +701,13 @@ def _check_structure(path: str, config: TrainConfig,
                              f"have {value}")
 
 
-def checkpoint_load(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
+def _read_manifest(path: str, head: bytes) -> dict:
+    """The manifest of the checkpoint whose first line is ``head``, with
+    its keys, vocabularies and array entries checked."""
+    if not head.endswith(b"\n"):
         raise ValueError(f"{path}: not a checkpoint (no manifest line)")
     try:
-        manifest = json.loads(blob[:newline].decode("utf-8"))
+        manifest = json.loads(head[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: corrupt manifest: {e}") from None
     if not isinstance(manifest, dict) \
@@ -757,24 +745,29 @@ def checkpoint_load(path: str) -> Checkpoint:
             raise ValueError(f"{path}: checkpoint array entry key 'shape' of "
                              f"{entry['name']!r} is not a list of "
                              f"non-negative integers")
-    config = config_from_dict(manifest["config"])
-    _check_structure(path, config, {entry["name"]: entry["shape"]
-                                    for entry in manifest["arrays"]})
-    body = blob[newline + 1:]
-    arrays = {}
-    offset = 0
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = math.prod(shape) * 8
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError(f"{path}: truncated checkpoint "
-                             f"(array {entry['name']!r} incomplete)")
-        arrays[entry["name"]] = np.frombuffer(
-            chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(body):
-        raise ValueError(f"{path}: trailing bytes after the last array")
+    return manifest
+
+
+def checkpoint_load(path: str) -> Checkpoint:
+    """Read a checkpoint: the manifest line, then each array straight from
+    the file. The arrays' byte count is checked against the file's before
+    any array is allocated."""
+    with open(path, "rb") as fh:
+        manifest = _read_manifest(path, fh.readline())
+        config = config_from_dict(manifest["config"])
+        entries = [(entry["name"], tuple(entry["shape"]))
+                   for entry in manifest["arrays"]]
+        _check_structure(path, config, dict(entries))
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, shape in entries:
+            left -= math.prod(shape) * 8
+            if left < 0:
+                raise ValueError(f"{path}: truncated checkpoint "
+                                 f"(array {name!r} incomplete)")
+        if left:
+            raise ValueError(f"{path}: trailing bytes after the last array")
+        arrays = {name: np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+                  for name, shape in entries}
     vocabs = Vocabs(words=manifest["vocabs"]["words"],
                     chars=manifest["vocabs"]["chars"],
                     tags=manifest["vocabs"]["tags"],

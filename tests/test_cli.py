@@ -217,7 +217,9 @@ class TestExitCodes:
         "char_bilstm_size=-1", "char_emb_dim=0", "word_emb_dim=0",
         "lstm_dropout=1.5", "optimizer=sgd", "mlp_activation=relu",
         "loss=hinge", "word_emb_init=gaussian", "mlp_init=foo",
-        "lstm_init=foo", "char_emb_init=foo"])
+        "lstm_init=foo", "char_emb_init=foo", "seed=-1",
+        "learning_rate=nan", "decay=1.5", "beta1=1", "beta2=1",
+        "adam_epsilon=0", "patience=-1"])
     def test_bad_structural_value_is_usage(self, corpus_dir, tmp_path,
                                            capsys, setting):
         code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
@@ -228,6 +230,16 @@ class TestExitCodes:
         key = setting.partition("=")[0]
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ") and repr(key) in err
+
+    def test_negative_env_seed_is_usage(self, corpus_dir, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV, "-1")
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and "'seed'" in err
 
     @pytest.mark.parametrize("flag, name", [
         ("--pretrained", "missing.vec"), ("--pretrained", ""),
@@ -462,7 +474,15 @@ class TestGridAndAblate:
         assert cli.main(["grid", "--train", str(corpus_dir / "train.conllu"),
                          "--sizes", "pocket"]) == 1
 
-    def test_ablate_components_csv(self, corpus_dir, tmp_path):
+    def test_ablate_components_csv(self, corpus_dir, tmp_path, monkeypatch):
+        trained = []
+        train_model = training.train_model
+
+        def counted(*args):
+            trained.append(args)
+            return train_model(*args)
+
+        monkeypatch.setattr(training, "train_model", counted)
         out = tmp_path / "a.csv"
         code = cli.main(["ablate", "--axis", "components", "--seeds", "2",
                          "--train", str(corpus_dir / "train.conllu"),
@@ -474,6 +494,7 @@ class TestGridAndAblate:
         assert lines[0] == "config,seed,task,accuracy"
         configs = [l.split(",")[0] for l in lines[1:]]
         assert configs == ["char-only"] * 2 + ["word-only"] * 2 + ["meta"] * 2
+        assert len(trained) == 2  # one model per seed scores all three heads
 
     def test_ablate_gather_enumerates_strategies(self, corpus_dir, tmp_path):
         out = tmp_path / "a.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from metatagger import data, encoders, meta, nn
+from metatagger import data, encoders, meta, nn, training
 from metatagger import tensor as T
 
 
@@ -21,18 +21,24 @@ def make_world(texts, task="xpos", seed=0):
     return sents, vocabs
 
 
+def small_config(**overrides):
+    """A config at test sizes, without dropout."""
+    sizes = dict(char_emb_dim=5, char_bilstm_size=6, char_bilstm_layers=2,
+                 word_emb_dim=4, word_bilstm_size=6, word_bilstm_layers=2,
+                 meta_bilstm_size=5, meta_bilstm_layers=1, mlp_size=7,
+                 lstm_init="scaled", mlp_init="scaled", char_emb_dropout=0.0,
+                 word_emb_dropout=0.0, lstm_dropout=0.0, mlp_dropout=0.0)
+    return training.TrainConfig(**{**sizes, **overrides})
+
+
 def small_encoders(vocabs, seed=1, gather=encoders.GATHER_PARTS):
     rng = np.random.default_rng(seed)
-    cs = encoders.char_sent_encoder(vocabs.n_chars, vocabs.n_tags,
-                                    emb_dim=5, hidden=6, depth=2,
-                                    mlp_size=7, gather=gather, rng=rng,
-                                    lstm_init="scaled", mlp_init="scaled")
-    ct = encoders.char_token_encoder(vocabs.n_chars, vocabs.n_tags,
-                                     emb_dim=5, hidden=6, rng=rng,
-                                     lstm_init="scaled")
-    wd = encoders.word_encoder(vocabs.n_words, vocabs.n_tags, emb_dim=4,
-                               hidden=6, depth=2, mlp_size=7, rng=rng,
-                               lstm_init="scaled", mlp_init="scaled")
+    config = small_config(gather=",".join(gather))
+    cs = encoders.char_sent_encoder(config, vocabs.n_chars, vocabs.n_tags,
+                                    rng)
+    ct = encoders.char_token_encoder(config, vocabs.n_chars, vocabs.n_tags,
+                                     rng)
+    wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng)
     return cs, ct, wd
 
 
@@ -188,10 +194,8 @@ class TestWordEncoder:
         sents, vocabs = make_world(["the dog barks"])
         rng = np.random.default_rng(5)
         pre = rng.normal(size=(vocabs.n_words, 4))
-        wd = encoders.word_encoder(vocabs.n_words, vocabs.n_tags, emb_dim=4,
-                                   pretrained=pre, hidden=6, depth=1,
-                                   mlp_size=7, rng=rng, lstm_init="scaled",
-                                   mlp_init="scaled")
+        wd = encoders.word_encoder(small_config(word_bilstm_layers=1),
+                                   vocabs.n_words, vocabs.n_tags, rng, pre)
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
         with T.Graph() as g:
             _, _, logits = encoders.encode_words(wd, [sents[0]])
@@ -207,34 +211,27 @@ class TestWordEncoder:
         sents, vocabs = make_world(["the dog"])
         rng = np.random.default_rng(6)
         pre = rng.normal(size=(vocabs.n_words, 4))
-        wd_zero = encoders.word_encoder(vocabs.n_words, vocabs.n_tags,
-                                        emb_dim=4, hidden=6, depth=1,
-                                        mlp_size=7,
-                                        rng=np.random.default_rng(7),
-                                        lstm_init="scaled", mlp_init="scaled")
-        wd_pre = encoders.word_encoder(vocabs.n_words, vocabs.n_tags,
-                                       emb_dim=4, pretrained=pre, hidden=6,
-                                       depth=1, mlp_size=7,
-                                       rng=np.random.default_rng(7),
-                                       lstm_init="scaled", mlp_init="scaled")
+        config = small_config(word_bilstm_layers=1)
+        wd_zero = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags,
+                                        np.random.default_rng(7))
+        wd_pre = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags,
+                                       np.random.default_rng(7), pre)
         a = encoders.encode_words(wd_zero, [sents[0]])[2].data
         b = encoders.encode_words(wd_pre, [sents[0]])[2].data
         assert not np.array_equal(a, b)
 
     def test_shape_mismatch_pretrained(self):
         with pytest.raises(T.ShapeError):
-            encoders.word_encoder(5, 3, emb_dim=4,
-                                  pretrained=np.zeros((5, 9)), hidden=6,
-                                  rng=np.random.default_rng(0))
+            encoders.word_encoder(small_config(), 5, 3,
+                                  np.random.default_rng(0), np.zeros((6, 4)))
 
     def test_grad_check(self):
         sents, vocabs = make_world(["ab c"])
         rng = np.random.default_rng(15)
         pre = rng.normal(size=(vocabs.n_words, 3))
-        wd = encoders.word_encoder(vocabs.n_words, vocabs.n_tags, emb_dim=3,
-                                   pretrained=pre, hidden=4, depth=2,
-                                   mlp_size=5, rng=rng, lstm_init="scaled",
-                                   mlp_init="scaled")
+        config = small_config(word_bilstm_size=4, mlp_size=5)
+        wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
+                                   pre)
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
 
         def f():
@@ -246,14 +243,11 @@ class TestWordEncoder:
 
 def build_triple(vocabs, seed=21):
     rng = np.random.default_rng(seed)
-    cs = encoders.char_sent_encoder(vocabs.n_chars, vocabs.n_tags, emb_dim=5,
-                                    hidden=6, depth=1, mlp_size=7, rng=rng,
-                                    lstm_init="scaled", mlp_init="scaled")
-    wd = encoders.word_encoder(vocabs.n_words, vocabs.n_tags, emb_dim=4,
-                               hidden=6, depth=1, mlp_size=7, rng=rng,
-                               lstm_init="scaled", mlp_init="scaled")
-    mp = meta.meta_params(7, 7, vocabs.n_tags, hidden=5, depth=1, mlp_size=6,
-                          rng=rng, lstm_init="scaled", mlp_init="scaled")
+    config = small_config(char_bilstm_layers=1, word_bilstm_layers=1)
+    cs = encoders.char_sent_encoder(config, vocabs.n_chars, vocabs.n_tags,
+                                    rng)
+    wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng)
+    mp = meta.meta_params(config, 7, vocabs.n_tags, rng)
     return cs, wd, mp
 
 
@@ -291,8 +285,8 @@ class TestMeta:
         assert self.total_grad(wd.parameters()) > 0.0
 
     def test_length_mismatch(self):
-        mp = meta.meta_params(3, 3, 2, hidden=4, depth=1, mlp_size=4,
-                              rng=np.random.default_rng(0))
+        mp = meta.meta_params(small_config(meta_bilstm_size=4, mlp_size=3),
+                              3, 2, np.random.default_rng(0))
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((3, 3)))
         with pytest.raises(T.ShapeError):
@@ -304,7 +298,7 @@ class TestMeta:
         _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
         _, m_w, _ = encoders.encode_words(wd, [sents[0]])
         m, logits = meta.combine(mp, m_c, m_w, [1])
-        assert m.shape == (1, 6)
+        assert m.shape == (1, 7)
         assert logits.shape == (1, vocabs.n_tags)
 
     def test_combined_width(self):
@@ -341,20 +335,16 @@ class TestBatches:
 
     def dropout_triple(self, vocabs):
         rng = np.random.default_rng(41)
-        kw = dict(lstm_dropout=0.3, mlp_dropout=0.2, lstm_init="scaled")
-        cs = encoders.char_sent_encoder(
-            vocabs.n_chars, vocabs.n_tags, emb_dim=5, hidden=6, depth=2,
-            mlp_size=7, rng=rng, mlp_init="scaled", emb_dropout=0.1, **kw)
-        ct = encoders.char_token_encoder(
-            vocabs.n_chars, vocabs.n_tags, emb_dim=5, hidden=6, rng=rng,
-            emb_dropout=0.1, lstm_dropout=0.3, lstm_init="scaled")
-        wd = encoders.word_encoder(
-            vocabs.n_words, vocabs.n_tags, emb_dim=4,
-            pretrained=rng.normal(size=(vocabs.n_words, 4)), hidden=6,
-            depth=2, mlp_size=7, rng=rng, mlp_init="scaled",
-            emb_dropout=0.25, **kw)
-        mp = meta.meta_params(7, 7, vocabs.n_tags, hidden=5, depth=2,
-                              mlp_size=6, rng=rng, mlp_init="scaled", **kw)
+        config = small_config(
+            char_emb_dropout=0.1, word_emb_dropout=0.25, lstm_dropout=0.3,
+            mlp_dropout=0.2, meta_bilstm_layers=2)
+        cs = encoders.char_sent_encoder(config, vocabs.n_chars, vocabs.n_tags,
+                                        rng)
+        ct = encoders.char_token_encoder(config, vocabs.n_chars,
+                                         vocabs.n_tags, rng)
+        wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
+                                   rng.normal(size=(vocabs.n_words, 4)))
+        mp = meta.meta_params(config, 7, vocabs.n_tags, rng)
         return cs, ct, wd, mp
 
     def assert_batch_equals_singletons(self, p, encode, sents):

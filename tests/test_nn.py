@@ -94,14 +94,16 @@ def composed_run(p, xs_data, mask=None, weights=None):
 
 
 def closure_arrays(fn) -> list[np.ndarray]:
-    """The arrays a backward closure holds, through the closures it holds."""
+    """The arrays a backward closure holds, through the closures it holds,
+    also inside lists."""
     found = []
     for cell in fn.__closure__ or ():
         value = cell.cell_contents
-        if isinstance(value, np.ndarray):
-            found.append(value)
-        elif callable(value) and getattr(value, "__closure__", None):
-            found += closure_arrays(value)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif callable(item) and getattr(item, "__closure__", None):
+                found += closure_arrays(item)
     return found
 
 
@@ -806,8 +808,7 @@ class TestTwoDirections:
         with T.Graph() as g:
             loss = oracles.tsum(nn.bilstm_stack_run(stack, xs, lengths=[3, 4]))
         g.backward(loss)
-        with T.no_grad():
-            nn.bilstm_stack_run(stack, xs, lengths=[3, 4])
+        nn.bilstm_stack_run(stack, xs, lengths=[3, 4])  # outside any Graph
         assert threads == {threading.main_thread()}
 
     @pytest.mark.parametrize("stage", ["forward", "backward"])

@@ -1,0 +1,41 @@
+"""The file comparison of scripts/same_outputs.py."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))  # same_outputs imports bench_pairs
+spec = importlib.util.spec_from_file_location(
+    "same_outputs", SCRIPTS / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+
+def test_compare_reports_each_file(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for name, a, b in (("equal.log", b"epoch=0\n", b"epoch=0\n"),
+                       ("last-byte.ckpt", b"{}\n\x00\x01", b"{}\n\x00\x02"),
+                       ("longer.csv", b"a,b\n", b"a,b\n\n")):
+        (parent / name).write_bytes(a)
+        (change / name).write_bytes(b)
+    (parent / "only-parent.conllu").write_bytes(b"x")
+    (change / "only-change.conllu").write_bytes(b"x")
+    names = ["equal.log", "last-byte.ckpt", "longer.csv",
+             "only-parent.conllu", "only-change.conllu", "neither.csv"]
+    assert same_outputs.compare(parent, change, names) == {
+        "equal.log": True, "last-byte.ckpt": False, "longer.csv": False,
+        "only-parent.conllu": False, "only-change.conllu": False,
+        "neither.csv": False}
+
+
+def test_outputs_are_the_files_the_commands_write():
+    written = []
+    for cmd in same_outputs.commands(Path("train.conllu"), Path("dev.conllu")):
+        flags = ("--output",) if cmd[0] == "tag" \
+            else ("--checkpoint", "--log", "--out")
+        written += [cmd[i + 1] for i, arg in enumerate(cmd) if arg in flags]
+    assert sorted(written) == sorted(same_outputs.OUTPUTS)
+    assert len(written) == 14

@@ -582,6 +582,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             training.checkpoint_load(path)
 
+    def test_huge_shape_is_truncated_before_allocation(self, tmp_path):
+        import json
+        _, _, path, _ = self.trained(tmp_path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        [entry] = [e for e in manifest["arrays"]
+                   if e["name"] == "meta.classifier.bias"]
+        entry["shape"] = [2 ** 40]
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="truncated checkpoint "
+                           r"\(array 'meta.classifier.bias' incomplete\)"):
+            training.checkpoint_load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, path, _ = self.trained(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            training.checkpoint_load(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         _, ckpt, path, _ = self.trained(tmp_path)
         import json
