@@ -23,10 +23,16 @@ import dataclasses
 import errno
 import os
 import sys
+import time
 from pathlib import Path
 
-from . import data, evaluation, training
-from .tensor import NonFiniteError
+# One BLAS thread unless the user says otherwise: the two directions of an
+# LSTM layer already run on two threads, and each would otherwise drive one
+# OpenBLAS thread per core. This must run before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import data, evaluation, training  # noqa: E402
+from .tensor import NonFiniteError  # noqa: E402
 
 SEED_ENV = "METATAGGER_SEED"
 PATH_KEYS = ("train_file", "dev_file", "pretrained_file",
@@ -158,16 +164,23 @@ def cmd_train(ns) -> int:
 
 
 def cmd_tag(ns) -> int:
+    t0 = time.perf_counter()
     ckpt = training.checkpoint_load(ns.checkpoint)
     model = ckpt.rebuild()
+    t1 = time.perf_counter()
     sentences = _parse_corpus(ns.input, ckpt.config.task)
     data.assign_ids(sentences, ckpt.vocabs)
+    t2 = time.perf_counter()
     tags = training.tag_corpus(model, sentences)
+    t3 = time.perf_counter()
     text = data.write_conllu(sentences, tags, task=ckpt.config.task)
     Path(ns.output).write_text(text, encoding="utf-8")
     n_tokens = sum(len(s.tokens) for s in sentences)
     print(f"tagged {n_tokens} tokens in {len(sentences)} sentences "
           f"({ckpt.config.task} column)")
+    rate = n_tokens / (t3 - t2) if t3 > t2 else 0.0
+    print(f"tag: load {t1 - t0:.3f} s, tag {t3 - t2:.3f} s, {rate:.0f} tok/s",
+          file=sys.stderr)
     return 0
 
 

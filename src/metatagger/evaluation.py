@@ -8,10 +8,10 @@ pair order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .data import Sentence, morph_bundle_tag
 
@@ -138,5 +138,26 @@ def paired_t(xs, ys) -> tuple[float, float]:
                          f"got {len(xs)} and {len(ys)}")
     if len(xs) < 2:
         raise ValueError("paired test needs at least 2 pairs")
-    t, p = stats.ttest_rel(xs, ys)
-    return float(t), float(p)
+    mean, sd = mean_stdev(np.subtract(xs, ys, dtype=float))
+    if sd == 0:
+        raise ValueError("paired test needs differences that vary")
+    t = mean / (sd / math.sqrt(len(xs)))
+    return t, _two_tailed_t(t, len(xs) - 1)
+
+
+def _two_tailed_t(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom, in
+    closed form for integer df (Abramowitz and Stegun 26.7.3, 26.7.4)."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    sin, cos2 = math.sin(theta), math.cos(theta) ** 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        return 1.0 - sin * total
+    term = total = math.cos(theta) if df > 1 else 0.0
+    for k in range(1, (df - 1) // 2):
+        term *= cos2 * (2 * k) / (2 * k + 1)
+        total += term
+    return 1.0 - 2.0 / math.pi * (theta + sin * total)

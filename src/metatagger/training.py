@@ -320,12 +320,29 @@ class TaggerModel:
         return entries
 
 
+class _NoDraw:
+    """Stands in for the init generator when every drawn array is about to
+    be replaced: each "draw" is calloc'd zeros, never touched or read."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 def build_model(config: TrainConfig, vocabs: Vocabs,
-                pretrained: np.ndarray | None = None) -> TaggerModel:
-    """Construct all parameter sets from the config seed. The construction
-    order is fixed, so a (config, vocabs) pair determines every array."""
+                pretrained: np.ndarray | None = None,
+                arrays: dict[str, np.ndarray] | None = None) -> TaggerModel:
+    """Construct all parameter sets. Without ``arrays`` every weight is
+    drawn from the config seed in a fixed construction order, so a
+    (config, vocabs, pretrained) triple determines every array. With
+    ``arrays`` (a checkpoint's, by name) nothing is drawn: the weights are
+    zero placeholders for ``Checkpoint.rebuild`` to replace, and the frozen
+    pretrained matrix is ``arrays["word.pretrained"]`` itself."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    if arrays is None:
+        rng = np.random.default_rng(config.seed)
+    else:
+        rng, pretrained = _NoDraw(), arrays["word.pretrained"]
     char_sent = char_token = None
     if config.char_encoder == "sentence":
         char_sent = encoders.char_sent_encoder(config, vocabs.n_chars,
@@ -504,18 +521,27 @@ class Checkpoint:
     best_epoch: int
 
     def rebuild(self) -> TaggerModel:
-        """Instantiate a model and overwrite its arrays with the saved ones."""
-        model = build_model(self.config, self.vocabs,
-                            pretrained=self.arrays["word.pretrained"])
-        for name, arr in model.array_manifest():
+        """The model of this checkpoint, built around its arrays: nothing is
+        drawn and nothing is copied. Each parameter's ``data`` is the saved
+        array of its name, and so is the frozen pretrained matrix, so
+        training a rebuilt model changes ``self.arrays`` as well. An array
+        that is missing, of the wrong shape or unused is an error."""
+        model = build_model(self.config, self.vocabs, arrays=self.arrays)
+        params = model.all_parameters()
+        for name, p in params:
             saved = self.arrays.get(name)
             if saved is None:
                 raise ValueError(f"checkpoint is missing array {name!r}")
-            if saved.shape != arr.shape:
+            if saved.shape != p.shape:
                 raise ValueError(
                     f"checkpoint array {name!r} has shape {saved.shape}, "
-                    f"model expects {arr.shape}")
-            arr[...] = saved
+                    f"model expects {p.shape}")
+            p.data = saved
+        unused = sorted(set(self.arrays) - {"word.pretrained"}
+                        - {name for name, _ in params})
+        if unused:
+            raise ValueError(f"checkpoint holds arrays the model does not "
+                             f"use: {', '.join(map(repr, unused))}")
         return model
 
 

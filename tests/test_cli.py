@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,14 +44,16 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(corpus_dir, tmp_path_factory):
-    """One small checkpoint shared by the tag/eval tests."""
+    """Small checkpoints shared by the tag/eval tests: model.ckpt, and
+    token.ckpt, the same run with the token character encoder."""
     d = tmp_path_factory.mktemp("run")
-    ckpt = d / "model.ckpt"
-    log = d / "train.log"
-    code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
-                     "--dev", str(corpus_dir / "dev.conllu"),
-                     "--checkpoint", str(ckpt), "--log", str(log),
-                     "--seed", "7"] + SMALL_OVERRIDES)
+    corpus = ["--train", str(corpus_dir / "train.conllu"),
+              "--dev", str(corpus_dir / "dev.conllu"), "--seed", "7"]
+    code = cli.main(["train", *corpus, "--checkpoint", str(d / "model.ckpt"),
+                     "--log", str(d / "train.log")] + SMALL_OVERRIDES)
+    assert code == 0
+    code = cli.main(["train", *corpus, "--checkpoint", str(d / "token.ckpt"),
+                     "--set", "char_encoder=token"] + SMALL_OVERRIDES)
     assert code == 0
     return d
 
@@ -84,6 +90,12 @@ class TestPrintConfig:
 def set_first(ids: dict, value) -> None:
     """Give the first entry of a vocabulary map the id ``value``."""
     ids[next(iter(ids))] = value
+
+
+def on_token_checkpoint(mutate):
+    """Mark a manifest mutation as one of token.ckpt, not model.ckpt."""
+    mutate.checkpoint = "token.ckpt"
+    return mutate
 
 
 class TestExitCodes:
@@ -187,6 +199,9 @@ class TestExitCodes:
              lambda m: m["config"].update(mlp_size=10 ** 9), "'mlp_size'"),
             ("char-emb-dim-other",
              lambda m: m["config"].update(char_emb_dim=7), "'char_emb_dim'"),
+            ("token-char-size-other", on_token_checkpoint(
+                lambda m: m["config"].update(char_bilstm_size=11)),
+             "'char_bilstm_size'"),
             ("optimizer-unimplemented",
              lambda m: m["config"].update(optimizer="sgd"), "'optimizer'"),
             ("version-bool", lambda m: m.update(version=True), "version"),
@@ -197,7 +212,8 @@ class TestExitCodes:
     def test_manifest_with_wrong_json_types_is_data_error(
             self, trained, tmp_path, corpus_dir, capsys, mutate, key):
         import json
-        head, _, body = (trained / "model.ckpt").read_bytes().partition(b"\n")
+        source = trained / getattr(mutate, "checkpoint", "model.ckpt")
+        head, _, body = source.read_bytes().partition(b"\n")
         manifest = json.loads(head)
         mutate(manifest)
         bad = tmp_path / "bad.ckpt"
@@ -211,6 +227,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ") and key in err
+
+    def test_unused_array_is_data_error(self, trained, tmp_path, corpus_dir,
+                                        capsys):
+        head, _, body = (trained / "model.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        manifest["arrays"].append({"name": "meta.extra", "shape": [2]})
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + b"\n" + body
+                        + bytes(16))
+        assert cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and "'meta.extra'" in err
 
     @pytest.mark.parametrize("setting", [
         "word_bilstm_layers=0", "meta_bilstm_layers=0", "mlp_size=0",
@@ -360,6 +391,30 @@ def test_mutated_checkpoint_exits_cleanly(trained, corpus_dir,
          "--output", str(trained / "fuzzed.conllu")]))
 
 
+def cli_process_state(env_threads: str | None) -> list[str]:
+    """OPENBLAS_NUM_THREADS as a fresh process sees it after importing
+    the CLI, and whether that import loaded scipy."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if env_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_threads
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    code = ("import os, sys, metatagger.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("env_threads, seen", [(None, "1"), ("2", "2")])
+def test_cli_pins_one_blas_thread_unless_set(env_threads, seen):
+    assert cli_process_state(env_threads)[0] == seen
+
+
+def test_cli_import_leaves_scipy_out():
+    assert cli_process_state(None)[1] == "False"
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained):
         ckpt = training.checkpoint_load(str(trained / "model.ckpt"))
@@ -398,6 +453,19 @@ class TestTagAndEval:
         acc = csv.read_text().splitlines()[1].split(",")[3]
         best = (trained / "train.log").read_text().splitlines()[-1]
         assert best.endswith(f"dev_acc={acc}")
+
+    def test_tag_reports_its_time_on_stderr(self, trained, corpus_dir,
+                                            tmp_path, capsys):
+        dev = corpus_dir / "dev.conllu"
+        n_tokens = sum(len(s.tokens)
+                       for s in data.parse_conllu(dev.read_text()))
+        assert cli.main(["tag", "--checkpoint", str(trained / "model.ckpt"),
+                         "--input", str(dev),
+                         "--output", str(tmp_path / "o.conllu")]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"tagged {n_tokens} tokens in 4 sentences (xpos column)\n"
+        assert re.fullmatch(r"tag: load \d+\.\d{3} s, tag \d+\.\d{3} s, "
+                            r"\d+ tok/s\n", err), err
 
     def test_non_token_lines_pass_through(self, trained, tmp_path):
         text = ("# sent_id = 1\n"

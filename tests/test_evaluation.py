@@ -165,3 +165,18 @@ class TestPairedT:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             evaluation.paired_t([1], [2])
+
+    def test_zero_variance(self):
+        with pytest.raises(ValueError, match="differences that vary"):
+            evaluation.paired_t([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        for df in range(1, 61):
+            xs = rng.normal(size=df + 1)
+            ys = xs + rng.normal(0.3, 1.0, size=df + 1)
+            t, p = evaluation.paired_t(xs, ys)
+            want = stats.ttest_rel(xs, ys)
+            assert abs(t - want.statistic) <= 1e-12 * abs(t), df
+            assert abs(p - want.pvalue) <= 1e-13, df

@@ -569,6 +569,39 @@ class TestCheckpoint:
         got = training.tag_corpus(rebuilt, dv)
         assert want == got
 
+    def test_rebuilt_model_wraps_the_saved_arrays(self, tmp_path):
+        _, _, path, _ = self.trained(tmp_path)
+        loaded = training.checkpoint_load(path)
+        rebuilt = loaded.rebuild()
+        for name, p in rebuilt.all_parameters():
+            assert p.data is loaded.arrays[name], name
+        assert rebuilt.word.pretrained.data is loaded.arrays["word.pretrained"]
+
+    def test_rebuild_draws_nothing(self, tmp_path, monkeypatch):
+        _, _, path, dv = self.trained(tmp_path)
+        loaded = training.checkpoint_load(path)
+
+        def no_generator(seed):
+            raise AssertionError("rebuild made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        training.tag_corpus(loaded.rebuild(), dv)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda a: a.pop("meta.classifier.bias"),
+         "checkpoint is missing array 'meta.classifier.bias'"),
+        (lambda a: a.update({"meta.classifier.bias": np.zeros(99)}),
+         r"checkpoint array 'meta.classifier.bias' has shape \(99,\)"),
+        (lambda a: a.update({"meta.extra": np.zeros(3)}),
+         "checkpoint holds arrays the model does not use: 'meta.extra'"),
+    ], ids=["missing", "shape", "unused"])
+    def test_rebuild_rejects_arrays_that_do_not_fit(self, tmp_path, change,
+                                                    message):
+        _, ckpt, _, _ = self.trained(tmp_path)
+        change(ckpt.arrays)
+        with pytest.raises(ValueError, match=message):
+            ckpt.rebuild()
+
     def test_save_is_deterministic(self, tmp_path):
         _, ckpt, path, _ = self.trained(tmp_path)
         other = tmp_path / "again.ckpt"
