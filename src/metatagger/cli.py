@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import errno
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -179,9 +180,16 @@ def cmd_tag(ns) -> int:
     print(f"tagged {n_tokens} tokens in {len(sentences)} sentences "
           f"({ckpt.config.task} column)")
     rate = n_tokens / (t3 - t2) if t3 > t2 else 0.0
-    print(f"tag: load {t1 - t0:.3f} s, tag {t3 - t2:.3f} s, {rate:.0f} tok/s",
-          file=sys.stderr)
+    print(f"tag: load {t1 - t0:.3f} s, tag {t3 - t2:.3f} s, {rate:.0f} tok/s, "
+          f"peak RSS {_peak_rss_mb():.0f} MB", file=sys.stderr)
     return 0
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process in MB (2**20 bytes);
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def cmd_eval(ns) -> int:

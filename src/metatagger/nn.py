@@ -6,13 +6,16 @@ attention pool used by the token-internal character baseline.
 
 The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
-is. The input projection of every row is one matrix product; each step
-advances the sequences still running with one (live, H) @ (H, 4H)
-product; the hand-written backward mirrors the loop. Its gates use the
-package's one logistic, ``tensor.logistic_``, in place on each step's
-pre-activations. The readable reference the tests pin the fused op to,
-the same cell composed from primitive ops, is ``lstm_step`` in
-``tests/oracles.py``.
+is. The input projection is one matrix product over a block of whole
+steps: every row when the op is recorded, since the backward reads
+every gate, and at most ``_PROJECT_ROWS`` rows when it is not, so an
+unrecorded run holds one such block per direction beside its (N, 2H)
+result. Each step advances the sequences still running with one
+(live, H) @ (H, 4H) product; the hand-written backward mirrors the
+loop. Its gates use the package's one logistic, ``tensor.logistic_``,
+in place on each step's pre-activations. The readable reference the
+tests pin the fused op to, the same cell composed from primitive ops,
+is ``lstm_step`` in ``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -172,6 +175,12 @@ def _packing(lengths: np.ndarray, reverse: bool = False
 _PARALLEL_MIN_WORK = 1 << 24
 # Starts its thread on the first submit, not at import.
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_run")
+# Packed rows whose input projection an unrecorded direction computes at
+# a time, rounded down to whole steps but never below one step: that
+# block's (rows, 4H) pre-activations and (rows, input) packed input are
+# all it holds of them. 256 and 512 ran a default-size char layer equally
+# fast on a 2-core x86 VM; 256 holds less.
+_PROJECT_ROWS = 256
 
 
 def _run_calls(parallel: bool, calls: list) -> list:
@@ -202,50 +211,65 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
 
     Runs the packed rows ``rows`` of ``xs`` (layout from ``_packing``),
     writes the hidden state of stacked row ``rows[i]`` to ``dest[rows[i]]``
-    and returns the backward closure, or None unless ``track``. The closure
-    keeps the gate values, the cell states and the masked states the steps
-    read; it gathers the packed input from ``xs`` again and takes the tanh
-    of the cell states once, so neither is stored. Without ``track`` only
-    what the next step reads is kept: the cell state rolls over two (B, H)
-    buffers.
+    and returns the backward closure, or None unless ``track``. The steps
+    run a block of whole steps at a time: the block's input projection is
+    one product, and its hidden states go to ``dest`` when its last step
+    has run. With ``track`` the block is every row, and the closure keeps
+    the gate values, the cell states and the masked states the steps
+    read; it gathers the packed input from ``xs`` again and takes the
+    tanh of the cell states once, so neither is stored. Without it a
+    block is at most ``_PROJECT_ROWS`` rows, and all the run holds beside
+    ``dest`` is one block's packed input, gates, cell and hidden states.
     """
     n, hs = rows.size, params.hidden_size
     n_seq = batch_sizes[0]
     wx, wh = params.w_x.data, params.w_h.data
-    # pre-activations, turned into gate values step by step
-    gates = xs[rows] @ wx
+    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    budget = n if track else _PROJECT_ROWS
     if track:
-        cs = np.empty((n, hs))
         h_tilde = np.empty((n, hs))  # masked h each step read
-    else:
-        c_roll = np.empty((2, n_seq, hs))
-    gates += params.bias.data
-    out = np.empty((n, hs))
     h0 = np.broadcast_to(params.h0.data, (n_seq, hs))
     c0 = np.broadcast_to(params.c0.data, (n_seq, hs))
-    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    # packed rows b0:b1 have their pre-activations in gates, turned into
+    # gate values in place step by step, their cell states in cs and their
+    # hidden states in out: views of buffers every block reuses
+    size = min(n, max(budget, n_seq, 2))  # a lone row takes a neighbour
+    g_buf = np.empty((size, 4 * hs))
+    c_buf, h_buf = np.empty((size, hs)), np.empty((size, hs))
+    b0 = b1 = 0
     for t, k in enumerate(batch_sizes):
-        r0, r1 = offsets[t], offsets[t] + k
-        if t == 0:
-            hp, cp = h0[:k], c0[:k]
-        else:
-            p0 = offsets[t - 1]
-            hp = out[p0:p0 + k]
-            cp = cs[p0:p0 + k] if track else c_roll[(t - 1) % 2, :k]
+        r0, r1 = offsets[t], offsets[t + 1]
+        if r1 > b1:
+            b0, b1 = r0, max(r1, offsets[np.searchsorted(
+                offsets, r0 + budget, "right") - 1])
+            lo, hi = b0, b1
+            if hi - lo == 1 and n > 1:
+                # numpy multiplies a lone row with gemv, whose sums can
+                # differ in the last bit from gemm's: take a neighbour too
+                lo, hi = (lo, hi + 1) if hi < n else (lo - 1, hi)
+            gates = np.matmul(xs[rows[lo:hi]], wx,
+                              out=g_buf[:hi - lo])[b0 - lo:b1 - lo]
+            gates += params.bias.data
+            cs, out = c_buf[:b1 - b0], h_buf[:b1 - b0]
+        # after a one-step block, the next block's first step writes its
+        # states over the rows it reads them from, each read first
+        hp, cp = (h0[:k], c0[:k]) if t == 0 else (h[:k], c[:k])
         if mask is not None:
             hp = hp * mask[:k]
         if track:
             h_tilde[r0:r1] = hp
-        a = gates[r0:r1]
+        a = gates[r0 - b0:r1 - b0]
         a += hp @ wh
         T.logistic_(a[:, :2 * hs])
         np.tanh(a[:, 2 * hs:3 * hs], out=a[:, 2 * hs:3 * hs])
         T.logistic_(a[:, 3 * hs:])
-        c = cs[r0:r1] if track else c_roll[t % 2, :k]
+        c = cs[r0 - b0:r1 - b0]
         np.multiply(a[:, hs:2 * hs], cp, out=c)
         c += a[:, :hs] * a[:, 2 * hs:3 * hs]
-        np.multiply(a[:, 3 * hs:], np.tanh(c), out=out[r0:r1])
-    dest[rows] = out
+        h = out[r0 - b0:r1 - b0]
+        np.multiply(a[:, 3 * hs:], np.tanh(c), out=h)
+        if r1 == b1:
+            dest[rows[b0:b1]] = out
     if not track:
         return None
 
@@ -305,7 +329,10 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     to the packed order, writing its ``hidden`` columns of the result.
     One tape node; its backward, written by hand, mirrors the loop of
     each direction and sums their input gradients. When the op is not
-    recorded, values only the backward reads are not stored.
+    recorded, nothing only the backward reads is kept: beside the result
+    each direction holds one block of at most ``_PROJECT_ROWS`` packed
+    rows at a time, so memory grows with the (N, 2 * hidden) result and
+    not with the (N, 4 * hidden) gates.
     """
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise T.ShapeError(

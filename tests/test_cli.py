@@ -465,7 +465,7 @@ class TestTagAndEval:
         out, err = capsys.readouterr()
         assert out == f"tagged {n_tokens} tokens in 4 sentences (xpos column)\n"
         assert re.fullmatch(r"tag: load \d+\.\d{3} s, tag \d+\.\d{3} s, "
-                            r"\d+ tok/s\n", err), err
+                            r"\d+ tok/s, peak RSS [1-9]\d* MB\n", err), err
 
     def test_non_token_lines_pass_through(self, trained, tmp_path):
         text = ("# sent_id = 1\n"

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -909,3 +909,68 @@ class TestTwoDirections:
         with pytest.raises(T.ShapeError):
             nn.lstm_run(p_f, xs, lengths=[4], reverse=small_lstm(i=3, h=4),
                         reverse_mask=np.ones((1, 5)))
+
+
+# --- unrecorded runs: the input projected a block of steps at a time ------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=8),
+       st.integers(1, 4), st.integers(1, 9),
+       st.sampled_from(["none", "shared", "per_sequence"]),
+       st.booleans(), st.booleans(), st.integers(1, 6),
+       st.integers(0, 2 ** 31 - 1))
+@example(lengths=[5, 5, 5, 5, 5, 5, 2, 1], hidden=3, width=7,
+         mask_kind="per_sequence", two=True, worker=True, budget=4, seed=1)
+@example(lengths=[9], hidden=2, width=5, mask_kind="none", two=False,
+         worker=False, budget=4, seed=2)
+def test_unrecorded_run_matches_the_recorded_forward_bitwise(
+        lengths, hidden, width, mask_kind, two, worker, budget, seed):
+    """Blocks of ``budget`` rows cross sequences and steps; a step of more
+    sequences than ``budget`` is a block of its own."""
+    g = np.random.default_rng(seed)
+    p_f, p_b = (nn.lstm_params(width, hidden, g) for _ in range(2))
+    for _, t in p_f.parameters("f") + p_b.parameters("b"):
+        t.data[...] = g.normal(size=t.shape)
+    n, b = sum(lengths), len(lengths)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    masks = [{"none": None,
+              "shared": np.tile((g.random(hidden) < 0.6) / 0.6, (b, 1)),
+              "per_sequence": (g.random((b, hidden)) < 0.6) / 0.6
+              }[mask_kind] for _ in range(2)]
+    kwargs = dict(lengths=lengths, reverse=p_b if two else None,
+                  reverse_mask=masks[1] if two else None)
+    with T.Graph() as graph:
+        recorded = nn.lstm_run(p_f, xs, masks[0], **kwargs)
+    assert len(graph.nodes) == 1
+    saved = nn._PROJECT_ROWS, nn._PARALLEL_MIN_WORK
+    nn._PROJECT_ROWS, nn._PARALLEL_MIN_WORK = budget, 0 if worker else saved[1]
+    try:
+        unrecorded = nn.lstm_run(p_f, xs, masks[0], **kwargs)
+    finally:
+        nn._PROJECT_ROWS, nn._PARALLEL_MIN_WORK = saved
+    assert not unrecorded.requires_grad
+    assert np.array_equal(unrecorded.data, recorded.data)
+
+
+@pytest.mark.parametrize("worker", [False, True])
+def test_unrecorded_run_memory_follows_the_output(monkeypatch, worker):
+    """From 1k to 16k rows the traced peak of an unrecorded two-direction
+    run grows by about its (N, 2H) result, not by its (N, 4H) gates."""
+    import tracemalloc
+    monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0 if worker else 1 << 62)
+    g = np.random.default_rng(3)
+    width, hidden = 8, 32
+    p_f, p_b = nn.lstm_params(width, hidden, g), nn.lstm_params(width, hidden, g)
+
+    def peak(n):
+        xs = T.Tensor(g.normal(size=(n, width)))
+        lengths = [n // 8] * 8
+        tracemalloc.start()
+        try:
+            out = nn.lstm_run(p_f, xs, lengths=lengths, reverse=p_b)
+            return tracemalloc.get_traced_memory()[1], out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (small, out_small), (large, out_large) = peak(1024), peak(16384)
+    assert large - small <= 1.25 * (out_large - out_small)
