@@ -165,6 +165,7 @@ def cmd_train(ns) -> int:
 
 
 def cmd_tag(ns) -> int:
+    _check_destination(ns.output)
     t0 = time.perf_counter()
     ckpt = training.checkpoint_load(ns.checkpoint)
     model = ckpt.rebuild()
@@ -193,6 +194,8 @@ def _peak_rss_mb() -> float:
 
 
 def cmd_eval(ns) -> int:
+    if ns.csv:
+        _check_destination(ns.csv)
     gold = _parse_corpus(ns.gold, ns.task)
     pred = _parse_corpus(ns.pred, ns.task)
     report = evaluation.score(gold, pred, ns.task)
@@ -222,6 +225,8 @@ def _parse_sizes(spec: str) -> list[int]:
 
 def cmd_grid(ns) -> int:
     config, paths = effective_config(ns)
+    if ns.out:
+        _check_destination(ns.out)
     train_sents, dev_sents = _corpora(config, paths)
     pretrained = paths.get("pretrained_file")
     sizes = _parse_sizes(ns.sizes)
@@ -270,6 +275,8 @@ def cmd_ablate(ns) -> int:
     if ns.seeds < 1:
         raise CliUsageError("--seeds must be at least 1")
     config, paths = effective_config(ns)
+    if ns.out:
+        _check_destination(ns.out)
     train_sents, dev_sents = _corpora(config, paths)
     variants = _ablation_variants(ns.axis)
     results = {label: [] for label, _, _ in variants}

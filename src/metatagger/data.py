@@ -299,15 +299,15 @@ def load_pretrained(path: str, vocabs: Vocabs,
                     continue  # header line
                 except ValueError:
                     pass
-            if len(parts) < 2:
-                if line.strip() == "":
-                    continue
-                raise DataError(f"embedding line {lineno}: no vector values")
+            if len(parts) < 2 and line.strip() == "":
+                continue
             token = parts[0]
             try:
                 vec = np.array([float(v) for v in parts[1:] if v != ""])
             except ValueError as e:
                 raise DataError(f"embedding line {lineno}: {e}") from None
+            if vec.size == 0:
+                raise DataError(f"embedding line {lineno}: no vector values")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

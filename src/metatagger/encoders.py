@@ -1,13 +1,14 @@
 """The three token encoders.
 
-* sentence-level character encoder: BiLSTM over the whole character stream
-  (spaces included), token representation gathered from the forward and
-  backward outputs at the token's first and last character
+* sentence-level character encoder: the char view's body
+  (``nn.ViewParams``) over the whole character stream, spaces included;
+  between its BiLSTM and its MLP a token's representation is gathered
+  from the forward and backward outputs at its first and last character
 * token-level character encoder: unidirectional LSTM over a single token's
   characters plus attention pooling; sees no context at all, kept as the
   contrastive baseline
-* word encoder: BiLSTM over word embeddings (learned zero-initialized table
-  summed with a frozen pretrained table)
+* word encoder: the word view's body over word embeddings (learned
+  zero-initialized table summed with a frozen pretrained table)
 
 Each encoder owns an output head so it can be trained against its own
 cross-entropy loss. Sentence inputs must have vocabulary ids attached
@@ -52,43 +53,31 @@ def canonical_gather(parts) -> tuple[str, ...]:
 @dataclass
 class CharSentEncoderParams:
     char_table: Tensor
-    stack: nn.BiLstmStack
-    mlp: nn.MlpParams
-    classifier: nn.ClassifierParams
     gather: tuple[str, ...]
     emb_dropout: float
-    lstm_dropout: float
-    mlp_dropout: float
+    view: nn.ViewParams
 
     def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
         return ([("emb", self.char_table.shape[1], self.emb_dropout)]
-                + nn.stack_sites(self.stack, self.lstm_dropout)
-                + [("mlp", self.mlp.output_size, self.mlp_dropout)])
+                + self.view.dropout_sites(sentence))
 
     def parameters(self, prefix: str = "char_sent"):
         return ([(f"{prefix}.char_table", self.char_table)]
-                + self.stack.parameters(f"{prefix}.stack")
-                + self.mlp.parameters(f"{prefix}.mlp")
-                + self.classifier.parameters(f"{prefix}.classifier"))
+                + self.view.parameters(prefix))
 
 
 def char_sent_encoder(config: TrainConfig, n_chars: int, n_tags: int,
                       rng: np.random.Generator) -> CharSentEncoderParams:
-    """Character table, BiLSTM stack, MLP and classifier at the config's
-    ``char_*`` sizes and init kinds, gathering ``config.gather_parts()``."""
+    """Character table, then the char view's body over it, its MLP
+    reading ``config.gather_parts()``."""
     gather = config.gather_parts()
-    emb_dim, hidden = config.char_emb_dim, config.char_bilstm_size
+    emb_dim = config.char_emb_dim
     table = T.create((n_chars, emb_dim), init="gaussian", rng=rng,
                      std=nn.init_std(config.char_emb_init, 1),
                      requires_grad=True)
-    stack = nn.bilstm_stack(emb_dim, hidden, config.char_bilstm_layers, rng,
-                            config.lstm_init)
-    mlp = nn.mlp_params(len(gather) * hidden, config.mlp_size, rng,
-                        config.mlp_init)
-    cls = nn.classifier_params(config.mlp_size, n_tags, rng)
-    return CharSentEncoderParams(table, stack, mlp, cls, gather,
-                                 config.char_emb_dropout, config.lstm_dropout,
-                                 config.mlp_dropout)
+    view = nn.view_params(config, "char", emb_dim, n_tags, rng,
+                          parts=len(gather))
+    return CharSentEncoderParams(table, gather, config.char_emb_dropout, view)
 
 
 def token_counts(batch: list[Sentence]) -> list[int]:
@@ -126,19 +115,18 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
     emb = T.take_rows(p.char_table,
                       np.concatenate([s.char_ids for s in batch]))
     emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
-    out = nn.bilstm_stack_run(p.stack, emb, lengths=stream_lens, masks=masks)
+    out = nn.bilstm_stack_run(p.view.stack, emb, lengths=stream_lens,
+                              masks=masks)
     # As (2 * chars, hidden), row 2i is the forward state at character i
     # and row 2i + 1 the backward one: one gather picks every part.
     firsts, lasts = 2 * np.array(firsts), 2 * np.array(lasts)
     source = {"F_1st": firsts, "F_last": lasts,
               "B_1st": firsts + 1, "B_last": lasts + 1}
     ids = np.stack([source[name] for name in p.gather], axis=1).reshape(-1)
-    hidden = p.stack.hidden_size
+    hidden = p.view.stack.hidden_size
     g = T.reshape(T.take_rows(T.reshape(out, (2 * offset, hidden)), ids),
                   (len(firsts), len(p.gather) * hidden))
-    m = nn.apply_mask(nn.mlp_apply(p.mlp, g), masks.get("mlp"),
-                      token_counts(batch))
-    return g, m, nn.classify(p.classifier, m)
+    return (g,) + nn.view_head(p.view, g, token_counts(batch), masks)
 
 
 @dataclass
@@ -147,7 +135,7 @@ class CharTokenEncoderParams:
     char_table: Tensor
     lstm: nn.LstmParams
     attn_vec: Tensor
-    classifier: nn.ClassifierParams
+    classifier: nn.Affine
     emb_dropout: float
     lstm_dropout: float
 
@@ -176,7 +164,7 @@ def char_token_encoder(config: TrainConfig, n_chars: int, n_tags: int,
     attn = T.create((hidden,), init="gaussian", rng=rng,
                     std=nn.init_std(config.lstm_init, hidden),
                     requires_grad=True)
-    cls = nn.classifier_params(hidden, n_tags, rng)
+    cls = nn.affine_params(hidden, n_tags, rng, "scaled")
     return CharTokenEncoderParams(table, lstm, attn, cls,
                                   config.char_emb_dropout, config.lstm_dropout)
 
@@ -194,57 +182,44 @@ def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
                         masks.get("emb"), lens)
     states = nn.lstm_run(p.lstm, emb, masks.get("state"), lengths=lens)
     reps = nn.char_attention(p.attn_vec, states, lens)
-    return reps, nn.classify(p.classifier, reps)
+    return reps, nn.affine(p.classifier, reps)
 
 
 @dataclass
 class WordEncoderParams:
     learned: Tensor  # zero-initialized, trained
     pretrained: Tensor  # frozen, never receives gradient
-    stack: nn.BiLstmStack
-    mlp: nn.MlpParams
-    classifier: nn.ClassifierParams
     emb_dropout: float
-    lstm_dropout: float
-    mlp_dropout: float
+    view: nn.ViewParams
 
     def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
         return ([("emb", self.learned.shape[1], self.emb_dropout)]
-                + nn.stack_sites(self.stack, self.lstm_dropout)
-                + [("mlp", self.mlp.output_size, self.mlp_dropout)])
+                + self.view.dropout_sites(sentence))
 
     def parameters(self, prefix: str = "word"):
         # the pretrained matrix is intentionally absent: it is not a
         # trainable parameter and must stay out of optimizer updates
         return ([(f"{prefix}.learned", self.learned)]
-                + self.stack.parameters(f"{prefix}.stack")
-                + self.mlp.parameters(f"{prefix}.mlp")
-                + self.classifier.parameters(f"{prefix}.classifier"))
+                + self.view.parameters(prefix))
 
 
 def word_encoder(config: TrainConfig, n_words: int, n_tags: int,
                  rng: np.random.Generator,
                  pretrained: np.ndarray | None = None) -> WordEncoderParams:
-    """Learned and frozen embedding tables, BiLSTM stack, MLP and
-    classifier at the config's ``word_*`` sizes and init kinds. The
-    embedding width is the ``pretrained`` matrix's, or
+    """Learned and frozen embedding tables, then the word view's body over
+    them. The embedding width is the ``pretrained`` matrix's, or
     ``config.word_emb_dim`` without one (a zero frozen table)."""
     if pretrained is None:
         pretrained = np.zeros((n_words, config.word_emb_dim))
-    emb_dim, hidden = pretrained.shape[-1], config.word_bilstm_size
+    emb_dim = pretrained.shape[-1]
     if pretrained.shape != (n_words, emb_dim):
         raise T.ShapeError(
             f"pretrained matrix {pretrained.shape} does not match "
             f"({n_words}, {emb_dim})")
     learned = T.create((n_words, emb_dim), init="zeros", requires_grad=True)
     frozen = Tensor(pretrained, requires_grad=False)
-    stack = nn.bilstm_stack(emb_dim, hidden, config.word_bilstm_layers, rng,
-                            config.lstm_init)
-    mlp = nn.mlp_params(2 * hidden, config.mlp_size, rng, config.mlp_init)
-    cls = nn.classifier_params(config.mlp_size, n_tags, rng)
-    return WordEncoderParams(learned, frozen, stack, mlp, cls,
-                             config.word_emb_dropout, config.lstm_dropout,
-                             config.mlp_dropout)
+    view = nn.view_params(config, "word", emb_dim, n_tags, rng)
+    return WordEncoderParams(learned, frozen, config.word_emb_dropout, view)
 
 
 def encode_words(p: WordEncoderParams, batch: list[Sentence],
@@ -260,6 +235,5 @@ def encode_words(p: WordEncoderParams, batch: list[Sentence],
     lens = token_counts(batch)
     emb = T.add(T.take_rows(p.learned, ids), T.take_rows(p.pretrained, ids))
     emb = nn.apply_mask(emb, masks.get("emb"), lens)
-    o = nn.bilstm_stack_run(p.stack, emb, lengths=lens, masks=masks)
-    m = nn.apply_mask(nn.mlp_apply(p.mlp, o), masks.get("mlp"), lens)
-    return o, m, nn.classify(p.classifier, m)
+    o = nn.bilstm_stack_run(p.view.stack, emb, lengths=lens, masks=masks)
+    return (o,) + nn.view_head(p.view, o, lens, masks)

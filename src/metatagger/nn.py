@@ -1,8 +1,13 @@
 """Neural layers on top of the tensor core.
 
-Contains inverted dropout masks, the LSTM, stacked BiLSTMs, the
-single-affine ELU MLP, linear classifiers, softmax cross-entropy and the
-attention pool used by the token-internal character baseline.
+Contains inverted dropout masks, the LSTM, stacked BiLSTMs, one affine
+layer (``Affine``), softmax cross-entropy and the attention pool used by
+the token-internal character baseline.
+
+The char, word and meta models share one body, ``ViewParams``: a BiLSTM
+stack, an ELU-over-affine MLP and an affine classifier. ``view_head``
+runs the last two on the stack's output rows, or, for the character
+model, on the states gathered at each token's first and last character.
 
 The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
@@ -38,11 +43,15 @@ from __future__ import annotations
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 # One dropout site of a model: (key, mask width, rate).
 Site = tuple[str, int, float]
@@ -457,56 +466,77 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
 
 
 # ---------------------------------------------------------------------------
-# MLP and classifier
+# affine layer and the shared view body
 
 @dataclass
-class MlpParams:
-    """Single affine map followed by ELU."""
+class Affine:
+    """``x @ weight + bias``: the MLP's map (under ELU) and every
+    classifier."""
     weight: Tensor  # (in, out)
     bias: Tensor  # (out,)
 
-    @property
-    def output_size(self) -> int:
-        return self.weight.shape[1]
-
     def parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
-def mlp_params(input_size: int, output_size: int, rng: np.random.Generator,
-               init: str = "gaussian") -> MlpParams:
-    return MlpParams(weight=_gaussian((input_size, output_size), rng,
-                                      init_std(init, input_size)),
-                     bias=_zeros((output_size,)))
+def affine_params(input_size: int, output_size: int, rng: np.random.Generator,
+                  init: str) -> Affine:
+    """Weight Gaussian at the ``init`` scale, bias zero."""
+    return Affine(weight=_gaussian((input_size, output_size), rng,
+                                   init_std(init, input_size)),
+                  bias=_zeros((output_size,)))
 
 
-def mlp_apply(params: MlpParams, x: Tensor) -> Tensor:
-    return T.elu(T.add(T.matmul(x, params.weight), params.bias))
+def affine(p: Affine, x: Tensor) -> Tensor:
+    return T.add(T.matmul(x, p.weight), p.bias)
 
 
 @dataclass
-class ClassifierParams:
-    """Linear map from representation to tag logits."""
-    weight: Tensor  # (in, n_tags)
-    bias: Tensor  # (n_tags,)
+class ViewParams:
+    """The body of the char, word and meta models: BiLSTM stack, ELU MLP
+    with dropout on its output, classifier. The owning model feeds the
+    stack and hands its output to ``view_head``, the character model
+    through its gather; it puts its embedding sites and names in front."""
+    stack: BiLstmStack
+    mlp: Affine
+    classifier: Affine
+    lstm_dropout: float
+    mlp_dropout: float
 
-    @property
-    def n_tags(self) -> int:
-        return self.weight.shape[1]
+    def dropout_sites(self, sentence) -> list[Site]:
+        """The stack's sites, then the MLP output's ("mlp")."""
+        return (stack_sites(self.stack, self.lstm_dropout)
+                + [("mlp", self.mlp.weight.shape[1], self.mlp_dropout)])
 
     def parameters(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+        return (self.stack.parameters(f"{prefix}.stack")
+                + self.mlp.parameters(f"{prefix}.mlp")
+                + self.classifier.parameters(f"{prefix}.classifier"))
 
 
-def classifier_params(input_size: int, n_tags: int, rng: np.random.Generator,
-                      init: str = "scaled") -> ClassifierParams:
-    return ClassifierParams(weight=_gaussian((input_size, n_tags), rng,
-                                             init_std(init, input_size)),
-                            bias=_zeros((n_tags,)))
+def view_params(config: TrainConfig, view: str, input_size: int, n_tags: int,
+                rng: np.random.Generator, parts: int = 2) -> ViewParams:
+    """The ``view`` ("char", "word" or "meta") model's body: its
+    ``{view}_bilstm_*`` stack over ``input_size`` columns, drawn first,
+    then the MLP over ``parts`` hidden-width parts (the two directions,
+    or the character model's gathered states), then the "scaled"
+    classifier to ``n_tags`` logits."""
+    hidden = getattr(config, f"{view}_bilstm_size")
+    stack = bilstm_stack(input_size, hidden,
+                         getattr(config, f"{view}_bilstm_layers"), rng,
+                         config.lstm_init)
+    mlp = affine_params(parts * hidden, config.mlp_size, rng, config.mlp_init)
+    classifier = affine_params(config.mlp_size, n_tags, rng, "scaled")
+    return ViewParams(stack, mlp, classifier, config.lstm_dropout,
+                      config.mlp_dropout)
 
 
-def classify(params: ClassifierParams, x: Tensor) -> Tensor:
-    return T.add(T.matmul(x, params.weight), params.bias)
+def view_head(p: ViewParams, x: Tensor, lengths, masks: dict
+              ) -> tuple[Tensor, Tensor]:
+    """(MLP output, logits) for the rows of ``x``, split by ``lengths``;
+    the MLP output takes the "mlp" mask of ``masks``."""
+    m = apply_mask(T.elu(affine(p.mlp, x)), masks.get("mlp"), lengths)
+    return m, affine(p.classifier, m)
 
 
 # ---------------------------------------------------------------------------

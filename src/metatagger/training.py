@@ -295,7 +295,7 @@ class TaggerModel:
     char_sent: encoders.CharSentEncoderParams | None
     char_token: encoders.CharTokenEncoderParams | None
     word: encoders.WordEncoderParams
-    combiner: meta.MetaParams
+    combiner: nn.ViewParams
 
     def char_parameters(self):
         if self.char_sent is not None:
@@ -306,7 +306,7 @@ class TaggerModel:
         return self.word.parameters()
 
     def meta_parameters(self):
-        return self.combiner.parameters()
+        return self.combiner.parameters("meta")
 
     def all_parameters(self):
         return (self.char_parameters() + self.word_parameters()

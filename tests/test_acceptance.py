@@ -88,13 +88,13 @@ def test_criterion_01_gradients():
     rng = np.random.default_rng(0)
     xs = T.Tensor(rng.standard_normal((4, 3)))
 
-    p = nn.mlp_params(3, 5, np.random.default_rng(1))
+    p = nn.affine_params(3, 5, np.random.default_rng(1), "gaussian")
     worst["mlp"] = oracles.grad_check(
-        lambda: oracles.tsum(nn.mlp_apply(p, xs)), p.parameters("mlp"))
+        lambda: oracles.tsum(T.elu(nn.affine(p, xs))), p.parameters("mlp"))
 
-    c = nn.classifier_params(3, 4, np.random.default_rng(2))
+    c = nn.affine_params(3, 4, np.random.default_rng(2), "scaled")
     worst["classifier+xent"] = oracles.grad_check(
-        lambda: nn.softmax_xent_rows(nn.classify(c, xs), [0, 3, 1, 2]),
+        lambda: nn.softmax_xent_rows(nn.affine(c, xs), [0, 3, 1, 2]),
         c.parameters("cls"))
 
     lp = nn.lstm_params(3, 4, np.random.default_rng(3))

@@ -315,6 +315,61 @@ class TestExitCodes:
         assert err.startswith(f"data error: {path}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, name", [
+        ("tag", "no_dir/o.conllu"), ("tag", ""),
+        ("eval", "no_dir/s.csv"), ("eval", ""),
+        ("grid", "no_dir/g.csv"), ("grid", ""),
+        ("ablate", "no_dir/a.csv"), ("ablate", ""),
+    ], ids=["tag-directory-missing", "tag-is-a-directory",
+            "eval-directory-missing", "eval-is-a-directory",
+            "grid-directory-missing", "grid-is-a-directory",
+            "ablate-directory-missing", "ablate-is-a-directory"])
+    def test_unusable_output_fails_before_any_input_is_read(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, command, name):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the output was checked")
+
+        for module, attr in ((training, "train"), (training, "train_model"),
+                             (training, "tag_corpus"),
+                             (training, "checkpoint_load"),
+                             (cli, "_parse_corpus")):
+            monkeypatch.setattr(module, attr, never)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = str(out / name)
+        corpus = str(corpus_dir / "dev.conllu")
+        argv = {
+            "tag": ["tag", "--checkpoint", str(out / "m.ckpt"),
+                    "--input", corpus, "--output", path],
+            "eval": ["eval", "--gold", corpus, "--pred", corpus,
+                     "--csv", path],
+            "grid": ["grid", "--train", corpus, "--sizes", "2:2:1",
+                     "--out", path],
+            "ablate": ["ablate", "--train", corpus, "--axis", "components",
+                       "--seeds", "2", "--out", path],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {path}: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("vectors, line", [
+        ("ab \nb \n", 1), ("ab 0.5 1\nb \n", 2), ("ab 0.5\nb\n", 2),
+    ], ids=["trailing-space", "second-line", "no-space"])
+    def test_vector_without_values_names_its_line(self, corpus_dir, tmp_path,
+                                                  capsys, vectors, line):
+        emb = tmp_path / "e.vec"
+        emb.write_text(vectors)
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--pretrained", str(emb),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + TINY_RUN)
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"data error: embedding line {line}: no vector values\n"
+
     def test_checkpoint_directory_is_data_error(self, corpus_dir, tmp_path,
                                                 capsys):
         code = cli.main(["tag", "--checkpoint", str(tmp_path),

@@ -254,7 +254,8 @@ def build_triple(vocabs, seed=21):
 class TestMeta:
     def run_meta_loss(self, sents, vocabs, cs, wd, mp, detach):
         golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
-        for _, p in (cs.parameters() + wd.parameters() + mp.parameters()):
+        for _, p in (cs.parameters() + wd.parameters()
+                     + mp.parameters("meta")):
             p.grad = None
         with T.Graph() as g:
             _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
@@ -275,7 +276,7 @@ class TestMeta:
         self.run_meta_loss(sents, vocabs, cs, wd, mp, detach=True)
         assert self.total_grad(cs.parameters()) == 0.0
         assert self.total_grad(wd.parameters()) == 0.0
-        assert self.total_grad(mp.parameters()) > 0.0
+        assert self.total_grad(mp.parameters("meta")) > 0.0
 
     def test_gradient_reaches_encoders_when_joint(self):
         sents, vocabs = make_world(["the dog barks"])
@@ -320,7 +321,7 @@ class TestMeta:
             _, logits = meta.combine(mp, m_c, m_w, [len(sents[0])])
             return nn.softmax_xent_rows(logits, golds)
 
-        assert oracles.grad_check(f, mp.parameters()) < 1e-6
+        assert oracles.grad_check(f, mp.parameters("meta")) < 1e-6
 
     def test_predict_tie_break(self):
         z = T.Tensor([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])

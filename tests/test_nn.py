@@ -266,33 +266,33 @@ class TestBiLstmStack:
 
 class TestMlpAndClassifier:
     def test_identity_map_elu(self):
-        p = nn.MlpParams(weight=T.Tensor(np.eye(2), requires_grad=True),
-                         bias=T.Tensor(np.zeros(2), requires_grad=True))
-        out = nn.mlp_apply(p, T.Tensor([[1.0, -1.0]]))
+        p = nn.Affine(weight=T.Tensor(np.eye(2), requires_grad=True),
+                      bias=T.Tensor(np.zeros(2), requires_grad=True))
+        out = T.elu(nn.affine(p, T.Tensor([[1.0, -1.0]])))
         np.testing.assert_allclose(out.data, [[1.0, np.exp(-1) - 1]],
                                    atol=1e-12)
 
     def test_zero_params_zero_output(self):
-        p = nn.MlpParams(weight=T.Tensor(np.zeros((3, 2))),
-                         bias=T.Tensor(np.zeros(2)))
-        out = nn.mlp_apply(p, T.Tensor([[1.0, 2.0, 3.0]]))
+        p = nn.Affine(weight=T.Tensor(np.zeros((3, 2))),
+                      bias=T.Tensor(np.zeros(2)))
+        out = T.elu(nn.affine(p, T.Tensor([[1.0, 2.0, 3.0]])))
         assert not out.data.any()
 
     def test_grad_check(self):
-        p = nn.mlp_params(3, 5, np.random.default_rng(6))
+        p = nn.affine_params(3, 5, np.random.default_rng(6), "gaussian")
         x = rng.normal(size=(4, 3))
         err = oracles.grad_check(
-            lambda: oracles.tsum(nn.mlp_apply(p, T.Tensor(x))),
+            lambda: oracles.tsum(T.elu(nn.affine(p, T.Tensor(x)))),
             p.parameters("mlp"))
         assert err < 1e-6
 
     def test_classifier_shapes_and_grad(self):
-        p = nn.classifier_params(4, 7, np.random.default_rng(8))
+        p = nn.affine_params(4, 7, np.random.default_rng(8), "scaled")
         x = rng.normal(size=(3, 4))
-        logits = nn.classify(p, T.Tensor(x))
+        logits = nn.affine(p, T.Tensor(x))
         assert logits.shape == (3, 7)
         err = oracles.grad_check(
-            lambda: oracles.tsum(nn.classify(p, T.Tensor(x))),
+            lambda: oracles.tsum(nn.affine(p, T.Tensor(x))),
             p.parameters("cls"))
         assert err < 1e-6
 

@@ -655,6 +655,67 @@ class TestCheckpoint:
             training.checkpoint_load(p)
 
 
+def saved_lstm(prefix, n_in, hidden):
+    """The five saved arrays of one LSTM direction, in order."""
+    return [(f"{prefix}.w_x", (n_in, 4 * hidden)),
+            (f"{prefix}.w_h", (hidden, 4 * hidden)),
+            (f"{prefix}.bias", (4 * hidden,)), (f"{prefix}.h0", (hidden,)),
+            (f"{prefix}.c0", (hidden,))]
+
+
+def saved_bilstm(prefix, layer_inputs, hidden):
+    """A saved stack: per layer, the forward then the backward direction."""
+    return [entry for j, n_in in enumerate(layer_inputs)
+            for side in ("fwd", "bwd")
+            for entry in saved_lstm(f"{prefix}.layer{j}.{side}", n_in, hidden)]
+
+
+def saved_word_and_meta(rep):
+    """The word and meta arrays of a model of ``TestArrayTable.CONFIG``
+    whose character output of ``rep`` columns reaches the meta stack."""
+    return ([("word.learned", (14, 6))]
+            + saved_bilstm("word.stack", [6, 10], 5)
+            + [("word.mlp.weight", (10, 3)), ("word.mlp.bias", (3,)),
+               ("word.classifier.weight", (3, 2)),
+               ("word.classifier.bias", (2,))]
+            + saved_bilstm("meta.stack", [rep + 3], 7)
+            + [("meta.mlp.weight", (14, 3)), ("meta.mlp.bias", (3,)),
+               ("meta.classifier.weight", (3, 2)),
+               ("meta.classifier.bias", (2,))])
+
+
+class TestArrayTable:
+    """A checkpoint loads only into a model whose array names, order and
+    shapes match the saved ones, so they are pinned here."""
+    CONFIG = dict(char_bilstm_layers=2, word_bilstm_layers=2,
+                  char_bilstm_size=4, word_bilstm_size=5, meta_bilstm_size=7,
+                  mlp_size=3, gather="F_1st,B_last")
+    TABLES = {
+        "sentence": ([("char_sent.char_table", (7, 6))]
+                     + saved_bilstm("char_sent.stack", [6, 8], 4)
+                     + [("char_sent.mlp.weight", (8, 3)),
+                        ("char_sent.mlp.bias", (3,)),
+                        ("char_sent.classifier.weight", (3, 2)),
+                        ("char_sent.classifier.bias", (2,))]
+                     + saved_word_and_meta(3)),
+        "token": ([("char_token.char_table", (7, 6))]
+                  + saved_lstm("char_token.lstm", 6, 4)
+                  + [("char_token.attn_vec", (4,)),
+                     ("char_token.classifier.weight", (4, 2)),
+                     ("char_token.classifier.bias", (2,))]
+                  + saved_word_and_meta(4)),
+    }
+
+    @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
+    def test_names_order_and_shapes(self, char_encoder):
+        config = small_config(char_encoder=char_encoder, **self.CONFIG)
+        model, _, _ = training.prepare(config, mini_corpus(6), mini_corpus(2))
+        want = self.TABLES[char_encoder]
+        got = [(name, a.shape) for name, a in model.array_manifest()]
+        assert got == want + [("word.pretrained", (14, 6))]
+        assert [(name, p.shape) for name, p in model.all_parameters()] == want
+
+
 class TestHeads:
     def test_all_three_heads_evaluable(self):
         sents = mini_corpus(6)
