@@ -15,7 +15,8 @@ metric of BENCHMARK.json, the median, first and third quartile of each
 side, in how many pairs the change is better, whether that meets the rule
 for claiming a gain and whether the change stays within the metric's
 bound; then every run. A run that exits non-zero or prints no result is
-recorded with its exit code and left out of the summary.
+recorded with its exit code and left out of the summary. Last it prints
+that summary, one line per workload and metric.
 """
 
 from __future__ import annotations
@@ -101,6 +102,26 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and metric of ``summary`` (``summarise``'s
+    output by workload): each side's median [q1-q3], the pairs the change
+    wins, ``gain_rule_met`` and ``within_bound``."""
+    lines = []
+    for workload, out in summary.items():
+        for name, m in out.items():
+            if not isinstance(m, dict) or "change_better_pairs" not in m:
+                continue
+            sides = ", ".join(
+                f"{side} {m[side]['median']:g} "
+                f"[{m[side]['q1']:g}-{m[side]['q3']:g}]"
+                for side in ("parent", "change"))
+            lines.append(f"{workload} {name}: {sides}, change better in "
+                         f"{m['change_better_pairs']} pairs, gain_rule_met "
+                         f"{m['gain_rule_met']}, within_bound "
+                         f"{m['within_bound']}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -140,6 +161,8 @@ def main() -> int:
     out = ROOT / f"BENCH_{ns.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"written {out}")
+    for line in summary_lines(summary):
+        print(line)
     return 0
 
 

@@ -224,12 +224,12 @@ def _parse_sizes(spec: str) -> list[int]:
 
 
 def cmd_grid(ns) -> int:
+    sizes = _parse_sizes(ns.sizes)
     config, paths = effective_config(ns)
     if ns.out:
         _check_destination(ns.out)
     train_sents, dev_sents = _corpora(config, paths)
     pretrained = paths.get("pretrained_file")
-    sizes = _parse_sizes(ns.sizes)
     lines = ["char_size,word_size,dev_accuracy"]
     for char_size in sizes:
         for word_size in sizes:

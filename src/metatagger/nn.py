@@ -17,7 +17,12 @@ every gate, and at most ``_PROJECT_ROWS`` rows when it is not, so an
 unrecorded run holds one such block per direction beside its (N, 2H)
 result. Each step advances the sequences still running with one
 (live, H) @ (H, 4H) product; the hand-written backward mirrors the
-loop. Its gates use the package's one logistic, ``tensor.logistic_``,
+loop. A recorded run keeps for it only the (N, 4H) gate values and the
+(N, H) cell states of each direction: the masked input, the masked
+states each step read and the tanh of the cell states are rebuilt from
+the input, the run's own result and those. The layer-input dropout
+mask is applied inside the op too, so it stores no masked copy of the
+input. Its gates use the package's one logistic, ``tensor.logistic_``,
 in place on each step's pre-activations. The readable reference the
 tests pin the fused op to, the same cell composed from primitive ops,
 is ``lstm_step`` in ``tests/oracles.py``.
@@ -156,14 +161,15 @@ def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
 
 
 def _packing(lengths: np.ndarray, reverse: bool = False
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Time-major packed layout of stacked sequences.
 
     Sequences are sorted longest first (ties keep batch order), so at step
     t the live ones are a prefix of that order, ``batch_sizes[t]`` of them.
-    Returns (rows, batch_sizes, order): packed row i holds stacked row
-    ``rows[i]``, and sorted sequence r is batch sequence ``order[r]``.
-    With ``reverse`` step t reads each sequence's t-th row from its end.
+    Returns (rows, batch_sizes, order, ranks): packed row i holds stacked
+    row ``rows[i]`` of sorted sequence ``ranks[i]``, and sorted sequence r
+    is batch sequence ``order[r]``. With ``reverse`` step t reads each
+    sequence's t-th row from its end; only ``rows`` differs.
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
@@ -173,7 +179,7 @@ def _packing(lengths: np.ndarray, reverse: bool = False
     if reverse:
         steps = lengths[seqs] - 1 - steps
     starts = np.cumsum(lengths) - lengths
-    return starts[seqs] + steps, live.sum(axis=1), order
+    return starts[seqs] + steps, live.sum(axis=1), order, ranks
 
 
 # Multiply-adds of one direction (rows x 4H x (input + H)) below which a
@@ -212,31 +218,46 @@ def _run_calls(parallel: bool, calls: list) -> list:
     return [first, future.result()]
 
 
-def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
-               rows: np.ndarray, batch_sizes: np.ndarray, dest: np.ndarray,
-               track: bool):
+def _packed_input(xs: np.ndarray, rows: np.ndarray, ranks: np.ndarray,
+                  x_mask: np.ndarray | None) -> np.ndarray:
+    """Rows ``rows`` of ``xs``, each times the ``x_mask`` row of its
+    sorted sequence (``ranks``, see ``_packing``); a fresh array."""
+    x = xs[rows]
+    if x_mask is not None:
+        x *= x_mask[ranks]
+    return x
+
+
+def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
+               mask: np.ndarray | None, rows: np.ndarray, ranks: np.ndarray,
+               batch_sizes: np.ndarray, dest: np.ndarray, track: bool,
+               input_grad: bool):
     """One direction of ``lstm_run`` in plain numpy, safe to run off the
     calling thread: it never touches the tape.
 
     Runs the packed rows ``rows`` of ``xs`` (layout from ``_packing``),
-    writes the hidden state of stacked row ``rows[i]`` to ``dest[rows[i]]``
-    and returns the backward closure, or None unless ``track``. The steps
-    run a block of whole steps at a time: the block's input projection is
-    one product, and its hidden states go to ``dest`` when its last step
-    has run. With ``track`` the block is every row, and the closure keeps
-    the gate values, the cell states and the masked states the steps
-    read; it gathers the packed input from ``xs`` again and takes the
-    tanh of the cell states once, so neither is stored. Without it a
-    block is at most ``_PROJECT_ROWS`` rows, and all the run holds beside
-    ``dest`` is one block's packed input, gates, cell and hidden states.
+    each times its sequence's sorted ``x_mask`` row, writes the hidden
+    state of stacked row ``rows[i]`` to ``dest[rows[i]]`` and returns the
+    backward closure, or None unless ``track``; the closure returns no
+    gradient for ``xs`` unless ``input_grad``. The steps run a block of
+    whole steps at a time: the block's input projection is one product,
+    and its hidden states go to ``dest`` when its last step has run.
+
+    With ``track`` the block is every row, and the closure keeps only the
+    (n, 4H) gate values and the (n, H) cell states beside ``xs`` and
+    ``dest``. It rebuilds the rest from those: the masked input, the
+    masked states each step read (``dest`` rows of the step before, or
+    h0, times ``mask``) and, step by step, the tanh of the cell states.
+    ``dest`` must therefore hold the run's output until the backward.
+    Without ``track`` a block is at most ``_PROJECT_ROWS`` rows, and all
+    the run holds beside ``dest`` is one block's packed input, gates, cell
+    and hidden states.
     """
     n, hs = rows.size, params.hidden_size
     n_seq = batch_sizes[0]
     wx, wh = params.w_x.data, params.w_h.data
     offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
     budget = n if track else _PROJECT_ROWS
-    if track:
-        h_tilde = np.empty((n, hs))  # masked h each step read
     h0 = np.broadcast_to(params.h0.data, (n_seq, hs))
     c0 = np.broadcast_to(params.c0.data, (n_seq, hs))
     # packed rows b0:b1 have their pre-activations in gates, turned into
@@ -256,8 +277,9 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
                 # numpy multiplies a lone row with gemv, whose sums can
                 # differ in the last bit from gemm's: take a neighbour too
                 lo, hi = (lo, hi + 1) if hi < n else (lo - 1, hi)
-            gates = np.matmul(xs[rows[lo:hi]], wx,
-                              out=g_buf[:hi - lo])[b0 - lo:b1 - lo]
+            gates = np.matmul(
+                _packed_input(xs, rows[lo:hi], ranks[lo:hi], x_mask), wx,
+                out=g_buf[:hi - lo])[b0 - lo:b1 - lo]
             gates += params.bias.data
             cs, out = c_buf[:b1 - b0], h_buf[:b1 - b0]
         # after a one-step block, the next block's first step writes its
@@ -265,8 +287,6 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
         hp, cp = (h0[:k], c0[:k]) if t == 0 else (h[:k], c[:k])
         if mask is not None:
             hp = hp * mask[:k]
-        if track:
-            h_tilde[r0:r1] = hp
         a = gates[r0 - b0:r1 - b0]
         a += hp @ wh
         T.logistic_(a[:, :2 * hs])
@@ -283,8 +303,8 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
         return None
 
     def bwd(g_out):
-        g = g_out[rows]
-        tcs = np.tanh(cs)
+        """Gradients of xs, w_x, w_h, bias, h0 and c0 from ``g_out``, the
+        gradient of ``dest``."""
         d_s = np.empty((n, 4 * hs))
         dh = np.zeros((n_seq, hs))  # gradient reaching h_{t-1}, per sequence
         dc = np.zeros((n_seq, hs))
@@ -292,10 +312,10 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
             k = batch_sizes[t]
             r0, r1 = offsets[t], offsets[t] + k
             cp = c0[:k] if t == 0 else cs[offsets[t - 1]:offsets[t - 1] + k]
-            a, tc = gates[r0:r1], tcs[r0:r1]
+            a, tc = gates[r0:r1], np.tanh(cs[r0:r1])
             ig, fg = a[:, :hs], a[:, hs:2 * hs]
             gg, og = a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
-            dht = g[r0:r1] + dh[:k]
+            dht = g_out[rows[r0:r1]] + dh[:k]
             dct = dc[:k] + dht * og * (1.0 - tc * tc)
             ds = d_s[r0:r1]
             ds[:, :hs] = dct * gg * ig * (1.0 - ig)
@@ -306,17 +326,31 @@ def _direction(params: LstmParams, xs: np.ndarray, mask: np.ndarray | None,
             dh[:k] = ds @ wh.T
             if mask is not None:
                 dh[:k] *= mask[:k]
-        d_xs = np.empty((n, xs.shape[1]))
-        d_xs[rows] = d_s @ wx.T
-        return (d_xs, xs[rows].T @ d_s, h_tilde.T @ d_s, d_s.sum(axis=0),
-                dh.sum(axis=0), dc.sum(axis=0))
+        # step t > 0 read rows offsets[t-1]: offsets[t-1] + k of the step
+        # before, a shift by batch_sizes[t-1]
+        h_tilde = np.empty((n, hs))
+        h_tilde[:n_seq] = h0
+        h_tilde[n_seq:] = dest[rows[np.arange(n_seq, n) - np.repeat(
+            batch_sizes[:-1], batch_sizes[1:])]]
+        if mask is not None:
+            h_tilde *= mask[ranks]
+        d_wh = h_tilde.T @ d_s
+        del h_tilde
+        d_wx = _packed_input(xs, rows, ranks, x_mask).T @ d_s
+        d_xs = None
+        if input_grad:
+            d_xs = np.empty((n, xs.shape[1]))
+            d_xs[rows] = d_s @ wx.T
+        return (d_xs, d_wx, d_wh, d_s.sum(axis=0), dh.sum(axis=0),
+                dc.sum(axis=0))
 
     return bwd
 
 
 def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
              *, lengths, reverse: LstmParams | None = None,
-             reverse_mask: np.ndarray | None = None) -> Tensor:
+             reverse_mask: np.ndarray | None = None,
+             x_mask: np.ndarray | None = None) -> Tensor:
     """Run the cell over B sequences stacked as the rows of ``xs``.
 
     ``lengths`` (B,) splits the N rows into sequences, in order; a lone
@@ -324,7 +358,9 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     the same row order. Every sequence starts from h0/c0. When ``h_mask``
     is given, (B, hidden) with one row per sequence, it multiplies the
     hidden state (including h0) before each recurrence step, the same
-    mask row at every step of a sequence.
+    mask row at every step of a sequence. ``x_mask``, (B, input_size),
+    likewise multiplies each sequence's input rows: the result is that of
+    ``apply_mask(xs, x_mask, lengths)`` run without it, bitwise.
 
     With ``reverse`` (and its own ``reverse_mask``) the op is one BiLSTM
     layer: a second direction reads each sequence from its end, and the
@@ -334,14 +370,18 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     the layer is too small to gain from it (``_PARALLEL_MIN_WORK``).
 
     One or two directions take the same path: each is one ``_direction``
-    run over its own packed rows (see ``_packing``) with its mask sorted
+    run over its own packed rows (see ``_packing``) with its masks sorted
     to the packed order, writing its ``hidden`` columns of the result.
     One tape node; its backward, written by hand, mirrors the loop of
-    each direction and sums their input gradients. When the op is not
-    recorded, nothing only the backward reads is kept: beside the result
-    each direction holds one block of at most ``_PROJECT_ROWS`` packed
-    rows at a time, so memory grows with the (N, 2 * hidden) result and
-    not with the (N, 4 * hidden) gates.
+    each direction, sums their input gradients in place and multiplies
+    the sum by ``x_mask``; it computes no input gradient when ``xs``
+    takes none. Only what the backward reads is kept: a recorded run
+    holds, per direction, its (N, 4 * hidden) gates and (N, hidden) cell
+    states beside ``xs``, the masks and its own result, and rebuilds the
+    masked input and states from those. An unrecorded one holds, beside
+    the result, one block of at most ``_PROJECT_ROWS`` packed rows per
+    direction at a time, so its memory grows with the (N, 2 * hidden)
+    result and not with the (N, 4 * hidden) gates.
     """
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise T.ShapeError(
@@ -358,21 +398,23 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
         raise T.ShapeError("lstm_run: empty sequence")
     lengths = _check_lengths(lengths, n, "lstm_run")
     hs = params.hidden_size
-    rows, batch_sizes, order = _packing(lengths)
+    rows, batch_sizes, order, ranks = _packing(lengths)
 
-    def sorted_mask(m, name):
+    def checked(m, name, width):
         if m is None:
             return None
         m = np.asarray(m, dtype=np.float64)
-        if m.shape != (lengths.size, hs):
+        if m.shape != (lengths.size, width):
             raise T.ShapeError(f"lstm_run: {name} shape {m.shape} is not "
-                               f"({lengths.size}, {hs})")
-        return m[order]
+                               f"({lengths.size}, {width})")
+        return m
 
-    # (params, sorted mask, packed rows) per direction
-    runs = [(params, sorted_mask(h_mask, "h_mask"), rows)]
+    x_mask = checked(x_mask, "x_mask", params.input_size)
+    x_sorted = None if x_mask is None else x_mask[order]
+    # (params, sorted state mask, packed rows) per direction
+    runs = [(params, checked(h_mask, "h_mask", hs), rows)]
     if reverse is not None:
-        runs.append((reverse, sorted_mask(reverse_mask, "reverse_mask"),
+        runs.append((reverse, checked(reverse_mask, "reverse_mask", hs),
                      _packing(lengths, reverse=True)[0]))
     inputs = (xs,) + tuple(t for p, _, _ in runs for t in (
         p.w_x, p.w_h, p.bias, p.h0, p.c0))
@@ -380,15 +422,22 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     parallel = len(runs) == 2 \
         and n * 4 * hs * (params.input_size + hs) >= _PARALLEL_MIN_WORK
     result = np.empty((n, len(runs) * hs))
+    input_grad = xs.requires_grad
     bwds = _run_calls(parallel, [
-        (_direction, p, xs.data, mask, r, batch_sizes,
-         result[:, k * hs:(k + 1) * hs], track)
-        for k, (p, mask, r) in enumerate(runs)])
+        (_direction, p, xs.data, x_sorted, None if m is None else m[order],
+         r, ranks, batch_sizes, result[:, k * hs:(k + 1) * hs], track,
+         input_grad)
+        for k, (p, m, r) in enumerate(runs)])
 
     def bwd(g_out):
         grads = _run_calls(parallel, [
             (b, g_out[:, k * hs:(k + 1) * hs]) for k, b in enumerate(bwds)])
-        d_xs = sum((g[0] for g in grads[1:]), grads[0][0])
+        d_xs = grads[0][0]
+        if input_grad:
+            for g in grads[1:]:
+                d_xs += g[0]
+            if x_mask is not None:
+                d_xs *= np.repeat(x_mask, lengths, axis=0)
         return (d_xs,) + tuple(d for g in grads for d in g[1:])
 
     return T.record("lstm_run", inputs, result, bwd)
@@ -449,7 +498,8 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
 
     Dropout comes from ``masks`` (keys from ``stack_sites``): one input
     mask per layer, reused across time, and one recurrent-state mask per
-    direction per layer, applied inside the recurrence.
+    direction per layer. ``lstm_run`` applies both, so a layer records
+    one tape node and no masked copy of its input.
     """
     if xs.shape[0] == 0:
         raise T.ShapeError("bilstm_stack_run: empty sequence")
@@ -459,9 +509,9 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
     masks = masks or {}
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):
-        h = apply_mask(h, masks.get(f"layer{j}.in"), lengths)
         h = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths=lengths,
-                     reverse=p_bwd, reverse_mask=masks.get(f"layer{j}.bwd"))
+                     reverse=p_bwd, reverse_mask=masks.get(f"layer{j}.bwd"),
+                     x_mask=masks.get(f"layer{j}.in"))
     return h
 
 

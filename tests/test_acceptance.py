@@ -110,6 +110,16 @@ def test_criterion_01_gradients():
     worst["bilstm_stack"] = oracles.grad_check(
         lambda: oracles.tsum(nn.bilstm_stack_run(stack, xs, lengths=[4])),
         stack.parameters("st"))
+    x_in = T.Tensor(np.random.default_rng(9).standard_normal((5, 3)),
+                    requires_grad=True)
+    mask_rng = np.random.default_rng(10)
+    masks = {key: mask_rng.integers(0, 2, size=(2, width)) * 2.0
+             for key, width in (("layer0.in", 3), ("layer0.bwd", 4),
+                                ("layer1.in", 8))}
+    worst["bilstm_stack+input_masks"] = oracles.grad_check(
+        lambda: oracles.tsum(nn.bilstm_stack_run(stack, x_in, lengths=[3, 2],
+                                                 masks=masks)),
+        stack.parameters("st") + [("xs", x_in)])
 
     table = T.Tensor(np.random.default_rng(6).standard_normal((5, 3)),
                      requires_grad=True)

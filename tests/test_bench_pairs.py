@@ -81,3 +81,19 @@ def test_crashed_runs_are_left_out_of_the_pairs():
     assert out["runs_correct"] == "5/6"
     assert out["operations"]["change"] == {"failed": 0, "attempted": 20}
     assert out["tok_s"]["change_better_pairs"] == "0/2"
+
+
+def test_summary_lines_give_each_metric_of_each_workload():
+    parent = {"tok_s": [100 + i for i in range(10)], "setup_s": [1.0] * 10}
+    change = {"tok_s": [130 + i for i in range(10)], "setup_s": [1.3] * 10}
+    summary = {"paper-train": bench_pairs.summarise(runs_of(parent, change),
+                                                    METRICS),
+               "paper-tag": bench_pairs.summarise(
+                   runs_of(parent, change)[:2], METRICS)}
+    lines = bench_pairs.summary_lines(summary)
+    assert lines == [
+        "paper-train tok_s: parent 104.5 [102.25-106.75], change 134.5 "
+        "[132.25-136.75], change better in 10/10 pairs, gain_rule_met True, "
+        "within_bound True",
+        "paper-train setup_s: parent 1 [1-1], change 1.3 [1.3-1.3], change "
+        "better in 0/10 pairs, gain_rule_met False, within_bound False"]

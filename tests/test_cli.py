@@ -130,6 +130,18 @@ class TestExitCodes:
         assert cli.main(["ablate", "--axis", "sideways",
                          "--train", str(corpus_dir / "train.conllu")]) == 1
 
+    def test_grid_checks_sizes_before_reading_a_corpus(self, tmp_path,
+                                                        monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a corpus was read before --sizes")
+
+        monkeypatch.setattr(cli, "_parse_corpus", unreachable)
+        assert cli.main(["grid", "--train", str(tmp_path / "nope.conllu"),
+                         "--sizes", "bad"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--sizes" in err
+        assert "Traceback" not in err
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, corpus_dir):
         bad = tmp_path / "bad.ckpt"
         bad.write_text("not a checkpoint\n")

@@ -108,19 +108,23 @@ def closure_arrays(fn) -> list[np.ndarray]:
 
 
 class TestLstmRunFused:
-    def test_taped_run_saves_gates_cell_and_masked_states_only(self):
-        """Beside its inputs, a taped run keeps for its backward the (n, 4H)
-        gate values and the (n, H) cell and masked states: no packed copy
-        of the input, no tanh of the cell states. The sweep frees them."""
+    def test_taped_run_saves_gates_and_cell_states_only(self):
+        """Beside its inputs and its own output, a taped run keeps for its
+        backward the (n, 4H) gate values and the (n, H) cell states: no
+        masked states, no packed or masked copy of the input, no tanh of
+        the cell states. The sweep frees them."""
         n, width, hs = 7, 5, 3
         p = nn.lstm_params(width, hs, np.random.default_rng(0))
         xs = T.Tensor(rng.normal(size=(n, width)), requires_grad=True)
         with T.Graph() as g:
-            loss = oracles.tsum(nn.lstm_run(p, xs, np.ones((1, hs)),
-                                            lengths=[n]))
+            out = nn.lstm_run(p, xs, np.ones((1, hs)), lengths=[n],
+                              x_mask=np.ones((1, width)))
+            loss = oracles.tsum(out)
+        assert g.nodes[0].op == "lstm_run"
         saved = [a for a in closure_arrays(g.nodes[0].backward_fn)
-                 if a.ndim == 2 and a.shape[0] == n and a is not xs.data]
-        assert sorted(a.shape[1] for a in saved) == [hs, hs, 4 * hs]
+                 if a.ndim == 2 and a.shape[0] == n and a is not xs.data
+                 and not np.shares_memory(a, out.data)]
+        assert sorted(a.shape[1] for a in saved) == [hs, 4 * hs]
         refs = [weakref.ref(a) for a in saved]
         del saved
         g.backward(loss)
@@ -616,6 +620,8 @@ class TestPackedBatch:
                 nn.lstm_run(p, xs, lengths=lengths)
         with pytest.raises(T.ShapeError):
             nn.lstm_run(p, xs, np.ones((3, 4)), lengths=[2, 2])
+        with pytest.raises(T.ShapeError):
+            nn.lstm_run(p, xs, lengths=[2, 2], x_mask=np.ones((2, 4)))
 
     def test_stack_reverses_each_sequence_in_its_span(self):
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(6))
@@ -774,11 +780,12 @@ class TestTwoDirections:
         p_f, p_b = self.layer()
         xs = T.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
         with T.Graph() as g:
-            loss = oracles.tsum(nn.lstm_run(p_f, xs, lengths=[2, 4, 1],
-                                            reverse=p_b))
+            out = nn.lstm_run(p_f, xs, lengths=[2, 4, 1], reverse=p_b)
+            loss = oracles.tsum(out)
         refs = [weakref.ref(a) for a in closure_arrays(g.nodes[0].backward_fn)
-                if a.shape[:1] == (7,) and a.ndim == 2 and a is not xs.data]
-        assert len(refs) == 6  # gates, cell and masked states per direction
+                if a.shape[:1] == (7,) and a.ndim == 2 and a is not xs.data
+                and not np.shares_memory(a, out.data)]
+        assert len(refs) == 4  # gates and cell states per direction
         g.backward(loss)
         assert all(r() is None for r in refs)
 
@@ -974,3 +981,120 @@ def test_unrecorded_run_memory_follows_the_output(monkeypatch, worker):
 
     (small, out_small), (large, out_large) = peak(1024), peak(16384)
     assert large - small <= 1.25 * (out_large - out_small)
+
+
+# --- recorded runs: the input mask inside the op, a small tape ------------
+
+def masked_layer_grads(fused, p_f, p_b, xs, lengths, x_mask, m_f, m_b, w):
+    """Output, parameter gradients and input gradient of one layer run
+    with ``x_mask`` applied inside ``lstm_run`` (``fused``) or by
+    ``apply_mask`` in front of it."""
+    params = p_f.parameters("f") + ([] if p_b is None else
+                                    p_b.parameters("b"))
+    oracles.zero_grads(params)
+    xs.grad = None
+    with T.Graph() as g:
+        if fused:
+            out = nn.lstm_run(p_f, xs, m_f, lengths=lengths, reverse=p_b,
+                              reverse_mask=m_b, x_mask=x_mask)
+        else:
+            out = nn.lstm_run(p_f, nn.apply_mask(xs, x_mask, lengths), m_f,
+                              lengths=lengths, reverse=p_b, reverse_mask=m_b)
+        loss = oracles.tsum(T.mul(out, w))
+    g.backward(loss)
+    return [out.data] + [t.grad for _, t in params] + [xs.grad]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       st.integers(1, 4), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@example(lengths=[3, 1, 4], hidden=3, width=4, two=True, input_mask=True,
+         state_masks=True, worker=True, seed=5)
+def test_input_mask_inside_the_run_matches_apply_mask_bitwise(
+        lengths, hidden, width, two, input_mask, state_masks, worker, seed):
+    g = np.random.default_rng(seed)
+    p_f, p_b = (nn.lstm_params(width, hidden, g) for _ in range(2))
+    for _, t in p_f.parameters("f") + p_b.parameters("b"):
+        t.data[...] = g.normal(size=t.shape)
+    n, b = sum(lengths), len(lengths)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    w = T.Tensor(g.normal(size=(n, (2 if two else 1) * hidden)))
+    x_mask = (g.random((b, width)) < 0.6) / 0.6 if input_mask else None
+    m_f, m_b = ((g.random((b, hidden)) < 0.6) / 0.6 if state_masks else None
+                for _ in range(2))
+    args = (p_f, p_b if two else None, xs, lengths, x_mask, m_f,
+            m_b if two else None, w)
+    saved = nn._PARALLEL_MIN_WORK
+    nn._PARALLEL_MIN_WORK = 0 if worker else saved
+    try:
+        fused = masked_layer_grads(True, *args)
+        composed = masked_layer_grads(False, *args)
+    finally:
+        nn._PARALLEL_MIN_WORK = saved
+    assert len(fused) == len(composed)
+    for a, c in zip(fused, composed):
+        assert np.array_equal(a, c)
+
+
+def test_no_input_gradient_when_the_input_takes_none(monkeypatch):
+    """An input without requires_grad gets None from the closure, and the
+    parameters' gradients are bitwise those of a run whose input takes
+    one."""
+    monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0)
+    g = np.random.default_rng(12)
+    p_f, p_b = nn.lstm_params(3, 4, g), nn.lstm_params(3, 4, g)
+    data = g.normal(size=(9, 3))
+    x_mask = (g.random((3, 3)) < 0.6) / 0.6
+    w = T.Tensor(g.normal(size=(9, 8)))
+
+    def run(requires_grad):
+        params = p_f.parameters("f") + p_b.parameters("b")
+        oracles.zero_grads(params)
+        xs = T.Tensor(data, requires_grad=requires_grad)
+        with T.Graph() as graph:
+            loss = oracles.tsum(T.mul(nn.lstm_run(
+                p_f, xs, lengths=[4, 2, 3], reverse=p_b, x_mask=x_mask), w))
+        node, returned = graph.nodes[0], []
+        inner = node.backward_fn
+
+        def spy(g_out):
+            returned.append(inner(g_out))
+            return returned[0]
+
+        node.backward_fn = spy
+        graph.backward(loss)
+        return returned[0][0], [t.grad.copy() for _, t in params]
+
+    d_xs, with_input = run(True)
+    none, without_input = run(False)
+    assert d_xs is not None and none is None
+    for a, b in zip(with_input, without_input):
+        assert np.array_equal(a, b)
+
+
+def test_recorded_stack_keeps_gates_and_cell_states_per_row():
+    """Beside the layers' outputs, a recorded two-layer stack with every
+    dropout mask keeps about (4H + H) float64 values per packed row and
+    direction: no masked states and no masked copy of a layer's input."""
+    import tracemalloc
+    g = np.random.default_rng(4)
+    width, hidden, depth = 16, 32, 2
+    stack = nn.bilstm_stack(width, hidden, depth, g)
+    lengths = [250] * 16
+    n = sum(lengths)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    masks = stack_masks(g, stack, 0.3, lengths)
+    assert sorted(masks) == sorted(k for k, _, _ in
+                                   nn.stack_sites(stack, 0.3))
+    tracemalloc.start()
+    try:
+        with T.Graph() as graph:
+            nn.bilstm_stack_run(stack, xs, lengths=lengths, masks=masks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(node.output.data.nbytes for node in graph.nodes)
+    assert [node.op for node in graph.nodes] == ["lstm_run"] * depth
+    per_row = (held - outputs) / (n * 2 * depth)
+    assert per_row <= 1.05 * (4 * hidden + hidden) * 8
