@@ -152,15 +152,20 @@ def cmd_train(ns) -> int:
         print(line)
         log_lines.append(line)
 
+    t0 = time.perf_counter()
     ckpt = training.train(config, train_sents, dev_sents,
                           pretrained_path=paths.get("pretrained_file"),
                           log=emit)
+    seconds = time.perf_counter() - t0
     training.checkpoint_save(paths["checkpoint_file"], ckpt)
     if "log_file" in paths:
         Path(paths["log_file"]).write_text("\n".join(log_lines) + "\n",
                                            encoding="utf-8")
     print(f"best epoch={ckpt.best_epoch} dev_acc={ckpt.best_score:.6f}")
     print(f"checkpoint written to {paths['checkpoint_file']}")
+    epochs = sum(line.startswith("epoch=") for line in log_lines) - 1
+    print(f"train: {epochs} epochs in {seconds:.3f} s, "
+          f"peak RSS {_peak_rss_mb():.0f} MB", file=sys.stderr)
     return 0
 
 

@@ -17,15 +17,16 @@ every gate, and at most ``_PROJECT_ROWS`` rows when it is not, so an
 unrecorded run holds one such block per direction beside its (N, 2H)
 result. Each step advances the sequences still running with one
 (live, H) @ (H, 4H) product; the hand-written backward mirrors the
-loop. A recorded run keeps for it only the (N, 4H) gate values and the
-(N, H) cell states of each direction: the masked input, the masked
-states each step read and the tanh of the cell states are rebuilt from
-the input, the run's own result and those. The layer-input dropout
-mask is applied inside the op too, so it stores no masked copy of the
-input. Its gates use the package's one logistic, ``tensor.logistic_``,
-in place on each step's pre-activations. The readable reference the
-tests pin the fused op to, the same cell composed from primitive ops,
-is ``lstm_step`` in ``tests/oracles.py``.
+loop. A recorded run keeps for it only the (N, 4H) gate values of each
+direction: the cell states are rebuilt from the gates and c0 with the
+forward's own ops, and the masked input, the masked states each step
+read and the tanh of the cell states from the input, the run's own
+result and those. The layer-input dropout mask is applied inside the op
+too, so it stores no masked copy of the input. Its gates use the
+package's one logistic, ``tensor.logistic_``, in place on each step's
+pre-activations. The readable reference the tests pin the fused op to,
+the same cell composed from primitive ops, is ``lstm_step`` in
+``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -244,11 +245,13 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
     and its hidden states go to ``dest`` when its last step has run.
 
     With ``track`` the block is every row, and the closure keeps only the
-    (n, 4H) gate values and the (n, H) cell states beside ``xs`` and
-    ``dest``. It rebuilds the rest from those: the masked input, the
-    masked states each step read (``dest`` rows of the step before, or
-    h0, times ``mask``) and, step by step, the tanh of the cell states.
-    ``dest`` must therefore hold the run's output until the backward.
+    (n, 4H) gate values beside ``xs`` and ``dest``. It rebuilds the rest
+    from those: first the (n, H) cell states, from the gates and c0 with
+    the forward's ops in the forward's order, so bitwise the forward's;
+    then the masked input, the masked states each step read (``dest``
+    rows of the step before, or h0, times ``mask``) and, step by step,
+    the tanh of the cell states. ``dest`` must therefore hold the run's
+    output until the backward.
     Without ``track`` a block is at most ``_PROJECT_ROWS`` rows, and all
     the run holds beside ``dest`` is one block's packed input, gates, cell
     and hidden states.
@@ -305,6 +308,13 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
     def bwd(g_out):
         """Gradients of xs, w_x, w_h, bias, h0 and c0 from ``g_out``, the
         gradient of ``dest``."""
+        # c_t = i_t g_t + f_t c_{t-1}: the forward's two products, summed
+        # in the other order, which gives the same bits
+        cs = gates[:, :hs] * gates[:, 2 * hs:3 * hs]
+        for t, k in enumerate(batch_sizes):
+            r0, r1 = offsets[t], offsets[t + 1]
+            cp = c0[:k] if t == 0 else cs[offsets[t - 1]:offsets[t - 1] + k]
+            cs[r0:r1] += gates[r0:r1, hs:2 * hs] * cp
         d_s = np.empty((n, 4 * hs))
         dh = np.zeros((n_seq, hs))  # gradient reaching h_{t-1}, per sequence
         dc = np.zeros((n_seq, hs))
@@ -375,13 +385,13 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     One tape node; its backward, written by hand, mirrors the loop of
     each direction, sums their input gradients in place and multiplies
     the sum by ``x_mask``; it computes no input gradient when ``xs``
-    takes none. Only what the backward reads is kept: a recorded run
-    holds, per direction, its (N, 4 * hidden) gates and (N, hidden) cell
-    states beside ``xs``, the masks and its own result, and rebuilds the
-    masked input and states from those. An unrecorded one holds, beside
-    the result, one block of at most ``_PROJECT_ROWS`` packed rows per
-    direction at a time, so its memory grows with the (N, 2 * hidden)
-    result and not with the (N, 4 * hidden) gates.
+    takes none. Only what the backward reads is kept: a recorded run holds, per
+    direction, its (N, 4 * hidden) gate values beside ``xs``, the masks and
+    its own result, and rebuilds the cell states, the masked input and the
+    masked states from those. An unrecorded one holds, beside the result,
+    one block of at most ``_PROJECT_ROWS`` packed rows per direction at a
+    time, so its memory grows with the (N, 2 * hidden) result and not with
+    the (N, 4 * hidden) gates.
     """
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise T.ShapeError(

@@ -97,11 +97,17 @@ class Graph:
     gradients grow. The nodes, their outputs and the outputs' ``grad``
     stay. Parameters outlive graphs; their ``grad`` fields keep
     accumulating until cleared by the caller.
+
+    ``when_final`` hooks a call into the sweep at the point where some
+    tensors' gradients are complete, the earliest node that reads them:
+    the training loop steps each view's optimizer there, which frees that
+    view's gradients before the sweep reaches the next view.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._used = False
+        self._hooks: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
 
     def __enter__(self) -> "Graph":
         _ACTIVE.append(self)
@@ -110,27 +116,49 @@ class Graph:
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.pop()
 
+    def when_final(self, tensors, fn: Callable[[], None]) -> None:
+        """Have ``backward`` call ``fn()`` once, as soon as the sweep has
+        run every recorded node that takes any of ``tensors`` as an input:
+        no later node adds to their gradients. If no node reads them,
+        ``fn`` runs at the end of the sweep. Register before ``backward``;
+        hooks due at the same node run in the order registered."""
+        self._hooks.append((tuple(tensors), fn))
+
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+        """Populate ``grad`` on every requires_grad tensor reachable from
+        loss, calling the ``when_final`` hooks as their tensors' gradients
+        are complete."""
         if loss.data.shape != ():
             raise GraphError(f"backward expects a scalar loss, got shape {loss.shape}")
         if self._used:
             raise GraphError("backward called twice on the same graph; rebuild the forward pass")
         self._used = True
+        # node index -> hooks due once it has run; -1 when nothing reads
+        # their tensors
+        due: dict[int, list] = {}
+        for tensors, fn in self._hooks:
+            ids = {id(t) for t in tensors}
+            first = next((i for i, node in enumerate(self.nodes)
+                          if any(id(t) in ids for t in node.inputs)), -1)
+            due.setdefault(first, []).append(fn)
         loss.grad = np.ones((), dtype=np.float64)
-        for node in reversed(self.nodes):
+        for i in range(len(self.nodes) - 1, -1, -1):
+            node = self.nodes[i]
             out_grad = node.output.grad
-            if out_grad is None:
-                continue
-            input_grads = node.backward_fn(out_grad)
-            node.backward_fn = None
-            for tensor, g in zip(node.inputs, input_grads):
-                if g is None or not tensor.requires_grad:
-                    continue
-                if tensor.grad is None:
-                    tensor.grad = g
-                else:
-                    tensor.grad = tensor.grad + g
+            if out_grad is not None:
+                input_grads = node.backward_fn(out_grad)
+                node.backward_fn = None
+                for tensor, g in zip(node.inputs, input_grads):
+                    if g is None or not tensor.requires_grad:
+                        continue
+                    if tensor.grad is None:
+                        tensor.grad = g
+                    else:
+                        tensor.grad = tensor.grad + g
+            for fn in due.pop(i, ()):
+                fn()
+        for fn in due.pop(-1, ()):
+            fn()
 
 
 def active_graph() -> Graph | None:

@@ -1,7 +1,8 @@
 """Training: three cross-entropy losses, three Adam optimizers. An epoch is
 one pass over the shuffled corpus; each batch gets one forward of the
 character, word and meta heads, one backward of their three summed losses
-and one step of each model's optimizer. Both schedules run this one loop.
+and one step of each model's optimizer, taken inside that backward once
+the model's gradients are complete. Both schedules run this one loop.
 In separate optimization (the paper's) the encoders' outputs reach the
 combiner detached, so each model learns from its own loss alone; joint
 optimization, kept for the optimization ablation, leaves them attached,
@@ -230,7 +231,8 @@ class Adam:
         return self.lr * self.decay ** self.steps
 
     def step(self) -> None:
-        """One update of every parameter with a gradient, in place.
+        """One update of every parameter with a gradient, in place; each
+        gradient is dropped (``grad`` set to None) once it is applied.
 
         Each parameter is walked in blocks of ``_ADAM_BLOCK`` elements, so
         the arithmetic runs in cache on two block-sized scratch buffers and
@@ -279,6 +281,7 @@ class Adam:
                 b += eps
                 a /= b
                 flat_p[i:j] -= a
+            p.grad = None
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -470,14 +473,23 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
                             ) -> tuple[float, float, float]:
     """One epoch of synchronized training over the shuffled corpus, for
     either schedule of ``model.config.optimization``. Per batch: one
-    forward of the three heads (see ``forward``), one backward of the
-    three summed losses, then one step each of ``opt_char``, ``opt_word``
-    and ``opt_meta``. In separate optimization the encoders' outputs are
-    detached before the combiner, so each model's gradient comes from its
-    own loss alone; in joint optimization the meta loss reaches the
-    encoders too. The meta model reads the encoders as they stood before
-    this batch's update. Returns the mean per-batch loss of the char,
-    word and meta heads.
+    forward of the three heads (see ``forward``) and one backward of the
+    three summed losses, inside which ``opt_char``, ``opt_word`` and
+    ``opt_meta`` each step once. In separate optimization the encoders'
+    outputs are detached before the combiner, so each model's gradient
+    comes from its own loss alone; in joint optimization the meta loss
+    reaches the encoders too. The meta model reads the encoders as they
+    stood before this batch's update. Returns the mean per-batch loss of
+    the char, word and meta heads.
+
+    Each optimizer's step is hooked (``Graph.when_final``) to the point of
+    the sweep where its model's gradients are complete, and drops them as
+    it applies them: the meta model's are stepped and freed before the
+    character model's part of the sweep begins, and the character model's
+    before the word model's, so the three views' gradients are never held
+    together. Where the steps fall changes no value: each optimizer
+    touches only its own parameters, once every backward that reads them
+    has run.
 
     A head's batch loss is the mean over its sentences of each sentence's
     mean token loss, computed in one forward over the whole batch by
@@ -503,9 +515,9 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
                       for logits in forward(model, batch, _HEADS, masks,
                                             detach)]
             total = T.add(T.add(losses[0], losses[1]), losses[2])
-        g.backward(total)
         for opt in optimizers:
-            opt.step()
+            g.when_final([p for _, p in opt.params], opt.step)
+        g.backward(total)
         batch_losses.append([l.item() for l in losses])
     for opt in reversed(optimizers):
         opt.zero_grad()
@@ -543,10 +555,6 @@ class Checkpoint:
             raise ValueError(f"checkpoint holds arrays the model does not "
                              f"use: {', '.join(map(repr, unused))}")
         return model
-
-
-def _snapshot(model: TaggerModel) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in model.array_manifest()}
 
 
 def prepare(config: TrainConfig, train_sentences: list[Sentence],
@@ -607,7 +615,8 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
 
     best_score = evaluate(model, dev_sentences)
     best_epoch = 0
-    best_arrays = _snapshot(model)
+    # the one copy of the best arrays; a better epoch overwrites it
+    best_arrays = {name: arr.copy() for name, arr in model.array_manifest()}
     emit(f"epoch=0 dev_acc={best_score:.6f}")
 
     since_best = 0
@@ -622,7 +631,8 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
         if acc > best_score:
             best_score = acc
             best_epoch = epoch
-            best_arrays = _snapshot(model)
+            for name, arr in model.array_manifest():
+                np.copyto(best_arrays[name], arr)
             since_best = 0
         else:
             since_best += 1

@@ -8,7 +8,10 @@ fast:
 * ``softmax_xent``: the cross-entropy of one logits vector, per row of
   ``nn.softmax_xent_rows``;
 * ``mean_loss``: the mean of per-sentence losses, which a training batch
-  loss equals by weighting its token rows.
+  loss equals by weighting its token rows;
+* ``synchronous_epoch``: ``training.train_epoch_synchronous`` with every
+  optimizer stepped after the whole backward, where the package steps
+  each inside the sweep.
 
 The ops these compose that the tagger itself never runs live here too:
 ``sigmoid`` and ``tanh`` (the fused LSTM computes its gates in place),
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from metatagger import nn
+from metatagger import nn, training
 from metatagger import tensor as T
 
 
@@ -116,6 +119,36 @@ def mean_loss(losses: list[T.Tensor]) -> T.Tensor:
     for l in losses[1:]:
         total = T.add(total, l)
     return T.mul(total, T.Tensor(1.0 / len(losses)))
+
+
+def synchronous_epoch(model: training.TaggerModel, optimizers,
+                      sentences, order: np.ndarray, batch_size: int,
+                      rng: np.random.Generator) -> tuple[float, ...]:
+    """One epoch of the synchronized loop with each of ``optimizers``
+    stepped, in order, once the batch's whole backward has run; returns
+    the char, word and meta heads' mean batch losses."""
+    task = model.config.task
+    detach = model.config.optimization == "separate"
+    batch_losses = []
+    for start in range(0, len(order), batch_size):
+        batch = [sentences[i] for i in order[start:start + batch_size]]
+        golds = np.concatenate([training._gold_ids(model.vocabs, s, task)
+                                for s in batch])
+        weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
+                                  for s in batch])
+        masks = training._draw_masks(model, batch, rng)
+        for opt in optimizers:
+            opt.zero_grad()
+        with T.Graph() as g:
+            losses = [nn.softmax_xent_rows(logits, golds, weights)
+                      for logits in training.forward(
+                          model, batch, training._HEADS, masks, detach)]
+            total = T.add(T.add(losses[0], losses[1]), losses[2])
+        g.backward(total)
+        for opt in optimizers:
+            opt.step()
+        batch_losses.append([l.item() for l in losses])
+    return tuple(float(np.mean(column)) for column in zip(*batch_losses))
 
 
 # ---------------------------------------------------------------------------

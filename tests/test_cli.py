@@ -492,6 +492,28 @@ class TestTrain:
         assert len(lines) == 3
         assert all(l.startswith("epoch=") for l in lines)
 
+    @pytest.mark.parametrize("settings, epochs", [
+        ([], 3), (["learning_rate=0.0", "patience=1"], 1)])
+    def test_train_reports_its_time_on_stderr(self, corpus_dir, tmp_path,
+                                              capsys, settings, epochs):
+        """One stderr line after the run, counting the epochs trained (an
+        early stop included); stdout is the log's lines and the two
+        closing lines."""
+        log = tmp_path / "train.log"
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--log", str(log), *SMALL_OVERRIDES,
+                         "--set", "max_epochs=3",
+                         *(f"--set={kv}" for kv in settings)])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(rf"train: {epochs} epochs in \d+\.\d{{3}} s, "
+                            r"peak RSS [1-9]\d* MB\n", err), err
+        lines = out.splitlines()
+        assert lines[:-2] == log.read_text().splitlines()
+        assert lines[-2].startswith("best epoch=")
+
     def test_dev_split_fallback(self, corpus_dir, tmp_path, capsys):
         code = cli.main(["train",
                          "--train", str(corpus_dir / "train.conllu"),

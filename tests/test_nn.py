@@ -108,11 +108,11 @@ def closure_arrays(fn) -> list[np.ndarray]:
 
 
 class TestLstmRunFused:
-    def test_taped_run_saves_gates_and_cell_states_only(self):
+    def test_taped_run_saves_gates_only(self):
         """Beside its inputs and its own output, a taped run keeps for its
-        backward the (n, 4H) gate values and the (n, H) cell states: no
-        masked states, no packed or masked copy of the input, no tanh of
-        the cell states. The sweep frees them."""
+        backward only the (n, 4H) gate values: no cell states, no masked
+        states, no packed or masked copy of the input, no tanh of the
+        cell states. The sweep frees them."""
         n, width, hs = 7, 5, 3
         p = nn.lstm_params(width, hs, np.random.default_rng(0))
         xs = T.Tensor(rng.normal(size=(n, width)), requires_grad=True)
@@ -124,7 +124,7 @@ class TestLstmRunFused:
         saved = [a for a in closure_arrays(g.nodes[0].backward_fn)
                  if a.ndim == 2 and a.shape[0] == n and a is not xs.data
                  and not np.shares_memory(a, out.data)]
-        assert sorted(a.shape[1] for a in saved) == [hs, 4 * hs]
+        assert [a.shape[1] for a in saved] == [4 * hs]
         refs = [weakref.ref(a) for a in saved]
         del saved
         g.backward(loss)
@@ -785,7 +785,7 @@ class TestTwoDirections:
         refs = [weakref.ref(a) for a in closure_arrays(g.nodes[0].backward_fn)
                 if a.shape[:1] == (7,) and a.ndim == 2 and a is not xs.data
                 and not np.shares_memory(a, out.data)]
-        assert len(refs) == 4  # gates and cell states per direction
+        assert len(refs) == 2  # the gates of each direction
         g.backward(loss)
         assert all(r() is None for r in refs)
 
@@ -1073,10 +1073,11 @@ def test_no_input_gradient_when_the_input_takes_none(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_recorded_stack_keeps_gates_and_cell_states_per_row():
+def test_recorded_stack_keeps_gates_per_row():
     """Beside the layers' outputs, a recorded two-layer stack with every
-    dropout mask keeps about (4H + H) float64 values per packed row and
-    direction: no masked states and no masked copy of a layer's input."""
+    dropout mask keeps about 4H float64 values per packed row and
+    direction, its gates: no cell states, no masked states and no masked
+    copy of a layer's input."""
     import tracemalloc
     g = np.random.default_rng(4)
     width, hidden, depth = 16, 32, 2
@@ -1097,4 +1098,4 @@ def test_recorded_stack_keeps_gates_and_cell_states_per_row():
     outputs = sum(node.output.data.nbytes for node in graph.nodes)
     assert [node.op for node in graph.nodes] == ["lstm_run"] * depth
     per_row = (held - outputs) / (n * 2 * depth)
-    assert per_row <= 1.05 * (4 * hidden + hidden) * 8
+    assert per_row <= 1.05 * 4 * hidden * 8

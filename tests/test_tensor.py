@@ -197,6 +197,61 @@ class TestGraphSemantics:
         assert g.nodes == []
 
 
+class TestWhenFinal:
+    @staticmethod
+    def spy(op, inputs, events):
+        """A node over ``inputs`` whose output is their sum and whose
+        backward logs ``op`` to ``events``."""
+        def bwd(g):
+            events.append(op)
+            return tuple(g for _ in inputs)
+        return T.record(op, tuple(inputs),
+                        sum(t.data for t in inputs), bwd)
+
+    def test_fires_once_right_after_the_earliest_reader(self):
+        a, b = rt(3), rt(3)
+        events, seen = [], []
+
+        def hook():
+            events.append("hook")
+            seen.append(a.grad.copy())
+
+        with T.Graph() as g:
+            other = self.spy("other", [b], events)
+            early = self.spy("early", [a], events)
+            late = self.spy("late", [early, a, other], events)
+            loss = tsum(late)
+        g.when_final([a], hook)
+        g.backward(loss)
+        # the later reader alone does not fire it; the node before the
+        # earliest reader runs after it
+        assert events == ["late", "early", "hook", "other"]
+        np.testing.assert_array_equal(seen[0], np.full(3, 2.0))
+        assert a.grad is not None
+
+    def test_fires_at_an_earliest_reader_the_loss_does_not_reach(self):
+        a, b = rt(3), rt(3)
+        events = []
+        with T.Graph() as g:
+            other = self.spy("other", [b], events)
+            self.spy("unused", [a], events)
+            loss = tsum(self.spy("late", [a, other], events))
+        g.when_final([a], lambda: events.append("hook"))
+        g.backward(loss)
+        assert events == ["late", "hook", "other"]
+
+    def test_fires_at_the_end_when_nothing_reads_the_tensors(self):
+        a, unread = rt(3), rt(2)
+        events = []
+        with T.Graph() as g:
+            loss = tsum(self.spy("only", [a], events))
+        g.when_final([unread], lambda: events.append("hook"))
+        g.when_final([a], lambda: events.append("hook a"))
+        g.backward(loss)
+        assert events == ["only", "hook a", "hook"]
+        assert unread.grad is None
+
+
 class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(T.ShapeError):

@@ -22,6 +22,7 @@ class TestAdam:
         want = 0.5 - 0.002 * 1.0 / (1.0 + 1e-08)
         assert abs(p.data - want) < 1e-15
         assert opt.steps == 1
+        assert p.grad is None  # dropped once applied
 
     def test_zero_gradient_leaves_params(self):
         params, p = self.one_param(0.7)
@@ -323,30 +324,95 @@ class TestScheduleLocality:
         training.train_epoch_synchronous(
             model, *three_adams(model, lr=config.learning_rate), tr, order,
             config.batch_size, np.random.default_rng(7))
-
-        opt = training.Adam(oracle.all_parameters(), lr=config.learning_rate)
-        rng = np.random.default_rng(7)
-        for start in range(0, len(order), config.batch_size):
-            batch = [tr[i] for i in order[start:start + config.batch_size]]
-            golds = np.concatenate([
-                training._gold_ids(oracle.vocabs, s, "xpos") for s in batch])
-            weights = np.concatenate([
-                np.full(len(s), 1.0 / (len(s) * len(batch))) for s in batch])
-            masks = training._draw_masks(oracle, batch, rng)
-            opt.zero_grad()
-            with T.Graph() as g:
-                c, w, m = (nn.softmax_xent_rows(logits, golds, weights)
-                           for logits in training.forward(
-                               oracle, batch, training._HEADS, masks,
-                               detach=False))
-                total = T.add(T.add(c, w), m)
-            g.backward(total)
-            opt.step()
+        oracles.synchronous_epoch(
+            oracle, [training.Adam(oracle.all_parameters(),
+                                   lr=config.learning_rate)],
+            tr, order, config.batch_size, np.random.default_rng(7))
         for (name, got), (_, want) in zip(model.all_parameters(),
                                           oracle.all_parameters()):
             assert np.array_equal(got.data, want.data), name
         assert any(not np.array_equal(a, p.data)
                    for a, (_, p) in zip(initial, model.all_parameters()))
+
+    @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
+    @pytest.mark.parametrize("optimization", ["separate", "joint"])
+    def test_steps_inside_the_sweep_match_steps_after_it(
+            self, optimization, char_encoder):
+        """Two batches of ``train_epoch_synchronous``, whose optimizers
+        step inside the backward sweep, leave every parameter and every
+        Adam moment bitwise where stepping after the whole backward
+        (``oracles.synchronous_epoch``) leaves them."""
+        config = small_config(optimization=optimization,
+                              char_encoder=char_encoder)
+
+        def run(in_sweep):
+            model, tr, _ = training.prepare(config, mini_corpus(6),
+                                            mini_corpus(6))
+            opts = three_adams(model, lr=config.learning_rate)
+            args = (tr, np.array([4, 1, 5, 0, 3, 2]), config.batch_size,
+                    np.random.default_rng(7))
+            if in_sweep:
+                losses = training.train_epoch_synchronous(model, *opts,
+                                                          *args)
+            else:
+                losses = oracles.synchronous_epoch(model, opts, *args)
+            return model, opts, losses
+
+        (model, opts, losses), (want, want_opts, want_losses) = \
+            run(True), run(False)
+        assert losses == want_losses
+        for (name, got), (_, ref) in zip(model.all_parameters(),
+                                         want.all_parameters()):
+            assert np.array_equal(got.data, ref.data), name
+        for opt, ref in zip(opts, want_opts):
+            assert opt.steps == ref.steps == 2
+            for name in opt.m:
+                assert np.array_equal(opt.m[name], ref.m[name]), name
+                assert np.array_equal(opt.v[name], ref.v[name]), name
+
+    @pytest.mark.parametrize("optimization", ["separate", "joint"])
+    def test_a_view_is_stepped_and_freed_before_the_next_view_sweeps(
+            self, monkeypatch, optimization):
+        """The sweep runs the meta model's nodes, then the character
+        model's, then the word model's. When a node of one model runs its
+        backward, every gradient of the models swept before it is already
+        applied and gone."""
+        model, tr, _ = training.prepare(
+            small_config(optimization=optimization), mini_corpus(6),
+            mini_corpus(6))
+        views = {"meta": model.meta_parameters(),
+                 "char": model.char_parameters(),
+                 "word": model.word_parameters()}
+        owner = {id(p): view for view, ps in views.items() for _, p in ps}
+        seen = []  # (view of the node, views holding a gradient)
+
+        def spy(view, fn):
+            def bwd(g):
+                seen.append((view, [v for v, ps in views.items()
+                                    if any(p.grad is not None
+                                           for _, p in ps)]))
+                return fn(g)
+            return bwd
+
+        backward = T.Graph.backward
+
+        def spied(graph, loss):
+            for node in graph.nodes:
+                found = {owner[id(t)] for t in node.inputs if id(t) in owner}
+                if found:
+                    [view] = found
+                    node.backward_fn = spy(view, node.backward_fn)
+            backward(graph, loss)
+
+        monkeypatch.setattr(T.Graph, "backward", spied)
+        training.train_epoch_synchronous(
+            model, *three_adams(model), tr, np.arange(len(tr)), 3,
+            np.random.default_rng(0))
+        order = list(views)
+        for view, live in seen:
+            swept = order[:order.index(view)]
+            assert not set(live) & set(swept), (view, live)
+        assert {view for view, _ in seen} == set(order)
 
     def test_zero_learning_rate_is_side_effect_free(self):
         sents = mini_corpus(5)
@@ -370,6 +436,53 @@ class TestTrainLoop:
         assert ckpt.best_score == init_acc
         for name, arr in ckpt.arrays.items():
             np.testing.assert_array_equal(arr, want[name], err_msg=name)
+
+    def test_keeps_one_copy_of_the_best_arrays(self, monkeypatch, tmp_path):
+        """Epochs 1 and 2 improve on the dev set, 3 and 4 do not. The run's
+        traced peak falls inside a training epoch, where the model, the
+        moments and the one copy of the best arrays are alive: storing a
+        better epoch's arrays allocates no second copy. The checkpoint is
+        byte for byte that of a run stopped at its best epoch."""
+        import dataclasses
+        import tracemalloc
+        config = small_config(seed=5, max_epochs=4, char_bilstm_size=128,
+                              word_bilstm_size=128, meta_bilstm_size=128,
+                              mlp_size=128)
+
+        def prepared(max_epochs):
+            return training.prepare(
+                dataclasses.replace(config, max_epochs=max_epochs),
+                mini_corpus(8), mini_corpus(6, seed=1))
+
+        model, tr, dv = prepared(4)
+        copy_bytes = sum(a.nbytes for _, a in model.array_manifest())
+        epoch = training.train_epoch_synchronous
+        in_epochs, between = [], []
+
+        def measured(*args):
+            between.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            out = epoch(*args)
+            in_epochs.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(training, "train_epoch_synchronous", measured)
+        tracemalloc.start()
+        try:
+            ckpt = training.train_model(model, tr, dv)
+            between.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert ckpt.best_epoch == 2 and len(in_epochs) == 4
+        assert max(between) <= max(in_epochs) + 0.05 * copy_bytes
+        stopped = training.train_model(*prepared(2))
+        training.checkpoint_save(str(tmp_path / "a.ckpt"), ckpt)
+        training.checkpoint_save(str(tmp_path / "b.ckpt"), dataclasses.replace(
+            stopped, config=ckpt.config))
+        assert (tmp_path / "a.ckpt").read_bytes() \
+            == (tmp_path / "b.ckpt").read_bytes()
 
     def test_determinism_same_seed(self):
         def run():
