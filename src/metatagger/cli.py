@@ -126,8 +126,8 @@ def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
 
 
 def _check_destination(path: str) -> None:
-    """Raise the OSError that writing ``path`` at the end of a run would:
-    its directory must exist and the path must not be a directory."""
+    """Raise the OSError that writing ``path`` during a run would: its
+    directory must exist and the path must not be a directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -142,9 +142,15 @@ def cmd_train(ns) -> int:
     if "checkpoint_file" not in paths:
         raise CliUsageError("a checkpoint path is required "
                             "(--checkpoint or checkpoint_file in the config)")
+    real = {key: os.path.realpath(path) for key, path in paths.items()}
     for key in ("checkpoint_file", "log_file"):
         if key in paths:
             _check_destination(paths[key])
+            same = [k for k in PATH_KEYS  # files the run would overwrite
+                    if k != key and real.get(k) == real[key]]
+            if same:
+                raise CliUsageError(f"{key} and {same[0]} are the same "
+                                    f"file: {paths[key]}")
     train_sents, dev_sents = _corpora(config, paths)
     log_lines: list[str] = []
 
@@ -155,9 +161,8 @@ def cmd_train(ns) -> int:
     t0 = time.perf_counter()
     ckpt = training.train(config, train_sents, dev_sents,
                           pretrained_path=paths.get("pretrained_file"),
-                          log=emit)
+                          log=emit, path=paths["checkpoint_file"])
     seconds = time.perf_counter() - t0
-    training.checkpoint_save(paths["checkpoint_file"], ckpt)
     if "log_file" in paths:
         Path(paths["log_file"]).write_text("\n".join(log_lines) + "\n",
                                            encoding="utf-8")

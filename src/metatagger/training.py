@@ -10,8 +10,8 @@ so the meta loss moves the encoders too. Adam is elementwise, so three
 optimizers with the same settings and step count update the parameters
 exactly as one over all of them would. Either way the meta model reads
 the encoders as they stood before the batch's update. Dev accuracy of
-the meta predictions drives model selection; the best parameter triple
-is what a run returns. ``forward`` is the one forward of all three
+the meta predictions drives model selection; the best epoch lives in
+its checkpoint file alone. ``forward`` is the one forward of all three
 heads, for training, evaluation and tagging alike: it decides which
 encoders run and where the meta head's gradient stops.
 
@@ -21,10 +21,12 @@ deterministic checkpoint container, and the per-epoch log line format.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -586,22 +588,24 @@ def prepare(config: TrainConfig, train_sentences: list[Sentence],
 
 def train(config: TrainConfig, train_sentences: list[Sentence],
           dev_sentences: list[Sentence], pretrained_path: str | None = None,
-          log=None) -> Checkpoint:
+          log=None, path: str | None = None) -> Checkpoint:
     """Run the synchronous (or joint) schedule for up to max_epochs and
-    return the checkpoint with the best dev accuracy of the combiner head.
-
-    Epoch 0 is the initialized model; a later epoch replaces it only when
-    strictly better. ``log`` is called with one formatted line per epoch.
-    """
+    return the checkpoint with the best dev accuracy of the combiner head,
+    kept at ``path`` (see ``train_model``). ``log`` is called with one
+    formatted line per epoch."""
     model, tr, dv = prepare(config, train_sentences, dev_sentences,
                             pretrained_path)
-    return train_model(model, tr, dv, log=log)
+    return train_model(model, tr, dv, log=log, path=path)
 
 
 def train_model(model: TaggerModel, train_sentences: list[Sentence],
-                dev_sentences: list[Sentence], log=None) -> Checkpoint:
+                dev_sentences: list[Sentence], log=None,
+                path: str | None = None) -> Checkpoint:
     """Training loop over an already-built model (vocab ids must be
-    assigned to both corpora)."""
+    assigned to both corpora). Epoch 0 is the initialized model; a later
+    epoch replaces it only when strictly better, in the checkpoint file at
+    ``path`` (a temporary one when None), which a run that dies leaves
+    behind. Returns that file's checkpoint; the model ends with its arrays."""
     config = model.config
     emit = log if log is not None else (lambda line: None)
     seq = np.random.SeedSequence(config.seed)
@@ -613,40 +617,38 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
     opt_word = _make_adam(model.word_parameters(), config)
     opt_meta = _make_adam(model.meta_parameters(), config)
 
-    best_score = evaluate(model, dev_sentences)
-    best_epoch = 0
-    # the one copy of the best arrays; a better epoch overwrites it
-    best_arrays = {name: arr.copy() for name, arr in model.array_manifest()}
-    emit(f"epoch=0 dev_acc={best_score:.6f}")
-
-    since_best = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = order_rng.permutation(len(train_sentences))
-        c, w, m = train_epoch_synchronous(
-            model, opt_char, opt_word, opt_meta, train_sentences, order,
-            config.batch_size, dropout_rng)
-        acc = evaluate(model, dev_sentences)
-        emit(f"epoch={epoch} char_loss={c:.6f} word_loss={w:.6f} "
-             f"meta_loss={m:.6f} dev_acc={acc:.6f}")
-        if acc > best_score:
-            best_score = acc
-            best_epoch = epoch
-            for name, arr in model.array_manifest():
-                np.copyto(best_arrays[name], arr)
-            since_best = 0
-        else:
-            since_best += 1
-            if config.patience and since_best >= config.patience:
+    with contextlib.ExitStack() as stack:
+        if path is None:
+            tmp = stack.enter_context(tempfile.TemporaryDirectory())
+            path = os.path.join(tmp, "best.ckpt")
+        best_score = -math.inf
+        for epoch in range(config.max_epochs + 1):
+            losses = ""
+            if epoch:
+                order = order_rng.permutation(len(train_sentences))
+                c, w, m = train_epoch_synchronous(
+                    model, opt_char, opt_word, opt_meta, train_sentences,
+                    order, config.batch_size, dropout_rng)
+                losses = (f"char_loss={c:.6f} word_loss={w:.6f} "
+                          f"meta_loss={m:.6f} ")
+            acc = evaluate(model, dev_sentences)
+            emit(f"epoch={epoch} {losses}dev_acc={acc:.6f}")
+            if acc > best_score:
+                best_score = acc
+                best_epoch = epoch
+                checkpoint_save(path, Checkpoint(
+                    config=config, vocabs=model.vocabs,
+                    arrays=dict(model.array_manifest()), best_score=acc,
+                    best_epoch=epoch))
+            elif config.patience and epoch - best_epoch >= config.patience:
                 emit(f"stopped early at epoch={epoch} "
                      f"(no improvement in {config.patience})")
                 break
-
-    checkpoint = Checkpoint(config=config, vocabs=model.vocabs,
-                            arrays=best_arrays, best_score=best_score,
-                            best_epoch=best_epoch)
-    # leave the in-memory model at its best state too
-    for name, arr in model.array_manifest():
-        arr[...] = best_arrays[name]
+        del opt_char, opt_word, opt_meta  # free the moments before the read
+        checkpoint = checkpoint_load(path)
+    for name, p in model.all_parameters():
+        p.data = checkpoint.arrays[name]
+    model.word.pretrained.data = checkpoint.arrays["word.pretrained"]
     return checkpoint
 
 
@@ -687,9 +689,9 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
     with open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(b"\n")
-        for n in names:
+        for n in names:  # each array's own buffer, not a bytes copy
             fh.write(np.ascontiguousarray(
-                checkpoint.arrays[n], dtype="<f8").tobytes())
+                checkpoint.arrays[n], dtype="<f8").data)
     os.replace(tmp, path)
 
 

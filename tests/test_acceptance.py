@@ -200,6 +200,7 @@ def test_criterion_03_overfit():
               f"{elapsed:.0f}s < 300s")
 
 
+@pytest.mark.study
 def test_criterion_04_context_contrast():
     t0 = time.monotonic()
     gaps = []
@@ -221,6 +222,7 @@ def test_criterion_04_context_contrast():
               f"[{detail}], {elapsed:.0f}s < 1800s")
 
 
+@pytest.mark.study
 def test_criterion_05_meta_combination():
     t0 = time.monotonic()
     results = {"char-only": [], "word-only": [], "meta": []}
@@ -247,6 +249,7 @@ def test_criterion_05_meta_combination():
               f"{elapsed:.0f}s < 1800s")
 
 
+@pytest.mark.study
 def test_criterion_06_optimization_schema():
     t0 = time.monotonic()
     accs = {"separate": [], "joint": []}

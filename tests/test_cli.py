@@ -327,6 +327,38 @@ class TestExitCodes:
         assert err.startswith(f"data error: {path}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("output, other", [
+        ("--checkpoint", "--log"), ("--checkpoint", "--train"),
+        ("--checkpoint", "--dev"), ("--checkpoint", "--pretrained"),
+        ("--log", "--train"), ("--log", "--dev"), ("--log", "--pretrained"),
+    ])
+    def test_output_that_is_another_path_is_usage(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, output, other):
+        """An output naming the same file as the other output or an input,
+        here through a symbolic link, fails before any corpus is read."""
+        def never(*args, **kwargs):
+            raise AssertionError("a corpus was read")
+
+        monkeypatch.setattr(cli, "_parse_corpus", never)
+        paths = {"--train": corpus_dir / "train.conllu",
+                 "--dev": corpus_dir / "dev.conllu",
+                 "--pretrained": FIXTURES / "vectors.txt",
+                 "--checkpoint": tmp_path / "m.ckpt",
+                 "--log": tmp_path / "train.log"}
+        if other in ("--checkpoint", "--log"):
+            paths[other].write_text("")
+        link = tmp_path / "link"
+        link.symlink_to(paths[other])
+        paths[output] = link
+        before = paths[other].read_bytes()
+        code = cli.main(["train", *(str(x) for pair in paths.items()
+                                    for x in pair)] + SMALL_OVERRIDES)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and "same file" in err
+        assert paths[other].read_bytes() == before
+
     @pytest.mark.parametrize("command, name", [
         ("tag", "no_dir/o.conllu"), ("tag", ""),
         ("eval", "no_dir/s.csv"), ("eval", ""),

@@ -437,12 +437,15 @@ class TestTrainLoop:
         for name, arr in ckpt.arrays.items():
             np.testing.assert_array_equal(arr, want[name], err_msg=name)
 
-    def test_keeps_one_copy_of_the_best_arrays(self, monkeypatch, tmp_path):
-        """Epochs 1 and 2 improve on the dev set, 3 and 4 do not. The run's
-        traced peak falls inside a training epoch, where the model, the
-        moments and the one copy of the best arrays are alive: storing a
-        better epoch's arrays allocates no second copy. The checkpoint is
-        byte for byte that of a run stopped at its best epoch."""
+    def test_holds_no_copy_of_the_model_between_epochs(self, monkeypatch,
+                                                        tmp_path):
+        """Epochs 1 and 2 improve on the dev set, 3 and 4 do not. From the
+        start of the run to each epoch, from each epoch to the next and
+        from the last one to the end, the traced peak beyond the Adam
+        moments stays under half a copy of the model's arrays: a better
+        epoch goes to the checkpoint file, not to a second copy in memory,
+        and the moments are freed before the file is read back. The file
+        is byte for byte that of a run stopped at its best epoch."""
         import dataclasses
         import tracemalloc
         config = small_config(seed=5, max_epochs=4, char_bilstm_size=128,
@@ -456,33 +459,103 @@ class TestTrainLoop:
 
         model, tr, dv = prepared(4)
         copy_bytes = sum(a.nbytes for _, a in model.array_manifest())
+        moment_bytes = 2 * sum(p.data.nbytes
+                               for _, p in model.all_parameters())
         epoch = training.train_epoch_synchronous
-        in_epochs, between = [], []
+        between = []
 
         def measured(*args):
             between.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
             out = epoch(*args)
-            in_epochs.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             return out
 
         monkeypatch.setattr(training, "train_epoch_synchronous", measured)
+        path = tmp_path / "a.ckpt"
         tracemalloc.start()
         try:
-            ckpt = training.train_model(model, tr, dv)
+            ckpt = training.train_model(model, tr, dv, path=str(path))
             between.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         monkeypatch.undo()
-        assert ckpt.best_epoch == 2 and len(in_epochs) == 4
-        assert max(between) <= max(in_epochs) + 0.05 * copy_bytes
+        assert ckpt.best_epoch == 2 and len(between) == 5
+        assert max(between) - moment_bytes < 0.5 * copy_bytes, \
+            [(b - moment_bytes) / copy_bytes for b in between]
         stopped = training.train_model(*prepared(2))
-        training.checkpoint_save(str(tmp_path / "a.ckpt"), ckpt)
         training.checkpoint_save(str(tmp_path / "b.ckpt"), dataclasses.replace(
             stopped, config=ckpt.config))
-        assert (tmp_path / "a.ckpt").read_bytes() \
-            == (tmp_path / "b.ckpt").read_bytes()
+        assert path.read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_a_killed_run_keeps_its_best_checkpoint(self, monkeypatch,
+                                                    tmp_path, capsys):
+        """Epoch 2 improves on the dev set, epoch 3 does not. A run that
+        dies in epoch 4 leaves at its path the checkpoint of epoch 2, byte
+        for byte that of a run stopped there, and ``metatagger tag`` reads
+        it."""
+        import dataclasses
+        from metatagger import cli
+        config = small_config(seed=1, learning_rate=0.05, max_epochs=6)
+        dev = mini_corpus(6, seed=1)
+        epoch = training.train_epoch_synchronous
+        epochs = []
+
+        def dies_in_epoch_4(*args):
+            epochs.append(len(epochs) + 1)
+            if len(epochs) == 4:
+                raise RuntimeError("killed")
+            return epoch(*args)
+
+        monkeypatch.setattr(training, "train_epoch_synchronous",
+                            dies_in_epoch_4)
+        path = tmp_path / "killed.ckpt"
+        with pytest.raises(RuntimeError, match="killed"):
+            training.train(config, mini_corpus(8), dev, path=str(path))
+        monkeypatch.undo()
+        kept = training.checkpoint_load(str(path))
+        assert kept.best_epoch == 2
+        stopped = training.train(
+            dataclasses.replace(config, max_epochs=kept.best_epoch),
+            mini_corpus(8), dev)
+        training.checkpoint_save(str(tmp_path / "stopped.ckpt"),
+                                 dataclasses.replace(stopped, config=config))
+        assert path.read_bytes() == (tmp_path / "stopped.ckpt").read_bytes()
+        corpus = tmp_path / "dev.conllu"
+        corpus.write_text(data.write_conllu(dev))
+        assert cli.main(["tag", "--checkpoint", str(path), "--input",
+                         str(corpus), "--output",
+                         str(tmp_path / "tagged.conllu")]) == 0
+        assert capsys.readouterr().err.startswith("tag: ")
+
+    @pytest.mark.parametrize("dies", [False, True], ids=["ends", "dies"])
+    def test_a_run_without_a_path_leaves_no_file(self, monkeypatch, tmp_path,
+                                                 dies):
+        """Without a path the run keeps its best so far in one temporary
+        directory, which is gone whether the run ends or dies."""
+        import tempfile
+        epoch = training.train_epoch_synchronous
+        epochs = []
+
+        def dies_in_epoch_2(*args):
+            [tmp] = tmp_path.iterdir()
+            assert [f.name for f in tmp.iterdir()] == ["best.ckpt"]
+            if dies and epochs:
+                raise RuntimeError("killed")
+            epochs.append(args)
+            return epoch(*args)
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(training, "train_epoch_synchronous",
+                            dies_in_epoch_2)
+        sents = mini_corpus(5)
+        model, tr, dv = training.prepare(small_config(max_epochs=3), sents,
+                                         sents)
+        if dies:
+            with pytest.raises(RuntimeError, match="killed"):
+                training.train_model(model, tr, dv)
+        else:
+            assert training.train_model(model, tr, dv).best_epoch >= 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_determinism_same_seed(self):
         def run():
