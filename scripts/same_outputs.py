@@ -13,9 +13,11 @@ it runs the command line:
   separate and in joint optimization (2-layer encoders, 3 epochs),
   writing the `--log` file and the checkpoint, then `tag` of the dev
   corpus with each checkpoint;
+* `eval --csv` of the first tagged file against the dev corpus;
+* `grid --sizes 8:16:8`, four cells at the same settings;
 * `ablate --axis components` and `ablate --axis context`, 2 seeds each.
 
-It prints `same` or `DIFF` for each of the 14 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 16 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -42,7 +44,7 @@ RUNS = [f"{encoder}-{schedule}" for encoder in ("sentence", "token")
 AXES = ("components", "context")
 OUTPUTS = [f"{run}.{ext}" for run in RUNS
            for ext in ("log", "ckpt", "conllu")] \
-    + [f"ablate-{axis}.csv" for axis in AXES]
+    + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES]
 
 
 def commands(train: Path, dev: Path) -> list[list[str]]:
@@ -57,6 +59,9 @@ def commands(train: Path, dev: Path) -> list[list[str]]:
                     "--log", f"{run}.log"])
         out.append(["tag", "--checkpoint", f"{run}.ckpt", "--input",
                     str(dev), "--output", f"{run}.conllu"])
+    out.append(["eval", "--gold", str(dev), "--pred", f"{RUNS[0]}.conllu",
+                "--csv", "eval.csv"])
+    out.append(["grid", "--sizes", "8:16:8", *corpus, "--out", "grid.csv"])
     for axis in AXES:
         out.append(["ablate", "--axis", axis, "--seeds", "2", *corpus,
                     "--out", f"ablate-{axis}.csv"])

@@ -19,6 +19,7 @@ checkpoints, training driven to non-finite values).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import os
@@ -95,11 +96,8 @@ def effective_config(ns) -> tuple[training.TrainConfig, dict[str, str]]:
         value = getattr(ns, flag, None)
         if value is not None:
             cfg_vals[flag] = value
-    for flag, key in (("train", "train_file"), ("dev", "dev_file"),
-                      ("pretrained", "pretrained_file"),
-                      ("checkpoint", "checkpoint_file"),
-                      ("log", "log_file")):
-        value = getattr(ns, flag, None)
+    for key in PATH_KEYS:
+        value = getattr(ns, key.removesuffix("_file"), None)
         if value is not None:
             paths[key] = value
     try:
@@ -125,13 +123,28 @@ def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
     return train_sents, dev_sents
 
 
-def _check_destination(path: str) -> None:
-    """Raise the OSError that writing ``path`` during a run would: its
-    directory must exist and the path must not be a directory."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _check_outputs(paths: dict[str, str | None], outputs) -> None:
+    """Check, before a command reads any input, each of its ``outputs``
+    (keys of ``paths``, the files it names; None for one not given).
+    Raise the OSError that writing it would (an empty name, a missing
+    directory, a directory), or a usage error when it is the same file as
+    another path of ``paths``, which writing it would overwrite."""
+    paths = {key: path for key, path in paths.items() if path is not None}
+    real = {key: os.path.realpath(path) for key, path in paths.items()}
+    for key in outputs:
+        path = paths.get(key)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
+        same = [k for k in paths if k != key and real[k] == real[key]]
+        if same:
+            raise CliUsageError(f"{key} and {same[0]} are the same file: "
+                                f"{path}")
 
 
 def cmd_train(ns) -> int:
@@ -142,40 +155,36 @@ def cmd_train(ns) -> int:
     if "checkpoint_file" not in paths:
         raise CliUsageError("a checkpoint path is required "
                             "(--checkpoint or checkpoint_file in the config)")
-    real = {key: os.path.realpath(path) for key, path in paths.items()}
-    for key in ("checkpoint_file", "log_file"):
-        if key in paths:
-            _check_destination(paths[key])
-            same = [k for k in PATH_KEYS  # files the run would overwrite
-                    if k != key and real.get(k) == real[key]]
-            if same:
-                raise CliUsageError(f"{key} and {same[0]} are the same "
-                                    f"file: {paths[key]}")
+    _check_outputs(dict(paths, config=ns.config),
+                   ("checkpoint_file", "log_file"))
     train_sents, dev_sents = _corpora(config, paths)
-    log_lines: list[str] = []
+    epochs = -1  # epoch 0 is the initialized model
+    with (open(paths["log_file"], "w", encoding="utf-8")
+          if "log_file" in paths else contextlib.nullcontext()) as log:
+        def emit(line: str) -> None:
+            # flushed as printed: a killed run keeps its checkpoint's log
+            nonlocal epochs
+            print(line)
+            epochs += line.startswith("epoch=")
+            if log is not None:
+                log.write(line + "\n")
+                log.flush()
 
-    def emit(line: str) -> None:
-        print(line)
-        log_lines.append(line)
-
-    t0 = time.perf_counter()
-    ckpt = training.train(config, train_sents, dev_sents,
-                          pretrained_path=paths.get("pretrained_file"),
-                          log=emit, path=paths["checkpoint_file"])
-    seconds = time.perf_counter() - t0
-    if "log_file" in paths:
-        Path(paths["log_file"]).write_text("\n".join(log_lines) + "\n",
-                                           encoding="utf-8")
+        t0 = time.perf_counter()
+        ckpt = training.train(config, train_sents, dev_sents,
+                              pretrained_path=paths.get("pretrained_file"),
+                              log=emit, path=paths["checkpoint_file"])
+        seconds = time.perf_counter() - t0
     print(f"best epoch={ckpt.best_epoch} dev_acc={ckpt.best_score:.6f}")
     print(f"checkpoint written to {paths['checkpoint_file']}")
-    epochs = sum(line.startswith("epoch=") for line in log_lines) - 1
     print(f"train: {epochs} epochs in {seconds:.3f} s, "
           f"peak RSS {_peak_rss_mb():.0f} MB", file=sys.stderr)
     return 0
 
 
 def cmd_tag(ns) -> int:
-    _check_destination(ns.output)
+    _check_outputs({"checkpoint": ns.checkpoint, "input": ns.input,
+                    "output": ns.output}, ("output",))
     t0 = time.perf_counter()
     ckpt = training.checkpoint_load(ns.checkpoint)
     model = ckpt.rebuild()
@@ -204,8 +213,8 @@ def _peak_rss_mb() -> float:
 
 
 def cmd_eval(ns) -> int:
-    if ns.csv:
-        _check_destination(ns.csv)
+    _check_outputs({"gold": ns.gold, "pred": ns.pred, "csv": ns.csv},
+                   ("csv",))
     gold = _parse_corpus(ns.gold, ns.task)
     pred = _parse_corpus(ns.pred, ns.task)
     report = evaluation.score(gold, pred, ns.task)
@@ -236,8 +245,7 @@ def _parse_sizes(spec: str) -> list[int]:
 def cmd_grid(ns) -> int:
     sizes = _parse_sizes(ns.sizes)
     config, paths = effective_config(ns)
-    if ns.out:
-        _check_destination(ns.out)
+    _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
     train_sents, dev_sents = _corpora(config, paths)
     pretrained = paths.get("pretrained_file")
     lines = ["char_size,word_size,dev_accuracy"]
@@ -285,8 +293,7 @@ def cmd_ablate(ns) -> int:
     if ns.seeds < 1:
         raise CliUsageError("--seeds must be at least 1")
     config, paths = effective_config(ns)
-    if ns.out:
-        _check_destination(ns.out)
+    _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
     train_sents, dev_sents = _corpora(config, paths)
     variants = _ablation_variants(ns.axis)
     results = {label: [] for label, _, _ in variants}

@@ -72,9 +72,8 @@ def char_sent_encoder(config: TrainConfig, n_chars: int, n_tags: int,
     reading ``config.gather_parts()``."""
     gather = config.gather_parts()
     emb_dim = config.char_emb_dim
-    table = T.create((n_chars, emb_dim), init="gaussian", rng=rng,
-                     std=nn.init_std(config.char_emb_init, 1),
-                     requires_grad=True)
+    table = nn.gaussian((n_chars, emb_dim), rng,
+                        nn.init_std(config.char_emb_init, 1))
     view = nn.view_params(config, "char", emb_dim, n_tags, rng,
                           parts=len(gather))
     return CharSentEncoderParams(table, gather, config.char_emb_dropout, view)
@@ -157,13 +156,10 @@ def char_token_encoder(config: TrainConfig, n_chars: int, n_tags: int,
     """Character table, one LSTM of ``config.char_bilstm_size`` units,
     attention vector and classifier, at the config's init kinds."""
     emb_dim, hidden = config.char_emb_dim, config.char_bilstm_size
-    table = T.create((n_chars, emb_dim), init="gaussian", rng=rng,
-                     std=nn.init_std(config.char_emb_init, 1),
-                     requires_grad=True)
+    table = nn.gaussian((n_chars, emb_dim), rng,
+                        nn.init_std(config.char_emb_init, 1))
     lstm = nn.lstm_params(emb_dim, hidden, rng, config.lstm_init)
-    attn = T.create((hidden,), init="gaussian", rng=rng,
-                    std=nn.init_std(config.lstm_init, hidden),
-                    requires_grad=True)
+    attn = nn.gaussian((hidden,), rng, nn.init_std(config.lstm_init, hidden))
     cls = nn.affine_params(hidden, n_tags, rng, "scaled")
     return CharTokenEncoderParams(table, lstm, attn, cls,
                                   config.char_emb_dropout, config.lstm_dropout)
@@ -216,7 +212,7 @@ def word_encoder(config: TrainConfig, n_words: int, n_tags: int,
         raise T.ShapeError(
             f"pretrained matrix {pretrained.shape} does not match "
             f"({n_words}, {emb_dim})")
-    learned = T.create((n_words, emb_dim), init="zeros", requires_grad=True)
+    learned = nn.zeros((n_words, emb_dim))
     frozen = Tensor(pretrained, requires_grad=False)
     view = nn.view_params(config, "word", emb_dim, n_tags, rng)
     return WordEncoderParams(learned, frozen, config.word_emb_dropout, view)

@@ -3,30 +3,16 @@ MLP, classifier) over the concatenated per-token MLP outputs of the
 character and word models. It gathers nothing: its MLP reads every
 BiLSTM output row.
 
-Whether the combiner's loss reaches the encoders is decided by
+``training.build_model`` builds the body with ``nn.view_params``. Whether
+the combiner's loss reaches the encoders is decided by
 ``training.forward``, which hands this model their outputs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import numpy as np
-
 from . import nn
 from . import tensor as T
 from .tensor import Tensor
-
-if TYPE_CHECKING:
-    from .training import TrainConfig
-
-
-def meta_params(config: TrainConfig, char_rep_size: int, n_tags: int,
-                rng: np.random.Generator) -> nn.ViewParams:
-    """The meta view's body over a character output of ``char_rep_size``
-    beside the word model's ``config.mlp_size`` one."""
-    return nn.view_params(config, "meta", char_rep_size + config.mlp_size,
-                          n_tags, rng)
 
 
 def combine(p: nn.ViewParams, m_chars: Tensor, m_word: Tensor, lengths,

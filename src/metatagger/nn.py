@@ -63,12 +63,14 @@ if TYPE_CHECKING:
 Site = tuple[str, int, float]
 
 
-def _gaussian(shape, rng: np.random.Generator, std: float) -> Tensor:
-    return T.create(shape, init="gaussian", rng=rng, std=std, requires_grad=True)
+def gaussian(shape, rng: np.random.Generator, std: float) -> Tensor:
+    """A trainable parameter drawn zero-mean Gaussian from ``rng``."""
+    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
-def _zeros(shape) -> Tensor:
-    return T.create(shape, init="zeros", requires_grad=True)
+def zeros(shape) -> Tensor:
+    """A trainable parameter of zeros."""
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def init_std(kind: str, fan_in: int) -> float:
@@ -143,11 +145,11 @@ def lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator,
     (forget-gate bias included)."""
     return LstmParams(
         input_size=input_size, hidden_size=hidden_size,
-        w_x=_gaussian((input_size, 4 * hidden_size), rng, init_std(init, input_size)),
-        w_h=_gaussian((hidden_size, 4 * hidden_size), rng, init_std(init, hidden_size)),
-        bias=_zeros((4 * hidden_size,)),
-        h0=_zeros((hidden_size,)),
-        c0=_zeros((hidden_size,)),
+        w_x=gaussian((input_size, 4 * hidden_size), rng, init_std(init, input_size)),
+        w_h=gaussian((hidden_size, 4 * hidden_size), rng, init_std(init, hidden_size)),
+        bias=zeros((4 * hidden_size,)),
+        h0=zeros((hidden_size,)),
+        c0=zeros((hidden_size,)),
     )
 
 
@@ -542,9 +544,9 @@ class Affine:
 def affine_params(input_size: int, output_size: int, rng: np.random.Generator,
                   init: str) -> Affine:
     """Weight Gaussian at the ``init`` scale, bias zero."""
-    return Affine(weight=_gaussian((input_size, output_size), rng,
-                                   init_std(init, input_size)),
-                  bias=_zeros((output_size,)))
+    return Affine(weight=gaussian((input_size, output_size), rng,
+                                  init_std(init, input_size)),
+                  bias=zeros((output_size,)))
 
 
 def affine(p: Affine, x: Tensor) -> Tensor:

@@ -186,28 +186,6 @@ def record(op: str, inputs: tuple, out_data: np.ndarray, backward_fn: Callable) 
 
 
 # ---------------------------------------------------------------------------
-# construction
-
-def create(shape: Sequence[int], init: str = "zeros", *,
-           rng: np.random.Generator | None = None, std: float = 1.0,
-           requires_grad: bool = False) -> Tensor:
-    """Build a tensor from an initializer: "zeros", or zero-mean
-    "gaussian" with draws from ``rng``, which it requires."""
-    shape = tuple(int(d) for d in shape)
-    if any(d < 1 for d in shape):
-        raise ShapeError(f"create: dimensions must be >= 1, got {shape}")
-    if init == "zeros":
-        data = np.zeros(shape)
-    elif init == "gaussian":
-        if rng is None:
-            raise ValueError("create: gaussian init needs an rng")
-        data = rng.normal(0.0, std, size=shape)
-    else:
-        raise ValueError(f"create: unknown init {init!r}")
-    return Tensor(data, requires_grad=requires_grad)
-
-
-# ---------------------------------------------------------------------------
 # primitive ops
 
 def add(a: Tensor, b: Tensor) -> Tensor:

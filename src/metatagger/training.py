@@ -359,7 +359,8 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
         char_rep_size = config.char_bilstm_size
     word = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
                                  pretrained)
-    combiner = meta.meta_params(config, char_rep_size, vocabs.n_tags, rng)
+    combiner = nn.view_params(config, "meta", char_rep_size + config.mlp_size,
+                              vocabs.n_tags, rng)
     return TaggerModel(config=config, vocabs=vocabs, char_sent=char_sent,
                        char_token=char_token, word=word, combiner=combiner)
 
@@ -536,13 +537,18 @@ class Checkpoint:
 
     def rebuild(self) -> TaggerModel:
         """The model of this checkpoint, built around its arrays: nothing is
-        drawn and nothing is copied. Each parameter's ``data`` is the saved
-        array of its name, and so is the frozen pretrained matrix, so
-        training a rebuilt model changes ``self.arrays`` as well. An array
-        that is missing, of the wrong shape or unused is an error."""
-        model = build_model(self.config, self.vocabs, arrays=self.arrays)
-        params = model.all_parameters()
-        for name, p in params:
+        drawn and nothing is copied (see ``bind``)."""
+        return self.bind(build_model(self.config, self.vocabs,
+                                     arrays=self.arrays))
+
+    def bind(self, model: TaggerModel) -> TaggerModel:
+        """Point each of ``model``'s arrays, its parameters and the frozen
+        pretrained matrix, at the saved array of its name, so training the
+        model changes ``self.arrays`` as well. An array that is missing, of
+        the wrong shape or unused is an error."""
+        named = model.all_parameters() + [("word.pretrained",
+                                           model.word.pretrained)]
+        for name, p in named:
             saved = self.arrays.get(name)
             if saved is None:
                 raise ValueError(f"checkpoint is missing array {name!r}")
@@ -551,8 +557,7 @@ class Checkpoint:
                     f"checkpoint array {name!r} has shape {saved.shape}, "
                     f"model expects {p.shape}")
             p.data = saved
-        unused = sorted(set(self.arrays) - {"word.pretrained"}
-                        - {name for name, _ in params})
+        unused = sorted(set(self.arrays) - {name for name, _ in named})
         if unused:
             raise ValueError(f"checkpoint holds arrays the model does not "
                              f"use: {', '.join(map(repr, unused))}")
@@ -646,9 +651,7 @@ def train_model(model: TaggerModel, train_sentences: list[Sentence],
                 break
         del opt_char, opt_word, opt_meta  # free the moments before the read
         checkpoint = checkpoint_load(path)
-    for name, p in model.all_parameters():
-        p.data = checkpoint.arrays[name]
-    model.word.pretrained.data = checkpoint.arrays["word.pretrained"]
+    checkpoint.bind(model)
     return checkpoint
 
 
@@ -779,10 +782,10 @@ def _read_manifest(path: str, head: bytes) -> dict:
                              f"not a string")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(
-                type(d) is int and d >= 0 for d in shape):
+                type(d) is int and d >= 1 for d in shape):
             raise ValueError(f"{path}: checkpoint array entry key 'shape' of "
                              f"{entry['name']!r} is not a list of "
-                             f"non-negative integers")
+                             f"positive integers")
     return manifest
 
 

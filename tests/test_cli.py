@@ -1,6 +1,7 @@
 """CLI behavior: config layering, exit codes, file round trips."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,24 @@ def on_token_checkpoint(mutate):
     """Mark a manifest mutation as one of token.ckpt, not model.ckpt."""
     mutate.checkpoint = "token.ckpt"
     return mutate
+
+
+def zero_width_words(arrays, vocabs):
+    """Word embeddings of width 0: both tables and layer 0's w_x."""
+    def shrink(name, a):
+        if name in ("word.pretrained", "word.learned"):
+            return np.zeros((a.shape[0], 0))
+        if name.startswith("word.stack.layer0.") and name.endswith(".w_x"):
+            return np.zeros((0, a.shape[1]))
+        return a
+    return {name: shrink(name, a) for name, a in arrays.items()}, vocabs
+
+
+def no_tags(arrays, vocabs):
+    """An empty tag vocabulary, with every classifier 0 logits wide."""
+    return ({name: np.zeros(a.shape[:-1] + (0,)) if ".classifier." in name
+             else a for name, a in arrays.items()},
+            dataclasses.replace(vocabs, tags={}))
 
 
 class TestExitCodes:
@@ -398,6 +418,102 @@ class TestExitCodes:
         assert err.startswith(f"data error: {path}: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, output, other", [
+        ("tag", "--output", "--checkpoint"), ("tag", "--output", "--input"),
+        ("eval", "--csv", "--gold"), ("eval", "--csv", "--pred"),
+        *((command, "--out", other) for command in ("grid", "ablate")
+          for other in ("--train", "--dev", "--pretrained")),
+    ])
+    @pytest.mark.parametrize("via", ["same-name", "link"])
+    def test_no_command_overwrites_its_input(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, command, output,
+            other, via):
+        """An output naming one of the command's inputs, as such or
+        through a symbolic link, fails before any input is read."""
+        def never(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for module, attr in ((training, "checkpoint_load"),
+                             (cli, "_parse_corpus")):
+            monkeypatch.setattr(module, attr, never)
+        inputs = {"--checkpoint": tmp_path / "m.ckpt",
+                  "--input": tmp_path / "in.conllu",
+                  "--gold": tmp_path / "gold.conllu",
+                  "--pred": tmp_path / "pred.conllu",
+                  "--train": tmp_path / "train.conllu",
+                  "--dev": tmp_path / "dev.conllu",
+                  "--pretrained": tmp_path / "e.vec"}
+        for path in inputs.values():
+            path.write_text(f"{path.name}\n")
+        target = inputs[other]
+        if via == "link":
+            target = tmp_path / "link"
+            target.symlink_to(inputs[other])
+        flags = {"tag": ["--checkpoint", "--input"],
+                 "eval": ["--gold", "--pred"],
+                 "grid": ["--train", "--dev", "--pretrained"],
+                 "ablate": ["--train", "--dev", "--pretrained"]}[command]
+        argv = [command, *(x for flag in flags
+                           for x in (flag, str(inputs[flag]))),
+                output, str(target)]
+        if command == "ablate":
+            argv += ["--axis", "components"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and "same file" in err
+        assert inputs[other].read_text() == f"{inputs[other].name}\n"
+
+    @pytest.mark.parametrize("command, output", [
+        ("train", "--checkpoint"), ("train", "--log"), ("tag", "--output"),
+        ("eval", "--csv"), ("grid", "--out"), ("ablate", "--out"),
+    ])
+    def test_empty_output_name_is_a_missing_file(
+            self, trained, corpus_dir, tmp_path, capsys, monkeypatch,
+            command, output):
+        """An empty output name fails like a missing file, before any
+        epoch is trained, and leaves nothing in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        corpus = ["--train", str(corpus_dir / "train.conllu"),
+                  "--dev", str(corpus_dir / "dev.conllu")]
+        dev = str(corpus_dir / "dev.conllu")
+        argv = {
+            "train": ["train", *corpus, "--checkpoint", "m.ckpt",
+                      *SMALL_OVERRIDES],
+            "tag": ["tag", "--checkpoint", str(trained / "model.ckpt"),
+                    "--input", dev],
+            "eval": ["eval", "--gold", dev, "--pred", dev],
+            "grid": ["grid", *corpus, "--sizes", "2:2:1", *SMALL_OVERRIDES],
+            "ablate": ["ablate", *corpus, "--axis", "components",
+                       *SMALL_OVERRIDES],
+        }[command]
+        assert cli.main(argv + [output, ""]) == 2
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ")
+        assert "epoch=" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shrink, name", [
+        (zero_width_words, "word.learned"),
+        (no_tags, "char_sent.classifier.weight"),
+    ], ids=["zero-width-words", "no-tags"])
+    def test_zero_sized_array_is_data_error(self, trained, tmp_path,
+                                            corpus_dir, capsys, shrink,
+                                            name):
+        ckpt = training.checkpoint_load(str(trained / "model.ckpt"))
+        arrays, vocabs = shrink(ckpt.arrays, ckpt.vocabs)
+        bad = tmp_path / "bad.ckpt"
+        training.checkpoint_save(str(bad), dataclasses.replace(
+            ckpt, arrays=arrays, vocabs=vocabs))
+        code = cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and f"{name!r}" in err
+
     @pytest.mark.parametrize("vectors, line", [
         ("ab \nb \n", 1), ("ab 0.5 1\nb \n", 2), ("ab 0.5\nb\n", 2),
     ], ids=["trailing-space", "second-line", "no-space"])
@@ -545,6 +661,36 @@ class TestTrain:
         lines = out.splitlines()
         assert lines[:-2] == log.read_text().splitlines()
         assert lines[-2].startswith("best epoch=")
+
+    def test_a_killed_run_keeps_its_log(self, corpus_dir, tmp_path, capsys,
+                                        monkeypatch):
+        """The log holds every line printed before the run died, and they
+        begin an uninterrupted run's log."""
+        argv = ["train", "--train", str(corpus_dir / "train.conllu"),
+                "--dev", str(corpus_dir / "dev.conllu"), *SMALL_OVERRIDES,
+                "--set", "max_epochs=3"]
+        assert cli.main(argv + ["--checkpoint", str(tmp_path / "full.ckpt"),
+                                "--log", str(tmp_path / "full.log")]) == 0
+        full = (tmp_path / "full.log").read_text().splitlines()
+        capsys.readouterr()
+        epoch = training.train_epoch_synchronous
+        calls = []
+
+        def dies_in_the_second_epoch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return epoch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_epoch_synchronous",
+                            dies_in_the_second_epoch)
+        log = tmp_path / "m.log"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv + ["--checkpoint", str(tmp_path / "m.ckpt"),
+                             "--log", str(log)])
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        assert log.read_text().splitlines() == printed == full[:2]
 
     def test_dev_split_fallback(self, corpus_dir, tmp_path, capsys):
         code = cli.main(["train",

@@ -247,7 +247,8 @@ def build_triple(vocabs, seed=21):
     cs = encoders.char_sent_encoder(config, vocabs.n_chars, vocabs.n_tags,
                                     rng)
     wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng)
-    mp = meta.meta_params(config, 7, vocabs.n_tags, rng)
+    mp = nn.view_params(config, "meta", 7 + config.mlp_size, vocabs.n_tags,
+                        rng)
     return cs, wd, mp
 
 
@@ -286,8 +287,8 @@ class TestMeta:
         assert self.total_grad(wd.parameters()) > 0.0
 
     def test_length_mismatch(self):
-        mp = meta.meta_params(small_config(meta_bilstm_size=4, mlp_size=3),
-                              3, 2, np.random.default_rng(0))
+        mp = nn.view_params(small_config(meta_bilstm_size=4, mlp_size=3),
+                            "meta", 3 + 3, 2, np.random.default_rng(0))
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((3, 3)))
         with pytest.raises(T.ShapeError):
@@ -345,7 +346,8 @@ class TestBatches:
                                          vocabs.n_tags, rng)
         wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
                                    rng.normal(size=(vocabs.n_words, 4)))
-        mp = meta.meta_params(config, 7, vocabs.n_tags, rng)
+        mp = nn.view_params(config, "meta", 7 + config.mlp_size,
+                            vocabs.n_tags, rng)
         return cs, ct, wd, mp
 
     def assert_batch_equals_singletons(self, p, encode, sents):

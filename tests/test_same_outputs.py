@@ -34,8 +34,8 @@ def test_compare_reports_each_file(tmp_path):
 def test_outputs_are_the_files_the_commands_write():
     written = []
     for cmd in same_outputs.commands(Path("train.conllu"), Path("dev.conllu")):
-        flags = ("--output",) if cmd[0] == "tag" \
-            else ("--checkpoint", "--log", "--out")
+        flags = {"tag": ("--output",), "eval": ("--csv",)}.get(
+            cmd[0], ("--checkpoint", "--log", "--out"))
         written += [cmd[i + 1] for i, arg in enumerate(cmd) if arg in flags]
     assert sorted(written) == sorted(same_outputs.OUTPUTS)
-    assert len(written) == 14
+    assert len(written) == 16

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grad_check, sigmoid, slice_rows, tanh, tsum, zero_grads
+from metatagger import nn
 from metatagger import tensor as T
 
 
@@ -285,31 +286,22 @@ class TestShapeErrors:
 
 class TestCreate:
     def test_zeros(self):
-        t = T.create((3, 4))
-        assert t.shape == (3, 4)
+        t = nn.zeros((3, 4))
+        assert t.shape == (3, 4) and t.requires_grad
         assert not t.data.any()
 
     def test_gaussian_moments(self):
-        t = T.create((1000,), init="gaussian", rng=np.random.default_rng(123))
+        t = nn.gaussian((1000,), np.random.default_rng(123), 1.0)
         assert abs(t.data.mean()) < 0.1
         assert 0.85 < t.data.var(ddof=1) < 1.15
 
     def test_gaussian_scaled(self):
-        t = T.create((2000,), init="gaussian", std=0.1,
-                     rng=np.random.default_rng(5))
+        t = nn.gaussian((2000,), np.random.default_rng(5), 0.1)
         assert 0.005 < t.data.var(ddof=1) < 0.015
 
-    def test_bad_init_name(self):
-        with pytest.raises(ValueError):
-            T.create((2,), init="uniform")
-
-    def test_gaussian_needs_an_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            T.create((2,), init="gaussian")
-
     def test_seeded_determinism(self):
-        a = T.create((50,), init="gaussian", rng=np.random.default_rng(99))
-        b = T.create((50,), init="gaussian", rng=np.random.default_rng(99))
+        a = nn.gaussian((50,), np.random.default_rng(99), 1.0)
+        b = nn.gaussian((50,), np.random.default_rng(99), 1.0)
         assert np.array_equal(a.data, b.data)
 
 
