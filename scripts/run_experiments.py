@@ -13,7 +13,6 @@ at the default 10 seeds.
 """
 
 import argparse
-import dataclasses
 import time
 
 from metatagger import evaluation, synthetic, training

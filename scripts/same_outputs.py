@@ -5,9 +5,10 @@
 
 Exports REV with `git archive` into a temporary directory and writes a
 synthetic corpus there (scripts/generate_synthetic.py, the complementary
-corpus of 120 training and 40 dev sentences). Then, in REV's tree and in
-this checkout (working tree as it is), each with OPENBLAS_NUM_THREADS=1,
-it runs the command line:
+corpus of 120 training and 40 dev sentences) and a vectors file of 8
+fixed values for each of the first 20 training forms. Then, in REV's tree
+and in this checkout (working tree as it is), each with
+OPENBLAS_NUM_THREADS=1, it runs the command line:
 
 * `train` with the sentence and the token character encoder, each in
   separate and in joint optimization (2-layer encoders, 3 epochs),
@@ -16,6 +17,9 @@ it runs the command line:
 * `eval --csv` of the first tagged file against the dev corpus;
 * `grid --sizes 8:16:8`, four cells at the same settings;
 * `ablate --axis components` and `ablate --axis context`, 2 seeds each.
+
+`grid` and `ablate` read the vectors file (`--pretrained`), so the path
+from that file to each cell's or variant's model is compared too.
 
 It prints `same` or `DIFF` for each of the 16 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
@@ -47,10 +51,26 @@ OUTPUTS = [f"{run}.{ext}" for run in RUNS
     + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES]
 
 
-def commands(train: Path, dev: Path) -> list[list[str]]:
+def write_vectors(train: Path, path: Path, n_forms: int = 20,
+                  dim: int = 8) -> None:
+    """A vectors file for the first ``n_forms`` distinct forms of the
+    CoNLL-U file ``train``: ``dim`` fixed values each, in (-1, 1)."""
+    forms = []
+    for line in train.read_text(encoding="utf-8").splitlines():
+        cols = line.split("\t")
+        if len(cols) == 10 and cols[0].isdigit() and cols[1] not in forms:
+            forms.append(cols[1])
+    path.write_text("".join(
+        form + "".join(f" {((7 * i + 3 * j) % 19 - 9) / 10:g}"
+                       for j in range(dim)) + "\n"
+        for i, form in enumerate(forms[:n_forms])), encoding="utf-8")
+
+
+def commands(train: Path, dev: Path, vectors: Path) -> list[list[str]]:
     """The command-line runs that write ``OUTPUTS`` into the directory
-    they run in."""
+    they run in; ``grid`` and ``ablate`` read the ``vectors`` file."""
     corpus = ["--train", str(train), "--dev", str(dev), *SETTINGS]
+    with_vectors = [*corpus, "--pretrained", str(vectors)]
     out = []
     for run in RUNS:
         encoder, schedule = run.split("-")
@@ -61,9 +81,10 @@ def commands(train: Path, dev: Path) -> list[list[str]]:
                     str(dev), "--output", f"{run}.conllu"])
     out.append(["eval", "--gold", str(dev), "--pred", f"{RUNS[0]}.conllu",
                 "--csv", "eval.csv"])
-    out.append(["grid", "--sizes", "8:16:8", *corpus, "--out", "grid.csv"])
+    out.append(["grid", "--sizes", "8:16:8", *with_vectors,
+                "--out", "grid.csv"])
     for axis in AXES:
-        out.append(["ablate", "--axis", axis, "--seeds", "2", *corpus,
+        out.append(["ablate", "--axis", axis, "--seeds", "2", *with_vectors,
                     "--out", f"ablate-{axis}.csv"])
     return out
 
@@ -101,8 +122,10 @@ def main() -> int:
              str(tmp / "corpus"), "--n-train", "120", "--n-dev", "40"],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
             stdout=subprocess.DEVNULL)
-        cmds = commands(tmp / "corpus" / "complementary_train.conllu",
-                        tmp / "corpus" / "complementary_dev.conllu")
+        train = tmp / "corpus" / "complementary_train.conllu"
+        write_vectors(train, tmp / "corpus" / "vectors.txt")
+        cmds = commands(train, tmp / "corpus" / "complementary_dev.conllu",
+                        tmp / "corpus" / "vectors.txt")
         for side, tree in (("parent", tmp / "parent"), ("change", ROOT)):
             try:
                 run_side(tree, cmds, tmp / f"{side}-out")

@@ -13,7 +13,9 @@ checkpoint_file, log_file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (unreadable, unwritable or malformed files, alignment failures, corrupt
-checkpoints, training driven to non-finite values).
+checkpoints, training driven to non-finite values, a model too large for
+memory). Every command reads and checks its inputs before it writes or
+trains anything; a `grid` cell that fails to train records `error:`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,20 @@ PATH_KEYS = ("train_file", "dev_file", "pretrained_file",
 
 GATHER_ABLATION = ("F_last,B_1st", "F_1st,B_last",
                    "F_last,B_last", "F_1st,B_1st")
+# (label, config overrides, evaluation head) of each variant of each
+# ablation axis. The gather and context axes score the character head in
+# isolation; optimization is judged on the combined head; components
+# scores each head of one model.
+ABLATIONS = {
+    "gather": [(strategy.replace(",", "+"), {"gather": strategy}, "char")
+               for strategy in GATHER_ABLATION],
+    "context": [(f"{encoder}-chars", {"char_encoder": encoder}, "char")
+                for encoder in training.CHOICES["char_encoder"]],
+    "optimization": [(mode, {"optimization": mode}, "meta")
+                     for mode in training.CHOICES["optimization"]],
+    "components": [("char-only", {}, "char"), ("word-only", {}, "word"),
+                   ("meta", {}, "meta")],
+}
 
 
 class CliUsageError(Exception):
@@ -107,7 +123,9 @@ def effective_config(ns) -> tuple[training.TrainConfig, dict[str, str]]:
     return config, paths
 
 
-def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
+def _prepare(config, paths):
+    """``training.prepare`` of the command's corpora and vectors file: the
+    one read and check of every input a run trains from."""
     if "train_file" not in paths:
         raise CliUsageError("a training corpus is required "
                             "(--train or train_file in the config)")
@@ -120,16 +138,22 @@ def _corpora(config, paths) -> tuple[list[data.Sentence], list[data.Sentence]]:
         print(f"no dev file given: holding out {len(dev_sents)} "
               f"of {len(dev_sents) + len(train_sents)} sentences",
               file=sys.stderr)
-    return train_sents, dev_sents
+    return training.prepare(config, train_sents, dev_sents,
+                            pretrained_path=paths.get("pretrained_file"))
 
 
 def _check_outputs(paths: dict[str, str | None], outputs) -> None:
     """Check, before a command reads any input, each of its ``outputs``
     (keys of ``paths``, the files it names; None for one not given).
-    Raise the OSError that writing it would (an empty name, a missing
-    directory, a directory), or a usage error when it is the same file as
-    another path of ``paths``, which writing it would overwrite."""
+    Raise a data error naming the flag of any empty name in ``paths``, the
+    OSError that writing an output would (a missing directory, a
+    directory), or a usage error when it is the same file as another path
+    of ``paths``, which writing it would overwrite."""
     paths = {key: path for key, path in paths.items() if path is not None}
+    for key, path in paths.items():
+        if not path:
+            raise data.DataError(f"--{key.removesuffix('_file')}: "
+                                 f"empty file name")
     real = {key: os.path.realpath(path) for key, path in paths.items()}
     for key in outputs:
         path = paths.get(key)
@@ -138,7 +162,7 @@ def _check_outputs(paths: dict[str, str | None], outputs) -> None:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     path)
-        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                     path)
         same = [k for k in paths if k != key and real[k] == real[key]]
@@ -157,7 +181,7 @@ def cmd_train(ns) -> int:
                             "(--checkpoint or checkpoint_file in the config)")
     _check_outputs(dict(paths, config=ns.config),
                    ("checkpoint_file", "log_file"))
-    train_sents, dev_sents = _corpora(config, paths)
+    model, train_sents, dev_sents = _prepare(config, paths)
     epochs = -1  # epoch 0 is the initialized model
     with (open(paths["log_file"], "w", encoding="utf-8")
           if "log_file" in paths else contextlib.nullcontext()) as log:
@@ -171,9 +195,8 @@ def cmd_train(ns) -> int:
                 log.flush()
 
         t0 = time.perf_counter()
-        ckpt = training.train(config, train_sents, dev_sents,
-                              pretrained_path=paths.get("pretrained_file"),
-                              log=emit, path=paths["checkpoint_file"])
+        ckpt = training.train_model(model, train_sents, dev_sents, log=emit,
+                                    path=paths["checkpoint_file"])
         seconds = time.perf_counter() - t0
     print(f"best epoch={ckpt.best_epoch} dev_acc={ckpt.best_score:.6f}")
     print(f"checkpoint written to {paths['checkpoint_file']}")
@@ -246,16 +269,18 @@ def cmd_grid(ns) -> int:
     sizes = _parse_sizes(ns.sizes)
     config, paths = effective_config(ns)
     _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
-    train_sents, dev_sents = _corpora(config, paths)
-    pretrained = paths.get("pretrained_file")
+    model, train_sents, dev_sents = _prepare(config, paths)
+    vocabs, vectors = model.vocabs, model.word.pretrained.data
+    del model  # each cell builds its own
     lines = ["char_size,word_size,dev_accuracy"]
     for char_size in sizes:
         for word_size in sizes:
             cell = dataclasses.replace(config, char_bilstm_size=char_size,
                                        word_bilstm_size=word_size)
             try:
-                ckpt = training.train(cell, train_sents, dev_sents,
-                                      pretrained_path=pretrained)
+                ckpt = training.train_model(
+                    training.build_model(cell, vocabs, vectors),
+                    train_sents, dev_sents)
                 value = f"{ckpt.best_score:.6f}"
             except Exception as e:
                 value = "error: " + str(e).replace(",", ";").replace("\n", " ")
@@ -269,33 +294,15 @@ def cmd_grid(ns) -> int:
     return 0
 
 
-def _ablation_variants(axis: str):
-    """(label, config overrides, evaluation head) per variant. The gather
-    and context axes score the character head in isolation; optimization
-    is judged on the combined head; components scores each head of one
-    model."""
-    if axis == "gather":
-        return [(strategy.replace(",", "+"), {"gather": strategy}, "char")
-                for strategy in GATHER_ABLATION]
-    if axis == "context":
-        return [("sentence-chars", {"char_encoder": "sentence"}, "char"),
-                ("token-chars", {"char_encoder": "token"}, "char")]
-    if axis == "optimization":
-        return [("separate", {"optimization": "separate"}, "meta"),
-                ("joint", {"optimization": "joint"}, "meta")]
-    if axis == "components":
-        return [("char-only", {}, "char"), ("word-only", {}, "word"),
-                ("meta", {}, "meta")]
-    raise CliUsageError(f"unknown ablation axis {axis!r}")
-
-
 def cmd_ablate(ns) -> int:
     if ns.seeds < 1:
         raise CliUsageError("--seeds must be at least 1")
     config, paths = effective_config(ns)
     _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
-    train_sents, dev_sents = _corpora(config, paths)
-    variants = _ablation_variants(ns.axis)
+    model, train_sents, dev_sents = _prepare(config, paths)
+    vocabs, vectors = model.vocabs, model.word.pretrained.data
+    del model  # each variant builds its own
+    variants = ABLATIONS[ns.axis]
     results = {label: [] for label, _, _ in variants}
     for k in range(ns.seeds):
         trained_with = None
@@ -304,12 +311,10 @@ def cmd_ablate(ns) -> int:
             if overrides != trained_with:
                 cfg = dataclasses.replace(config, seed=config.seed + k,
                                           **overrides)
-                model, tr, dv = training.prepare(
-                    cfg, train_sents, dev_sents,
-                    pretrained_path=paths.get("pretrained_file"))
-                training.train_model(model, tr, dv)
+                model = training.build_model(cfg, vocabs, vectors)
+                training.train_model(model, train_sents, dev_sents)
                 trained_with = overrides
-            results[label].append(training.evaluate(model, dv, head))
+            results[label].append(training.evaluate(model, dev_sents, head))
     rows = evaluation.ablation_report(results)
     print(evaluation.render_table(rows))
     csv = evaluation.render_csv(rows, task=config.task)
@@ -325,9 +330,10 @@ def _add_config_flags(sub, with_checkpoint=False):
     sub.add_argument("--config", help="config file of key = value lines")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--task", choices=("upos", "xpos", "feats"))
+    sub.add_argument("--task", choices=training.CHOICES["task"])
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--optimization", choices=("separate", "joint"))
+    sub.add_argument("--optimization",
+                     choices=training.CHOICES["optimization"])
     sub.add_argument("--train", metavar="CONLLU")
     sub.add_argument("--dev", metavar="CONLLU")
     sub.add_argument("--pretrained", metavar="VECTORS")
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True, metavar="CONLLU")
     p.add_argument("--pred", required=True, metavar="CONLLU")
-    p.add_argument("--task", default="xpos", choices=("upos", "xpos", "feats"))
+    p.add_argument("--task", default="xpos", choices=training.CHOICES["task"])
     p.add_argument("--csv", metavar="PATH", help="also write a one-row CSV")
     p.set_defaults(func=cmd_eval)
 
@@ -368,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ablate", help="run one ablation axis over seeds")
     _add_config_flags(p)
-    p.add_argument("--axis", required=True,
-                   choices=("gather", "context", "optimization", "components"))
+    p.add_argument("--axis", required=True, choices=tuple(ABLATIONS))
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=cmd_ablate)
@@ -389,6 +394,9 @@ def main(argv=None) -> int:
         return 1
     except NonFiniteError as e:
         print(f"numeric error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a model or corpus too large to allocate
+        print(f"memory error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as e:  # data.DataError, evaluation.AlignmentError, ...
         print(f"data error: {e}", file=sys.stderr)

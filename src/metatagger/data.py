@@ -9,7 +9,7 @@ spaces, whatever the original whitespace was; spans index into that stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,7 +286,8 @@ def load_pretrained(path: str, vocabs: Vocabs,
 
     Row 0 (the unknown word) and vocabulary words missing from the file
     get zero rows. With ``lowercase_fallback`` a miss retries the
-    lowercased form.
+    lowercased form. A value that is not finite (``nan``, ``inf``,
+    ``1e999``) is an error naming its line.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -308,6 +309,8 @@ def load_pretrained(path: str, vocabs: Vocabs,
                 raise DataError(f"embedding line {lineno}: {e}") from None
             if vec.size == 0:
                 raise DataError(f"embedding line {lineno}: no vector values")
+            if not np.isfinite(vec).all():
+                raise DataError(f"embedding line {lineno}: non-finite value")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -27,25 +27,50 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoders, meta, nn
 from . import tensor as T
-from .data import Sentence, Vocabs
+from .data import TASK_COLUMN, Sentence, Vocabs
 from .evaluation import score
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "metatagger-checkpoint"
 CHECKPOINT_VERSION = 1
 
-# The structural sizes and the dropout rates ``TrainConfig.validate`` bounds.
-_SIZE_KEYS = ("char_bilstm_layers", "word_bilstm_layers", "meta_bilstm_layers",
-              "char_bilstm_size", "word_bilstm_size", "meta_bilstm_size",
-              "mlp_size", "char_emb_dim", "word_emb_dim")
-_DROPOUT_KEYS = ("lstm_dropout", "mlp_dropout", "word_emb_dropout",
-                 "char_emb_dropout")
+# The values a config key takes: each non-bool key but ``gather`` (read by
+# ``gather_parts``) has one rule, a choice from ``CHOICES`` or a bound from
+# ``_BOUNDS``. Bounds are chained comparisons, so that NaN fails them.
+CHOICES = {
+    "task": tuple(TASK_COLUMN),
+    "optimization": ("separate", "joint"),
+    "char_encoder": ("sentence", "token"),
+    "mlp_activation": ("elu",),
+    "word_emb_init": ("zero",),
+    "char_emb_init": ("gaussian", "scaled"),
+    "mlp_init": ("gaussian", "scaled"),
+    "lstm_init": ("gaussian", "scaled"),
+    "optimizer": ("adam",),
+    "loss": ("cross_entropy",),
+}
+_AT_LEAST_0 = (">= 0", lambda v: 0 <= v)
+_AT_LEAST_1 = (">= 1", lambda v: 1 <= v)
+_UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+_BOUNDS = {
+    "seed": _AT_LEAST_0, "max_epochs": _AT_LEAST_0, "patience": _AT_LEAST_0,
+    "batch_size": _AT_LEAST_1, "min_count": _AT_LEAST_1,
+    **dict.fromkeys(("char_bilstm_layers", "word_bilstm_layers",
+                     "meta_bilstm_layers", "char_bilstm_size",
+                     "word_bilstm_size", "meta_bilstm_size", "mlp_size",
+                     "char_emb_dim", "word_emb_dim"), _AT_LEAST_1),
+    **dict.fromkeys(("lstm_dropout", "mlp_dropout", "word_emb_dropout",
+                     "char_emb_dropout", "beta1", "beta2"), _UNIT),
+    "learning_rate": ("finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "decay": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "adam_epsilon": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+}
 
 
 @dataclass
@@ -54,13 +79,13 @@ class TrainConfig:
     the golden-config test; fields that audit does not pin (batch size,
     epoch budget, LSTM weight init, embedding widths) are documented
     package decisions."""
-    task: str = "xpos"  # upos | xpos | feats
+    task: str = "xpos"
     seed: int = 1
     max_epochs: int = 200
     batch_size: int = 32
     patience: int = 0  # 0 disables early stopping
-    optimization: str = "separate"  # separate | joint
-    char_encoder: str = "sentence"  # sentence | token
+    optimization: str = "separate"
+    char_encoder: str = "sentence"
     gather: str = "F_1st,F_last,B_1st,B_last"
     # architecture
     char_bilstm_layers: int = 3
@@ -99,51 +124,13 @@ class TrainConfig:
             p.strip() for p in self.gather.split(","))
 
     def validate(self) -> None:
-        if self.task not in ("upos", "xpos", "feats"):
-            raise ValueError(f"task must be upos/xpos/feats, got {self.task!r}")
-        if self.optimization not in ("separate", "joint"):
-            raise ValueError(
-                f"optimization must be separate or joint, got "
-                f"{self.optimization!r}")
-        if self.char_encoder not in ("sentence", "token"):
-            raise ValueError(
-                f"char_encoder must be sentence or token, got "
-                f"{self.char_encoder!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        for key in _SIZE_KEYS:
-            if getattr(self, key) < 1:
-                raise ValueError(f"config key {key!r} must be >= 1, got "
+        for key, choices in CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{' or '.join(choices)}, got "
                                  f"{getattr(self, key)!r}")
-        for key in _DROPOUT_KEYS:
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"config key {key!r} must be in [0, 1), "
-                                 f"got {getattr(self, key)!r}")
-        for key, only in (("mlp_activation", "elu"), ("optimizer", "adam"),
-                          ("loss", "cross_entropy"),
-                          ("word_emb_init", "zero")):
-            if getattr(self, key) != only:
-                raise ValueError(f"config key {key!r} must be {only!r}, the "
-                                 f"only implemented choice, got "
-                                 f"{getattr(self, key)!r}")
-        for key in ("char_emb_init", "mlp_init", "lstm_init"):
-            if getattr(self, key) not in ("gaussian", "scaled"):
-                raise ValueError(f"config key {key!r} must be gaussian or "
-                                 f"scaled, got {getattr(self, key)!r}")
-        # chained comparisons, so that NaN fails them
-        for key, ok, bound in (
-                ("seed", 0 <= self.seed, ">= 0"),
-                ("patience", 0 <= self.patience, ">= 0"),
-                ("learning_rate", 0.0 <= self.learning_rate < math.inf,
-                 "finite and >= 0"),
-                ("decay", 0.0 <= self.decay <= 1.0, "in [0, 1]"),
-                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-                ("adam_epsilon", 0.0 < self.adam_epsilon < math.inf,
-                 "finite and > 0")):
-            if not ok:
+        for key, (bound, ok) in _BOUNDS.items():
+            if not ok(getattr(self, key)):
                 raise ValueError(f"config key {key!r} must be {bound}, got "
                                  f"{getattr(self, key)!r}")
         self.gather_parts()
@@ -569,7 +556,10 @@ def prepare(config: TrainConfig, train_sentences: list[Sentence],
             pretrained_path: str | None = None
             ) -> tuple[TaggerModel, list[Sentence], list[Sentence]]:
     """Vocabularies from the training corpus, ids onto both corpora,
-    pretrained vectors aligned to the vocabulary, model built."""
+    pretrained vectors aligned to the vocabulary, model built: every read
+    and check of a run's inputs. A command that trains several models
+    prepares once and builds each from this model's vocabularies and
+    frozen vectors (``model.vocabs``, ``model.word.pretrained.data``)."""
     from .data import assign_ids, build_vocabs, load_pretrained
 
     config.validate()
@@ -589,18 +579,6 @@ def prepare(config: TrainConfig, train_sentences: list[Sentence],
                                      config.lowercase_pretrained_fallback)
     model = build_model(config, vocabs, pretrained=pretrained)
     return model, train_sentences, dev_sentences
-
-
-def train(config: TrainConfig, train_sentences: list[Sentence],
-          dev_sentences: list[Sentence], pretrained_path: str | None = None,
-          log=None, path: str | None = None) -> Checkpoint:
-    """Run the synchronous (or joint) schedule for up to max_epochs and
-    return the checkpoint with the best dev accuracy of the combiner head,
-    kept at ``path`` (see ``train_model``). ``log`` is called with one
-    formatted line per epoch."""
-    model, tr, dv = prepare(config, train_sentences, dev_sentences,
-                            pretrained_path)
-    return train_model(model, tr, dv, log=log, path=path)
 
 
 def train_model(model: TaggerModel, train_sentences: list[Sentence],

@@ -6,7 +6,6 @@ regression that blows a runtime envelope fails loudly instead of just
 running long.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -355,7 +354,8 @@ def test_criterion_09_gather_degeneracy_and_strategies():
                                word_bilstm_size=8, meta_bilstm_size=8,
                                mlp_size=8, char_emb_dim=6, word_emb_dim=6,
                                gather=strategy)
-        ckpt = training.train(run_cfg, toy_train, toy_dev)
+        ckpt = training.train_model(*training.prepare(run_cfg, toy_train,
+                                                      toy_dev))
         assert 0.0 <= ckpt.best_score <= 1.0
         ran.append(strategy)
     elapsed = time.monotonic() - t0

@@ -282,7 +282,7 @@ class TestExitCodes:
         "loss=hinge", "word_emb_init=gaussian", "mlp_init=foo",
         "lstm_init=foo", "char_emb_init=foo", "seed=-1",
         "learning_rate=nan", "decay=1.5", "beta1=1", "beta2=1",
-        "adam_epsilon=0", "patience=-1"])
+        "adam_epsilon=0", "patience=-1", "min_count=0"])
     def test_bad_structural_value_is_usage(self, corpus_dir, tmp_path,
                                            capsys, setting):
         code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
@@ -332,7 +332,8 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("training ran")
 
-        monkeypatch.setattr(training, "train", never)
+        for attr in ("prepare", "train_model"):
+            monkeypatch.setattr(training, attr, never)
         out = tmp_path / "out"
         out.mkdir()
         path = str(out / name)
@@ -393,7 +394,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("work began before the output was checked")
 
-        for module, attr in ((training, "train"), (training, "train_model"),
+        for module, attr in ((training, "prepare"), (training, "train_model"),
                              (training, "tag_corpus"),
                              (training, "checkpoint_load"),
                              (cli, "_parse_corpus")):
@@ -489,8 +490,7 @@ class TestExitCodes:
         }[command]
         assert cli.main(argv + [output, ""]) == 2
         out, err = capsys.readouterr()
-        assert len(err.splitlines()) == 1
-        assert err.startswith("data error: ")
+        assert err == f"data error: {output}: empty file name\n"
         assert "epoch=" not in out
         assert list(tmp_path.iterdir()) == []
 
@@ -541,19 +541,91 @@ class TestExitCodes:
         assert err.startswith(f"data error: {tmp_path}: ")
 
     def test_non_finite_training_is_data_error(self, corpus_dir, tmp_path,
-                                               capsys):
-        train = data.parse_conllu((corpus_dir / "train.conllu").read_text())
-        vectors = tmp_path / "nan.vec"
-        vectors.write_text("".join(f"{t.form} nan nan nan nan nan nan\n"
-                                   for t in train[0].tokens))
+                                               capsys, monkeypatch):
+        """Training that meets a NaN, here in the frozen vectors of a built
+        model, ends in one line."""
+        build = training.build_model
+
+        def nan_vectors(*args, **kwargs):
+            model = build(*args, **kwargs)
+            model.word.pretrained.data[:] = np.nan
+            return model
+
+        monkeypatch.setattr(training, "build_model", nan_vectors)
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_vector_names_its_line(self, corpus_dir, tmp_path,
+                                              capsys, value):
+        """A vectors file holding a value that is not finite fails before
+        any epoch, and writes no checkpoint."""
+        vectors = tmp_path / "e.vec"
+        vectors.write_text(f"ab 0.5 1\nb 0.5 {value}\n")
         code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
                          "--dev", str(corpus_dir / "dev.conllu"),
                          "--pretrained", str(vectors),
                          "--checkpoint", str(tmp_path / "m.ckpt")]
                         + SMALL_OVERRIDES)
         assert code == 2
+        out, err = capsys.readouterr()
+        assert err == "data error: embedding line 2: non-finite value\n"
+        assert "epoch=" not in out
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_a_model_too_large_for_memory_is_one_line(
+            self, corpus_dir, tmp_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 EiB for an array")
+
+        monkeypatch.setattr(training, "build_model", too_large)
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "memory error: Unable to allocate 7.45 EiB for an array\n"
+
+    def test_unreadable_vectors_leave_the_log_unchanged(
+            self, corpus_dir, tmp_path, capsys):
+        """Every input is read before ``--log`` is opened, so a run that
+        fails on one leaves an earlier run's log as it was."""
+        log = tmp_path / "train.log"
+        log.write_text("epoch=0 dev_acc=0.500000\n")
+        code = cli.main(["train", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--pretrained", str(tmp_path / "missing.vec"),
+                         "--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--log", str(log)] + SMALL_OVERRIDES)
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert log.read_text() == "epoch=0 dev_acc=0.500000\n"
+
+    @pytest.mark.parametrize("command", ["grid", "ablate"])
+    def test_unreadable_vectors_fail_before_any_model(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(training, "train_model", never)
+        out = tmp_path / "out.csv"
+        argv = {"grid": ["grid", "--sizes", "8:16:8"],
+                "ablate": ["ablate", "--axis", "components"]}[command]
+        code = cli.main(argv + ["--train", str(corpus_dir / "train.conllu"),
+                                "--dev", str(corpus_dir / "dev.conllu"),
+                                "--pretrained", str(tmp_path / "missing.vec"),
+                                "--out", str(out)] + SMALL_OVERRIDES)
+        assert code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "non-finite" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {tmp_path / 'missing.vec'}: ")
+        assert not out.exists()
 
 
 def manifest_paths(value, path=()):
@@ -843,6 +915,52 @@ class TestGridAndAblate:
                    for l in out.read_text().splitlines()[1:]]
         assert configs == ["F_last+B_1st", "F_1st+B_last",
                            "F_last+B_last", "F_1st+B_1st"]
+
+    def test_a_cell_that_fails_to_train_records_its_error(
+            self, corpus_dir, tmp_path, monkeypatch):
+        train_model = training.train_model
+
+        def fails_at_16(model, *args, **kwargs):
+            if model.config.char_bilstm_size == 16:
+                raise ValueError("diverged, badly")
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train_model", fails_at_16)
+        out = tmp_path / "g.csv"
+        code = cli.main(["grid", "--train", str(corpus_dir / "train.conllu"),
+                         "--dev", str(corpus_dir / "dev.conllu"),
+                         "--sizes", "8:16:8", "--out", str(out),
+                         "--set", "max_epochs=1"] + SMALL_OVERRIDES[2:])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0].startswith("8,8,0.") and rows[1].startswith("8,16,0.")
+        assert rows[2:] == ["16,8,error: diverged; badly",
+                            "16,16,error: diverged; badly"]
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--sizes", "8:16:8"],
+        ["ablate", "--axis", "components", "--seeds", "2"],
+    ], ids=["grid", "ablate"])
+    def test_inputs_are_read_once(self, corpus_dir, tmp_path, monkeypatch,
+                                  argv):
+        """Four grid cells, or two ablation seeds, train from one read of
+        the vectors file."""
+        reads = []
+        load = data.load_pretrained
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(data, "load_pretrained", counted)
+        code = cli.main(argv + ["--train", str(corpus_dir / "train.conllu"),
+                                "--dev", str(corpus_dir / "dev.conllu"),
+                                "--pretrained", str(FIXTURES / "vectors.txt"),
+                                "--out", str(tmp_path / "out.csv"),
+                                "--set", "max_epochs=1"]
+                        + SMALL_OVERRIDES[2:])
+        assert code == 0
+        assert len(reads) == 1
 
     def test_zero_seeds_is_usage(self, corpus_dir):
         assert cli.main(["ablate", "--axis", "context", "--seeds", "0",

@@ -33,9 +33,27 @@ def test_compare_reports_each_file(tmp_path):
 
 def test_outputs_are_the_files_the_commands_write():
     written = []
-    for cmd in same_outputs.commands(Path("train.conllu"), Path("dev.conllu")):
+    for cmd in same_outputs.commands(Path("train.conllu"), Path("dev.conllu"),
+                                     Path("vectors.txt")):
         flags = {"tag": ("--output",), "eval": ("--csv",)}.get(
             cmd[0], ("--checkpoint", "--log", "--out"))
         written += [cmd[i + 1] for i, arg in enumerate(cmd) if arg in flags]
     assert sorted(written) == sorted(same_outputs.OUTPUTS)
     assert len(written) == 16
+
+
+def test_grid_and_ablate_read_the_vectors_file():
+    cmds = same_outputs.commands(Path("train.conllu"), Path("dev.conllu"),
+                                 Path("vectors.txt"))
+    with_vectors = [cmd[0] for cmd in cmds if "--pretrained" in cmd]
+    assert with_vectors == ["grid", "ablate", "ablate"]
+
+
+def test_vectors_file_is_fixed_values_for_training_forms(tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text("# c\n1\tab\t_\t_\tX\t_\t0\t_\t_\t_\n"
+                     "2\tb\t_\t_\tX\t_\t0\t_\t_\t_\n\n"
+                     "1\tab\t_\t_\tX\t_\t0\t_\t_\t_\n\n")
+    vectors = tmp_path / "v.txt"
+    same_outputs.write_vectors(train, vectors, dim=3)
+    assert vectors.read_text() == "ab -0.9 -0.6 -0.3\nb -0.2 0.1 0.4\n"

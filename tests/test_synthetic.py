@@ -1,8 +1,5 @@
 """Diagnostic corpus generators: placement of signal, splits, noise."""
 
-import numpy as np
-import pytest
-
 from metatagger import data, synthetic
 
 

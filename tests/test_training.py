@@ -184,6 +184,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             training.TrainConfig(gather="F_mid").validate()
 
+    def test_every_key_has_one_rule(self):
+        """Each non-bool key but ``gather`` (checked by ``gather_parts``)
+        is bounded or chosen from a list, never both, and every rule
+        names a key."""
+        import dataclasses
+        keys = {f.name for f in dataclasses.fields(training.TrainConfig)
+                if f.type != "bool" and f.name != "gather"}
+        rules = list(training.CHOICES) + list(training._BOUNDS)
+        assert sorted(rules) == sorted(keys)
+
     def test_from_dict_coercion(self):
         c = training.config_from_dict({
             "seed": "7", "learning_rate": "0.01",
@@ -510,13 +520,14 @@ class TestTrainLoop:
                             dies_in_epoch_4)
         path = tmp_path / "killed.ckpt"
         with pytest.raises(RuntimeError, match="killed"):
-            training.train(config, mini_corpus(8), dev, path=str(path))
+            training.train_model(
+                *training.prepare(config, mini_corpus(8), dev), path=str(path))
         monkeypatch.undo()
         kept = training.checkpoint_load(str(path))
         assert kept.best_epoch == 2
-        stopped = training.train(
+        stopped = training.train_model(*training.prepare(
             dataclasses.replace(config, max_epochs=kept.best_epoch),
-            mini_corpus(8), dev)
+            mini_corpus(8), dev))
         training.checkpoint_save(str(tmp_path / "stopped.ckpt"),
                                  dataclasses.replace(stopped, config=config))
         assert path.read_bytes() == (tmp_path / "stopped.ckpt").read_bytes()
@@ -561,8 +572,9 @@ class TestTrainLoop:
         def run():
             sents = mini_corpus(8)
             lines = []
-            ckpt = training.train(small_config(max_epochs=2), sents,
-                                  mini_corpus(3, seed=9), log=lines.append)
+            ckpt = training.train_model(
+                *training.prepare(small_config(max_epochs=2), sents,
+                                  mini_corpus(3, seed=9)), log=lines.append)
             return lines, ckpt
 
         lines_a, ckpt_a = run()
@@ -575,16 +587,18 @@ class TestTrainLoop:
 
     def test_different_seed_differs(self):
         sents = mini_corpus(8)
-        a = training.train(small_config(seed=1), sents, mini_corpus(3, seed=9))
-        b = training.train(small_config(seed=2), sents, mini_corpus(3, seed=9))
+        a, b = (training.train_model(*training.prepare(
+            small_config(seed=seed), sents, mini_corpus(3, seed=9)))
+            for seed in (1, 2))
         assert any(not np.array_equal(a.arrays[n], b.arrays[n])
                    for n in a.arrays)
 
     def test_log_format(self):
         sents = mini_corpus(5)
         lines = []
-        training.train(small_config(max_epochs=1), sents, sents,
-                       log=lines.append)
+        training.train_model(
+            *training.prepare(small_config(max_epochs=1), sents, sents),
+            log=lines.append)
         assert lines[0].startswith("epoch=0 dev_acc=0.")
         assert lines[1].startswith("epoch=1 char_loss=")
         for key in ("char_loss=", "word_loss=", "meta_loss=", "dev_acc="):
@@ -594,7 +608,8 @@ class TestTrainLoop:
         sents = mini_corpus(5)
         lines = []
         config = small_config(learning_rate=0.0, max_epochs=50, patience=2)
-        training.train(config, sents, sents, log=lines.append)
+        training.train_model(*training.prepare(config, sents, sents),
+                             log=lines.append)
         assert any("stopped early" in l for l in lines)
         # epoch 0 + 2 stagnant epochs + the stop notice
         assert len(lines) == 4
@@ -625,13 +640,14 @@ class TestTrainLoop:
     def test_token_char_encoder_variant_trains(self):
         sents = mini_corpus(6)
         config = small_config(char_encoder="token", max_epochs=1)
-        ckpt = training.train(config, sents, sents)
+        ckpt = training.train_model(*training.prepare(config, sents, sents))
         assert "char_token.attn_vec" in ckpt.arrays
 
     def test_unseen_dev_tags_do_not_crash(self):
         tr = mini_corpus(5)
         dev = data.parse_conllu("1\tzz\t_\t_\tNEVER\t_\t0\t_\t_\t_\n")
-        ckpt = training.train(small_config(max_epochs=1), tr, dev)
+        ckpt = training.train_model(
+            *training.prepare(small_config(max_epochs=1), tr, dev))
         assert 0.0 <= ckpt.best_score <= 1.0
 
 
