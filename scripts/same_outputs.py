@@ -16,12 +16,18 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
   corpus with each checkpoint;
 * `eval --csv` of the first tagged file against the dev corpus;
 * `grid --sizes 8:16:8`, four cells at the same settings;
-* `ablate --axis components` and `ablate --axis context`, 2 seeds each.
+* `ablate --axis components` and `ablate --axis context`, 2 seeds each;
+* `train --task upos` and `train --task feats` on
+  tests/fixtures/tiny.conllu as both training and dev corpus, at the same
+  settings, then `tag` of that file with each checkpoint: the synthetic
+  corpus leaves the UPOS and FEATS columns `_`;
+* `eval --task feats --csv` of tests/fixtures/scorer/pair3_gold.conllu
+  against pair3_pred.conllu, whose FEATS differ only in pair order.
 
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 16 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 23 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -46,9 +52,12 @@ SETTINGS = [f"--set={kv}" for kv in (
 RUNS = [f"{encoder}-{schedule}" for encoder in ("sentence", "token")
         for schedule in ("separate", "joint")]
 AXES = ("components", "context")
-OUTPUTS = [f"{run}.{ext}" for run in RUNS
+COLUMN_TASKS = ("upos", "feats")  # trained on the fixture below
+FIXTURES = ROOT / "tests" / "fixtures"
+OUTPUTS = [f"{run}.{ext}" for run in RUNS + list(COLUMN_TASKS)
            for ext in ("log", "ckpt", "conllu")] \
-    + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES]
+    + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES] \
+    + ["eval-feats.csv"]
 
 
 def write_vectors(train: Path, path: Path, n_forms: int = 20,
@@ -86,6 +95,17 @@ def commands(train: Path, dev: Path, vectors: Path) -> list[list[str]]:
     for axis in AXES:
         out.append(["ablate", "--axis", axis, "--seeds", "2", *with_vectors,
                     "--out", f"ablate-{axis}.csv"])
+    tiny = str(FIXTURES / "tiny.conllu")
+    for task in COLUMN_TASKS:
+        out.append(["train", "--train", tiny, "--dev", tiny, *SETTINGS,
+                    "--task", task, "--checkpoint", f"{task}.ckpt",
+                    "--log", f"{task}.log"])
+        out.append(["tag", "--checkpoint", f"{task}.ckpt", "--input", tiny,
+                    "--output", f"{task}.conllu"])
+    pair = [str(FIXTURES / "scorer" / f"pair3_{side}.conllu")
+            for side in ("gold", "pred")]
+    out.append(["eval", "--task", "feats", "--gold", pair[0],
+                "--pred", pair[1], "--csv", "eval-feats.csv"])
     return out
 
 

@@ -13,9 +13,9 @@ checkpoint_file, log_file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (unreadable, unwritable or malformed files, alignment failures, corrupt
-checkpoints, training driven to non-finite values, a model too large for
-memory). Every command reads and checks its inputs before it writes or
-trains anything; a `grid` cell that fails to train records `error:`.
+checkpoints, numeric errors in training, a model too large for memory).
+Every command reads and checks its inputs before it writes or trains
+anything; a `grid` cell that fails to train records `error:`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from pathlib import Path
 # OpenBLAS thread per core. This must run before numpy is first imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
 from . import data, evaluation, training  # noqa: E402
-from .tensor import NonFiniteError  # noqa: E402
 
 SEED_ENV = "METATAGGER_SEED"
 PATH_KEYS = ("train_file", "dev_file", "pretrained_file",
@@ -133,13 +134,14 @@ def _prepare(config, paths):
     if "dev_file" in paths:
         dev_sents = _parse_corpus(paths["dev_file"], config.task)
     else:
-        train_sents, dev_sents = data.dev_split(train_sents, fraction=0.1,
-                                                seed=config.seed)
+        train_sents, dev_sents = data.dev_split(train_sents, seed=config.seed)
+    prepared = training.prepare(config, train_sents, dev_sents,
+                                pretrained_path=paths.get("pretrained_file"))
+    if "dev_file" not in paths:  # after the checks: a failure is one line
         print(f"no dev file given: holding out {len(dev_sents)} "
               f"of {len(dev_sents) + len(train_sents)} sentences",
               file=sys.stderr)
-    return training.prepare(config, train_sents, dev_sents,
-                            pretrained_path=paths.get("pretrained_file"))
+    return prepared
 
 
 def _check_outputs(paths: dict[str, str | None], outputs) -> None:
@@ -388,11 +390,14 @@ def main(argv=None) -> int:
         if not getattr(ns, "func", None):
             parser.print_usage(sys.stderr)
             return 1
-        return ns.func(ns)
+        # A run driven to overflow, division by zero or an invalid value
+        # ends in one line; underflow, which softmax meets, is no error.
+        with np.errstate(all="raise", under="ignore"):
+            return ns.func(ns)
     except CliUsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except NonFiniteError as e:
+    except FloatingPointError as e:  # tensor.NonFiniteError among them
         print(f"numeric error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:  # a model or corpus too large to allocate

@@ -28,12 +28,15 @@ class DataError(ValueError):
 
 @dataclass
 class Token:
-    form: str
-    gold_upos: str
-    gold_xpos: str
-    gold_feats: str  # canonical bundle string, unless parsed for upos/xpos
+    """One word line: its ten columns, FEATS canonicalized (see
+    ``morph_bundle_tag``) unless parsed for the upos or xpos task."""
+    columns: list[str]
     char_span: tuple[int, int]  # inclusive (first, last) into the char stream
     word_id: int | None = None
+
+    @property
+    def form(self) -> str:
+        return self.columns[COL_FORM]
 
 
 @dataclass
@@ -43,6 +46,7 @@ class Sentence:
     raw_lines: list[str]  # full block, comments and range lines included
     token_line_idx: list[int]  # position of each token's line in raw_lines
     char_ids: np.ndarray | None = None
+    tag_ids: np.ndarray | None = None  # gold tag ids, -1 for an unknown tag
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -51,13 +55,8 @@ class Sentence:
         return [t.form for t in self.tokens]
 
     def gold_tags(self, task: str) -> list[str]:
-        if task == "upos":
-            return [t.gold_upos for t in self.tokens]
-        if task == "xpos":
-            return [t.gold_xpos for t in self.tokens]
-        if task == "feats":
-            return [t.gold_feats for t in self.tokens]
-        raise ValueError(f"unknown task {task!r}")
+        col = TASK_COLUMN[task]
+        return [t.columns[col] for t in self.tokens]
 
 
 def morph_bundle_tag(feats_column: str) -> str:
@@ -125,14 +124,8 @@ def parse_conllu(text: str, task: str | None = None) -> list[Sentence]:
             chars, spans = char_stream_build(forms)
         else:
             chars, spans = "", []
-        tokens = [
-            Token(form=cols[COL_FORM],
-                  gold_upos=cols[COL_UPOS],
-                  gold_xpos=cols[COL_XPOS],
-                  gold_feats=cols[COL_FEATS],
-                  char_span=spans[k])
-            for k, cols in enumerate(token_cols)
-        ]
+        tokens = [Token(columns=cols, char_span=span)
+                  for cols, span in zip(token_cols, spans)]
         sentences.append(Sentence(tokens=tokens, chars=chars,
                                   raw_lines=block,
                                   token_line_idx=token_line_idx))
@@ -203,8 +196,8 @@ def write_conllu(sentences: list[Sentence],
 class Vocabs:
     """Frozen string-to-id maps. Id 0 is the unknown word / unknown char;
     real entries start at 1. Tags carry no unknown entry: the tag inventory
-    is fixed by the training data and unseen gold tags simply never match
-    any prediction."""
+    is fixed by the training data, and ``assign_ids`` gives an unseen gold
+    tag id -1, which never matches any prediction."""
     words: dict[str, int]
     chars: dict[str, int]
     tags: dict[str, int]
@@ -228,9 +221,6 @@ class Vocabs:
     def char_id(self, ch: str) -> int:
         return self.chars.get(ch, UNK_ID)
 
-    def tag_id(self, tag: str) -> int | None:
-        return self.tags.get(tag)
-
     def tag_strings(self) -> list[str]:
         out = [""] * len(self.tags)
         for tag, i in self.tags.items():
@@ -241,8 +231,6 @@ class Vocabs:
 def build_vocabs(train_sentences: list[Sentence], task: str = "xpos",
                  min_count: int = 1) -> Vocabs:
     """First-occurrence-ordered vocabularies over the training corpus."""
-    if task not in TASK_COLUMN:
-        raise ValueError(f"unknown task {task!r}")
     counts: dict[str, int] = {}
     word_order: list[str] = []
     chars: dict[str, int] = {}
@@ -267,10 +255,15 @@ def build_vocabs(train_sentences: list[Sentence], task: str = "xpos",
 
 
 def assign_ids(sentences: list[Sentence], vocabs: Vocabs) -> None:
-    """Attach word ids and char-stream ids in place."""
+    """Attach word ids, char-stream ids and the gold tag ids of
+    ``vocabs.task`` in place. A tag the vocabulary lacks gets -1, which no
+    prediction equals."""
     for s in sentences:
         s.char_ids = np.array([vocabs.char_id(c) for c in s.chars],
                               dtype=np.intp)
+        s.tag_ids = np.array([vocabs.tags.get(tag, -1)
+                              for tag in s.gold_tags(vocabs.task)],
+                             dtype=np.intp)
         for t in s.tokens:
             t.word_id = vocabs.word_id(t.form)
 
@@ -333,7 +326,7 @@ def load_pretrained(path: str, vocabs: Vocabs,
 # ---------------------------------------------------------------------------
 # splitting
 
-def dev_split(corpus: list[Sentence], fraction: float = 0.05,
+def dev_split(corpus: list[Sentence], fraction: float = 0.1,
               seed: int = 0) -> tuple[list[Sentence], list[Sentence]]:
     """Seeded sentence-level split; dev gets ceil(fraction * N) sentences.
     Both halves keep their original corpus order."""

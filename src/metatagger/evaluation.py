@@ -1,9 +1,10 @@
 """Tagging accuracy under gold segmentation, plus ablation summaries.
 
 With segmentation fixed, the shared-task aligned F1 collapses to plain
-token accuracy, so this scorer reports accuracy and calls it that. FEATS
-comparisons run on canonical bundle strings, making them insensitive to
-pair order.
+token accuracy, so this scorer reports accuracy and calls it that. Tag
+strings compare as given: FEATS bundles are put in canonical pair order
+once, when ``data.parse_conllu`` reads them. Training's dev evaluation
+counts tag ids instead (``training.evaluate``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Sentence, morph_bundle_tag
+from .data import Sentence
 
 
 class AlignmentError(ValueError):
@@ -68,9 +69,6 @@ def score(gold_sentences: list[Sentence], predictions, task: str) -> EvalReport:
             raise AlignmentError(
                 f"sentence {i + 1}: {len(g_tags)} gold tokens vs "
                 f"{len(p_tags)} predicted (segmentation must match)")
-        if task == "feats":
-            g_tags = [morph_bundle_tag(t) for t in g_tags]
-            p_tags = [morph_bundle_tag(t) for t in p_tags]
         for g, p in zip(g_tags, p_tags):
             total += 1
             if g == p:

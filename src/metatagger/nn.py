@@ -205,20 +205,27 @@ def _run_calls(parallel: bool, calls: list) -> list:
     """Results of ``calls``, one or two (fn, *args) tuples, in order.
 
     With ``parallel`` the second of two calls runs on the worker thread
-    while this one runs the first. The worker is always waited for before
+    while this one runs the first, under this thread's numpy error policy
+    (numpy keeps one per thread). The worker is always waited for before
     this returns or raises; an exception raised on it is raised here,
     unless the first call raised already.
     """
     if not parallel:
         return [fn(*args) for fn, *args in calls]
     (fn, *args), second = calls
-    future = _WORKER.submit(*second)
+    future = _WORKER.submit(_with_errstate, np.geterr(), *second)
     try:
         first = fn(*args)
     except BaseException:
         wait([future])
         raise
     return [first, future.result()]
+
+
+def _with_errstate(policy: dict, fn, *args):
+    """``fn(*args)`` under ``policy``, a numpy error policy from geterr."""
+    with np.errstate(**policy):
+        return fn(*args)
 
 
 def _packed_input(xs: np.ndarray, rows: np.ndarray, ranks: np.ndarray,

@@ -126,10 +126,10 @@ def corrupt_tags(sentences: list[Sentence], rate: float, seed: int) -> None:
     col = TASK_COLUMN["xpos"]
     for sent in sentences:
         for tok, line_idx in zip(sent.tokens, sent.token_line_idx):
-            if rng.random() < rate and tok.gold_xpos in TAG_FLIPS:
-                tok.gold_xpos = TAG_FLIPS[tok.gold_xpos]
+            if rng.random() < rate and tok.columns[col] in TAG_FLIPS:
+                tok.columns[col] = TAG_FLIPS[tok.columns[col]]
                 cols = sent.raw_lines[line_idx].split("\t")
-                cols[col] = tok.gold_xpos
+                cols[col] = tok.columns[col]
                 sent.raw_lines[line_idx] = "\t".join(cols)
 
 

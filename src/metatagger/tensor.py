@@ -268,9 +268,11 @@ def logistic_(v: np.ndarray) -> np.ndarray:
 
 
 def elu(a: Tensor) -> Tensor:
-    """ELU with alpha=1: x for x > 0, exp(x) - 1 otherwise."""
+    """ELU with alpha=1: x for x > 0, exp(x) - 1 otherwise. ``expm1`` runs
+    on the other elements only, so a large x does not overflow it."""
     pos = a.data > 0
-    out = np.where(pos, a.data, np.expm1(a.data))
+    out = a.data.copy()
+    np.expm1(out, out=out, where=~pos)
 
     def bwd(g):
         return (g * np.where(pos, 1.0, out + 1.0),)

@@ -34,7 +34,6 @@ import numpy as np
 from . import encoders, meta, nn
 from . import tensor as T
 from .data import TASK_COLUMN, Sentence, Vocabs
-from .evaluation import score
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "metatagger-checkpoint"
@@ -395,49 +394,40 @@ def forward(model: TaggerModel, batch: list[Sentence], heads,
 
 
 def _predict(model: TaggerModel, sentences: list[Sentence],
-             head: str) -> list[list[str]]:
-    """Tag strings from one head, ``batch_size`` sentences at a time.
-    Callers run it outside any ``Graph``, so nothing is taped. Token-less
-    sentences get no tags."""
-    names = model.vocabs.tag_strings()
+             head: str) -> np.ndarray:
+    """Tag ids from one head for every token of ``sentences``, in order,
+    ``batch_size`` sentences at a time. Callers run it outside any
+    ``Graph``, so nothing is taped."""
     tagged = [s for s in sentences if s.tokens]
     size = model.config.batch_size
-    found = []
-    for start in range(0, len(tagged), size):
-        batch = tagged[start:start + size]
-        [logits] = forward(model, batch, (head,))
-        ids = np.split(nn.predict_tags(logits),
-                       np.cumsum(encoders.token_counts(batch))[:-1])
-        found += [[names[i] for i in row] for row in ids]
-    found = iter(found)
-    return [next(found) if s.tokens else [] for s in sentences]
+    ids = [nn.predict_tags(forward(model, tagged[start:start + size],
+                                   (head,))[0])
+           for start in range(0, len(tagged), size)]
+    return np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
 
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[list[str]]:
-    """Tag strings from the combiner head (the only head used at test time)."""
-    return _predict(model, sentences, "meta")
+    """Tag strings from the combiner head (the only head used at test
+    time), one list per sentence; token-less sentences get none."""
+    names = model.vocabs.tag_strings()
+    ids = iter(_predict(model, sentences, "meta").tolist())
+    return [[names[next(ids)] for _ in s.tokens] for s in sentences]
 
 
 def evaluate(model: TaggerModel, sentences: list[Sentence],
              head: str = "meta") -> float:
-    """Accuracy of one head ("char", "word" or "meta") on ``sentences``."""
-    return score(sentences, _predict(model, sentences, head),
-                 model.config.task).accuracy
+    """Accuracy of one head ("char", "word" or "meta") on ``sentences``:
+    the share of their tokens whose predicted tag id is the gold one
+    (``Sentence.tag_ids``, -1 for a tag training never saw)."""
+    predicted = _predict(model, sentences, head)
+    if not predicted.size:
+        return 0.0
+    gold = np.concatenate([s.tag_ids for s in sentences])
+    return int(np.count_nonzero(predicted == gold)) / gold.size
 
 
 # ---------------------------------------------------------------------------
 # the training loop
-
-def _gold_ids(vocabs: Vocabs, sentence: Sentence, task: str) -> list[int]:
-    ids = []
-    for tag in sentence.gold_tags(task):
-        i = vocabs.tag_id(tag)
-        if i is None:
-            raise ValueError(f"gold tag {tag!r} missing from the training "
-                             f"tag vocabulary")
-        ids.append(i)
-    return ids
-
 
 def _batches(order: np.ndarray, size: int):
     for start in range(0, len(order), size):
@@ -487,7 +477,6 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
     batch and after the last one, ``opt_char``'s last: the benchmark
     charges a batch's traced work to the view cleared last.
     """
-    task = model.config.task
     detach = model.config.optimization == "separate"
     optimizers = (opt_char, opt_word, opt_meta)
     batch_losses = []
@@ -495,8 +484,7 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
         for opt in reversed(optimizers):
             opt.zero_grad()
         batch = [sentences[si] for si in batch_idx]
-        golds = np.concatenate([_gold_ids(model.vocabs, s, task)
-                                for s in batch])
+        golds = np.concatenate([s.tag_ids for s in batch])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
                                   for s in batch])
         masks = _draw_masks(model, batch, rng)
@@ -774,6 +762,10 @@ def checkpoint_load(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         manifest = _read_manifest(path, fh.readline())
         config = config_from_dict(manifest["config"])
+        if manifest["vocabs"]["task"] != config.task:
+            raise ValueError(f"{path}: checkpoint vocabs task "
+                             f"{manifest['vocabs']['task']!r} is not the "
+                             f"config's {config.task!r}")
         entries = [(entry["name"], tuple(entry["shape"]))
                    for entry in manifest["arrays"]]
         _check_structure(path, config, dict(entries))

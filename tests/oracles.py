@@ -127,13 +127,11 @@ def synchronous_epoch(model: training.TaggerModel, optimizers,
     """One epoch of the synchronized loop with each of ``optimizers``
     stepped, in order, once the batch's whole backward has run; returns
     the char, word and meta heads' mean batch losses."""
-    task = model.config.task
     detach = model.config.optimization == "separate"
     batch_losses = []
     for start in range(0, len(order), batch_size):
         batch = [sentences[i] for i in order[start:start + batch_size]]
-        golds = np.concatenate([training._gold_ids(model.vocabs, s, task)
-                                for s in batch])
+        golds = np.concatenate([s.tag_ids for s in batch])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
                                   for s in batch])
         masks = training._draw_masks(model, batch, rng)

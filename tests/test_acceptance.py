@@ -72,7 +72,7 @@ def fixture_model():
 def joint_loss(model, sentences):
     losses = []
     for s in sentences:
-        golds = training._gold_ids(model.vocabs, s, model.config.task)
+        golds = s.tag_ids
         logits_c, logits_w, logits_m = training.forward(
             model, [s], ("char", "word", "meta"), detach=False)
         losses.append(T.add(T.add(nn.softmax_xent_rows(logits_c, golds),
@@ -152,7 +152,7 @@ def test_criterion_02_gradient_isolation():
         list(model.word_parameters())
 
     def meta_loss(detach):
-        golds = training._gold_ids(model.vocabs, tr[0], "xpos")
+        golds = tr[0].tag_ids
         [logits] = training.forward(model, [tr[0]], ("meta",),
                                     detach=detach)
         return nn.softmax_xent_rows(logits, golds)

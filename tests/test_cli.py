@@ -146,6 +146,70 @@ class TestExitCodes:
         assert cli.main(["train",
                          "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
 
+    def test_train_without_checkpoint_path_is_usage(self, corpus_dir,
+                                                    capsys):
+        assert cli.main(["train",
+                         "--train", str(corpus_dir / "train.conllu")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: a checkpoint path is required "
+            "(--checkpoint or checkpoint_file in the config)\n")
+
+    def test_set_without_equals_is_usage(self, capsys):
+        assert cli.main(["train", "--print-config",
+                         "--set", "max_epochs"]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: --set expects key=value, got 'max_epochs'\n"
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_corpus_without_sentences_is_data_error(
+            self, corpus_dir, tmp_path, capsys, empty):
+        comments = tmp_path / "comments.conllu"
+        comments.write_text("# sent_id = 1\n\n# sent_id = 2\n\n")
+        paths = {"train": corpus_dir / "train.conllu",
+                 "dev": corpus_dir / "dev.conllu", empty: comments}
+        code = cli.main(["train", "--train", str(paths["train"]),
+                         "--dev", str(paths["dev"]),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        corpus = "training" if empty == "train" else "dev"
+        assert capsys.readouterr().err == \
+            f"data error: {corpus} corpus has no non-empty sentences\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_a_split_that_empties_a_corpus_is_one_line(self, tmp_path,
+                                                         capsys):
+        """Without --dev, one of two sentences is held out; the other has
+        no tokens, so one corpus is empty whichever is held out."""
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text("1\tab\t_\t_\tX1\t_\t0\t_\t_\t_\n\n# none\n\n")
+        code = cli.main(["train", "--train", str(corpus),
+                         "--checkpoint", str(tmp_path / "m.ckpt")]
+                        + SMALL_OVERRIDES)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.endswith("corpus has no non-empty sentences\n")
+
+    @pytest.mark.parametrize("rate", ["1e200", "1e100"])
+    def test_training_driven_to_overflow_is_one_line(self, corpus_dir,
+                                                     tmp_path, rate):
+        """numpy's floating-point warnings would print before the error
+        line (pytest turns them into exceptions, so this runs the CLI in
+        a process of its own)."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "metatagger.cli", "train",
+             "--train", str(corpus_dir / "train.conllu"),
+             "--dev", str(corpus_dir / "dev.conllu"),
+             "--checkpoint", str(tmp_path / "m.ckpt"), *SMALL_OVERRIDES,
+             "--set", f"learning_rate={rate}"],
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numeric error: ")
+
     def test_bad_axis_is_usage(self, corpus_dir):
         assert cli.main(["ablate", "--axis", "sideways",
                          "--train", str(corpus_dir / "train.conllu")]) == 1
@@ -236,6 +300,10 @@ class TestExitCodes:
              "'char_bilstm_size'"),
             ("optimizer-unimplemented",
              lambda m: m["config"].update(optimizer="sgd"), "'optimizer'"),
+            ("vocabs-task-bogus",
+             lambda m: m["vocabs"].update(task="bogus"), "vocabs task"),
+            ("vocabs-task-other-than-config",
+             lambda m: m["vocabs"].update(task="upos"), "vocabs task"),
             ("version-bool", lambda m: m.update(version=True), "version"),
             ("version-multiline",
              lambda m: m.update(version="1\n2"), "version"),
@@ -880,6 +948,32 @@ class TestGridAndAblate:
     def test_bad_sizes_is_usage(self, corpus_dir):
         assert cli.main(["grid", "--train", str(corpus_dir / "train.conllu"),
                          "--sizes", "pocket"]) == 1
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("4:x:1", "--sizes expects integers, got '4:x:1'"),
+        ("8:4:1", "--sizes range is empty or invalid: '8:4:1'")])
+    def test_sizes_that_are_no_range_are_usage(self, corpus_dir, capsys,
+                                               sizes, message):
+        assert cli.main(["grid", "--train", str(corpus_dir / "train.conllu"),
+                         "--sizes", sizes]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["grid", "--sizes", "8:8:8"],
+        ["ablate", "--axis", "components", "--seeds", "1"]])
+    def test_without_out_the_csv_goes_to_stdout(self, corpus_dir, tmp_path,
+                                                capsys, command):
+        argv = [*command, "--train", str(corpus_dir / "train.conllu"),
+                "--dev", str(corpus_dir / "dev.conllu"),
+                "--set", "max_epochs=1"] + SMALL_OVERRIDES[2:]
+        out = tmp_path / "o.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        written = capsys.readouterr().out.splitlines(keepends=True)
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        # ablate prints its table first, with --out or without
+        table = "".join(written[:-1])
+        assert printed == table + out.read_text()
 
     def test_ablate_components_csv(self, corpus_dir, tmp_path, monkeypatch):
         trained = []

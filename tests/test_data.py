@@ -27,7 +27,7 @@ class TestParse:
 
     def test_feats_canonicalized_at_parse(self):
         sents = data.parse_conllu(load("tiny.conllu"))
-        assert sents[1].tokens[0].gold_feats == "Case=Nom|Number=Sing"
+        assert sents[1].gold_tags("feats")[0] == "Case=Nom|Number=Sing"
 
     def test_range_and_empty_node_lines_skipped(self):
         sents = data.parse_conllu(load("ranges.conllu"))
@@ -80,7 +80,7 @@ class TestParse:
             data.parse_conllu(text, "feats")
         for task in ("upos", "xpos"):
             [s] = data.parse_conllu(text, task)
-            assert [t.gold_feats for t in s.tokens] == \
+            assert s.gold_tags("feats") == \
                 ["Number=Sing|Case=Nom", "Mood"]
             assert s.gold_tags(task) == (["NOUN", "VERB"] if task == "upos"
                                          else ["NN", "VBZ"])
@@ -178,7 +178,22 @@ class TestVocabs:
         vf = data.build_vocabs(sents, task="feats")
         assert set(vx.tags) == {"NN", "VBZ", "PRP", "VBD", "NNS"}
         assert "Number=Sing" in vf.tags
-        assert vf.tag_id("NoSuch=Tag") is None
+        unseen = data.parse_conllu(
+            "1\tDog\tdog\tNOUN\tNN\tNoSuch=Tag\t0\t_\t_\t_\n")
+        data.assign_ids(unseen, vf)
+        assert unseen[0].tag_ids.tolist() == [-1]
+
+    @pytest.mark.parametrize("task", ["upos", "xpos", "feats"])
+    def test_assign_ids_numbers_the_gold_tags_of_the_vocabs_task(self, task):
+        sents = data.parse_conllu(load("tiny.conllu"), task)
+        v = data.build_vocabs(sents[:1], task=task)
+        data.assign_ids(sents, v)
+        for s in sents:
+            assert s.tag_ids.dtype == np.intp
+            assert s.tag_ids.tolist() == [v.tags.get(tag, -1)
+                                          for tag in s.gold_tags(task)]
+        assert sents[0].tag_ids.tolist() == [0, 1]
+        assert -1 in sents[1].tag_ids.tolist()
 
     def test_tag_strings_inverse(self):
         v = data.build_vocabs(corpus_of("a b"))

@@ -115,7 +115,7 @@ class TestCharSentence:
     def test_grad_check(self):
         sents, vocabs = make_world(["ab c"])
         cs, _, _ = small_encoders(vocabs, seed=11)
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
 
         def f():
             _, _, logits = encoders.encode_chars_sentence(cs, [sents[0]])
@@ -164,7 +164,7 @@ class TestCharToken:
     def test_grad_check(self):
         sents, vocabs = make_world(["ab c"])
         _, ct, _ = small_encoders(vocabs, seed=13)
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
 
         def f():
             _, logits = encoders.encode_chars_token(ct, [sents[0]])
@@ -196,7 +196,7 @@ class TestWordEncoder:
         pre = rng.normal(size=(vocabs.n_words, 4))
         wd = encoders.word_encoder(small_config(word_bilstm_layers=1),
                                    vocabs.n_words, vocabs.n_tags, rng, pre)
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
         with T.Graph() as g:
             _, _, logits = encoders.encode_words(wd, [sents[0]])
             loss = nn.softmax_xent_rows(logits, golds)
@@ -232,7 +232,7 @@ class TestWordEncoder:
         config = small_config(word_bilstm_size=4, mlp_size=5)
         wd = encoders.word_encoder(config, vocabs.n_words, vocabs.n_tags, rng,
                                    pre)
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
 
         def f():
             _, _, logits = encoders.encode_words(wd, [sents[0]])
@@ -254,7 +254,7 @@ def build_triple(vocabs, seed=21):
 
 class TestMeta:
     def run_meta_loss(self, sents, vocabs, cs, wd, mp, detach):
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
         for _, p in (cs.parameters() + wd.parameters()
                      + mp.parameters("meta")):
             p.grad = None
@@ -314,7 +314,7 @@ class TestMeta:
     def test_meta_grad_check(self):
         sents, vocabs = make_world(["ab c"])
         cs, wd, mp = build_triple(vocabs, seed=33)
-        golds = [vocabs.tag_id(t) for t in sents[0].gold_tags("xpos")]
+        golds = sents[0].tag_ids
 
         def f():
             _, m_c, _ = encoders.encode_chars_sentence(cs, [sents[0]])
@@ -399,7 +399,7 @@ class TestBatches:
     def test_batch_gradients_equal_summed_singletons(self):
         sents, vocabs = make_world(self.texts)
         cs = self.dropout_triple(vocabs)[0]
-        golds = [vocabs.tag_id(t) for s in sents for t in s.gold_tags("xpos")]
+        golds = np.concatenate([s.tag_ids for s in sents])
 
         def grads(batches):
             oracles.zero_grads(cs.parameters())

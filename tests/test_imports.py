@@ -1,12 +1,18 @@
-"""No module under src/, scripts/ or tests/ imports a name it never uses.
+"""No module under src/, scripts/ or tests/ imports a name it never uses,
+and nothing defined under src/ goes unused.
 
-The scan reads each file's syntax tree with the standard library alone: a
-name bound by an import statement must appear as a name somewhere else in
-the file. ``__future__`` imports are exempt. perfbench/ is left out; it
-belongs to the benchmark.
+Both scans read syntax trees with the standard library alone. A name bound
+by an import statement must appear as a name somewhere else in its file;
+``__future__`` imports are exempt, and perfbench/ is left out, since it
+belongs to the benchmark. A function, method or class defined under src/
+must be referenced, outside its own definition, somewhere in src/,
+scripts/ or perfbench/: as a name, as an attribute, or as a part of a
+dotted string constant such as perfbench's ``"training.Adam.step"``.
+Dunder names are exempt; tests do not count as a use.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +53,90 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path.read_text("utf-8"))]
     assert found == []
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring constants in ``tree``."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def orphaned_names(sources: dict[str, str],
+                   defining) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each function, method or class defined in a
+    file of ``defining`` whose name no file of ``sources`` (file name to
+    text) references outside that definition."""
+    definitions, references = [], []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                definitions.append((path, node))
+            elif isinstance(node, ast.Name):
+                references.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                references.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and id(node) not in docstrings \
+                    and re.fullmatch(r"[\w.]+", node.value):
+                references += [(path, node.lineno, part)
+                               for part in node.value.split(".")]
+
+    def used(path, node) -> bool:
+        return any(name == node.name and not (
+            where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, name in references)
+
+    return sorted((path, node.lineno, node.name)
+                  for path, node in definitions
+                  if path in defining
+                  and not re.fullmatch(r"__\w+__", node.name)
+                  and not used(path, node))
+
+
+def test_the_orphan_scan_finds_each_unused_definition():
+    library = '''
+class Used:
+    def __len__(self):
+        return 0
+
+    def by_attribute(self):
+        return self.by_attribute()
+
+    def by_string(self):
+        """by_string: a docstring is no use"""
+
+
+def recursive(n):
+    return recursive(n - 1)
+
+
+def called():
+    """recursive"""
+
+
+class Orphan:
+    pass
+'''
+    user = ("import lib\n"
+            "lib.called()\n"
+            "x: lib.Used\n"
+            "y = lib.Used().by_attribute\n"
+            "PATCHES = {'lib.Used.by_string': 1}\n")
+    assert orphaned_names({"lib.py": library, "user.py": user},
+                          ("lib.py",)) == [("lib.py", 13, "recursive"),
+                                           ("lib.py", 21, "Orphan")]
+
+
+def test_nothing_under_src_is_orphaned():
+    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8")
+               for folder in ("src", "scripts", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    defining = [path for path in sources if path.startswith("src")]
+    assert orphaned_names(sources, defining) == []

@@ -746,6 +746,20 @@ def test_two_directions_match_the_composed_layer_bitwise(
         assert np.array_equal(a, b_) and np.array_equal(a, c)
 
 
+def test_the_worker_runs_under_the_callers_error_policy():
+    """numpy keeps its error policy per thread: the reverse direction, run
+    on the worker, must raise where the calling thread would."""
+    def overflow():
+        return np.exp(np.array([1000.0]))
+
+    with np.errstate(all="raise", under="ignore"):
+        policies = nn._run_calls(True, [(np.geterr,), (np.geterr,)])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            nn._run_calls(True, [(np.geterr,), (overflow,)])
+    assert policies[1] == policies[0] == dict(
+        divide="raise", over="raise", under="ignore", invalid="raise")
+
+
 class TestTwoDirections:
     @pytest.fixture
     def worker_path(self, monkeypatch):

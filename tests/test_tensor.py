@@ -373,3 +373,17 @@ def test_backward_is_deterministic(seed):
         return w.grad.copy()
 
     assert np.array_equal(run(), run())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1000, 1000), min_size=1, max_size=20))
+def test_elu_is_the_two_branch_formula_without_overflow(xs):
+    """``expm1`` runs only on the negative branch: a large input raises
+    nothing under a raising error policy, and every value is bitwise
+    ``np.where(x > 0, x, expm1(x))``."""
+    x = np.array(xs)
+    with np.errstate(all="raise", under="ignore"):
+        y = T.elu(T.Tensor(x)).data
+    with np.errstate(over="ignore"):
+        want = np.where(x > 0, x, np.expm1(x))
+    assert np.array_equal(y.view(np.int64), want.view(np.int64))

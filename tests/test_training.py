@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from metatagger import data, encoders, meta, nn, training
+from metatagger import data, encoders, evaluation, meta, nn, training
 from metatagger import tensor as T
 
 
@@ -279,8 +279,7 @@ class TestScheduleLocality:
         views = {"char": model.char_parameters(),
                  "word": model.word_parameters(),
                  "meta": model.meta_parameters()}
-        golds = np.concatenate([training._gold_ids(model.vocabs, s, "xpos")
-                                for s in tr])
+        golds = np.concatenate([s.tag_ids for s in tr])
         weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(tr)))
                                   for s in tr])
         masks = training._draw_masks(model, tr, np.random.default_rng(5))
@@ -676,7 +675,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(3)
         per_sentence = []
         for s in tr:
-            golds = training._gold_ids(model.vocabs, s, "xpos")
+            golds = s.tag_ids
             masks = training._draw_masks(model, [s], rng)
             per_sentence.append([
                 nn.softmax_xent_rows(logits, golds).item()
@@ -699,8 +698,7 @@ class TestForward:
         sents = mini_corpus(4)
         model, tr, _ = training.prepare(
             small_config(char_encoder=char_encoder), sents, sents)
-        golds = np.concatenate([training._gold_ids(model.vocabs, s, "xpos")
-                                for s in tr])
+        golds = np.concatenate([s.tag_ids for s in tr])
         masks = training._draw_masks(model, tr, np.random.default_rng(0))
         oracles.zero_grads(model.all_parameters())
         with T.Graph() as g:
@@ -925,3 +923,70 @@ class TestHeads:
         for head in ("char", "word", "meta"):
             acc = training.evaluate(model, dv, head=head)
             assert 0.0 <= acc <= 1.0
+
+
+def three_column_text(n_sentences, seed, unseen=False):
+    """CoNLL-U whose UPOS, XPOS and FEATS each follow the first letter of
+    the form, FEATS pairs written in a random order. With ``unseen`` each
+    sentence ends in a token whose three tags only such tokens hold."""
+    rng = np.random.default_rng(seed)
+    columns = {"x": ("NOUN", "TX", ["Case=Nom", "Number=Sing"]),
+               "y": ("VERB", "TY", ["Mood=Ind", "Tense=Past"])}
+    blocks = []
+    for _ in range(n_sentences):
+        rows = []
+        for _ in range(int(rng.integers(2, 5))):
+            first = "xy"[int(rng.integers(2))]
+            upos, xpos, feats = columns[first]
+            rows.append((first + "".join(rng.choice(list("abc"), size=2)),
+                         upos, xpos, "|".join(rng.permutation(feats))))
+        if unseen:
+            rows.append(("zz", "INTJ", "TZ", "Polite=Form"))
+        blocks.append("\n".join(
+            f"{i + 1}\t{form}\t_\t{upos}\t{xpos}\t{feats}\t0\t_\t_\t_"
+            for i, (form, upos, xpos, feats) in enumerate(rows)))
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestEvaluate:
+    """``evaluate`` counts tag ids; ``evaluation.score``, which compares
+    tag strings, is its reference."""
+
+    @staticmethod
+    def head_tags(model, sentences, head):
+        """One head's tag strings, one list per sentence, from its logits
+        over batches of ``batch_size`` sentences, as ``evaluate`` takes
+        them."""
+        names = model.vocabs.tag_strings()
+        tagged = [s for s in sentences if s.tokens]
+        size = model.config.batch_size
+        ids = []
+        for start in range(0, len(tagged), size):
+            [logits] = training.forward(model, tagged[start:start + size],
+                                        (head,))
+            ids += nn.predict_tags(logits).tolist()
+        ids = iter(ids)
+        return [[names[next(ids)] for _ in s.tokens] for s in sentences]
+
+    @pytest.mark.parametrize("task", ["upos", "xpos", "feats"])
+    def test_each_heads_accuracy_is_the_scorers(self, task):
+        train = data.parse_conllu(three_column_text(8, seed=1), task)
+        dev = data.parse_conllu(three_column_text(5, seed=2, unseen=True),
+                                task)
+        model, train, dev = training.prepare(small_config(task=task),
+                                             train, dev)
+        training.train_model(model, train, dev)
+        [empty] = data.parse_conllu("# no tokens\n")
+        data.assign_ids([empty], model.vocabs)
+        dev.insert(1, empty)
+        assert all(s.tag_ids[-1] == -1 and -1 not in s.tag_ids[:-1]
+                   for s in dev if s.tokens)
+        for head in ("char", "word", "meta"):
+            want = evaluation.score(dev, self.head_tags(model, dev, head),
+                                    task).accuracy
+            assert 0.0 < want < 1.0
+            assert training.evaluate(model, dev, head) == want
+        assert training.tag_corpus(model, dev) == \
+            self.head_tags(model, dev, "meta")
+        assert training.evaluate(model, [empty]) == 0.0 == \
+            evaluation.score([empty], [[]], task).accuracy
