@@ -16,7 +16,9 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
   corpus with each checkpoint;
 * `eval --csv` of the first tagged file against the dev corpus;
 * `grid --sizes 8:16:8`, four cells at the same settings;
-* `ablate --axis components` and `ablate --axis context`, 2 seeds each;
+* `ablate` on each axis (`components`, `context`, `gather` and
+  `optimization`), 2 seeds each: only `gather` runs the non-default
+  gather strategies end to end;
 * `train --task upos` and `train --task feats` on
   tests/fixtures/tiny.conllu as both training and dev corpus, at the same
   settings, then `tag` of that file with each checkpoint: the synthetic
@@ -27,7 +29,7 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 23 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 25 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -51,7 +53,7 @@ SETTINGS = [f"--set={kv}" for kv in (
     "mlp_init=scaled", "char_emb_init=scaled")]
 RUNS = [f"{encoder}-{schedule}" for encoder in ("sentence", "token")
         for schedule in ("separate", "joint")]
-AXES = ("components", "context")
+AXES = ("components", "context", "gather", "optimization")
 COLUMN_TASKS = ("upos", "feats")  # trained on the fixture below
 FIXTURES = ROOT / "tests" / "fixtures"
 OUTPUTS = [f"{run}.{ext}" for run in RUNS + list(COLUMN_TASKS)

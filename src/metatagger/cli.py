@@ -126,22 +126,24 @@ def effective_config(ns) -> tuple[training.TrainConfig, dict[str, str]]:
 
 def _prepare(config, paths):
     """``training.prepare`` of the command's corpora and vectors file: the
-    one read and check of every input a run trains from."""
+    one read and check of every input a run trains from. Returns its
+    model and corpora, then a notice for stderr, empty when a dev file is
+    given, which a command writes once it has succeeded, so that a run
+    that fails prints its one error line alone."""
     if "train_file" not in paths:
         raise CliUsageError("a training corpus is required "
                             "(--train or train_file in the config)")
     train_sents = _parse_corpus(paths["train_file"], config.task)
+    notice = ""
     if "dev_file" in paths:
         dev_sents = _parse_corpus(paths["dev_file"], config.task)
     else:
         train_sents, dev_sents = data.dev_split(train_sents, seed=config.seed)
-    prepared = training.prepare(config, train_sents, dev_sents,
-                                pretrained_path=paths.get("pretrained_file"))
-    if "dev_file" not in paths:  # after the checks: a failure is one line
-        print(f"no dev file given: holding out {len(dev_sents)} "
-              f"of {len(dev_sents) + len(train_sents)} sentences",
-              file=sys.stderr)
-    return prepared
+        notice = (f"no dev file given: holding out {len(dev_sents)} "
+                  f"of {len(dev_sents) + len(train_sents)} sentences\n")
+    return (*training.prepare(config, train_sents, dev_sents,
+                              pretrained_path=paths.get("pretrained_file")),
+            notice)
 
 
 def _check_outputs(paths: dict[str, str | None], outputs) -> None:
@@ -183,7 +185,7 @@ def cmd_train(ns) -> int:
                             "(--checkpoint or checkpoint_file in the config)")
     _check_outputs(dict(paths, config=ns.config),
                    ("checkpoint_file", "log_file"))
-    model, train_sents, dev_sents = _prepare(config, paths)
+    model, train_sents, dev_sents, notice = _prepare(config, paths)
     epochs = -1  # epoch 0 is the initialized model
     with (open(paths["log_file"], "w", encoding="utf-8")
           if "log_file" in paths else contextlib.nullcontext()) as log:
@@ -202,6 +204,7 @@ def cmd_train(ns) -> int:
         seconds = time.perf_counter() - t0
     print(f"best epoch={ckpt.best_epoch} dev_acc={ckpt.best_score:.6f}")
     print(f"checkpoint written to {paths['checkpoint_file']}")
+    sys.stderr.write(notice)
     print(f"train: {epochs} epochs in {seconds:.3f} s, "
           f"peak RSS {_peak_rss_mb():.0f} MB", file=sys.stderr)
     return 0
@@ -271,7 +274,7 @@ def cmd_grid(ns) -> int:
     sizes = _parse_sizes(ns.sizes)
     config, paths = effective_config(ns)
     _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
-    model, train_sents, dev_sents = _prepare(config, paths)
+    model, train_sents, dev_sents, notice = _prepare(config, paths)
     vocabs, vectors = model.vocabs, model.word.pretrained.data
     del model  # each cell builds its own
     lines = ["char_size,word_size,dev_accuracy"]
@@ -293,6 +296,7 @@ def cmd_grid(ns) -> int:
         print(f"grid written to {ns.out} ({(len(lines) - 1)} cells)")
     else:
         sys.stdout.write(csv)
+    sys.stderr.write(notice)
     return 0
 
 
@@ -301,7 +305,7 @@ def cmd_ablate(ns) -> int:
         raise CliUsageError("--seeds must be at least 1")
     config, paths = effective_config(ns)
     _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
-    model, train_sents, dev_sents = _prepare(config, paths)
+    model, train_sents, dev_sents, notice = _prepare(config, paths)
     vocabs, vectors = model.vocabs, model.word.pretrained.data
     del model  # each variant builds its own
     variants = ABLATIONS[ns.axis]
@@ -325,6 +329,7 @@ def cmd_ablate(ns) -> int:
         print(f"rows written to {ns.out}")
     else:
         sys.stdout.write(csv)
+    sys.stderr.write(notice)
     return 0
 
 

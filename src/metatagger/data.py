@@ -31,8 +31,6 @@ class Token:
     """One word line: its ten columns, FEATS canonicalized (see
     ``morph_bundle_tag``) unless parsed for the upos or xpos task."""
     columns: list[str]
-    char_span: tuple[int, int]  # inclusive (first, last) into the char stream
-    word_id: int | None = None
 
     @property
     def form(self) -> str:
@@ -43,9 +41,11 @@ class Token:
 class Sentence:
     tokens: list[Token]
     chars: str  # forms joined by single spaces
+    spans: np.ndarray  # (tokens, 2): inclusive first, last of each form
     raw_lines: list[str]  # full block, comments and range lines included
     token_line_idx: list[int]  # position of each token's line in raw_lines
     char_ids: np.ndarray | None = None
+    word_ids: np.ndarray | None = None
     tag_ids: np.ndarray | None = None  # gold tag ids, -1 for an unknown tag
 
     def __len__(self) -> int:
@@ -124,10 +124,9 @@ def parse_conllu(text: str, task: str | None = None) -> list[Sentence]:
             chars, spans = char_stream_build(forms)
         else:
             chars, spans = "", []
-        tokens = [Token(columns=cols, char_span=span)
-                  for cols, span in zip(token_cols, spans)]
-        sentences.append(Sentence(tokens=tokens, chars=chars,
-                                  raw_lines=block,
+        spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
+        sentences.append(Sentence(tokens=[Token(cols) for cols in token_cols],
+                                  chars=chars, spans=spans, raw_lines=block,
                                   token_line_idx=token_line_idx))
         block, token_cols, token_line_idx = [], [], []
 
@@ -255,17 +254,17 @@ def build_vocabs(train_sentences: list[Sentence], task: str = "xpos",
 
 
 def assign_ids(sentences: list[Sentence], vocabs: Vocabs) -> None:
-    """Attach word ids, char-stream ids and the gold tag ids of
-    ``vocabs.task`` in place. A tag the vocabulary lacks gets -1, which no
-    prediction equals."""
+    """Attach the char-stream ids, word ids and gold tag ids of
+    ``vocabs.task`` in place, one array each. A tag the vocabulary lacks
+    gets -1, which no prediction equals."""
     for s in sentences:
         s.char_ids = np.array([vocabs.char_id(c) for c in s.chars],
+                              dtype=np.intp)
+        s.word_ids = np.array([vocabs.word_id(f) for f in s.forms()],
                               dtype=np.intp)
         s.tag_ids = np.array([vocabs.tags.get(tag, -1)
                               for tag in s.gold_tags(vocabs.task)],
                              dtype=np.intp)
-        for t in s.tokens:
-            t.word_id = vocabs.word_id(t.form)
 
 
 # ---------------------------------------------------------------------------

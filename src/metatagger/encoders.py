@@ -11,11 +11,13 @@
   zero-initialized table summed with a frozen pretrained table)
 
 Each encoder owns an output head so it can be trained against its own
-cross-entropy loss. Sentence inputs must have vocabulary ids attached
-(data.assign_ids) before encoding.
+cross-entropy loss.
 
 Encoders take a batch, a list of sentences, and return one row per token,
-sentences in batch order. Dropout comes from ``masks``, drawn by
+sentences in batch order. They read each sentence's arrays and walk no
+tokens: the token spans that parsing sets (``Sentence.spans``) and the
+char and word id arrays that ``data.assign_ids`` attaches, which one
+check of the batch requires. Dropout comes from ``masks``, drawn by
 ``nn.draw_masks`` over the encoder's ``dropout_sites``; without masks the
 encoder runs as at evaluation.
 """
@@ -83,14 +85,15 @@ def token_counts(batch: list[Sentence]) -> list[int]:
     return [len(s.tokens) for s in batch]
 
 
-def _check_char_batch(batch: list[Sentence], op: str) -> None:
-    """Check a batch for the character encoders."""
+def _check_batch(batch: list[Sentence], op: str) -> None:
+    """Check a batch for any encoder: each sentence has tokens and the
+    id arrays of ``data.assign_ids``."""
     for s in batch:
         if len(s.tokens) == 0:
             raise T.ShapeError(f"{op}: sentence has no tokens")
-        if s.char_ids is None:
+        if s.char_ids is None or s.word_ids is None or s.tag_ids is None:
             raise ValueError(
-                "sentence has no char ids; run data.assign_ids first")
+                "sentence has no vocabulary ids; run data.assign_ids first")
 
 
 def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
@@ -98,19 +101,12 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
                           ) -> tuple[Tensor, Tensor, Tensor]:
     """Per-token (gathered rep, MLP output, logits) for a batch: one
     packed BiLSTM run over the sentences' character streams."""
-    _check_char_batch(batch, "encode_chars_sentence")
+    _check_batch(batch, "encode_chars_sentence")
     masks = masks or {}
     stream_lens = [len(s.char_ids) for s in batch]
-    firsts, lasts = [], []
-    offset = 0
-    for s, n_stream in zip(batch, stream_lens):
-        for pos in (s.tokens[0].char_span[0], s.tokens[-1].char_span[1]):
-            if not 0 <= pos < n_stream:
-                raise T.ShapeError(
-                    f"token span position {pos} outside stream of {n_stream}")
-        firsts += [offset + t.char_span[0] for t in s.tokens]
-        lasts += [offset + t.char_span[1] for t in s.tokens]
-        offset += n_stream
+    starts = np.cumsum([0] + stream_lens[:-1])
+    spans = np.concatenate([s.spans + start
+                            for s, start in zip(batch, starts)])
     emb = T.take_rows(p.char_table,
                       np.concatenate([s.char_ids for s in batch]))
     emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
@@ -118,13 +114,13 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
                               masks=masks)
     # As (2 * chars, hidden), row 2i is the forward state at character i
     # and row 2i + 1 the backward one: one gather picks every part.
-    firsts, lasts = 2 * np.array(firsts), 2 * np.array(lasts)
+    firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]
     source = {"F_1st": firsts, "F_last": lasts,
               "B_1st": firsts + 1, "B_last": lasts + 1}
     ids = np.stack([source[name] for name in p.gather], axis=1).reshape(-1)
     hidden = p.view.stack.hidden_size
-    g = T.reshape(T.take_rows(T.reshape(out, (2 * offset, hidden)), ids),
-                  (len(firsts), len(p.gather) * hidden))
+    g = T.reshape(T.take_rows(T.reshape(out, (2 * out.shape[0], hidden)), ids),
+                  (len(spans), len(p.gather) * hidden))
     return (g,) + nn.view_head(p.view, g, token_counts(batch), masks)
 
 
@@ -169,11 +165,13 @@ def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
                        masks: dict | None = None) -> tuple[Tensor, Tensor]:
     """Per-token (rep, logits); the rep of a token depends only on its form.
     One packed LSTM run over every token's characters."""
-    _check_char_batch(batch, "encode_chars_token")
+    _check_batch(batch, "encode_chars_token")
     masks = masks or {}
-    spans = [(s, t.char_span) for s in batch for t in s.tokens]
-    lens = [b - a + 1 for _, (a, b) in spans]
-    ids = np.concatenate([s.char_ids[a:b + 1] for s, (a, b) in spans])
+    spans = np.concatenate([s.spans for s in batch])
+    lens = spans[:, 1] - spans[:, 0] + 1
+    # each stream without the spaces that separate its tokens
+    ids = np.concatenate([np.delete(s.char_ids, s.spans[:-1, 1] + 1)
+                          for s in batch])
     emb = nn.apply_mask(T.take_rows(p.char_table, ids),
                         masks.get("emb"), lens)
     states = nn.lstm_run(p.lstm, emb, masks.get("state"), lengths=lens)
@@ -222,12 +220,9 @@ def encode_words(p: WordEncoderParams, batch: list[Sentence],
                  masks: dict | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Per-token (BiLSTM output, MLP output, logits) for a batch: one packed
     BiLSTM run over the sentences' word sequences."""
-    if any(len(s.tokens) == 0 for s in batch):
-        raise T.ShapeError("encode_words: sentence has no tokens")
+    _check_batch(batch, "encode_words")
     masks = masks or {}
-    ids = [t.word_id for s in batch for t in s.tokens]
-    if any(i is None for i in ids):
-        raise ValueError("sentence has no word ids; run data.assign_ids first")
+    ids = np.concatenate([s.word_ids for s in batch])
     lens = token_counts(batch)
     emb = T.add(T.take_rows(p.learned, ids), T.take_rows(p.pretrained, ids))
     emb = nn.apply_mask(emb, masks.get("emb"), lens)

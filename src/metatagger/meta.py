@@ -21,10 +21,6 @@ def combine(p: nn.ViewParams, m_chars: Tensor, m_word: Tensor, lengths,
     the encoder outputs stack, split by ``lengths``, the sentences' token
     counts. Dropout comes from ``masks`` (see
     ``nn.ViewParams.dropout_sites``)."""
-    if m_chars.shape[0] != m_word.shape[0]:
-        raise T.ShapeError(
-            f"combine: {m_chars.shape[0]} char outputs vs "
-            f"{m_word.shape[0]} word outputs")
     masks = masks or {}
     cw = T.concat([m_chars, m_word], axis=1)
     o = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)

@@ -520,11 +520,8 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
     direction per layer. ``lstm_run`` applies both, so a layer records
     one tape node and no masked copy of its input.
     """
-    if xs.shape[0] == 0:
-        raise T.ShapeError("bilstm_stack_run: empty sequence")
     if stack.depth == 0:
         raise T.ShapeError("bilstm_stack_run: stack has no layers")
-    lengths = _check_lengths(lengths, xs.shape[0], "bilstm_stack_run")
     masks = masks or {}
     h = xs
     for j, (p_fwd, p_bwd) in enumerate(stack.layers):

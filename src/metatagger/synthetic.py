@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import TASK_COLUMN, Sentence, parse_conllu
+from .data import TASK_COLUMN, Sentence, parse_conllu, sentence_block
 
 STEM_LETTERS = "bdfglmnprs"
 SUFFIXES = ("ka", "tu")
@@ -125,12 +125,10 @@ def corrupt_tags(sentences: list[Sentence], rate: float, seed: int) -> None:
     rng = np.random.default_rng(seed)
     col = TASK_COLUMN["xpos"]
     for sent in sentences:
-        for tok, line_idx in zip(sent.tokens, sent.token_line_idx):
+        for tok in sent.tokens:
             if rng.random() < rate and tok.columns[col] in TAG_FLIPS:
                 tok.columns[col] = TAG_FLIPS[tok.columns[col]]
-                cols = sent.raw_lines[line_idx].split("\t")
-                cols[col] = tok.columns[col]
-                sent.raw_lines[line_idx] = "\t".join(cols)
+        sent.raw_lines = sentence_block(sent, sent.gold_tags("xpos"), "xpos")
 
 
 def complementary_corpora(seed: int, n_train: int = 60, n_dev: int = 30,

@@ -12,8 +12,8 @@ exactly as one over all of them would. Either way the meta model reads
 the encoders as they stood before the batch's update. Dev accuracy of
 the meta predictions drives model selection; the best epoch lives in
 its checkpoint file alone. ``forward`` is the one forward of all three
-heads, for training, evaluation and tagging alike: it decides which
-encoders run and where the meta head's gradient stops.
+heads, for training, evaluation and tagging alike: it computes every
+head each time and decides where the meta head's gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.
@@ -354,55 +354,49 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
 _HEADS = ("char", "word", "meta")
 
 
-def forward(model: TaggerModel, batch: list[Sentence], heads,
-            masks: dict | None = None, detach: bool = True) -> list[Tensor]:
-    """Logits of each head in ``heads``, a subset of ("char", "word",
-    "meta") in that order, one row per token of the batch. ``masks`` maps
-    "char", "word" and "meta" to each model's dropout masks (see
-    ``_draw_masks``).
+def forward(model: TaggerModel, batch: list[Sentence],
+            masks: dict | None = None, detach: bool = True
+            ) -> tuple[Tensor, Tensor, Tensor]:
+    """Logits of the char, word and meta heads, in that order, one row per
+    token of the batch. ``masks`` maps "char", "word" and "meta" to each
+    model's dropout masks (see ``_draw_masks``); without them every model
+    runs as at evaluation.
 
-    An encoder runs only when a requested head needs it; the meta head
-    needs both, whose per-token outputs the combiner reads. With
-    ``detach`` (separate optimization) each encoder's output is detached
-    before the combiner, so the meta head's loss cannot move encoder
-    weights. Without it (joint optimization) the meta head's gradient
-    reaches the encoders.
+    Every head is computed: the meta head reads both encoders' per-token
+    outputs. With ``detach`` (separate optimization) each encoder's output
+    is detached before the combiner, so the meta head's loss cannot move
+    encoder weights. Without it (joint optimization) the meta head's
+    gradient reaches the encoders.
     """
     masks = masks or {}
-    reps, logits = {}, {}
     # Word before character: the backward sweep then frees the character
     # tape, the largest, before any word gradient is allocated.
-    for view in ("word", "char"):
-        if view not in heads and "meta" not in heads:
-            continue
-        if view == "word":
-            _, rep, out = encoders.encode_words(model.word, batch,
-                                                masks.get("word"))
-        elif model.char_sent is not None:
-            _, rep, out = encoders.encode_chars_sentence(
-                model.char_sent, batch, masks.get("char"))
-        else:
-            rep, out = encoders.encode_chars_token(
-                model.char_token, batch, masks.get("char"))
-        reps[view] = rep.detach() if detach else rep
-        logits[view] = out
-    if "meta" in heads:
-        _, logits["meta"] = meta.combine(
-            model.combiner, reps["char"], reps["word"],
-            encoders.token_counts(batch), masks.get("meta"))
-    return [logits[h] for h in heads]
+    _, word_rep, word_logits = encoders.encode_words(model.word, batch,
+                                                     masks.get("word"))
+    if model.char_sent is not None:
+        _, char_rep, char_logits = encoders.encode_chars_sentence(
+            model.char_sent, batch, masks.get("char"))
+    else:
+        char_rep, char_logits = encoders.encode_chars_token(
+            model.char_token, batch, masks.get("char"))
+    if detach:
+        char_rep, word_rep = char_rep.detach(), word_rep.detach()
+    _, meta_logits = meta.combine(model.combiner, char_rep, word_rep,
+                                  encoders.token_counts(batch),
+                                  masks.get("meta"))
+    return char_logits, word_logits, meta_logits
 
 
 def _predict(model: TaggerModel, sentences: list[Sentence],
              head: str) -> np.ndarray:
-    """Tag ids from one head for every token of ``sentences``, in order,
-    ``batch_size`` sentences at a time. Callers run it outside any
-    ``Graph``, so nothing is taped."""
+    """Tag ids from one head ("char", "word" or "meta") for every token of
+    ``sentences``, in order, ``batch_size`` sentences at a time. Callers
+    run it outside any ``Graph``, so nothing is taped."""
     tagged = [s for s in sentences if s.tokens]
     size = model.config.batch_size
-    ids = [nn.predict_tags(forward(model, tagged[start:start + size],
-                                   (head,))[0])
-           for start in range(0, len(tagged), size)]
+    index = _HEADS.index(head)
+    ids = [nn.predict_tags(forward(model, tagged[i:i + size])[index])
+           for i in range(0, len(tagged), size)]
     return np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
 
 
@@ -490,8 +484,7 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
         masks = _draw_masks(model, batch, rng)
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds, weights)
-                      for logits in forward(model, batch, _HEADS, masks,
-                                            detach)]
+                      for logits in forward(model, batch, masks, detach)]
             total = T.add(T.add(losses[0], losses[1]), losses[2])
         for opt in optimizers:
             g.when_final([p for _, p in opt.params], opt.step)
@@ -654,14 +647,21 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
     }
     header = json.dumps(manifest, ensure_ascii=False,
                         separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(b"\n")
-        for n in names:  # each array's own buffer, not a bytes copy
-            fh.write(np.ascontiguousarray(
-                checkpoint.arrays[n], dtype="<f8").data)
-    os.replace(tmp, path)
+    # A new file (O_EXCL) beside the checkpoint, so that no input, log or
+    # other save is written into; mode 0o666 under the umask, as ``open``.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(b"\n")
+            for n in names:  # each array's own buffer, not a bytes copy
+                fh.write(np.ascontiguousarray(
+                    checkpoint.arrays[n], dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _MANIFEST_KEYS = ("config", "vocabs", "best_score", "best_epoch", "arrays")

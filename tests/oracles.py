@@ -139,8 +139,8 @@ def synchronous_epoch(model: training.TaggerModel, optimizers,
             opt.zero_grad()
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds, weights)
-                      for logits in training.forward(
-                          model, batch, training._HEADS, masks, detach)]
+                      for logits in training.forward(model, batch, masks,
+                                                     detach)]
             total = T.add(T.add(losses[0], losses[1]), losses[2])
         g.backward(total)
         for opt in optimizers:

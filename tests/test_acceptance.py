@@ -74,7 +74,7 @@ def joint_loss(model, sentences):
     for s in sentences:
         golds = s.tag_ids
         logits_c, logits_w, logits_m = training.forward(
-            model, [s], ("char", "word", "meta"), detach=False)
+            model, [s], detach=False)
         losses.append(T.add(T.add(nn.softmax_xent_rows(logits_c, golds),
                                   nn.softmax_xent_rows(logits_w, golds)),
                             nn.softmax_xent_rows(logits_m, golds)))
@@ -153,8 +153,7 @@ def test_criterion_02_gradient_isolation():
 
     def meta_loss(detach):
         golds = tr[0].tag_ids
-        [logits] = training.forward(model, [tr[0]], ("meta",),
-                                    detach=detach)
+        logits = training.forward(model, [tr[0]], detach=detach)[2]
         return nn.softmax_xent_rows(logits, golds)
 
     oracles.zero_grads(model.all_parameters())

@@ -210,6 +210,48 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("numeric error: ")
 
+    def test_a_failing_run_without_dev_is_one_line(self, corpus_dir,
+                                                   tmp_path):
+        """The hold-out notice is printed only once the run has succeeded,
+        so the error line stands alone."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "metatagger.cli", "train",
+             "--train", str(corpus_dir / "train.conllu"),
+             "--checkpoint", str(tmp_path / "m.ckpt"), *SMALL_OVERRIDES,
+             "--set", "learning_rate=1e200"],
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numeric error: ")
+
+    @pytest.mark.parametrize("flag", ["--train", "--log"])
+    def test_a_file_named_like_a_temporary_checkpoint_survives(
+            self, corpus_dir, tmp_path, capsys, flag):
+        """The checkpoint is written through a temporary file beside it
+        whose name no existing file has, so an input or log named
+        ``<checkpoint>.tmp`` is neither read into it nor replaced."""
+        train = corpus_dir / "train.conllu"
+        named = tmp_path / "m.ckpt.tmp"
+        if flag == "--train":
+            named.write_bytes(train.read_bytes())
+        argv = ["train", "--train", str(named if flag == "--train" else train),
+                "--dev", str(corpus_dir / "dev.conllu"),
+                "--checkpoint", str(tmp_path / "m.ckpt"), *SMALL_OVERRIDES]
+        if flag == "--log":
+            argv += ["--log", str(named)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        if flag == "--train":
+            assert named.read_bytes() == train.read_bytes()
+        else:
+            assert named.read_text().splitlines() == printed[:-2]
+            assert printed[0].startswith("epoch=0 ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["m.ckpt", "m.ckpt.tmp"]
+        training.checkpoint_load(tmp_path / "m.ckpt")
+
     def test_bad_axis_is_usage(self, corpus_dir):
         assert cli.main(["ablate", "--axis", "sideways",
                          "--train", str(corpus_dir / "train.conllu")]) == 1
@@ -839,6 +881,23 @@ class TestTrain:
                          "--set", "max_epochs=1"] + SMALL_OVERRIDES[2:])
         assert code == 0
         assert "holding out 2 of 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["grid", "--sizes", "8:8:8"],
+        ["ablate", "--axis", "components", "--seeds", "1"]],
+        ids=["grid", "ablate"])
+    def test_hold_out_notice_follows_the_csv(self, corpus_dir, command):
+        """Printed to one stream, stdout then stderr: the CSV is whole and
+        unchanged, and the notice comes after it."""
+        argv = [*command, "--train", str(corpus_dir / "train.conllu"),
+                "--set", "max_epochs=1"] + SMALL_OVERRIDES[2:]
+        both = io.StringIO()
+        with contextlib.redirect_stdout(both), \
+                contextlib.redirect_stderr(both):
+            assert cli.main(argv) == 0
+        *printed, notice = both.getvalue().splitlines()
+        assert notice == "no dev file given: holding out 2 of 12 sentences"
+        assert printed[-1].count(",") == printed[-2].count(",") >= 2
 
 
 class TestTagAndEval:

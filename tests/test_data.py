@@ -88,9 +88,20 @@ class TestParse:
 
     def test_char_spans_cover_forms(self):
         for s in data.parse_conllu(load("ranges.conllu")):
-            for tok in s.tokens:
-                a, b = tok.char_span
+            for tok, (a, b) in zip(s.tokens, s.spans):
                 assert s.chars[a:b + 1] == tok.form
+
+    def test_spans_are_the_char_streams(self):
+        text = load("ranges.conllu") + (
+            "\n1\tNew York\t_\t_\tNNP\t_\t0\t_\t_\t_\n"
+            "2\tx\t_\t_\tNN\t_\t0\t_\t_\t_\n")
+        sents = data.parse_conllu(text)
+        assert sents[-1].forms() == ["New York", "x"]
+        for s in sents:
+            chars, spans = data.char_stream_build(s.forms())
+            assert s.chars == chars
+            assert s.spans.shape == (len(s), 2)
+            assert s.spans.tolist() == [list(span) for span in spans]
 
 
 class TestCharStream:
@@ -205,7 +216,7 @@ class TestVocabs:
         sents = corpus_of("ab c", "c ab")
         v = data.build_vocabs(sents)
         data.assign_ids(sents, v)
-        assert sents[0].tokens[0].word_id == v.word_id("ab")
+        assert sents[0].word_ids[0] == v.word_id("ab")
         assert sents[0].char_ids.shape == (4,)
         assert sents[0].char_ids[2] == v.char_id(" ")
 

@@ -100,8 +100,9 @@ class TestCharSentence:
     def test_empty_sentence_raises(self):
         sents, vocabs = make_world(["x"])
         cs, _, _ = small_encoders(vocabs)
-        empty = data.Sentence(tokens=[], chars="", raw_lines=[],
-                              token_line_idx=[], char_ids=np.array([], int))
+        empty = data.Sentence(tokens=[], chars="", spans=np.empty((0, 2), int),
+                              raw_lines=[], token_line_idx=[],
+                              char_ids=np.array([], int))
         with pytest.raises(T.ShapeError):
             encoders.encode_chars_sentence(cs, [empty])
 
@@ -177,7 +178,7 @@ class TestWordEncoder:
     def test_zero_init_absent_pretrained_gives_zero_input(self):
         sents, vocabs = make_world(["new words here"])
         _, _, wd = small_encoders(vocabs)
-        ids = [t.word_id for t in sents[0].tokens]
+        ids = sents[0].word_ids
         emb = T.add(T.take_rows(wd.learned, ids),
                     T.take_rows(wd.pretrained, ids))
         assert not emb.data.any()
@@ -239,6 +240,29 @@ class TestWordEncoder:
             return nn.softmax_xent_rows(logits, golds)
 
         assert oracles.grad_check(f, wd.parameters()) < 1e-6
+
+
+class TestBatchCheck:
+    """One check of a batch serves every encoder."""
+    ENCODERS = {"encode_chars_sentence": 0, "encode_chars_token": 1,
+                "encode_words": 2}
+
+    @pytest.mark.parametrize("name", list(ENCODERS))
+    def test_token_less_sentence_is_shape_error(self, name):
+        sents, vocabs = make_world(["x y"])
+        params = small_encoders(vocabs)[self.ENCODERS[name]]
+        [empty] = data.parse_conllu("# a comment alone\n")
+        data.assign_ids([empty], vocabs)
+        with pytest.raises(T.ShapeError, match="no tokens"):
+            getattr(encoders, name)(params, [sents[0], empty])
+
+    @pytest.mark.parametrize("name", list(ENCODERS))
+    def test_sentence_before_assign_ids_is_value_error(self, name):
+        sents, vocabs = make_world(["x y"])
+        params = small_encoders(vocabs)[self.ENCODERS[name]]
+        fresh = data.parse_conllu("1\tx\t_\t_\tT0\t_\t0\t_\t_\t_\n")
+        with pytest.raises(ValueError, match="assign_ids"):
+            getattr(encoders, name)(params, [sents[0], *fresh])
 
 
 def build_triple(vocabs, seed=21):

@@ -287,7 +287,7 @@ class TestScheduleLocality:
         for k, view in enumerate(training._HEADS):
             oracles.zero_grads(model.all_parameters())
             with T.Graph() as g:
-                logits = training.forward(model, tr, training._HEADS, masks)
+                logits = training.forward(model, tr, masks)
                 loss = nn.softmax_xent_rows(logits[k], golds, weights)
             g.backward(loss)
             own[view] = {n: p.grad.copy() for n, p in views[view]}
@@ -650,13 +650,6 @@ class TestTrainLoop:
         assert 0.0 <= ckpt.best_score <= 1.0
 
 
-# the head sets ``forward`` serves, (heads, detach): one head alone, all
-# three for separate training and all three for joint training
-PASSES = {"char": (("char",), True), "word": (("word",), True),
-          "meta": (("meta",), True), "separate": (training._HEADS, True),
-          "joint": (training._HEADS, False)}
-
-
 class TestBatchLoss:
     # head -> the indices into ``train_epoch_synchronous``'s losses checked,
     # and the optimization schedule
@@ -679,22 +672,21 @@ class TestBatchLoss:
             masks = training._draw_masks(model, [s], rng)
             per_sentence.append([
                 nn.softmax_xent_rows(logits, golds).item()
-                for logits in training.forward(model, [s], training._HEADS,
-                                               masks, mode == "separate")])
+                for logits in training.forward(model, [s], masks,
+                                               mode == "separate")])
         for index in indices:
             want = np.mean([losses[index] for losses in per_sentence])
             assert abs(got[index] - want) < 1e-12
 
 
 class TestForward:
-    """``forward`` runs only the encoders a head needs. Over the head sets
-    training runs, and for one encoder's head alone, it tapes only ops the
-    loss's gradient reaches."""
+    """``forward`` computes every head. Over both training schedules it
+    tapes only ops the summed loss's gradient reaches."""
 
     @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
-    @pytest.mark.parametrize("head", [h for h in PASSES if h != "meta"])
-    def test_every_recorded_node_gets_a_gradient(self, head, char_encoder):
-        heads, detach = PASSES[head]
+    @pytest.mark.parametrize("schedule", ["separate", "joint"])
+    def test_every_recorded_node_gets_a_gradient(self, schedule,
+                                                 char_encoder):
         sents = mini_corpus(4)
         model, tr, _ = training.prepare(
             small_config(char_encoder=char_encoder), sents, sents)
@@ -703,24 +695,22 @@ class TestForward:
         oracles.zero_grads(model.all_parameters())
         with T.Graph() as g:
             losses = [nn.softmax_xent_rows(logits, golds) for logits in
-                      training.forward(model, tr, heads, masks, detach)]
+                      training.forward(model, tr, masks,
+                                       schedule == "separate")]
             loss = losses[0]
             for l in losses[1:]:
                 loss = T.add(loss, l)
         g.backward(loss)
         assert g.nodes
         idle = [node.op for node in g.nodes if node.output.grad is None]
-        assert not idle, f"{head}: taped ops without a gradient: {idle}"
+        assert not idle, f"{schedule}: taped ops without a gradient: {idle}"
 
-    RUNS = {"char": ["encode_chars_sentence"], "word": ["encode_words"],
-            "meta": ["combine", "encode_chars_sentence", "encode_words"]}
-    RUNS["separate"] = RUNS["joint"] = RUNS["meta"]
-
-    @pytest.mark.parametrize("head", list(PASSES))
-    def test_a_head_runs_only_what_it_needs(self, monkeypatch, head):
-        heads, detach = PASSES[head]
+    @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
+    def test_runs_words_then_chars_then_combiner_once(self, monkeypatch,
+                                                      char_encoder):
         sents = mini_corpus(3)
-        model, tr, _ = training.prepare(small_config(), sents, sents)
+        model, tr, _ = training.prepare(
+            small_config(char_encoder=char_encoder), sents, sents)
         calls = []
 
         def counted(module, name):
@@ -735,9 +725,12 @@ class TestForward:
                      "encode_words"):
             counted(encoders, name)
         counted(meta, "combine")
-        logits = training.forward(model, tr, heads, detach=detach)
-        assert len(logits) == len(heads)
-        assert sorted(calls) == self.RUNS[head]
+        logits = training.forward(model, tr)
+        assert calls == ["encode_words", f"encode_chars_{char_encoder}",
+                         "combine"]
+        n_tokens = sum(len(s) for s in tr)
+        assert [l.shape for l in logits] == \
+            [(n_tokens, model.vocabs.n_tags)] * 3
 
 
 class TestCheckpoint:
@@ -761,6 +754,24 @@ class TestCheckpoint:
         assert loaded.best_epoch == ckpt.best_epoch
         assert loaded.config == ckpt.config
         assert loaded.vocabs.tags == ckpt.vocabs.tags
+
+    def test_save_gives_the_mode_of_a_plain_open(self, tmp_path):
+        _, ckpt, path, _ = self.trained(tmp_path)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["model.ckpt", "plain"]
+
+    def test_a_failed_save_leaves_no_file(self, tmp_path):
+        vocabs = data.Vocabs(words={}, chars={}, tags={}, task="xpos")
+        broken = training.Checkpoint(
+            config=training.TrainConfig(), vocabs=vocabs,
+            arrays={"w": np.array(["not a number"])}, best_score=0.0,
+            best_epoch=0)
+        with pytest.raises(ValueError):
+            training.checkpoint_save(tmp_path / "model.ckpt", broken)
+        assert not list(tmp_path.iterdir())
 
     def test_rebuilt_model_tags_identically(self, tmp_path):
         model, _, path, dv = self.trained(tmp_path)
@@ -962,8 +973,8 @@ class TestEvaluate:
         size = model.config.batch_size
         ids = []
         for start in range(0, len(tagged), size):
-            [logits] = training.forward(model, tagged[start:start + size],
-                                        (head,))
+            logits = training.forward(model, tagged[start:start + size])[
+                training._HEADS.index(head)]
             ids += nn.predict_tags(logits).tolist()
         ids = iter(ids)
         return [[names[next(ids)] for _ in s.tokens] for s in sentences]
