@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Desk-scale versions of the three contrast studies.
+"""Desk-scale versions of the three contrast studies: `metatagger ablate`'s
+context, components and optimization axes on synthetic corpora per seed.
 
-  context       sentence-level vs token-level character encoder on the
-                suffix-context corpus (char head, late integration)
-  components    char / word / meta heads on the complementary corpus
-  optimization  separate vs joint schedule on the noisy complementary
-                corpus (meta head)
+  context       sentence- vs token-level characters, suffix-context corpus
+  components    char / word / meta heads, complementary corpus
+  optimization  separate vs joint schedule, noisy complementary corpus
 
 Each study trains small models over several seeds and prints a
-mean/stdev table. Runtimes on one core are a few minutes per study
-at the default 10 seeds.
+mean/stdev table and `ablate`'s CSV. Acceptance criteria 4 to 6 run them.
+Runtimes on one core are a few minutes per study at the default 10 seeds;
+importing the CLI pins one BLAS thread.
 """
 
 import argparse
 import time
 
-from metatagger import evaluation, synthetic, training
+from metatagger import cli, evaluation, synthetic, training
 
 SMALL = dict(max_epochs=12, batch_size=8,
              char_bilstm_layers=1, word_bilstm_layers=1,
@@ -26,75 +26,64 @@ SMALL = dict(max_epochs=12, batch_size=8,
              char_emb_dropout=0.0, learning_rate=0.01,
              mlp_init="scaled", char_emb_init="scaled")
 
+# Each study's (training and dev corpora for seed k, settings over SMALL).
+PROTOCOLS = {
+    "context": (lambda k: synthetic.suffix_context_corpora(k + 100), {}),
+    "components": (lambda k: synthetic.complementary_corpora(k + 200),
+                   dict(max_epochs=15)),
+    "optimization": (
+        lambda k: synthetic.complementary_corpora(
+            k + 200, n_closed=32, noise_rate=0.1, noise_seed=k + 999),
+        dict(max_epochs=10, learning_rate=0.005, char_bilstm_size=16,
+             word_bilstm_size=16, meta_bilstm_size=16, mlp_size=16)),
+}
 
-def fit(config, train, dev):
-    model, tr, dv = training.prepare(config, train, dev)
-    training.train_model(model, tr, dv)
-    return model, dv
 
-
-def study_context(seeds):
-    results = {"sentence-chars": [], "token-chars": []}
-    for seed in range(seeds):
-        train, dev = synthetic.suffix_context_corpora(seed + 100)
-        for encoder, label in (("sentence", "sentence-chars"),
-                               ("token", "token-chars")):
-            cfg = training.TrainConfig(seed=seed + 1, char_encoder=encoder,
-                                       **SMALL)
-            model, dv = fit(cfg, train, dev)
-            results[label].append(training.evaluate(model, dv, "char"))
+def run_study(name: str, seeds: int) -> dict[str, list[float]]:
+    """Dev accuracy of each variant of ``cli.ABLATIONS[name]`` on its head,
+    one per seed, by label. Seed k trains at config seed k + 1 on the
+    study's corpora for k; as in ``ablate``, consecutive variants with
+    equal overrides share one model."""
+    corpora, settings = PROTOCOLS[name]
+    variants = cli.ABLATIONS[name]
+    results = {label: [] for label, _, _ in variants}
+    for k in range(seeds):
+        train, dev = corpora(k)
+        trained_with = None
+        for label, overrides, head in variants:
+            if overrides != trained_with:
+                config = training.TrainConfig(
+                    **{**SMALL, **settings, **overrides, "seed": k + 1})
+                model, tr, dv = training.prepare(config, train, dev)
+                training.train_model(model, tr, dv)
+                trained_with = overrides
+            results[label].append(training.evaluate(model, dv, head))
     return results
 
 
-def study_components(seeds):
-    results = {"char-only": [], "word-only": [], "meta": []}
-    for seed in range(seeds):
-        train, dev = synthetic.complementary_corpora(seed + 200)
-        cfg = training.TrainConfig(seed=seed + 1,
-                                   **dict(SMALL, max_epochs=15))
-        model, dv = fit(cfg, train, dev)
-        results["char-only"].append(training.evaluate(model, dv, "char"))
-        results["word-only"].append(training.evaluate(model, dv, "word"))
-        results["meta"].append(training.evaluate(model, dv, "meta"))
-    return results
-
-
-def study_optimization(seeds):
-    small = dict(SMALL, max_epochs=10, learning_rate=0.005,
-                 char_bilstm_size=16, word_bilstm_size=16,
-                 meta_bilstm_size=16, mlp_size=16)
-    results = {"separate": [], "joint": []}
-    for seed in range(seeds):
-        train, dev = synthetic.complementary_corpora(
-            seed + 200, n_closed=32, noise_rate=0.1, noise_seed=seed + 999)
-        for mode in ("separate", "joint"):
-            cfg = training.TrainConfig(seed=seed + 1, optimization=mode,
-                                       **small)
-            model, dv = fit(cfg, train, dev)
-            results[mode].append(training.evaluate(model, dv, "meta"))
-    return results
-
-
-STUDIES = {"context": study_context, "components": study_components,
-           "optimization": study_optimization}
-
-
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("study", choices=sorted(STUDIES) + ["all"])
+    ap.add_argument("study", choices=sorted(PROTOCOLS) + ["all"])
     ap.add_argument("--seeds", type=int, default=10)
-    ns = ap.parse_args()
-    names = sorted(STUDIES) if ns.study == "all" else [ns.study]
+    ns = ap.parse_args(argv)
+    if ns.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {ns.seeds}")
+    names = sorted(PROTOCOLS) if ns.study == "all" else [ns.study]
     for name in names:
         t0 = time.time()
-        results = STUDIES[name](ns.seeds)
+        results = run_study(name, ns.seeds)
         rows = evaluation.ablation_report(results)
         print(f"== {name} ({ns.seeds} seeds, {time.time() - t0:.0f}s) ==")
         print(evaluation.render_table(rows))
+        print(evaluation.render_csv(rows, training.TrainConfig().task),
+              end="")
         if name == "optimization":
-            t, p = evaluation.paired_t(results["separate"],
-                                       results["joint"])
-            print(f"paired t={t:.3f} p={p:.4f}")
+            try:
+                t, p = evaluation.paired_t(results["separate"],
+                                           results["joint"])
+                print(f"paired t={t:.3f} p={p:.4f}")
+            except ValueError as e:
+                print(f"paired t: n/a ({e})")
         print()
 
 

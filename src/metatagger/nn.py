@@ -610,8 +610,9 @@ def view_head(p: ViewParams, x: Tensor, lengths, masks: dict
 
 def softmax_xent_rows(logits: Tensor, golds, weights=None) -> Tensor:
     """Weighted sum over rows of -log softmax(row)[gold]; the weights
-    default to 1/rows, the mean. Max-subtracted for stability. One fused
-    tape node."""
+    default to 1/rows, the mean. Max-subtracted and taken in log space, so
+    a gold logit far below its row's maximum gives a large finite loss.
+    One fused tape node."""
     golds = np.asarray(golds, dtype=np.intp)
     if logits.ndim != 2:
         raise T.ShapeError(f"softmax_xent: logits must be 2-D, got {logits.shape}")
@@ -629,12 +630,12 @@ def softmax_xent_rows(logits: Tensor, golds, weights=None) -> Tensor:
     if weights.shape != (n,):
         raise T.ShapeError(
             f"softmax_xent: {n} logit rows vs {weights.shape} weights")
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    sums = ez.sum(axis=1, keepdims=True)
+    probs = ez / sums
     rows = np.arange(n)
-    loss = float(-np.dot(weights, np.log(probs[rows, golds])))
+    loss = float(-np.dot(weights, shifted[rows, golds] - np.log(sums[:, 0])))
 
     def bwd(g):
         d = probs.copy()

@@ -391,12 +391,22 @@ def _predict(model: TaggerModel, sentences: list[Sentence],
              head: str) -> np.ndarray:
     """Tag ids from one head ("char", "word" or "meta") for every token of
     ``sentences``, in order, ``batch_size`` sentences at a time. Callers
-    run it outside any ``Graph``, so nothing is taped."""
+    run it outside any ``Graph``, so nothing is taped. Logits that are not
+    finite raise ``NonFiniteError`` naming the first array of the model
+    that is not finite."""
     tagged = [s for s in sentences if s.tokens]
     size = model.config.batch_size
     index = _HEADS.index(head)
-    ids = [nn.predict_tags(forward(model, tagged[i:i + size])[index])
-           for i in range(0, len(tagged), size)]
+    ids = []
+    for i in range(0, len(tagged), size):
+        logits = forward(model, tagged[i:i + size])[index]
+        if not np.isfinite(logits.data).all():
+            cause = next((f"array {name!r} is not finite"
+                          for name, a in model.array_manifest()
+                          if not np.isfinite(a).all()),
+                         "every array is finite")
+            raise T.NonFiniteError(f"non-finite {head} logits: {cause}")
+        ids.append(nn.predict_tags(logits))
     return np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
 
 

@@ -3,9 +3,11 @@
 Each test prints one `criterion N: PASS (...)` line; pytest -v adds the
 canonical pass/fail verdict per criterion. Budgets are asserted, so a
 regression that blows a runtime envelope fails loudly instead of just
-running long.
+running long. Criteria 4 to 6 run the studies of scripts/run_experiments.py,
+whose command line is checked here too.
 """
 
+import importlib.util
 import time
 from pathlib import Path
 
@@ -17,6 +19,10 @@ from metatagger import (cli, data, evaluation, nn, synthetic, tensor as T,
                         training)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
+run_experiments = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_experiments)
 
 
 def report(n: int, detail: str) -> None:
@@ -42,16 +48,7 @@ def tiny_config(**over):
 
 
 def small_config(**over):
-    base = dict(seed=1, max_epochs=12, batch_size=8,
-                char_bilstm_layers=1, word_bilstm_layers=1,
-                meta_bilstm_layers=1,
-                char_bilstm_size=24, word_bilstm_size=24, meta_bilstm_size=24,
-                mlp_size=24, char_emb_dim=12, word_emb_dim=12,
-                lstm_dropout=0.1, mlp_dropout=0.1, word_emb_dropout=0.1,
-                char_emb_dropout=0.0, learning_rate=0.01,
-                mlp_init="scaled", char_emb_init="scaled")
-    base.update(over)
-    return training.TrainConfig(**base)
+    return training.TrainConfig(**{**run_experiments.SMALL, **over})
 
 
 TWO_SENTENCES = (
@@ -201,16 +198,9 @@ def test_criterion_03_overfit():
 @pytest.mark.study
 def test_criterion_04_context_contrast():
     t0 = time.monotonic()
-    gaps = []
-    for seed in range(10):
-        train, dev = synthetic.suffix_context_corpora(seed + 100)
-        accs = {}
-        for encoder in ("sentence", "token"):
-            cfg = small_config(seed=seed + 1, char_encoder=encoder)
-            model, tr, dv = training.prepare(cfg, train, dev)
-            training.train_model(model, tr, dv)
-            accs[encoder] = training.evaluate(model, dv, head="char")
-        gaps.append(100.0 * (accs["sentence"] - accs["token"]))
+    accs = run_experiments.run_study("context", 10)
+    gaps = [100.0 * (s - t)
+            for s, t in zip(accs["sentence-chars"], accs["token-chars"])]
     wins = sum(g >= 2.0 for g in gaps)
     elapsed = time.monotonic() - t0
     detail = " ".join(f"{g:+.1f}" for g in gaps)
@@ -223,20 +213,9 @@ def test_criterion_04_context_contrast():
 @pytest.mark.study
 def test_criterion_05_meta_combination():
     t0 = time.monotonic()
-    results = {"char-only": [], "word-only": [], "meta": []}
-    ok = 0
-    for seed in range(10):
-        train, dev = synthetic.complementary_corpora(seed + 200)
-        cfg = small_config(seed=seed + 1, max_epochs=15)
-        model, tr, dv = training.prepare(cfg, train, dev)
-        training.train_model(model, tr, dv)
-        accs = {h: training.evaluate(model, dv, head=h)
-                for h in ("char", "word", "meta")}
-        results["char-only"].append(accs["char"])
-        results["word-only"].append(accs["word"])
-        results["meta"].append(accs["meta"])
-        if accs["meta"] >= max(accs["char"], accs["word"]) - 0.002:
-            ok += 1
+    results = run_experiments.run_study("components", 10)
+    ok = sum(m >= max(c, w) - 0.002 for c, w, m in zip(
+        results["char-only"], results["word-only"], results["meta"]))
     elapsed = time.monotonic() - t0
     table = evaluation.render_table(evaluation.ablation_report(results))
     print(table)
@@ -250,18 +229,7 @@ def test_criterion_05_meta_combination():
 @pytest.mark.study
 def test_criterion_06_optimization_schema():
     t0 = time.monotonic()
-    accs = {"separate": [], "joint": []}
-    for seed in range(10):
-        train, dev = synthetic.complementary_corpora(
-            seed + 200, n_closed=32, noise_rate=0.1, noise_seed=seed + 999)
-        for mode in ("separate", "joint"):
-            cfg = small_config(seed=seed + 1, optimization=mode,
-                               max_epochs=10, learning_rate=0.005,
-                               char_bilstm_size=16, word_bilstm_size=16,
-                               meta_bilstm_size=16, mlp_size=16)
-            model, tr, dv = training.prepare(cfg, train, dev)
-            training.train_model(model, tr, dv)
-            accs[mode].append(training.evaluate(model, dv, head="meta"))
+    accs = run_experiments.run_study("optimization", 10)
     sep_mean = float(np.mean(accs["separate"]))
     jnt_mean = float(np.mean(accs["joint"]))
     elapsed = time.monotonic() - t0
@@ -383,3 +351,19 @@ def test_criterion_10_config_fidelity(capsys):
     assert elapsed < 1.0
     report(10, f"--print-config matches the golden file field-for-field, "
                f"{elapsed:.2f}s < 1s")
+
+
+def test_study_script_on_one_seed_and_on_none(capsys):
+    with pytest.raises(SystemExit):
+        run_experiments.main(["context", "--seeds", "0"])
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    run_experiments.main(["optimization", "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("== optimization (1 seeds, ")
+    assert [line.split()[:2] for line in lines[1:4]] == [
+        ["config", "seeds"], ["separate", "1"], ["joint", "1"]]
+    assert lines[4] == "config,seed,task,accuracy"
+    assert [line.split(",")[:3] for line in lines[5:7]] == [
+        ["separate", "0", "xpos"], ["joint", "0", "xpos"]]
+    assert lines[7:] == ["paired t: n/a (paired test needs at least 2 pairs)",
+                         ""]

@@ -191,7 +191,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.endswith("corpus has no non-empty sentences\n")
 
-    @pytest.mark.parametrize("rate", ["1e200", "1e100"])
+    @pytest.mark.parametrize("rate", ["1e200", "1e120"])
     def test_training_driven_to_overflow_is_one_line(self, corpus_dir,
                                                      tmp_path, rate):
         """numpy's floating-point warnings would print before the error
@@ -623,6 +623,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ") and f"{name!r}" in err
+
+    def test_non_finite_checkpoint_array_is_numeric_error(
+            self, trained, tmp_path, corpus_dir, capsys):
+        """The logits of a checkpoint with a NaN array stop ``tag``."""
+        ckpt = training.checkpoint_load(str(trained / "model.ckpt"))
+        ckpt.arrays["meta.classifier.bias"][:] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        training.checkpoint_save(str(bad), ckpt)
+        code = cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite meta logits: array "
+            "'meta.classifier.bias' is not finite\n")
+        assert not (tmp_path / "o.conllu").exists()
 
     @pytest.mark.parametrize("vectors, line", [
         ("ab \nb \n", 1), ("ab 0.5 1\nb \n", 2), ("ab 0.5\nb\n", 2),

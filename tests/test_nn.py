@@ -329,6 +329,15 @@ class TestSoftmaxXent:
         with pytest.raises(IndexError):
             oracles.softmax_xent(T.Tensor([0.0, 1.0]), 2)
 
+    def test_confidently_wrong_row_has_a_finite_loss(self):
+        z = T.Tensor([[0.0, 800.0]], requires_grad=True)
+        with np.errstate(all="raise", under="ignore"):
+            with T.Graph() as g:
+                loss = nn.softmax_xent_rows(z, [0])
+            g.backward(loss)
+        assert loss.item() == 800.0
+        np.testing.assert_array_equal(z.grad, [[-1.0, 1.0]])
+
     def test_grad_check(self):
         w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         x = rng.normal(size=(4, 3))
