@@ -40,24 +40,16 @@ PROTOCOLS = {
 
 
 def run_study(name: str, seeds: int) -> dict[str, list[float]]:
-    """Dev accuracy of each variant of ``cli.ABLATIONS[name]`` on its head,
-    one per seed, by label. Seed k trains at config seed k + 1 on the
-    study's corpora for k; as in ``ablate``, consecutive variants with
-    equal overrides share one model."""
+    """Dev accuracy of each label of ``cli.ABLATIONS[name]``, one per seed,
+    by label: seed k prepares the study's corpora for k once, and
+    ``cli.run_axis`` trains each model on them at config seed k + 1."""
     corpora, settings = PROTOCOLS[name]
-    variants = cli.ABLATIONS[name]
-    results = {label: [] for label, _, _ in variants}
+    results = {}
     for k in range(seeds):
-        train, dev = corpora(k)
-        trained_with = None
-        for label, overrides, head in variants:
-            if overrides != trained_with:
-                config = training.TrainConfig(
-                    **{**SMALL, **settings, **overrides, "seed": k + 1})
-                model, tr, dv = training.prepare(config, train, dev)
-                training.train_model(model, tr, dv)
-                trained_with = overrides
-            results[label].append(training.evaluate(model, dv, head))
+        config = training.TrainConfig(**{**SMALL, **settings, "seed": k + 1})
+        model, train, dev = training.prepare(config, *corpora(k))
+        cli.run_axis(config, name, model.vocabs, model.word.pretrained.data,
+                     train, dev, results)
     return results
 
 

@@ -24,12 +24,15 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
   settings, then `tag` of that file with each checkpoint: the synthetic
   corpus leaves the UPOS and FEATS columns `_`;
 * `eval --task feats --csv` of tests/fixtures/scorer/pair3_gold.conllu
-  against pair3_pred.conllu, whose FEATS differ only in pair order.
+  against pair3_pred.conllu, whose FEATS differ only in pair order;
+* that tree's `scripts/run_experiments.py all --seeds 2`, whose output,
+  less its `== name (N seeds, Ts) ==` timing lines, is the file
+  studies.txt.
 
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 25 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 26 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -60,6 +63,7 @@ OUTPUTS = [f"{run}.{ext}" for run in RUNS + list(COLUMN_TASKS)
            for ext in ("log", "ckpt", "conllu")] \
     + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES] \
     + ["eval-feats.csv"]
+STUDIES = "studies.txt"  # written from run_experiments.py's output
 
 
 def write_vectors(train: Path, path: Path, n_forms: int = 20,
@@ -111,8 +115,16 @@ def commands(train: Path, dev: Path, vectors: Path) -> list[list[str]]:
     return out
 
 
+def without_timings(text: str) -> str:
+    """run_experiments.py's output less its ``== name (N seeds, Ts) ==``
+    lines, the only ones that vary between equal runs."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("== "))
+
+
 def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
-    """Run ``cmds`` with the package of ``tree``, in ``out``."""
+    """Run ``cmds`` and then the studies script of ``tree`` with its
+    package, in ``out``."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1")
@@ -121,6 +133,11 @@ def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
         subprocess.run([sys.executable, "-m", "metatagger.cli", *cmd],
                        cwd=out, env=env, check=True,
                        stdout=subprocess.DEVNULL)
+    studies = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "run_experiments.py"), "all",
+         "--seeds", "2"], cwd=out, env=env, check=True,
+        stdout=subprocess.PIPE, text=True).stdout
+    (out / STUDIES).write_text(without_timings(studies), encoding="utf-8")
 
 
 def compare(parent: Path, change: Path, names) -> dict[str, bool]:
@@ -152,10 +169,13 @@ def main() -> int:
             try:
                 run_side(tree, cmds, tmp / f"{side}-out")
             except subprocess.CalledProcessError as e:
-                print(f"{side}: metatagger {e.cmd[3]} exited "
-                      f"{e.returncode}", file=sys.stderr)
+                what = f"metatagger {e.cmd[3]}" if e.cmd[1] == "-m" \
+                    else Path(e.cmd[1]).name
+                print(f"{side}: {what} exited {e.returncode}",
+                      file=sys.stderr)
                 return 2
-        same = compare(tmp / "parent-out", tmp / "change-out", OUTPUTS)
+        same = compare(tmp / "parent-out", tmp / "change-out",
+                       OUTPUTS + [STUDIES])
     for name, equal in same.items():
         print(f"{'same' if equal else 'DIFF'} {name}")
     return 0 if all(same.values()) else 1

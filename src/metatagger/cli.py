@@ -45,20 +45,33 @@ PATH_KEYS = ("train_file", "dev_file", "pretrained_file",
 
 GATHER_ABLATION = ("F_last,B_1st", "F_1st,B_last",
                    "F_last,B_last", "F_1st,B_1st")
-# (label, config overrides, evaluation head) of each variant of each
-# ablation axis. The gather and context axes score the character head in
-# isolation; optimization is judged on the combined head; components
-# scores each head of one model.
+# Each axis lists its models: (config overrides, {label: head scored}).
+# Gather, which acts on the sentence-level character encoder alone, and
+# context score the character head; optimization scores the meta head.
 ABLATIONS = {
-    "gather": [(strategy.replace(",", "+"), {"gather": strategy}, "char")
+    "gather": [({"char_encoder": "sentence", "gather": strategy},
+                {strategy.replace(",", "+"): "char"})
                for strategy in GATHER_ABLATION],
-    "context": [(f"{encoder}-chars", {"char_encoder": encoder}, "char")
+    "context": [({"char_encoder": encoder}, {f"{encoder}-chars": "char"})
                 for encoder in training.CHOICES["char_encoder"]],
-    "optimization": [(mode, {"optimization": mode}, "meta")
+    "optimization": [({"optimization": mode}, {mode: "meta"})
                      for mode in training.CHOICES["optimization"]],
-    "components": [("char-only", {}, "char"), ("word-only", {}, "word"),
-                   ("meta", {}, "meta")],
+    "components": [({}, {"char-only": "char", "word-only": "word",
+                         "meta": "meta"})],
 }
+
+
+def run_axis(config, axis, vocabs, vectors, train, dev, results) -> None:
+    """Train each model of ``ABLATIONS[axis]`` once, at ``config`` with its
+    overrides, from prepared corpora and their ``vocabs`` and ``vectors``;
+    append each label's dev accuracy, from one pass, to ``results``."""
+    for overrides, labels in ABLATIONS[axis]:
+        model = training.build_model(dataclasses.replace(config, **overrides),
+                                     vocabs, vectors)
+        training.train_model(model, train, dev)
+        scores = training.accuracies(model, dev)
+        for label, head in labels.items():
+            results.setdefault(label, []).append(scores[head])
 
 
 class CliUsageError(Exception):
@@ -307,20 +320,11 @@ def cmd_ablate(ns) -> int:
     _check_outputs(dict(paths, config=ns.config, out=ns.out), ("out",))
     model, train_sents, dev_sents, notice = _prepare(config, paths)
     vocabs, vectors = model.vocabs, model.word.pretrained.data
-    del model  # each variant builds its own
-    variants = ABLATIONS[ns.axis]
-    results = {label: [] for label, _, _ in variants}
+    del model  # each model of the axis builds its own
+    results = {}
     for k in range(ns.seeds):
-        trained_with = None
-        for label, overrides, head in variants:
-            # consecutive variants with equal overrides share one model
-            if overrides != trained_with:
-                cfg = dataclasses.replace(config, seed=config.seed + k,
-                                          **overrides)
-                model = training.build_model(cfg, vocabs, vectors)
-                training.train_model(model, train_sents, dev_sents)
-                trained_with = overrides
-            results[label].append(training.evaluate(model, dev_sents, head))
+        run_axis(dataclasses.replace(config, seed=config.seed + k), ns.axis,
+                 vocabs, vectors, train_sents, dev_sents, results)
     rows = evaluation.ablation_report(results)
     print(evaluation.render_table(rows))
     csv = evaluation.render_csv(rows, task=config.task)

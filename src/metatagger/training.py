@@ -387,47 +387,50 @@ def forward(model: TaggerModel, batch: list[Sentence],
     return char_logits, word_logits, meta_logits
 
 
-def _predict(model: TaggerModel, sentences: list[Sentence],
-             head: str) -> np.ndarray:
-    """Tag ids from one head ("char", "word" or "meta") for every token of
-    ``sentences``, in order, ``batch_size`` sentences at a time. Callers
-    run it outside any ``Graph``, so nothing is taped. Logits that are not
-    finite raise ``NonFiniteError`` naming the first array of the model
-    that is not finite."""
+def _predict(model: TaggerModel, sentences: list[Sentence]) -> np.ndarray:
+    """Tag ids of the char, word and meta heads, a row each, for the tokens
+    of ``sentences``, one forward per ``batch_size`` sentences, untaped.
+    Logits that are not finite raise ``NonFiniteError`` naming their head
+    and the first array of the model that is not finite."""
     tagged = [s for s in sentences if s.tokens]
     size = model.config.batch_size
-    index = _HEADS.index(head)
     ids = []
     for i in range(0, len(tagged), size):
-        logits = forward(model, tagged[i:i + size])[index]
-        if not np.isfinite(logits.data).all():
-            cause = next((f"array {name!r} is not finite"
-                          for name, a in model.array_manifest()
-                          if not np.isfinite(a).all()),
-                         "every array is finite")
-            raise T.NonFiniteError(f"non-finite {head} logits: {cause}")
-        ids.append(nn.predict_tags(logits))
-    return np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
+        logits = forward(model, tagged[i:i + size])
+        for head, rows in zip(_HEADS, logits):
+            if not np.isfinite(rows.data).all():
+                cause = next((f"array {name!r} is not finite"
+                              for name, a in model.array_manifest()
+                              if not np.isfinite(a).all()),
+                             "every array is finite")
+                raise T.NonFiniteError(f"non-finite {head} logits: {cause}")
+        ids.append([nn.predict_tags(rows) for rows in logits])
+    return np.concatenate(ids, axis=1) if ids else np.empty((3, 0), np.intp)
 
 
 def tag_corpus(model: TaggerModel, sentences: list[Sentence]) -> list[list[str]]:
     """Tag strings from the combiner head (the only head used at test
     time), one list per sentence; token-less sentences get none."""
     names = model.vocabs.tag_strings()
-    ids = iter(_predict(model, sentences, "meta").tolist())
+    ids = iter(_predict(model, sentences)[-1].tolist())  # the meta row
     return [[names[next(ids)] for _ in s.tokens] for s in sentences]
 
 
-def evaluate(model: TaggerModel, sentences: list[Sentence],
-             head: str = "meta") -> float:
-    """Accuracy of one head ("char", "word" or "meta") on ``sentences``:
-    the share of their tokens whose predicted tag id is the gold one
-    (``Sentence.tag_ids``, -1 for a tag training never saw)."""
-    predicted = _predict(model, sentences, head)
+def accuracies(model: TaggerModel, sentences: list[Sentence]) -> dict:
+    """Accuracy of the "char", "word" and "meta" heads on ``sentences``,
+    from one pass: the share of their tokens whose predicted tag id is
+    the gold one (``Sentence.tag_ids``, -1 for a tag training never saw)."""
+    predicted = _predict(model, sentences)
     if not predicted.size:
-        return 0.0
+        return dict.fromkeys(_HEADS, 0.0)
     gold = np.concatenate([s.tag_ids for s in sentences])
-    return int(np.count_nonzero(predicted == gold)) / gold.size
+    return dict(zip(_HEADS, (np.count_nonzero(predicted == gold, axis=1)
+                             / gold.size).tolist()))
+
+
+def evaluate(model: TaggerModel, sentences: list[Sentence]) -> float:
+    """The meta head's accuracy (see ``accuracies``): it selects epochs."""
+    return accuracies(model, sentences)["meta"]
 
 
 # ---------------------------------------------------------------------------

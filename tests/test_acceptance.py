@@ -186,7 +186,7 @@ def test_criterion_03_overfit():
     assert len(corpus) == 50
     model, tr, dv = training.prepare(cfg, corpus, corpus)
     ckpt = training.train_model(model, tr, dv)
-    acc = training.evaluate(model, tr, head="meta")
+    acc = training.evaluate(model, tr)
     elapsed = time.monotonic() - t0
     assert acc >= 0.995
     assert ckpt.best_epoch <= 200
@@ -353,11 +353,20 @@ def test_criterion_10_config_fidelity(capsys):
                f"{elapsed:.2f}s < 1s")
 
 
-def test_study_script_on_one_seed_and_on_none(capsys):
+def test_study_script_on_one_seed_and_on_none(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         run_experiments.main(["context", "--seeds", "0"])
     assert "--seeds must be at least 1" in capsys.readouterr().err
+    prepared = []
+    prepare = training.prepare
+
+    def counted(*args):
+        prepared.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(training, "prepare", counted)
     run_experiments.main(["optimization", "--seeds", "1"])
+    assert len(prepared) == 1  # both models of the seed train from it
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("== optimization (1 seeds, ")
     assert [line.split()[:2] for line in lines[1:4]] == [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metatagger import cli, data, synthetic, training
@@ -779,29 +779,57 @@ def checkpoint_parts(trained):
     return blob, head, body, list(manifest_paths(manifest))[1:]
 
 
+def array_offset(manifest, name: str) -> int:
+    """Where the bytes of array ``name`` start in a checkpoint's body."""
+    offset = 0
+    for entry in manifest["arrays"]:
+        if entry["name"] == name:
+            return offset
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(data=st.data())
+@example(kind="array", data=None)
+@given(kind=st.sampled_from(["truncate", "manifest", "array"]),
+       data=st.data())
 def test_mutated_checkpoint_exits_cleanly(trained, corpus_dir,
-                                          checkpoint_parts, data):
-    """A checkpoint cut at any byte, or with one manifest value replaced,
-    makes ``tag`` exit 0, 1 or 2, with one stderr line when not 0."""
+                                          checkpoint_parts, kind, data):
+    """A checkpoint cut at any byte, with one manifest value replaced or
+    with one byte of its arrays overwritten makes ``tag`` exit 0, 1 or 2,
+    with one stderr line when not 0. The explicit example (``data`` None)
+    writes NaN into the first value of the character head's classifier
+    bias, which the tagged meta head never reads: ``tag`` stops on it."""
     blob, head, body, paths = checkpoint_parts
-    if data.draw(st.booleans(), label="truncate"):
+    manifest = json.loads(head)
+    if kind == "truncate":
         mutated = blob[:data.draw(st.integers(0, len(blob) - 1))]
-    else:
-        manifest = json.loads(head)
+    elif kind == "manifest":
         *parents, last = data.draw(st.sampled_from(paths), label="path")
         target = manifest
         for key in parents:
             target = target[key]
         target[last] = data.draw(JSON_VALUES, label="value")
         mutated = json.dumps(manifest).encode() + b"\n" + body
+    else:
+        body = bytearray(body)
+        if data is None:  # a quiet NaN, 0x7FF8 in its top two bytes
+            at = array_offset(manifest, "char_sent.classifier.bias") + 6
+            body[at:at + 2] = b"\xf8\x7f"
+        else:
+            body[data.draw(st.integers(0, len(body) - 1), label="at")] = \
+                data.draw(st.integers(0, 255), label="byte")
+        mutated = head + b"\n" + bytes(body)
     bad = trained / "fuzzed.ckpt"
     bad.write_bytes(mutated)
-    assert_clean_exit(*run_quietly(
-        ["tag", "--checkpoint", str(bad),
-         "--input", str(corpus_dir / "dev.conllu"),
-         "--output", str(trained / "fuzzed.conllu")]))
+    code, err = run_quietly(["tag", "--checkpoint", str(bad),
+                             "--input", str(corpus_dir / "dev.conllu"),
+                             "--output", str(trained / "fuzzed.conllu")])
+    assert_clean_exit(code, err)
+    if data is None:
+        assert code == 2
+        assert err == ("numeric error: non-finite char logits: array "
+                       "'char_sent.classifier.bias' is not finite\n")
 
 
 def cli_process_state(env_threads: str | None) -> list[str]:
@@ -1051,14 +1079,13 @@ class TestGridAndAblate:
         assert printed == table + out.read_text()
 
     def test_ablate_components_csv(self, corpus_dir, tmp_path, monkeypatch):
-        trained = []
-        train_model = training.train_model
-
-        def counted(*args):
-            trained.append(args)
-            return train_model(*args)
-
-        monkeypatch.setattr(training, "train_model", counted)
+        trained, scored = [], []
+        accuracies = training.accuracies
+        monkeypatch.setattr(training, "train_model",
+                            lambda *args: trained.append(args))
+        monkeypatch.setattr(training, "accuracies",
+                            lambda *args: scored.append(args)
+                            or accuracies(*args))
         out = tmp_path / "a.csv"
         code = cli.main(["ablate", "--axis", "components", "--seeds", "2",
                          "--train", str(corpus_dir / "train.conllu"),
@@ -1071,19 +1098,27 @@ class TestGridAndAblate:
         configs = [l.split(",")[0] for l in lines[1:]]
         assert configs == ["char-only"] * 2 + ["word-only"] * 2 + ["meta"] * 2
         assert len(trained) == 2  # one model per seed scores all three heads
+        assert len(scored) == 2  # from one pass over dev
 
-    def test_ablate_gather_enumerates_strategies(self, corpus_dir, tmp_path):
+    def test_ablate_gather_enumerates_strategies(self, corpus_dir, tmp_path,
+                                                 monkeypatch):
+        """Gather acts on the sentence-level character encoder alone, so
+        each gather model sets it, whatever the config's."""
+        configs = []
+        monkeypatch.setattr(training, "train_model",
+                            lambda model, *args: configs.append(model.config))
         out = tmp_path / "a.csv"
         code = cli.main(["ablate", "--axis", "gather", "--seeds", "1",
                          "--train", str(corpus_dir / "train.conllu"),
                          "--dev", str(corpus_dir / "dev.conllu"),
-                         "--out", str(out),
+                         "--out", str(out), "--set", "char_encoder=token",
                          "--set", "max_epochs=1"] + SMALL_OVERRIDES[2:])
         assert code == 0
-        configs = [l.split(",")[0]
-                   for l in out.read_text().splitlines()[1:]]
-        assert configs == ["F_last+B_1st", "F_1st+B_last",
-                           "F_last+B_last", "F_1st+B_1st"]
+        labels = [l.split(",")[0] for l in out.read_text().splitlines()[1:]]
+        assert labels == ["F_last+B_1st", "F_1st+B_last",
+                          "F_last+B_last", "F_1st+B_1st"]
+        assert [(c.char_encoder, c.gather) for c in configs] == [
+            ("sentence", strategy) for strategy in cli.GATHER_ABLATION]
 
     def test_a_cell_that_fails_to_train_records_its_error(
             self, corpus_dir, tmp_path, monkeypatch):
@@ -1246,3 +1281,44 @@ def test_malformed_embeddings_exit_cleanly(fuzz_dir, vectors):
             if not l[0].isdigit()}  # the header is the one numeric line
     if len(dims) != 1:  # ragged, or a header and no vectors
         assert code == 2
+
+
+CONFIG_KEYS = ([f.name for f in dataclasses.fields(training.TrainConfig)]
+               + list(cli.PATH_KEYS) + ["colour", "Seed", "seed seed"])
+CONFIG_VALUES = ["", "nan", "-inf", "1_0", "1.0", "2", "0", "-1", "0.5",
+                 "true", "sentence", "joint", "F_1st,,B_last", str(10 ** 40),
+                 "9" * 5000, "a\x00b"]
+
+
+@st.composite
+def config_files(draw):
+    """Config file bytes: ``key = value`` lines over the config's fields,
+    its path keys and unknown keys, mixed with comments, blank lines and
+    lines without '=', values that are no number or not UTF-8, maybe a
+    byte-order mark, LF or CRLF ends."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(CONFIG_KEYS)).encode()
+        value = draw(st.sampled_from(
+            [v.encode() for v in CONFIG_VALUES] * 4 + [b"\xff", b"x\xe9"]))
+        lines.append(draw(st.sampled_from(
+            [key + b" = " + value] * 8 + [key + b"=" + value] * 2
+            + [key, b"# " + key, b"", b"\x00"])))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    bom = draw(st.sampled_from([b""] * 3 + [b"\xef\xbb\xbf"]))
+    return bom + b"".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(text=config_files())
+def test_malformed_config_exits_cleanly(fuzz_dir, text):
+    """``train`` with a fuzzed config file; the size keys and paths that
+    the flags set never reach the run."""
+    config = fuzz_dir / "fuzzed.cfg"
+    config.write_bytes(text)
+    good = str(fuzz_dir / "good.conllu")
+    assert_clean_exit(*run_quietly(
+        ["train", "--config", str(config), "--train", good, "--dev", good,
+         "--checkpoint", str(fuzz_dir / "c.ckpt"),
+         "--log", str(fuzz_dir / "c.log")] + TINY_RUN))

@@ -57,3 +57,10 @@ def test_vectors_file_is_fixed_values_for_training_forms(tmp_path):
     vectors = tmp_path / "v.txt"
     same_outputs.write_vectors(train, vectors, dim=3)
     assert vectors.read_text() == "ab -0.9 -0.6 -0.3\nb -0.2 0.1 0.4\n"
+
+
+def test_studies_file_drops_only_the_timing_lines():
+    text = ("== context (2 seeds, 7s) ==\nconfig  seeds\n\n"
+            "== optimization (2 seeds, 12s) ==\npaired t=1.0 p=0.5\n\n")
+    assert same_outputs.without_timings(text) == \
+        "config  seeds\n\npaired t=1.0 p=0.5\n\n"

@@ -928,12 +928,23 @@ class TestArrayTable:
 
 
 class TestHeads:
-    def test_all_three_heads_evaluable(self):
+    def test_all_three_heads_evaluable(self, monkeypatch):
+        """From one forward per ``batch_size`` sentences."""
         sents = mini_corpus(6)
         model, tr, dv = training.prepare(small_config(), sents, sents)
-        for head in ("char", "word", "meta"):
-            acc = training.evaluate(model, dv, head=head)
-            assert 0.0 <= acc <= 1.0
+        batches = []
+        forward = training.forward
+
+        def counted(model, batch):
+            batches.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(training, "forward", counted)
+        accs = training.accuracies(model, dv)
+        assert batches == [4, 2]  # ceil(6 / 4) calls
+        assert list(accs) == ["char", "word", "meta"]
+        assert all(0.0 <= acc <= 1.0 for acc in accs.values())
+        assert accs["meta"] == training.evaluate(model, dv)
 
 
 def three_column_text(n_sentences, seed, unseen=False):
@@ -960,13 +971,13 @@ def three_column_text(n_sentences, seed, unseen=False):
 
 
 class TestEvaluate:
-    """``evaluate`` counts tag ids; ``evaluation.score``, which compares
+    """``accuracies`` counts tag ids; ``evaluation.score``, which compares
     tag strings, is its reference."""
 
     @staticmethod
     def head_tags(model, sentences, head):
         """One head's tag strings, one list per sentence, from its logits
-        over batches of ``batch_size`` sentences, as ``evaluate`` takes
+        over batches of ``batch_size`` sentences, as ``accuracies`` takes
         them."""
         names = model.vocabs.tag_strings()
         tagged = [s for s in sentences if s.tokens]
@@ -974,7 +985,7 @@ class TestEvaluate:
         ids = []
         for start in range(0, len(tagged), size):
             logits = training.forward(model, tagged[start:start + size])[
-                training._HEADS.index(head)]
+                ("char", "word", "meta").index(head)]
             ids += nn.predict_tags(logits).tolist()
         ids = iter(ids)
         return [[names[next(ids)] for _ in s.tokens] for s in sentences]
@@ -996,7 +1007,7 @@ class TestEvaluate:
             want = evaluation.score(dev, self.head_tags(model, dev, head),
                                     task).accuracy
             assert 0.0 < want < 1.0
-            assert training.evaluate(model, dev, head) == want
+            assert training.accuracies(model, dev)[head] == want
         assert training.tag_corpus(model, dev) == \
             self.head_tags(model, dev, "meta")
         assert training.evaluate(model, [empty]) == 0.0 == \
