@@ -92,9 +92,11 @@ def _parse_corpus(path: str, task: str) -> list[data.Sentence]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """`key = value` lines; blank lines and full-line '#' comments skipped."""
+    """`key = value` lines; blank lines and full-line '#' comments skipped.
+    A leading byte-order mark is dropped."""
     values = {}
-    for n, raw in enumerate(_read_text(path).splitlines(), start=1):
+    text = _read_text(path).removeprefix("\ufeff")
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -23,10 +23,11 @@ forward's own ops, and the masked input, the masked states each step
 read and the tanh of the cell states from the input, the run's own
 result and those. The layer-input dropout mask is applied inside the op
 too, so it stores no masked copy of the input. Its gates use the
-package's one logistic, ``tensor.logistic_``, in place on each step's
-pre-activations. The readable reference the tests pin the fused op to,
-the same cell composed from primitive ops, is ``lstm_step`` in
-``tests/oracles.py``.
+package's one logistic, ``tensor.logistic_``, in one call in place on
+each step's (live, 4H) pre-activations; the candidate columns then take
+the tanh of a copy of theirs. The readable reference the tests pin the
+fused op to, the same cell composed from primitive ops, is
+``lstm_step`` in ``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -37,6 +38,9 @@ the forward and in the backward pass; numpy releases the GIL in its
 products, so they overlap even with single-threaded BLAS. The worker
 runs plain numpy only: the tape is read and written on the calling
 thread, and each direction does exactly the arithmetic it would alone.
+The worker also serves ``training.Adam``: a large enough step runs the
+second half of its blocks there, through ``_run_calls``. It is free
+then, since ``lstm_run`` waits for it before it returns.
 
 Batches are B sequences stacked row-wise with their ``lengths``.
 Dropout masks are drawn up front, sequence by sequence, by
@@ -92,20 +96,28 @@ def draw_masks(rng: np.random.Generator, units, *site_fns
     ``site_fns[m](unit)`` lists the sites model m draws for one unit (a
     sentence, or a sequence), in the order its forward pass draws them.
     Draws go unit by unit and, within a unit, model by model in the order
-    given: the draws a loop over the units would make. Each dict maps a
-    site key to its masks stacked in unit order, one (size,) row per draw;
-    a site with rate 0 draws nothing and has no entry.
+    given: the draws a loop over the units would make. Every rate is
+    checked first; then one ``rng.random`` call draws the uniforms of all
+    of them, cut in that order. Each dict maps a site key to its masks
+    stacked in unit order, one (size,) row per draw; a site with rate 0
+    draws nothing and has no entry.
     """
+    draws = [(m, key, size, rate) for unit in units
+             for m, sites in enumerate(site_fns)
+             for key, size, rate in sites(unit)]
+    for *_, rate in draws:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    draws = [(m, key, size, rate) for m, key, size, rate in draws if rate]
+    # one call of n uniforms gives the values of consecutive calls whose
+    # sizes add up to n, so cutting it changes no mask
+    u = rng.random(sum(size for _, _, size, _ in draws))
     rows = [defaultdict(list) for _ in site_fns]
-    for unit in units:
-        for out, sites in zip(rows, site_fns):
-            for key, size, rate in sites(unit):
-                if not 0.0 <= rate < 1.0:
-                    raise ValueError(
-                        f"dropout rate must be in [0, 1), got {rate}")
-                if rate:
-                    keep = 1.0 - rate
-                    out[key].append((rng.random(size) < keep) / keep)
+    start = 0
+    for m, key, size, rate in draws:
+        keep = 1.0 - rate
+        rows[m][key].append((u[start:start + size] < keep) / keep)
+        start += size
     return [{key: np.stack(masks) for key, masks in r.items()} for r in rows]
 
 
@@ -268,6 +280,7 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
     n, hs = rows.size, params.hidden_size
     n_seq = batch_sizes[0]
     wx, wh = params.w_x.data, params.w_h.data
+    cand = np.empty((n_seq, hs))  # a step's candidate pre-activations
     offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
     budget = n if track else _PROJECT_ROWS
     h0 = np.broadcast_to(params.h0.data, (n_seq, hs))
@@ -301,9 +314,11 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
             hp = hp * mask[:k]
         a = gates[r0 - b0:r1 - b0]
         a += hp @ wh
-        T.logistic_(a[:, :2 * hs])
-        np.tanh(a[:, 2 * hs:3 * hs], out=a[:, 2 * hs:3 * hs])
-        T.logistic_(a[:, 3 * hs:])
+        # one logistic over the whole contiguous block, candidate columns
+        # too; their tanh, from a copy taken before, then overwrites them
+        np.copyto(cand[:k], a[:, 2 * hs:3 * hs])
+        T.logistic_(a)
+        np.tanh(cand[:k], out=a[:, 2 * hs:3 * hs])
         c = cs[r0 - b0:r1 - b0]
         np.multiply(a[:, hs:2 * hs], cp, out=c)
         c += a[:, :hs] * a[:, 2 * hs:3 * hs]

@@ -189,10 +189,12 @@ def _coerce(raw, typ: str, key: str):
 
 # Elements of one parameter that Adam.step updates at a time: the block's
 # slices of the parameter, gradient and moments and the two scratch buffers
-# (128 KiB each) stay in cache across the ufuncs of an update. Over the
-# three default-size optimizers on a 2-vCPU x86 VM, 2^13 to 2^15 took about
-# 250 ms a step, 2^12 about 330 and the unblocked formula 320 to 360.
-_ADAM_BLOCK = 1 << 14
+# (256 KiB each) stay in cache across the ufuncs of an update. A step over
+# 10.24M parameters on a 2-vCPU x86 VM (median of 5) took 128, 113 and
+# 119 ms on one thread with 2^14, 2^15 and 2^16 blocks, and split across
+# two threads 86, 68 and 68 ms: 2^14 blocks make more ufunc calls, which
+# contend for the GIL.
+_ADAM_BLOCK = 1 << 15
 
 
 class Adam:
@@ -219,30 +221,33 @@ class Adam:
         return self.lr * self.decay ** self.steps
 
     def step(self) -> None:
-        """One update of every parameter with a gradient, in place; each
-        gradient is dropped (``grad`` set to None) once it is applied.
+        """One update of every parameter with a gradient, in place; the
+        gradients are dropped (``grad`` set to None) once all are applied.
 
         Each parameter is walked in blocks of ``_ADAM_BLOCK`` elements, so
         the arithmetic runs in cache on two block-sized scratch buffers and
-        makes no full-size temporary. Per element it is the plain formula,
-        the same ufuncs in the same order:
+        makes no full-size temporary. When the gradients hold at least two
+        blocks' worth of elements, the list of blocks is cut at the block
+        boundary nearest its element midpoint and the second half runs on
+        ``nn``'s worker thread while this one runs the first. Per element
+        it is the plain formula, the same ufuncs in the same order:
 
             m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             p -= rate * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
         so parameters and moments are bitwise what it gives. A block's
         gradient is checked before the block is updated: a NaN or inf
-        raises ``NonFiniteError`` naming the parameter. The step is then
-        partly applied (``steps`` advanced, earlier parameters and blocks
-        updated), so the optimizer and the model must be discarded.
+        stops its half and, once both halves are done, raises
+        ``NonFiniteError`` naming the first such parameter in parameter
+        order. The step is then partly applied (``steps`` advanced, earlier
+        blocks updated, and blocks after the bad one in the other half
+        possibly too), so the optimizer and the model must be discarded.
         """
         rate = self.effective_rate()
         self.steps += 1
         t = self.steps
-        b1, b2, eps = self.beta1, self.beta2, self.epsilon
-        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-        scratch = np.empty((2, _ADAM_BLOCK))
-        finite = np.empty(_ADAM_BLOCK, dtype=bool)
+        c1, c2 = 1 - self.beta1 ** t, 1 - self.beta2 ** t
+        stepped, blocks = [], []
         for name, p in self.params:
             g = p.grad
             if g is None:
@@ -250,13 +255,34 @@ class Adam:
             m, v = self.m[name], self.v[name]
             assert p.data.flags.c_contiguous and m.flags.c_contiguous \
                 and v.flags.c_contiguous, f"{name}: update would hit a copy"
-            flat_p, flat_m, flat_v, flat_g = (
-                x.reshape(-1) for x in (p.data, m, v, g))
-            for i in range(0, flat_p.size, _ADAM_BLOCK):
-                j = min(i + _ADAM_BLOCK, flat_p.size)
-                gb, mb, vb = flat_g[i:j], flat_m[i:j], flat_v[i:j]
-                a, b = scratch[0, :j - i], scratch[1, :j - i]
-                if not np.isfinite(gb, out=finite[:j - i]).all():
+            stepped.append(p)
+            flat = [x.reshape(-1) for x in (p.data, m, v, g)]
+            blocks += [(name, *(x[i:i + _ADAM_BLOCK] for x in flat))
+                       for i in range(0, p.data.size, _ADAM_BLOCK)]
+        halves = [blocks]
+        ends = np.cumsum([b[1].size for b in blocks])
+        if blocks and ends[-1] >= 2 * _ADAM_BLOCK:
+            cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
+            halves = [blocks[:cut], blocks[cut:]]
+        for error in nn._run_calls(len(halves) == 2, [
+                (self._update, half, rate, c1, c2) for half in halves]):
+            if error is not None:
+                raise error
+        for p in stepped:
+            p.grad = None
+
+    def _update(self, blocks, rate: float, c1: float, c2: float):
+        """Apply ``blocks``, (name, parameter, m, v, gradient) slices, in
+        order. Returns None, or the floating-point error (``NonFiniteError``
+        for a non-finite gradient) of the block that stopped them, so the
+        caller can raise the first in parameter order."""
+        b1, b2, eps = self.beta1, self.beta2, self.epsilon
+        scratch = np.empty((2, _ADAM_BLOCK))
+        finite = np.empty(_ADAM_BLOCK, dtype=bool)
+        try:
+            for name, pb, mb, vb, gb in blocks:
+                a, b = scratch[0, :gb.size], scratch[1, :gb.size]
+                if not np.isfinite(gb, out=finite[:gb.size]).all():
                     raise T.NonFiniteError(f"non-finite gradient in {name}")
                 mb *= b1
                 mb += np.multiply(1 - b1, gb, out=a)
@@ -268,8 +294,10 @@ class Adam:
                 np.sqrt(b, out=b)
                 b += eps
                 a /= b
-                flat_p[i:j] -= a
-            p.grad = None
+                pb -= a
+        except FloatingPointError as e:  # NonFiniteError among them
+            return e
+        return None
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -88,6 +88,14 @@ class TestPrintConfig:
                   "--set", "seed=11"])
         assert "seed = 11" in capsys.readouterr().out
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        cfg = tmp_path / "c.txt"
+        for text in ("\ufeffseed = 3\n", "\ufeff# comment\nseed = 3\n"):
+            cfg.write_text(text, encoding="utf-8")
+            assert cli.main(["train", "--print-config",
+                             "--config", str(cfg)]) == 0
+            assert "seed = 3" in capsys.readouterr().out.splitlines()
+
 
 def set_first(ids: dict, value) -> None:
     """Give the first entry of a vocabulary map the id ``value``."""

@@ -408,6 +408,27 @@ class TestDropout:
         assert nn.draw_masks(r, [1, 2], one_site(0.0, 4)) == [{}]
         assert r.random() == np.random.default_rng(0).random()
 
+    def test_draws_match_a_loop_over_units_then_models(self):
+        """Each mask is the value a ``rng.random`` call per site would
+        draw, unit by unit, then model by model, then site by site."""
+        sites = (lambda _: [("a", 3, 0.3), ("z", 2, 0.0), ("b", 5, 0.5)],
+                 lambda _: [("c", 4, 0.2)])
+        r = np.random.default_rng(7)
+        got = nn.draw_masks(r, range(3), *sites)
+        loop = np.random.default_rng(7)
+        want = [{}, {}]
+        for _ in range(3):
+            for out, model_sites in zip(want, sites):
+                for key, size, rate in model_sites(None):
+                    if rate:
+                        out.setdefault(key, []).append(
+                            (loop.random(size) < 1 - rate) / (1 - rate))
+        assert [sorted(m) for m in got] == [["a", "b"], ["c"]]
+        for g, w in zip(got, want):
+            for key, rows in w.items():
+                assert np.array_equal(g[key], np.stack(rows)), key
+        assert r.random() == loop.random()
+
     def test_eval_identity(self):
         x = T.Tensor(rng.normal(size=(3, 4)))
         assert nn.apply_mask(x, None, [3]) is x
@@ -536,8 +557,9 @@ def test_lstm_run_gates_match_the_logaddexp_formula(monkeypatch):
     with warnings.catch_warnings(), T.Graph():
         warnings.simplefilter("error", RuntimeWarning)
         nn.lstm_run(p_f, xs, lengths=[4, 5], reverse=p_b)
-    # two calls per step (i and f, then o), five steps, two directions
-    assert len(errors) == 20 and max(errors) <= LOGISTIC_ATOL
+    # one call per step over all four gate blocks, five steps, two
+    # directions
+    assert len(errors) == 10 and max(errors) <= LOGISTIC_ATOL
 
 
 # --- packed batches: one lstm_run call over ragged sequences --------------

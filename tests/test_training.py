@@ -109,14 +109,19 @@ BLOCK = training._ADAM_BLOCK
 class TestBlockedAdam:
     SHAPES = {"scalar": (), "small": (3, 5), "two_blocks": (2, BLOCK),
               "ragged": (2 * BLOCK + 7,)}
+    # the element midpoint of the blocks falls inside "big"
+    MID_SHAPES = {"head": (7,), "big": (3 * BLOCK + 5,), "mid": (4, 3),
+                  "tail": (11,)}
 
-    def params(self, seed=0):
+    def params(self, seed=0, shapes=SHAPES):
         g = np.random.default_rng(seed)
         return [(name, T.Tensor(g.normal(size=shape), requires_grad=True))
-                for name, shape in self.SHAPES.items()]
+                for name, shape in shapes.items()]
 
-    def test_matches_the_unblocked_formula_bitwise(self):
-        blocked, plain = self.params(), self.params()
+    def assert_matches_unblocked(self, shapes, skipped):
+        """Six steps of Adam.step and of the whole-array formula on
+        ``shapes`` agree bitwise; ``skipped`` has no gradient at step 2."""
+        blocked, plain = self.params(shapes=shapes), self.params(shapes=shapes)
         opts = (training.Adam(blocked, lr=0.01, decay=0.99),
                 training.Adam(plain, lr=0.01, decay=0.99))
         g = np.random.default_rng(1)
@@ -126,16 +131,38 @@ class TestBlockedAdam:
                 grad = np.where(g.random(a.shape) < 0.1, 0.0,
                                 g.normal(size=a.shape)
                                 * 10.0 ** g.integers(-8, 4))
-                skip = name == "small" and step == 2
+                skip = name == skipped and step == 2
                 a.grad = None if skip else grad
                 b.grad = None if skip else grad.copy()
             opts[0].step()
             unblocked_adam_step(opts[1])
             for (name, a), (_, b) in zip(blocked, plain):
+                assert a.grad is None
                 assert np.array_equal(a.data, b.data), name
                 assert np.array_equal(opts[0].m[name], opts[1].m[name]), name
                 assert np.array_equal(opts[0].v[name], opts[1].v[name]), name
         assert opts[0].steps == opts[1].steps == 6
+
+    def test_matches_the_unblocked_formula_bitwise(self):
+        self.assert_matches_unblocked(self.SHAPES, "small")
+
+    def test_split_inside_one_parameter_matches_bitwise(self, monkeypatch):
+        submitted, real_submit = [], nn._WORKER.submit
+
+        def submit(*args):
+            submitted.append(args)
+            return real_submit(*args)
+        monkeypatch.setattr(nn._WORKER, "submit", submit)
+        self.assert_matches_unblocked(self.MID_SHAPES, "head")
+        assert len(submitted) == 6  # every step ran half on the worker
+
+    def test_a_step_under_two_blocks_stays_on_this_thread(self,
+                                                          monkeypatch):
+        def submit(*args):
+            raise AssertionError("handed to the worker")
+        monkeypatch.setattr(nn._WORKER, "submit", submit)
+        self.assert_matches_unblocked(
+            {"a": (BLOCK,), "b": (BLOCK - 2,), "c": ()}, "c")
 
     def test_nan_in_the_last_block_names_the_parameter(self):
         params = self.params()
@@ -146,6 +173,21 @@ class TestBlockedAdam:
         grad[-1] = np.nan
         with pytest.raises(T.NonFiniteError, match="ragged"):
             opt.step()
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"second": 3}, "second"), ({"first": -1, "second": 0}, "first")])
+    def test_nan_in_either_half_names_the_first_bad_parameter(self, bad,
+                                                              named):
+        """Parameter "first" is stepped on this thread, "second" on the
+        worker."""
+        params = self.params(shapes={"first": (BLOCK,), "second": (BLOCK,)})
+        for name, p in params:
+            p.grad = np.zeros(p.shape)
+            if name in bad:
+                p.grad[bad[name]] = np.nan
+        with pytest.raises(T.NonFiniteError,
+                           match=f"non-finite gradient in {named}$"):
+            training.Adam(params).step()
 
 
 class TestConfig:
