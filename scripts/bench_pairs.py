@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark this checkout against an earlier revision, in alternating pairs.
 
-    python3 scripts/bench_pairs.py REV LABEL [--pairs N] [--workload W ...]
+    python3 scripts/bench_pairs.py REV LABEL [--pairs N]
 
 Exports REV with `git archive` into a temporary directory and runs
 `python3 perfbench/run.py --workload W` there ("parent") and in this
 checkout, working tree as it is ("change"), N pairs (default 10) for
-each workload named by a `--workload` option (repeatable; by default
-every workload of BENCHMARK.json); the side that runs first alternates
+each workload of BENCHMARK.json; the side that runs first alternates
 from pair to pair.
 
 Writes BENCH_<LABEL>.json at the root of this checkout: for each workload
@@ -123,26 +122,17 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("rev", help="git revision to compare against")
     ap.add_argument("label", help="names the output, BENCH_<label>.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", metavar="NAME",
-                    help="run only this workload (repeatable; default: "
-                         "every workload of BENCHMARK.json)")
-    ns = ap.parse_args(argv)
+    ns = ap.parse_args()
     if ns.pairs < 2:
         ap.error("--pairs must be at least 2")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    for name in ns.workload or []:
-        if name not in workloads:
-            ap.error(f"unknown workload {name!r}; BENCHMARK.json has "
-                     f"{', '.join(workloads)}")
-    if ns.workload:
-        workloads = list(dict.fromkeys(ns.workload))
     runs, machine = [], {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent = Path(tmp) / "parent"
@@ -166,8 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                for w in workloads}
     doc = {"what": f"{ns.label}: this checkout against {ns.rev}",
            "command": f"python3 scripts/bench_pairs.py {ns.rev} {ns.label} "
-                      f"--pairs {ns.pairs}" + "".join(
-                          f" --workload {w}" for w in ns.workload or []),
+                      f"--pairs {ns.pairs}",
            "machine": machine, "summary": summary, "runs": runs}
     out = ROOT / f"BENCH_{ns.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

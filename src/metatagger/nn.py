@@ -39,8 +39,8 @@ products, so they overlap even with single-threaded BLAS. The worker
 runs plain numpy only: the tape is read and written on the calling
 thread, and each direction does exactly the arithmetic it would alone.
 The worker also serves ``training.Adam``: a large enough step runs the
-second half of its blocks there, through ``_run_calls``. It is free
-then, since ``lstm_run`` waits for it before it returns.
+second half of its blocks there, through ``run_calls``, which states
+when the worker is free.
 
 Batches are B sequences stacked row-wise with their ``lengths``.
 Dropout masks are drawn up front, sequence by sequence, by
@@ -96,28 +96,20 @@ def draw_masks(rng: np.random.Generator, units, *site_fns
     ``site_fns[m](unit)`` lists the sites model m draws for one unit (a
     sentence, or a sequence), in the order its forward pass draws them.
     Draws go unit by unit and, within a unit, model by model in the order
-    given: the draws a loop over the units would make. Every rate is
-    checked first; then one ``rng.random`` call draws the uniforms of all
-    of them, cut in that order. Each dict maps a site key to its masks
-    stacked in unit order, one (size,) row per draw; a site with rate 0
-    draws nothing and has no entry.
+    given: the draws a loop over the units would make. Each dict maps a
+    site key to its masks stacked in unit order, one (size,) row per draw;
+    a site with rate 0 draws nothing and has no entry.
     """
-    draws = [(m, key, size, rate) for unit in units
-             for m, sites in enumerate(site_fns)
-             for key, size, rate in sites(unit)]
-    for *_, rate in draws:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    draws = [(m, key, size, rate) for m, key, size, rate in draws if rate]
-    # one call of n uniforms gives the values of consecutive calls whose
-    # sizes add up to n, so cutting it changes no mask
-    u = rng.random(sum(size for _, _, size, _ in draws))
     rows = [defaultdict(list) for _ in site_fns]
-    start = 0
-    for m, key, size, rate in draws:
-        keep = 1.0 - rate
-        rows[m][key].append((u[start:start + size] < keep) / keep)
-        start += size
+    for unit in units:
+        for out, sites in zip(rows, site_fns):
+            for key, size, rate in sites(unit):
+                if not 0.0 <= rate < 1.0:
+                    raise ValueError(
+                        f"dropout rate must be in [0, 1), got {rate}")
+                if rate:
+                    keep = 1.0 - rate
+                    out[key].append((rng.random(size) < keep) / keep)
     return [{key: np.stack(masks) for key, masks in r.items()} for r in rows]
 
 
@@ -213,14 +205,20 @@ _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_run")
 _PROJECT_ROWS = 256
 
 
-def _run_calls(parallel: bool, calls: list) -> list:
+def run_calls(parallel: bool, calls: list) -> list:
     """Results of ``calls``, one or two (fn, *args) tuples, in order.
 
-    With ``parallel`` the second of two calls runs on the worker thread
-    while this one runs the first, under this thread's numpy error policy
-    (numpy keeps one per thread). The worker is always waited for before
-    this returns or raises; an exception raised on it is raised here,
-    unless the first call raised already.
+    With ``parallel`` the second of two calls runs on the module's one
+    worker thread while this one runs the first, under this thread's
+    numpy error policy (numpy keeps one per thread). The worker is always
+    waited for before this returns or raises; an exception raised on it
+    is raised here, unless the first call raised already.
+
+    The rule every user of the worker keeps: it runs only what a call of
+    this function gave it, so it is free whenever no such call is under
+    way. Code between ops, such as ``training.Adam.step`` run from a tape
+    hook, may therefore call this from the calling thread; it must never
+    be called from the worker itself.
     """
     if not parallel:
         return [fn(*args) for fn, *args in calls]
@@ -457,14 +455,14 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
         and n * 4 * hs * (params.input_size + hs) >= _PARALLEL_MIN_WORK
     result = np.empty((n, len(runs) * hs))
     input_grad = xs.requires_grad
-    bwds = _run_calls(parallel, [
+    bwds = run_calls(parallel, [
         (_direction, p, xs.data, x_sorted, None if m is None else m[order],
          r, ranks, batch_sizes, result[:, k * hs:(k + 1) * hs], track,
          input_grad)
         for k, (p, m, r) in enumerate(runs)])
 
     def bwd(g_out):
-        grads = _run_calls(parallel, [
+        grads = run_calls(parallel, [
             (b, g_out[:, k * hs:(k + 1) * hs]) for k, b in enumerate(bwds)])
         d_xs = grads[0][0]
         if input_grad:

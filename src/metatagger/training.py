@@ -229,7 +229,8 @@ class Adam:
         makes no full-size temporary. When the gradients hold at least two
         blocks' worth of elements, the list of blocks is cut at the block
         boundary nearest its element midpoint and the second half runs on
-        ``nn``'s worker thread while this one runs the first. Per element
+        ``nn``'s worker thread, free between ops (``nn.run_calls``), while
+        this one runs the first. Per element
         it is the plain formula, the same ufuncs in the same order:
 
             m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
@@ -239,7 +240,7 @@ class Adam:
         gradient is checked before the block is updated: a NaN or inf
         stops its half and, once both halves are done, raises
         ``NonFiniteError`` naming the first such parameter in parameter
-        order. The step is then partly applied (``steps`` advanced, earlier
+        order (``nn.run_calls`` raises the first half's error first). The step is then partly applied (``steps`` advanced, earlier
         blocks updated, and blocks after the bad one in the other half
         possibly too), so the optimizer and the model must be discarded.
         """
@@ -264,40 +265,32 @@ class Adam:
         if blocks and ends[-1] >= 2 * _ADAM_BLOCK:
             cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
             halves = [blocks[:cut], blocks[cut:]]
-        for error in nn._run_calls(len(halves) == 2, [
-                (self._update, half, rate, c1, c2) for half in halves]):
-            if error is not None:
-                raise error
+        nn.run_calls(len(halves) == 2, [
+            (self._update, half, rate, c1, c2) for half in halves])
         for p in stepped:
             p.grad = None
 
-    def _update(self, blocks, rate: float, c1: float, c2: float):
+    def _update(self, blocks, rate: float, c1: float, c2: float) -> None:
         """Apply ``blocks``, (name, parameter, m, v, gradient) slices, in
-        order. Returns None, or the floating-point error (``NonFiniteError``
-        for a non-finite gradient) of the block that stopped them, so the
-        caller can raise the first in parameter order."""
+        order."""
         b1, b2, eps = self.beta1, self.beta2, self.epsilon
         scratch = np.empty((2, _ADAM_BLOCK))
         finite = np.empty(_ADAM_BLOCK, dtype=bool)
-        try:
-            for name, pb, mb, vb, gb in blocks:
-                a, b = scratch[0, :gb.size], scratch[1, :gb.size]
-                if not np.isfinite(gb, out=finite[:gb.size]).all():
-                    raise T.NonFiniteError(f"non-finite gradient in {name}")
-                mb *= b1
-                mb += np.multiply(1 - b1, gb, out=a)
-                vb *= b2
-                vb += np.multiply(1 - b2, np.multiply(gb, gb, out=a), out=a)
-                np.divide(mb, c1, out=a)  # m_hat
-                a *= rate
-                np.divide(vb, c2, out=b)  # v_hat
-                np.sqrt(b, out=b)
-                b += eps
-                a /= b
-                pb -= a
-        except FloatingPointError as e:  # NonFiniteError among them
-            return e
-        return None
+        for name, pb, mb, vb, gb in blocks:
+            a, b = scratch[0, :gb.size], scratch[1, :gb.size]
+            if not np.isfinite(gb, out=finite[:gb.size]).all():
+                raise T.NonFiniteError(f"non-finite gradient in {name}")
+            mb *= b1
+            mb += np.multiply(1 - b1, gb, out=a)
+            vb *= b2
+            vb += np.multiply(1 - b2, np.multiply(gb, gb, out=a), out=a)
+            np.divide(mb, c1, out=a)  # m_hat
+            a *= rate
+            np.divide(vb, c2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
 
     def zero_grad(self) -> None:
         for _, p in self.params:

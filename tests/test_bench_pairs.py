@@ -1,12 +1,8 @@
 """The summary that scripts/bench_pairs.py writes: spreads, won pairs, the
-rule for claiming a gain, the bound check and the operation counts; and
-which workloads it runs."""
+rule for claiming a gain, the bound check and the operation counts."""
 
 import importlib.util
-import json
 from pathlib import Path
-
-import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -101,55 +97,3 @@ def test_summary_lines_give_each_metric_of_each_workload():
         "within_bound True",
         "paper-train setup_s: parent 1 [1-1], change 1.3 [1.3-1.3], change "
         "better in 0/10 pairs, gain_rule_met False, within_bound False"]
-
-
-def stubbed_main(tmp_path, monkeypatch, argv) -> tuple[list, dict]:
-    """Run the script's ``main`` on ``argv`` against a two-workload
-    BENCHMARK.json in ``tmp_path``, with no export and ``run_once``
-    stubbed; returns the workload of each run and the written document."""
-    bench = {"workloads": [{"name": "paper-train"}, {"name": "paper-tag"}],
-             "end_to_end": METRICS}
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    ran = []
-
-    def run_once(root, workload):
-        ran.append(workload)
-        return {"correct": True, "attempted": 1, "failed": 0,
-                "metrics": {"tok_s": 100.0, "setup_s": 1.0}}
-
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(argv) == 0
-    return ran, json.loads((tmp_path / "BENCH_t.json").read_text())
-
-
-def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
-    ran, doc = stubbed_main(tmp_path, monkeypatch,
-                            ["HEAD", "t", "--pairs", "2",
-                             "--workload", "paper-tag"])
-    assert ran == ["paper-tag"] * 4
-    assert list(doc["summary"]) == ["paper-tag"]
-    assert doc["command"] == ("python3 scripts/bench_pairs.py HEAD t "
-                              "--pairs 2 --workload paper-tag")
-    ran, doc = stubbed_main(tmp_path, monkeypatch,
-                            ["HEAD", "t", "--pairs", "2", "--workload",
-                             "paper-tag", "--workload", "paper-train"])
-    assert ran == ["paper-tag"] * 4 + ["paper-train"] * 4
-    assert doc["command"].endswith(
-        "--workload paper-tag --workload paper-train")
-
-
-def test_every_workload_runs_by_default(tmp_path, monkeypatch):
-    ran, doc = stubbed_main(tmp_path, monkeypatch,
-                            ["HEAD", "t", "--pairs", "2"])
-    assert ran == ["paper-train"] * 4 + ["paper-tag"] * 4
-    assert list(doc["summary"]) == ["paper-train", "paper-tag"]
-    assert doc["command"] == "python3 scripts/bench_pairs.py HEAD t --pairs 2"
-
-
-def test_an_unknown_workload_is_a_usage_error(tmp_path, monkeypatch):
-    with pytest.raises(SystemExit) as exit_:
-        stubbed_main(tmp_path, monkeypatch,
-                     ["HEAD", "t", "--workload", "paper-trian"])
-    assert exit_.value.code == 2

@@ -408,27 +408,6 @@ class TestDropout:
         assert nn.draw_masks(r, [1, 2], one_site(0.0, 4)) == [{}]
         assert r.random() == np.random.default_rng(0).random()
 
-    def test_draws_match_a_loop_over_units_then_models(self):
-        """Each mask is the value a ``rng.random`` call per site would
-        draw, unit by unit, then model by model, then site by site."""
-        sites = (lambda _: [("a", 3, 0.3), ("z", 2, 0.0), ("b", 5, 0.5)],
-                 lambda _: [("c", 4, 0.2)])
-        r = np.random.default_rng(7)
-        got = nn.draw_masks(r, range(3), *sites)
-        loop = np.random.default_rng(7)
-        want = [{}, {}]
-        for _ in range(3):
-            for out, model_sites in zip(want, sites):
-                for key, size, rate in model_sites(None):
-                    if rate:
-                        out.setdefault(key, []).append(
-                            (loop.random(size) < 1 - rate) / (1 - rate))
-        assert [sorted(m) for m in got] == [["a", "b"], ["c"]]
-        for g, w in zip(got, want):
-            for key, rows in w.items():
-                assert np.array_equal(g[key], np.stack(rows)), key
-        assert r.random() == loop.random()
-
     def test_eval_identity(self):
         x = T.Tensor(rng.normal(size=(3, 4)))
         assert nn.apply_mask(x, None, [3]) is x
@@ -784,9 +763,9 @@ def test_the_worker_runs_under_the_callers_error_policy():
         return np.exp(np.array([1000.0]))
 
     with np.errstate(all="raise", under="ignore"):
-        policies = nn._run_calls(True, [(np.geterr,), (np.geterr,)])
+        policies = nn.run_calls(True, [(np.geterr,), (np.geterr,)])
         with pytest.raises(FloatingPointError, match="overflow"):
-            nn._run_calls(True, [(np.geterr,), (overflow,)])
+            nn.run_calls(True, [(np.geterr,), (overflow,)])
     assert policies[1] == policies[0] == dict(
         divide="raise", over="raise", under="ignore", invalid="raise")
 
