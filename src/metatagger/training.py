@@ -230,8 +230,8 @@ class Adam:
         blocks' worth of elements, the list of blocks is cut at the block
         boundary nearest its element midpoint and the second half runs on
         ``nn``'s worker thread, free between ops (``nn.run_calls``), while
-        this one runs the first. Per element
-        it is the plain formula, the same ufuncs in the same order:
+        this one runs the first. Per element it is the plain formula, the
+        same ufuncs in the same order:
 
             m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             p -= rate * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
@@ -240,9 +240,10 @@ class Adam:
         gradient is checked before the block is updated: a NaN or inf
         stops its half and, once both halves are done, raises
         ``NonFiniteError`` naming the first such parameter in parameter
-        order (``nn.run_calls`` raises the first half's error first). The step is then partly applied (``steps`` advanced, earlier
-        blocks updated, and blocks after the bad one in the other half
-        possibly too), so the optimizer and the model must be discarded.
+        order, since ``nn.run_calls`` raises the first half's error first.
+        The step is then partly applied (``steps`` advanced, earlier blocks
+        updated, and blocks after the bad one in the other half possibly
+        too), so the optimizer and the model must be discarded.
         """
         rate = self.effective_rate()
         self.steps += 1
