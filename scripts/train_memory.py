@@ -11,10 +11,14 @@ optimizers. It then starts tracemalloc, trains that one batch with
 the model and the moments:
 
 * entry: held when the backward sweep begins, mostly the tape;
-* peak: the sweep's highest point, with the op of the node whose
-  backward, together with the gradient sums and optimizer steps right
-  after it, reached it;
+* peak: the sweep's highest point, with the op and output shape of the
+  node whose backward, together with the gradient sums, folds and
+  optimizer steps right after it, reached it, e.g. ``lstm_run (892, 800)``;
 * after: held once the batch is done.
+
+Then the SHA-256 of every model array, every Adam moment and the three
+batch losses after the batch, so that two checkouts can be compared
+bit for bit, and last the process's peak RSS (``ru_maxrss``), in MiB.
 
 --tiny shrinks every size, for a smoke test. Run it with
 OPENBLAS_NUM_THREADS=1, as the benchmark does; it needs numpy only.
@@ -23,6 +27,8 @@ OPENBLAS_NUM_THREADS=1, as the benchmark does; it needs numpy only.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -41,8 +47,9 @@ MIB = 2 ** 20
 
 def measure(seed: int, tiny: bool) -> dict:
     """Bytes held at backward entry and after the batch, the sweep's peak
-    and the op it fell in, all beyond what the model and moments hold;
-    and the bytes of the parameters and of the moments."""
+    and the node it fell in, all beyond what the model and moments hold;
+    the bytes of the parameters and of the moments; and the digest of
+    the parameters, moments and losses after the batch."""
     config = training.TrainConfig(seed=seed, **(TINY if tiny else {}))
     train, dev = synthetic.complementary_corpora(
         seed, n_train=8 if tiny else 32, n_dev=2)
@@ -65,11 +72,12 @@ def measure(seed: int, tiny: bool) -> dict:
 
         def spied(node):
             fn = node.backward_fn
+            shape = ", ".join(map(str, node.output.shape))
 
             def bwd(g):
                 peaks.append((tracemalloc.get_traced_memory()[1], last[0]))
                 tracemalloc.reset_peak()
-                last[0] = node.op
+                last[0] = f"{node.op} ({shape})"
                 return fn(g)
             return bwd
 
@@ -82,13 +90,21 @@ def measure(seed: int, tiny: bool) -> dict:
     T.Graph.backward = traced
     tracemalloc.start()
     try:
-        training.train_epoch_synchronous(
+        losses = training.train_epoch_synchronous(
             model, *opts, train, np.arange(len(train)), config.batch_size,
             np.random.default_rng(seed))
         found["after"] = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         T.Graph.backward = backward
+    digest = hashlib.sha256(np.array(losses).tobytes())
+    for _, a in model.array_manifest():
+        digest.update(a.tobytes())
+    for opt in opts:
+        for name in opt.m:
+            digest.update(opt.m[name].tobytes())
+            digest.update(opt.v[name].tobytes())
+    found["digest"] = digest.hexdigest()
     return found
 
 
@@ -104,6 +120,9 @@ def main(argv=None) -> int:
     print(f"entry {m['entry'] / MIB:.1f} MiB")
     print(f"peak {m['peak'] / MIB:.1f} MiB at {m['peak_op']}")
     print(f"after {m['after'] / MIB:.1f} MiB")
+    print(f"digest {m['digest']}")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {rss:.1f} MiB")
     return 0
 
 

@@ -21,13 +21,14 @@ loop. A recorded run keeps for it only the (N, 4H) gate values of each
 direction: the cell states are rebuilt from the gates and c0 with the
 forward's own ops, and the masked input, the masked states each step
 read and the tanh of the cell states from the input, the run's own
-result and those. The layer-input dropout mask is applied inside the op
-too, so it stores no masked copy of the input. Its gates use the
-package's one logistic, ``tensor.logistic_``, in one call in place on
-each step's (live, 4H) pre-activations; the candidate columns then take
-the tanh of a copy of theirs. The readable reference the tests pin the
-fused op to, the same cell composed from primitive ops, is
-``lstm_step`` in ``tests/oracles.py``.
+result and those, reusing the buffers of what it has finished with. The
+layer-input dropout mask is applied inside the op too, so it stores no
+masked copy of the input. Its gates use the package's one logistic,
+``tensor.logistic_``, in one call in place on each step's (live, 4H)
+pre-activations; the candidate columns then take the tanh of a copy of
+theirs. The readable reference the tests pin the fused op to, the same
+cell composed from primitive ops, is ``lstm_step`` in
+``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -270,7 +271,9 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
     then the masked input, the masked states each step read (``dest``
     rows of the step before, or h0, times ``mask``) and, step by step,
     the tanh of the cell states. ``dest`` must therefore hold the run's
-    output until the backward.
+    output until the backward. The masked states go in the cell states'
+    buffer once the step loop is done with it, and the input gradient,
+    returned in packed row order, in the masked input's.
     Without ``track`` a block is at most ``_PROJECT_ROWS`` rows, and all
     the run holds beside ``dest`` is one block's packed input, gates, cell
     and hidden states.
@@ -359,8 +362,9 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
             if mask is not None:
                 dh[:k] *= mask[:k]
         # step t > 0 read rows offsets[t-1]: offsets[t-1] + k of the step
-        # before, a shift by batch_sizes[t-1]
-        h_tilde = np.empty((n, hs))
+        # before, a shift by batch_sizes[t-1]; rebuilt in the cell states'
+        # buffer, dead once the loop has run
+        h_tilde, cs = cs, None
         h_tilde[:n_seq] = h0
         h_tilde[n_seq:] = dest[rows[np.arange(n_seq, n) - np.repeat(
             batch_sizes[:-1], batch_sizes[1:])]]
@@ -368,12 +372,10 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
             h_tilde *= mask[ranks]
         d_wh = h_tilde.T @ d_s
         del h_tilde
-        d_wx = _packed_input(xs, rows, ranks, x_mask).T @ d_s
-        d_xs = None
-        if input_grad:
-            d_xs = np.empty((n, xs.shape[1]))
-            d_xs[rows] = d_s @ wx.T
-        return (d_xs, d_wx, d_wh, d_s.sum(axis=0), dh.sum(axis=0),
+        px = _packed_input(xs, rows, ranks, x_mask)
+        d_wx = px.T @ d_s
+        d_px = np.matmul(d_s, wx.T, out=px) if input_grad else None
+        return (d_px, d_wx, d_wh, d_s.sum(axis=0), dh.sum(axis=0),
                 dc.sum(axis=0))
 
     return bwd
@@ -405,9 +407,10 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     run over its own packed rows (see ``_packing``) with its masks sorted
     to the packed order, writing its ``hidden`` columns of the result.
     One tape node; its backward, written by hand, mirrors the loop of
-    each direction, sums their input gradients in place and multiplies
-    the sum by ``x_mask``; it computes no input gradient when ``xs``
-    takes none. Only what the backward reads is kept: a recorded run holds, per
+    each direction, writes the forward direction's input gradient into
+    the stacked rows, adds the reverse one's and multiplies the sum by
+    ``x_mask``; it computes no input gradient when ``xs`` takes none.
+    Only what the backward reads is kept: a recorded run holds, per
     direction, its (N, 4 * hidden) gate values beside ``xs``, the masks and
     its own result, and rebuilds the cell states, the masked input and the
     masked states from those. An unrecorded one holds, beside the result,
@@ -464,10 +467,13 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     def bwd(g_out):
         grads = run_calls(parallel, [
             (b, g_out[:, k * hs:(k + 1) * hs]) for k, b in enumerate(bwds)])
-        d_xs = grads[0][0]
+        d_xs = None
         if input_grad:
-            for g in grads[1:]:
-                d_xs += g[0]
+            # each direction's input gradient is in its own packed order
+            d_xs = np.empty(xs.shape)
+            d_xs[runs[0][2]] = grads[0][0]
+            for (_, _, r), g in zip(runs[1:], grads[1:]):
+                d_xs[r] += g[0]
             if x_mask is not None:
                 d_xs *= np.repeat(x_mask, lengths, axis=0)
         return (d_xs,) + tuple(d for g in grads for d in g[1:])

@@ -93,15 +93,18 @@ class Graph:
     is a single reverse sweep. A graph is single-use: build it, call
     ``backward`` once, discard it. The sweep releases saved state as it
     goes: each node's backward closure, and with it the forward values only
-    that closure held, is dropped once it has run, so memory falls as the
-    gradients grow. The nodes, their outputs and the outputs' ``grad``
-    stay. Parameters outlive graphs; their ``grad`` fields keep
-    accumulating until cleared by the caller.
+    that closure held, is dropped once it has run, and the sweep keeps no
+    reference of its own to the gradients a node returned once they are
+    summed into their tensors, so memory falls as the gradients grow. The
+    nodes, their outputs and the outputs' ``grad`` stay. Parameters
+    outlive graphs; their ``grad`` fields keep accumulating until cleared
+    by the caller.
 
     ``when_final`` hooks a call into the sweep at the point where some
     tensors' gradients are complete, the earliest node that reads them:
-    the training loop steps each view's optimizer there, which frees that
-    view's gradients before the sweep reaches the next view.
+    the training loop folds each parameter's gradient into its optimizer's
+    moments there, which frees it, and steps each view's optimizer once
+    the whole view is folded.
     """
 
     def __init__(self):
@@ -136,10 +139,13 @@ class Graph:
         # node index -> hooks due once it has run; -1 when nothing reads
         # their tensors
         due: dict[int, list] = {}
+        first_reader: dict[int, int] = {}  # id of an input -> node index
+        for i, node in enumerate(self.nodes):
+            for t in node.inputs:
+                first_reader.setdefault(id(t), i)
         for tensors, fn in self._hooks:
-            ids = {id(t) for t in tensors}
-            first = next((i for i, node in enumerate(self.nodes)
-                          if any(id(t) in ids for t in node.inputs)), -1)
+            first = min((first_reader[id(t)] for t in tensors
+                         if id(t) in first_reader), default=-1)
             due.setdefault(first, []).append(fn)
         loss.grad = np.ones((), dtype=np.float64)
         for i in range(len(self.nodes) - 1, -1, -1):
@@ -155,6 +161,9 @@ class Graph:
                         tensor.grad = g
                     else:
                         tensor.grad = tensor.grad + g
+                # the loop's own references would keep these arrays, and
+                # any the inputs took none of, alive through the next node
+                input_grads = g = None
             for fn in due.pop(i, ()):
                 fn()
         for fn in due.pop(-1, ()):

@@ -2,18 +2,19 @@
 one pass over the shuffled corpus; each batch gets one forward of the
 character, word and meta heads, one backward of their three summed losses
 and one step of each model's optimizer, taken inside that backward once
-the model's gradients are complete. Both schedules run this one loop.
-In separate optimization (the paper's) the encoders' outputs reach the
-combiner detached, so each model learns from its own loss alone; joint
-optimization, kept for the optimization ablation, leaves them attached,
-so the meta loss moves the encoders too. Adam is elementwise, so three
-optimizers with the same settings and step count update the parameters
-exactly as one over all of them would. Either way the meta model reads
-the encoders as they stood before the batch's update. Dev accuracy of
-the meta predictions drives model selection; the best epoch lives in
-its checkpoint file alone. ``forward`` is the one forward of all three
-heads, for training, evaluation and tagging alike: it computes every
-head each time and decides where the meta head's gradient stops.
+the model's gradients are complete; each gradient is folded into the
+optimizer's moments as soon as it is final. Both schedules run this one
+loop. In separate optimization (the paper's) the encoders' outputs reach
+the combiner detached, so each model learns from its own loss alone;
+joint optimization, kept for the optimization ablation, leaves them
+attached, so the meta loss moves the encoders too. Adam is elementwise,
+so three optimizers with the same settings and step count update the
+parameters exactly as one over all of them would. Either way the meta
+model reads the encoders as they stood before the batch's update. Dev
+accuracy of the meta predictions drives model selection; the best epoch
+lives in its checkpoint file alone. ``forward`` is the one forward of
+all three heads, for training, evaluation and tagging alike: it computes
+every head each time and decides where the meta head's gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -187,14 +189,36 @@ def _coerce(raw, typ: str, key: str):
 # ---------------------------------------------------------------------------
 # optimizer
 
-# Elements of one parameter that Adam.step updates at a time: the block's
-# slices of the parameter, gradient and moments and the two scratch buffers
-# (256 KiB each) stay in cache across the ufuncs of an update. A step over
-# 10.24M parameters on a 2-vCPU x86 VM (median of 5) took 128, 113 and
-# 119 ms on one thread with 2^14, 2^15 and 2^16 blocks, and split across
-# two threads 86, 68 and 68 ms: 2^14 blocks make more ufunc calls, which
-# contend for the GIL.
+# Elements of one parameter that Adam folds or applies at a time: the
+# block's slices of the parameter, gradient and moments and the scratch
+# buffers (256 KiB each) stay in cache across the ufuncs of an update. A
+# step over 10.24M parameters on a 2-vCPU x86 VM (median of 5) took 128,
+# 113 and 119 ms on one thread with 2^14, 2^15 and 2^16 blocks, and split
+# across two threads 86, 68 and 68 ms: 2^14 blocks make more ufunc calls,
+# which contend for the GIL.
 _ADAM_BLOCK = 1 << 15
+
+
+def _in_halves(fn, groups, *args) -> list:
+    """Results of ``fn(blocks, *args)`` over the ``_ADAM_BLOCK``-element
+    blocks of ``groups``, tuples of same-sized arrays, one per parameter,
+    each block a tuple of slices of the flattened arrays. When the blocks
+    hold at least two blocks' worth of elements, their list is cut at the
+    block boundary nearest its element midpoint and the second half runs
+    on ``nn``'s worker thread, free between ops (``nn.run_calls``), while
+    this one runs the first."""
+    blocks = []
+    for group in groups:
+        flat = [x.reshape(-1) for x in group]
+        blocks += [tuple(x[i:i + _ADAM_BLOCK] for x in flat)
+                   for i in range(0, flat[0].size, _ADAM_BLOCK)]
+    halves = [blocks]
+    ends = np.cumsum([b[0].size for b in blocks])
+    if blocks and ends[-1] >= 2 * _ADAM_BLOCK:
+        cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
+        halves = [blocks[:cut], blocks[cut:]]
+    return nn.run_calls(len(halves) == 2,
+                        [(fn, half, *args) for half in halves])
 
 
 class Adam:
@@ -202,6 +226,22 @@ class Adam:
 
     The effective rate of an update is learning_rate * decay**steps_done,
     so the very first update runs at the full learning rate.
+
+    An update comes in two parts. ``fold`` adds one parameter's gradient
+    into its moments and drops it; the training loop calls it from the
+    backward sweep as soon as that gradient is final. ``step`` then moves
+    every parameter folded since the last step. Per element it is the
+    plain formula, the same ufuncs in the same order:
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        p -= rate * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so parameters and moments are bitwise what it gives, wherever the
+    folds fall. Both parts walk the arrays in blocks of ``_ADAM_BLOCK``
+    elements, the arithmetic running in cache on block-sized scratch
+    buffers with no full-size temporary, and split a large enough walk
+    across two threads (``_in_halves``). Parameters change only in
+    ``step``.
     """
 
     def __init__(self, params, lr: float = 0.002, decay: float = 0.999994,
@@ -216,75 +256,80 @@ class Adam:
         self.steps = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        # indices into params of the parameters folded since the last
+        # step, and of those whose fold met a non-finite gradient
+        self._folded: set[int] = set()
+        self._nonfinite: set[int] = set()
 
     def effective_rate(self) -> float:
         return self.lr * self.decay ** self.steps
 
+    def fold(self, index: int) -> None:
+        """Fold the gradient of ``params[index]`` into its moments and drop
+        it (``grad`` set to None); a parameter without a gradient is left
+        as it is. Each block of the gradient is checked before it is
+        folded: a NaN or inf stops the fold of its half there and is
+        recorded, for the next ``step`` to raise."""
+        name, p = self.params[index]
+        g, p.grad = p.grad, None
+        if g is None:
+            return
+        m, v = self.m[name], self.v[name]
+        assert m.flags.c_contiguous and v.flags.c_contiguous, \
+            f"{name}: fold would hit a copy"
+        finite = all(_in_halves(self._fold, [(m, v, g)]))
+        (self._folded if finite else self._nonfinite).add(index)
+
     def step(self) -> None:
-        """One update of every parameter with a gradient, in place; the
-        gradients are dropped (``grad`` set to None) once all are applied.
-
-        Each parameter is walked in blocks of ``_ADAM_BLOCK`` elements, so
-        the arithmetic runs in cache on two block-sized scratch buffers and
-        makes no full-size temporary. When the gradients hold at least two
-        blocks' worth of elements, the list of blocks is cut at the block
-        boundary nearest its element midpoint and the second half runs on
-        ``nn``'s worker thread, free between ops (``nn.run_calls``), while
-        this one runs the first. Per element it is the plain formula, the
-        same ufuncs in the same order:
-
-            m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-            p -= rate * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
-
-        so parameters and moments are bitwise what it gives. A block's
-        gradient is checked before the block is updated: a NaN or inf
-        stops its half and, once both halves are done, raises
-        ``NonFiniteError`` naming the first such parameter in parameter
-        order, since ``nn.run_calls`` raises the first half's error first.
-        The step is then partly applied (``steps`` advanced, earlier blocks
-        updated, and blocks after the bad one in the other half possibly
-        too), so the optimizer and the model must be discarded.
+        """One update of every parameter with a gradient, in place: first
+        ``fold`` every parameter still holding one, then move every
+        parameter folded since the last step, at this step's rate and bias
+        correction, and advance ``steps``. If a fold since the last step
+        met a non-finite gradient, raises ``NonFiniteError`` naming the
+        first such parameter in parameter order instead, before any
+        parameter moves; the moments are then partly folded, so the
+        optimizer and the model must be discarded.
         """
+        for i, (_, p) in enumerate(self.params):
+            if p.grad is not None:
+                self.fold(i)
+        if self._nonfinite:
+            name = self.params[min(self._nonfinite)][0]
+            raise T.NonFiniteError(f"non-finite gradient in {name}")
         rate = self.effective_rate()
         self.steps += 1
         t = self.steps
         c1, c2 = 1 - self.beta1 ** t, 1 - self.beta2 ** t
-        stepped, blocks = [], []
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            m, v = self.m[name], self.v[name]
-            assert p.data.flags.c_contiguous and m.flags.c_contiguous \
-                and v.flags.c_contiguous, f"{name}: update would hit a copy"
-            stepped.append(p)
-            flat = [x.reshape(-1) for x in (p.data, m, v, g)]
-            blocks += [(name, *(x[i:i + _ADAM_BLOCK] for x in flat))
-                       for i in range(0, p.data.size, _ADAM_BLOCK)]
-        halves = [blocks]
-        ends = np.cumsum([b[1].size for b in blocks])
-        if blocks and ends[-1] >= 2 * _ADAM_BLOCK:
-            cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
-            halves = [blocks[:cut], blocks[cut:]]
-        nn.run_calls(len(halves) == 2, [
-            (self._update, half, rate, c1, c2) for half in halves])
-        for p in stepped:
-            p.grad = None
+        groups = []
+        for i in sorted(self._folded):
+            name, p = self.params[i]
+            assert p.data.flags.c_contiguous, f"{name}: step would hit a copy"
+            groups.append((p.data, self.m[name], self.v[name]))
+        self._folded.clear()
+        _in_halves(self._apply, groups, rate, c1, c2)
 
-    def _update(self, blocks, rate: float, c1: float, c2: float) -> None:
-        """Apply ``blocks``, (name, parameter, m, v, gradient) slices, in
-        order."""
-        b1, b2, eps = self.beta1, self.beta2, self.epsilon
-        scratch = np.empty((2, _ADAM_BLOCK))
+    def _fold(self, blocks) -> bool:
+        """Fold ``blocks``, (m, v, gradient) slices, in order; False at
+        the first block whose gradient is not finite."""
+        b1, b2 = self.beta1, self.beta2
+        scratch = np.empty(_ADAM_BLOCK)
         finite = np.empty(_ADAM_BLOCK, dtype=bool)
-        for name, pb, mb, vb, gb in blocks:
-            a, b = scratch[0, :gb.size], scratch[1, :gb.size]
+        for mb, vb, gb in blocks:
+            a = scratch[:gb.size]
             if not np.isfinite(gb, out=finite[:gb.size]).all():
-                raise T.NonFiniteError(f"non-finite gradient in {name}")
+                return False
             mb *= b1
             mb += np.multiply(1 - b1, gb, out=a)
             vb *= b2
             vb += np.multiply(1 - b2, np.multiply(gb, gb, out=a), out=a)
+        return True
+
+    def _apply(self, blocks, rate: float, c1: float, c2: float) -> None:
+        """Move ``blocks``, (parameter, m, v) slices, in order."""
+        eps = self.epsilon
+        scratch = np.empty((2, _ADAM_BLOCK))
+        for pb, mb, vb in blocks:
+            a, b = scratch[0, :pb.size], scratch[1, :pb.size]
             np.divide(mb, c1, out=a)  # m_hat
             a *= rate
             np.divide(vb, c2, out=b)  # v_hat
@@ -294,8 +339,13 @@ class Adam:
             pb -= a
 
     def zero_grad(self) -> None:
+        """Drop every gradient and forget the folds since the last step:
+        the next ``step`` moves no parameter by them, though the moments
+        keep what was folded."""
         for _, p in self.params:
             p.grad = None
+        self._folded.clear()
+        self._nonfinite.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +541,16 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
     stood before this batch's update. Returns the mean per-batch loss of
     the char, word and meta heads.
 
-    Each optimizer's step is hooked (``Graph.when_final``) to the point of
-    the sweep where its model's gradients are complete, and drops them as
-    it applies them: the meta model's are stepped and freed before the
-    character model's part of the sweep begins, and the character model's
-    before the word model's, so the three views' gradients are never held
-    together. Where the steps fall changes no value: each optimizer
-    touches only its own parameters, once every backward that reads them
-    has run.
+    Each parameter's gradient is folded into its optimizer's moments and
+    dropped (``Adam.fold``) at the point of the sweep where it is
+    complete, its earliest reader (``Graph.when_final``), so a layer's
+    gradients are gone once its backward has run; each optimizer's step
+    is hooked to the point where its whole model is folded. The three
+    views' gradients are thus never held together, nor a view's finished
+    layers' beside its next. Where the folds and steps fall changes no
+    value: each optimizer touches only its own parameters, each once
+    every backward that reads it has run, and moves them only in its
+    step.
 
     A head's batch loss is the mean over its sentences of each sentence's
     mean token loss, computed in one forward over the whole batch by
@@ -522,6 +574,8 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
                       for logits in forward(model, batch, masks, detach)]
             total = T.add(T.add(losses[0], losses[1]), losses[2])
         for opt in optimizers:
+            for i, (_, p) in enumerate(opt.params):
+                g.when_final([p], functools.partial(opt.fold, i))
             g.when_final([p for _, p in opt.params], opt.step)
         g.backward(total)
         batch_losses.append([l.item() for l in losses])

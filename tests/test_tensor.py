@@ -167,6 +167,33 @@ class TestGraphSemantics:
         with pytest.raises(T.GraphError):
             g.backward(loss)
 
+    def test_backward_drops_a_gradient_no_input_takes_before_the_next_node(
+            self):
+        """A gradient a node returns for an input that takes none is
+        already dead when the next node's backward starts: the sweep keeps
+        no reference of its own to what a node returned."""
+        a, const = rt(3), T.Tensor(np.ones(3))
+        spare, alive = [], []
+
+        def first_bwd(g):
+            alive.append(spare[0]() is not None)
+            return (g,)
+
+        def second_bwd(g):
+            unused = np.full(3, 5.0)  # for ``const``, which takes none
+            spare.append(weakref.ref(unused))
+            return (g, unused)
+
+        with T.Graph() as g:
+            x = T.record("first", (a,), a.data.copy(), first_bwd)
+            y = T.record("second", (x, const), x.data + const.data,
+                         second_bwd)
+            loss = tsum(y)
+        g.backward(loss)
+        assert alive == [False]
+        assert const.grad is None
+        np.testing.assert_array_equal(a.grad, np.ones(3))
+
     def test_non_scalar_loss_raises(self):
         a = rt(2, 2)
         with T.Graph() as g:

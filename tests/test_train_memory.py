@@ -1,4 +1,4 @@
-"""scripts/train_memory.py at tiny sizes: it runs and prints its four
+"""scripts/train_memory.py at tiny sizes: it runs and prints its six
 lines."""
 
 import os
@@ -16,7 +16,10 @@ def test_tiny_run_prints_the_three_points():
                            "1"], env=env, check=True, stdout=subprocess.PIPE,
                           text=True)
     mib = r"\d+\.\d MiB"
+    # op and output shape, e.g. "lstm_run (892, 800)" or "add ()"
+    node = r"([a-z_]+ \((\d+(, \d+)*)?\)|\(before the first node\))"
     assert re.fullmatch(
         rf"model {mib}, moments {mib} \(not counted below\)\n"
-        rf"entry {mib}\npeak {mib} at [a-z_]+\nafter {mib}\n",
+        rf"entry {mib}\npeak {mib} at {node}\nafter {mib}\n"
+        rf"digest [0-9a-f]{{64}}\npeak RSS {mib}\n",
         proc.stdout), proc.stdout

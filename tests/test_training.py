@@ -118,9 +118,10 @@ class TestBlockedAdam:
         return [(name, T.Tensor(g.normal(size=shape), requires_grad=True))
                 for name, shape in shapes.items()]
 
-    def assert_matches_unblocked(self, shapes, skipped):
+    def assert_matches_unblocked(self, shapes, skipped, before_step=None):
         """Six steps of Adam.step and of the whole-array formula on
-        ``shapes`` agree bitwise; ``skipped`` has no gradient at step 2."""
+        ``shapes`` agree bitwise; ``skipped`` has no gradient at step 2.
+        ``before_step(opt)``, if given, runs before each Adam.step."""
         blocked, plain = self.params(shapes=shapes), self.params(shapes=shapes)
         opts = (training.Adam(blocked, lr=0.01, decay=0.99),
                 training.Adam(plain, lr=0.01, decay=0.99))
@@ -134,6 +135,8 @@ class TestBlockedAdam:
                 skip = name == skipped and step == 2
                 a.grad = None if skip else grad
                 b.grad = None if skip else grad.copy()
+            if before_step is not None:
+                before_step(opts[0])
             opts[0].step()
             unblocked_adam_step(opts[1])
             for (name, a), (_, b) in zip(blocked, plain):
@@ -143,18 +146,41 @@ class TestBlockedAdam:
                 assert np.array_equal(opts[0].v[name], opts[1].v[name]), name
         assert opts[0].steps == opts[1].steps == 6
 
-    def test_matches_the_unblocked_formula_bitwise(self):
-        self.assert_matches_unblocked(self.SHAPES, "small")
-
-    def test_split_inside_one_parameter_matches_bitwise(self, monkeypatch):
+    @staticmethod
+    def submissions(monkeypatch) -> list:
+        """The calls handed to ``nn``'s worker from now on."""
         submitted, real_submit = [], nn._WORKER.submit
 
         def submit(*args):
             submitted.append(args)
             return real_submit(*args)
         monkeypatch.setattr(nn._WORKER, "submit", submit)
+        return submitted
+
+    def test_matches_the_unblocked_formula_bitwise(self):
+        self.assert_matches_unblocked(self.SHAPES, "small")
+
+    def test_folds_then_a_step_match_the_unblocked_formula_bitwise(self):
+        """Each parameter but "ragged" is folded, in reverse order, before
+        the step, which folds "ragged" itself; "small" has no gradient at
+        step 2. The folds move no parameter."""
+        def fold(opt):
+            before = [p.data.copy() for _, p in opt.params]
+            for i in reversed(range(len(opt.params))):
+                name, p = opt.params[i]
+                if name != "ragged":
+                    opt.fold(i)
+                    assert p.grad is None
+            for (name, p), was in zip(opt.params, before):
+                assert np.array_equal(p.data, was), name
+        self.assert_matches_unblocked(self.SHAPES, "small", fold)
+
+    def test_split_inside_one_parameter_matches_bitwise(self, monkeypatch):
+        submitted = self.submissions(monkeypatch)
         self.assert_matches_unblocked(self.MID_SHAPES, "head")
-        assert len(submitted) == 6  # every step ran half on the worker
+        # every step ran half of its fold of "big", and half of the
+        # update of all four, on the worker
+        assert len(submitted) == 12
 
     def test_a_step_under_two_blocks_stays_on_this_thread(self,
                                                           monkeypatch):
@@ -174,12 +200,66 @@ class TestBlockedAdam:
         with pytest.raises(T.NonFiniteError, match="ragged"):
             opt.step()
 
+    @pytest.mark.parametrize("size, submits", [(2 * BLOCK, 1),
+                                                (2 * BLOCK - 1, 0)])
+    def test_a_fold_of_two_blocks_runs_half_on_the_worker(
+            self, monkeypatch, size, submits):
+        submitted = self.submissions(monkeypatch)
+        p = T.Tensor(np.zeros(size), requires_grad=True)
+        opt = training.Adam([("p", p)])
+        p.grad = np.ones(size)
+        opt.fold(0)
+        assert len(submitted) == submits
+        assert p.grad is None
+        assert np.all(opt.m["p"] == 1 - opt.beta1)
+        assert np.all(opt.v["p"] == 1 - opt.beta2)
+
+    def test_nonfinite_folds_name_the_first_parameter_in_order(self):
+        """Folded last to first, the NaN of "third" is met before that of
+        "first"; the step names "first" and moves no parameter."""
+        params = self.params(shapes={"first": (3,), "second": (BLOCK,),
+                                     "third": (2 * BLOCK,)})
+        opt = training.Adam(params)
+        for _, p in params:
+            p.grad = np.zeros(p.shape)
+        params[0][1].grad[1] = np.nan
+        params[2][1].grad[-1] = np.nan
+        before = [p.data.copy() for _, p in params]
+        for i in reversed(range(len(params))):
+            opt.fold(i)
+        with pytest.raises(T.NonFiniteError,
+                           match="non-finite gradient in first$"):
+            opt.step()
+        assert opt.steps == 0
+        for (name, p), was in zip(params, before):
+            assert np.array_equal(p.data, was), name
+
+    def test_zero_grad_discards_pending_folds(self):
+        """Folds not yet stepped, a non-finite one among them, are
+        forgotten by ``zero_grad``: the next step moves nothing and does
+        not raise."""
+        params = self.params(shapes={"a": (4,), "b": (3,)})
+        opt = training.Adam(params)
+        for _, p in params:
+            p.grad = np.ones(p.shape)
+        params[1][1].grad[0] = np.inf
+        opt.fold(0)
+        opt.fold(1)
+        opt.zero_grad()
+        before = [p.data.copy() for _, p in params]
+        opt.step()
+        assert opt.steps == 1
+        for (name, p), was in zip(params, before):
+            assert np.array_equal(p.data, was), name
+
     @pytest.mark.parametrize("bad, named", [
         ({"second": 3}, "second"), ({"first": -1, "second": 0}, "first")])
     def test_nan_in_either_half_names_the_first_bad_parameter(self, bad,
                                                               named):
-        """Parameter "first" is stepped on this thread, "second" on the
-        worker."""
+        """``step`` folds "first", then "second", each under two blocks
+        and so on this thread, and names the first bad parameter in
+        parameter order; a NaN in the worker's half of a fold is
+        ``test_nonfinite_folds_name_the_first_parameter_in_order``'s."""
         params = self.params(shapes={"first": (BLOCK,), "second": (BLOCK,)})
         for name, p in params:
             p.grad = np.zeros(p.shape)
@@ -312,9 +392,9 @@ def three_adams(model, **settings):
 class TestScheduleLocality:
     def test_one_batch_moves_each_model_by_its_own_loss(self):
         """One batch of ``train_epoch_synchronous``: each optimizer moves
-        only its own model, and the gradient it steps on, taken from the
-        three summed losses, is bitwise the gradient of its view's loss
-        alone under the same dropout masks."""
+        only its own model, and the gradients it folds into its moments,
+        taken from the three summed losses, are bitwise the gradients of
+        its view's loss alone under the same dropout masks."""
         sents = mini_corpus(6)
         config = small_config()
         model, tr, _ = training.prepare(config, sents, sents)
@@ -342,10 +422,13 @@ class TestScheduleLocality:
                 super().__init__(views[view])
                 self.view = view
 
+            def fold(self, index):
+                name, p = self.params[index]
+                stepped.setdefault(self.view, {})[name] = p.grad.copy()
+                super().fold(index)
+
             def step(self):
                 before = {n: a.copy() for n, a in model.array_manifest()}
-                stepped[self.view] = {n: p.grad.copy()
-                                      for n, p in self.params}
                 super().step()
                 moved[self.view] = {n for n, a in model.array_manifest()
                                     if not np.array_equal(before[n], a)}
@@ -390,9 +473,9 @@ class TestScheduleLocality:
     def test_steps_inside_the_sweep_match_steps_after_it(
             self, optimization, char_encoder):
         """Two batches of ``train_epoch_synchronous``, whose optimizers
-        step inside the backward sweep, leave every parameter and every
-        Adam moment bitwise where stepping after the whole backward
-        (``oracles.synchronous_epoch``) leaves them."""
+        fold each gradient and step inside the backward sweep, leave every
+        parameter and every Adam moment bitwise where stepping after the
+        whole backward (``oracles.synchronous_epoch``) leaves them."""
         config = small_config(optimization=optimization,
                               char_encoder=char_encoder)
 
@@ -464,6 +547,42 @@ class TestScheduleLocality:
             swept = order[:order.index(view)]
             assert not set(live) & set(swept), (view, live)
         assert {view for view, _ in seen} == set(order)
+
+    @pytest.mark.parametrize("optimization", ["separate", "joint"])
+    def test_a_layer_holds_no_gradient_once_its_backward_has_run(
+            self, monkeypatch, optimization):
+        """Each parameter's gradient is folded away at its earliest
+        reader: once a layer's ``lstm_run`` backward and the hooks after
+        it have run, none of the layer's parameters holds a gradient."""
+        model, tr, _ = training.prepare(
+            small_config(optimization=optimization, char_bilstm_layers=2,
+                         word_bilstm_layers=2), mini_corpus(6),
+            mini_corpus(6))
+        swept, held = [], []  # parameters of the lstm_run nodes run
+
+        def spy(node, fn):
+            def bwd(g):
+                held.extend(t for t in swept if t.grad is not None)
+                grads = fn(g)
+                if node.op == "lstm_run":
+                    swept.extend(node.inputs[1:])
+                return grads
+            return bwd
+
+        backward = T.Graph.backward
+
+        def spied(graph, loss):
+            for node in graph.nodes:
+                node.backward_fn = spy(node, node.backward_fn)
+            backward(graph, loss)
+
+        monkeypatch.setattr(T.Graph, "backward", spied)
+        training.train_epoch_synchronous(
+            model, *three_adams(model), tr, np.arange(len(tr)), 3,
+            np.random.default_rng(0))
+        # 5 layers, two batches, each direction's 5 parameters
+        assert len(swept) == 5 * 2 * 10
+        assert not held
 
     def test_zero_learning_rate_is_side_effect_free(self):
         sents = mini_corpus(5)
