@@ -27,12 +27,17 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
   against pair3_pred.conllu, whose FEATS differ only in pair order;
 * that tree's `scripts/run_experiments.py all --seeds 2`, whose output,
   less its `== name (N seeds, Ts) ==` timing lines, is the file
-  studies.txt.
+  studies.txt;
+* that tree's `scripts/train_memory.py --seed 3`, whose `digest` line,
+  the SHA-256 of the parameters, Adam moments and losses after one
+  paper-scale batch, is the file train-memory-digest.txt. It is the only
+  output compared bit for bit for the Adam moments, and the only one run
+  at sizes where the `nn` worker takes LSTM directions and Adam halves.
 
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 26 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 27 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -64,6 +69,7 @@ OUTPUTS = [f"{run}.{ext}" for run in RUNS + list(COLUMN_TASKS)
     + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES] \
     + ["eval-feats.csv"]
 STUDIES = "studies.txt"  # written from run_experiments.py's output
+DIGEST = "train-memory-digest.txt"  # train_memory.py's digest line
 
 
 def write_vectors(train: Path, path: Path, n_forms: int = 20,
@@ -122,9 +128,16 @@ def without_timings(text: str) -> str:
                    if not line.startswith("== "))
 
 
+def digest_line(text: str) -> str:
+    """train_memory.py's ``digest`` line, the only one that does not vary
+    between equal runs; empty if it printed none."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.startswith("digest "))
+
+
 def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
-    """Run ``cmds`` and then the studies script of ``tree`` with its
-    package, in ``out``."""
+    """Run ``cmds`` and then the studies and memory scripts of ``tree``
+    with its package, in ``out``."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1")
@@ -138,6 +151,11 @@ def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
          "--seeds", "2"], cwd=out, env=env, check=True,
         stdout=subprocess.PIPE, text=True).stdout
     (out / STUDIES).write_text(without_timings(studies), encoding="utf-8")
+    memory = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "train_memory.py"),
+         "--seed", "3"], cwd=out, env=env, check=True,
+        stdout=subprocess.PIPE, text=True).stdout
+    (out / DIGEST).write_text(digest_line(memory), encoding="utf-8")
 
 
 def compare(parent: Path, change: Path, names) -> dict[str, bool]:
@@ -175,7 +193,7 @@ def main() -> int:
                       file=sys.stderr)
                 return 2
         same = compare(tmp / "parent-out", tmp / "change-out",
-                       OUTPUTS + [STUDIES])
+                       OUTPUTS + [STUDIES, DIGEST])
     for name, equal in same.items():
         print(f"{'same' if equal else 'DIFF'} {name}")
     return 0 if all(same.values()) else 1

@@ -12,8 +12,8 @@ the model and the moments:
 
 * entry: held when the backward sweep begins, mostly the tape;
 * peak: the sweep's highest point, with the op and output shape of the
-  node whose backward, together with the gradient sums, folds and
-  optimizer steps right after it, reached it, e.g. ``lstm_run (892, 800)``;
+  node whose backward, together with the gradient sums and folds right
+  after it, reached it, e.g. ``lstm_run (892, 800)``;
 * after: held once the batch is done.
 
 Then the SHA-256 of every model array, every Adam moment and the three

@@ -271,7 +271,7 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def _parse_sizes(spec: str) -> list[int]:
+def _parse_sizes(spec: str) -> range:
     parts = spec.split(":")
     if len(parts) != 3:
         raise CliUsageError(f"--sizes expects start:stop:step, got {spec!r}")
@@ -282,7 +282,7 @@ def _parse_sizes(spec: str) -> list[int]:
             from None
     if step <= 0 or stop < start or start <= 0:
         raise CliUsageError(f"--sizes range is empty or invalid: {spec!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)  # never a list: it may be huge
 
 
 def cmd_grid(ns) -> int:

@@ -10,16 +10,16 @@
 * word encoder: the word view's body over word embeddings (learned
   zero-initialized table summed with a frozen pretrained table)
 
-Each encoder owns an output head so it can be trained against its own
-cross-entropy loss.
+Each encoder owns an output head, trained against its own cross-entropy
+loss; the view encoders run theirs with their body, by ``nn.view_forward``.
 
 Encoders take a batch, a list of sentences, and return one row per token,
 sentences in batch order. They read each sentence's arrays and walk no
 tokens: the token spans that parsing sets (``Sentence.spans``) and the
 char and word id arrays that ``data.assign_ids`` attaches, which one
 check of the batch requires. Dropout comes from ``masks``, drawn by
-``nn.draw_masks`` over the encoder's ``dropout_sites``; without masks the
-encoder runs as at evaluation.
+``nn.draw_masks`` over the ``dropout_sites`` of the encoder's body (of the
+token encoder itself); without masks the encoder runs as at evaluation.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ def canonical_gather(parts) -> tuple[str, ...]:
 class CharSentEncoderParams:
     char_table: Tensor
     gather: tuple[str, ...]
-    emb_dropout: float
     view: nn.ViewParams
-
-    def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
-        return ([("emb", self.char_table.shape[1], self.emb_dropout)]
-                + self.view.dropout_sites(sentence))
 
     def parameters(self, prefix: str = "char_sent"):
         return ([(f"{prefix}.char_table", self.char_table)]
@@ -77,8 +72,9 @@ def char_sent_encoder(config: TrainConfig, n_chars: int, n_tags: int,
     table = nn.gaussian((n_chars, emb_dim), rng,
                         nn.init_std(config.char_emb_init, 1))
     view = nn.view_params(config, "char", emb_dim, n_tags, rng,
-                          parts=len(gather))
-    return CharSentEncoderParams(table, gather, config.char_emb_dropout, view)
+                          parts=len(gather),
+                          emb_dropout=config.char_emb_dropout)
+    return CharSentEncoderParams(table, gather, view)
 
 
 def token_counts(batch: list[Sentence]) -> list[int]:
@@ -102,26 +98,19 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
     """Per-token (gathered rep, MLP output, logits) for a batch: one
     packed BiLSTM run over the sentences' character streams."""
     _check_batch(batch, "encode_chars_sentence")
-    masks = masks or {}
     stream_lens = [len(s.char_ids) for s in batch]
     starts = np.cumsum([0] + stream_lens[:-1])
     spans = np.concatenate([s.spans + start
                             for s, start in zip(batch, starts)])
     emb = T.take_rows(p.char_table,
                       np.concatenate([s.char_ids for s in batch]))
-    emb = nn.apply_mask(emb, masks.get("emb"), stream_lens)
-    out = nn.bilstm_stack_run(p.view.stack, emb, lengths=stream_lens,
-                              masks=masks)
-    # As (2 * chars, hidden), row 2i is the forward state at character i
-    # and row 2i + 1 the backward one: one gather picks every part.
+    # each part's id in the gather layout of nn.view_forward
     firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]
     source = {"F_1st": firsts, "F_last": lasts,
               "B_1st": firsts + 1, "B_last": lasts + 1}
-    ids = np.stack([source[name] for name in p.gather], axis=1).reshape(-1)
-    hidden = p.view.stack.hidden_size
-    g = T.reshape(T.take_rows(T.reshape(out, (2 * out.shape[0], hidden)), ids),
-                  (len(spans), len(p.gather) * hidden))
-    return (g,) + nn.view_head(p.view, g, token_counts(batch), masks)
+    ids = np.stack([source[name] for name in p.gather], axis=1)
+    return nn.view_forward(p.view, emb, stream_lens, masks,
+                           gather=(ids, token_counts(batch)))
 
 
 @dataclass
@@ -183,12 +172,7 @@ def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
 class WordEncoderParams:
     learned: Tensor  # zero-initialized, trained
     pretrained: Tensor  # frozen, never receives gradient
-    emb_dropout: float
     view: nn.ViewParams
-
-    def dropout_sites(self, sentence: Sentence) -> list[nn.Site]:
-        return ([("emb", self.learned.shape[1], self.emb_dropout)]
-                + self.view.dropout_sites(sentence))
 
     def parameters(self, prefix: str = "word"):
         # the pretrained matrix is intentionally absent: it is not a
@@ -212,8 +196,9 @@ def word_encoder(config: TrainConfig, n_words: int, n_tags: int,
             f"({n_words}, {emb_dim})")
     learned = nn.zeros((n_words, emb_dim))
     frozen = Tensor(pretrained, requires_grad=False)
-    view = nn.view_params(config, "word", emb_dim, n_tags, rng)
-    return WordEncoderParams(learned, frozen, config.word_emb_dropout, view)
+    view = nn.view_params(config, "word", emb_dim, n_tags, rng,
+                          emb_dropout=config.word_emb_dropout)
+    return WordEncoderParams(learned, frozen, view)
 
 
 def encode_words(p: WordEncoderParams, batch: list[Sentence],
@@ -221,10 +206,6 @@ def encode_words(p: WordEncoderParams, batch: list[Sentence],
     """Per-token (BiLSTM output, MLP output, logits) for a batch: one packed
     BiLSTM run over the sentences' word sequences."""
     _check_batch(batch, "encode_words")
-    masks = masks or {}
     ids = np.concatenate([s.word_ids for s in batch])
-    lens = token_counts(batch)
     emb = T.add(T.take_rows(p.learned, ids), T.take_rows(p.pretrained, ids))
-    emb = nn.apply_mask(emb, masks.get("emb"), lens)
-    o = nn.bilstm_stack_run(p.view.stack, emb, lengths=lens, masks=masks)
-    return (o,) + nn.view_head(p.view, o, lens, masks)
+    return nn.view_forward(p.view, emb, token_counts(batch), masks)

@@ -1,7 +1,7 @@
 """Combiner model: the meta view's body (``nn.ViewParams``: BiLSTM stack,
 MLP, classifier) over the concatenated per-token MLP outputs of the
-character and word models. It gathers nothing: its MLP reads every
-BiLSTM output row.
+character and word models. It gathers nothing, and its input takes no
+dropout: its MLP reads every BiLSTM output row.
 
 ``training.build_model`` builds the body with ``nn.view_params``. Whether
 the combiner's loss reaches the encoders is decided by
@@ -21,7 +21,5 @@ def combine(p: nn.ViewParams, m_chars: Tensor, m_word: Tensor, lengths,
     the encoder outputs stack, split by ``lengths``, the sentences' token
     counts. Dropout comes from ``masks`` (see
     ``nn.ViewParams.dropout_sites``)."""
-    masks = masks or {}
     cw = T.concat([m_chars, m_word], axis=1)
-    o = nn.bilstm_stack_run(p.stack, cw, lengths=lengths, masks=masks)
-    return nn.view_head(p, o, lengths, masks)
+    return nn.view_forward(p, cw, lengths, masks)[1:]

@@ -4,10 +4,10 @@ Contains inverted dropout masks, the LSTM, stacked BiLSTMs, one affine
 layer (``Affine``), softmax cross-entropy and the attention pool used by
 the token-internal character baseline.
 
-The char, word and meta models share one body, ``ViewParams``: a BiLSTM
-stack, an ELU-over-affine MLP and an affine classifier. ``view_head``
-runs the last two on the stack's output rows, or, for the character
-model, on the states gathered at each token's first and last character.
+The char, word and meta models share one body, ``ViewParams``, run by
+``view_forward``: input dropout, a BiLSTM stack, an ELU-over-affine MLP
+over the stack's rows or, for the character model, the states gathered
+at each token's first and last character, and an affine classifier.
 
 The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
@@ -217,7 +217,7 @@ def run_calls(parallel: bool, calls: list) -> list:
 
     The rule every user of the worker keeps: it runs only what a call of
     this function gave it, so it is free whenever no such call is under
-    way. Code between ops, such as ``training.Adam.step`` run from a tape
+    way. Code between ops, such as ``training.Adam.fold`` run from a tape
     hook, may therefore call this from the calling thread; it must never
     be called from the worker itself.
     """
@@ -578,19 +578,23 @@ def affine(p: Affine, x: Tensor) -> Tensor:
 
 @dataclass
 class ViewParams:
-    """The body of the char, word and meta models: BiLSTM stack, ELU MLP
-    with dropout on its output, classifier. The owning model feeds the
-    stack and hands its output to ``view_head``, the character model
-    through its gather; it puts its embedding sites and names in front."""
+    """The body of the char, word and meta models, run by
+    ``view_forward``: dropout on its input rows, BiLSTM stack, ELU MLP
+    with dropout on its output, classifier. The owning model builds the
+    input rows and puts its embedding tables' names in front."""
     stack: BiLstmStack
     mlp: Affine
     classifier: Affine
+    emb_dropout: float
     lstm_dropout: float
     mlp_dropout: float
 
     def dropout_sites(self, sentence) -> list[Site]:
-        """The stack's sites, then the MLP output's ("mlp")."""
-        return (stack_sites(self.stack, self.lstm_dropout)
+        """The input rows' site ("emb"), the stack's, then the MLP
+        output's ("mlp"); a site at rate 0 draws nothing."""
+        return ([("emb", self.stack.layers[0][0].input_size,
+                  self.emb_dropout)]
+                + stack_sites(self.stack, self.lstm_dropout)
                 + [("mlp", self.mlp.weight.shape[1], self.mlp_dropout)])
 
     def parameters(self, prefix: str):
@@ -600,28 +604,45 @@ class ViewParams:
 
 
 def view_params(config: TrainConfig, view: str, input_size: int, n_tags: int,
-                rng: np.random.Generator, parts: int = 2) -> ViewParams:
+                rng: np.random.Generator, parts: int = 2,
+                emb_dropout: float = 0.0) -> ViewParams:
     """The ``view`` ("char", "word" or "meta") model's body: its
-    ``{view}_bilstm_*`` stack over ``input_size`` columns, drawn first,
-    then the MLP over ``parts`` hidden-width parts (the two directions,
-    or the character model's gathered states), then the "scaled"
-    classifier to ``n_tags`` logits."""
+    ``{view}_bilstm_*`` stack over ``input_size`` columns (input dropout
+    ``emb_dropout``), drawn first, then the MLP over ``parts`` hidden-width
+    parts (the two directions, or the character model's gathered states),
+    then the "scaled" classifier to ``n_tags`` logits."""
     hidden = getattr(config, f"{view}_bilstm_size")
     stack = bilstm_stack(input_size, hidden,
                          getattr(config, f"{view}_bilstm_layers"), rng,
                          config.lstm_init)
     mlp = affine_params(parts * hidden, config.mlp_size, rng, config.mlp_init)
     classifier = affine_params(config.mlp_size, n_tags, rng, "scaled")
-    return ViewParams(stack, mlp, classifier, config.lstm_dropout,
-                      config.mlp_dropout)
+    return ViewParams(stack, mlp, classifier, emb_dropout,
+                      config.lstm_dropout, config.mlp_dropout)
 
 
-def view_head(p: ViewParams, x: Tensor, lengths, masks: dict
-              ) -> tuple[Tensor, Tensor]:
-    """(MLP output, logits) for the rows of ``x``, split by ``lengths``;
-    the MLP output takes the "mlp" mask of ``masks``."""
-    m = apply_mask(T.elu(affine(p.mlp, x)), masks.get("mlp"), lengths)
-    return m, affine(p.classifier, m)
+def view_forward(p: ViewParams, x: Tensor, lengths, masks: dict | None,
+                 gather=None) -> tuple[Tensor, Tensor, Tensor]:
+    """(rows, MLP output, logits) of the body ``p`` over the input rows
+    ``x`` of the sequences split by ``lengths``, each part under its mask
+    of ``masks`` (see ``dropout_sites``). The rows are the stack's output
+    unless ``gather``, the character model's (ids, counts), is given.
+    Then ids (tokens, parts) index the output seen as (2 * N, hidden),
+    where row 2i is row i's forward state and row 2i + 1 its backward
+    one, and the rows are the tokens, their parts side by side, split by
+    ``counts``, the sentences' token counts."""
+    masks = masks or {}
+    rows = bilstm_stack_run(p.stack, apply_mask(x, masks.get("emb"), lengths),
+                            lengths=lengths, masks=masks)
+    if gather is not None:
+        ids, lengths = gather
+        hidden = p.stack.hidden_size
+        rows = T.reshape(
+            T.take_rows(T.reshape(rows, (2 * rows.shape[0], hidden)),
+                        ids.reshape(-1)),
+            (len(ids), ids.shape[1] * hidden))
+    m = apply_mask(T.elu(affine(p.mlp, rows)), masks.get("mlp"), lengths)
+    return rows, m, affine(p.classifier, m)
 
 
 # ---------------------------------------------------------------------------

@@ -100,17 +100,16 @@ class Graph:
     outlive graphs; their ``grad`` fields keep accumulating until cleared
     by the caller.
 
-    ``when_final`` hooks a call into the sweep at the point where some
-    tensors' gradients are complete, the earliest node that reads them:
-    the training loop folds each parameter's gradient into its optimizer's
-    moments there, which frees it, and steps each view's optimizer once
-    the whole view is folded.
+    ``when_final`` hooks a call into the sweep at the point where a
+    tensor's gradient is complete, the earliest node that reads it: the
+    training loop folds each parameter's gradient into its optimizer's
+    moments there, which frees it.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._used = False
-        self._hooks: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
+        self._hooks: list[tuple[Tensor, Callable[[], None]]] = []
 
     def __enter__(self) -> "Graph":
         _ACTIVE.append(self)
@@ -119,13 +118,13 @@ class Graph:
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.pop()
 
-    def when_final(self, tensors, fn: Callable[[], None]) -> None:
+    def when_final(self, tensor: Tensor, fn: Callable[[], None]) -> None:
         """Have ``backward`` call ``fn()`` once, as soon as the sweep has
-        run every recorded node that takes any of ``tensors`` as an input:
-        no later node adds to their gradients. If no node reads them,
-        ``fn`` runs at the end of the sweep. Register before ``backward``;
-        hooks due at the same node run in the order registered."""
-        self._hooks.append((tuple(tensors), fn))
+        run every recorded node that takes ``tensor`` as an input: no
+        later node adds to its gradient. If no node reads it, ``fn`` runs
+        at the end of the sweep. Register before ``backward``; hooks due
+        at the same node run in the order registered."""
+        self._hooks.append((tensor, fn))
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad tensor reachable from
@@ -137,16 +136,14 @@ class Graph:
             raise GraphError("backward called twice on the same graph; rebuild the forward pass")
         self._used = True
         # node index -> hooks due once it has run; -1 when nothing reads
-        # their tensors
+        # their tensor
         due: dict[int, list] = {}
         first_reader: dict[int, int] = {}  # id of an input -> node index
         for i, node in enumerate(self.nodes):
             for t in node.inputs:
                 first_reader.setdefault(id(t), i)
-        for tensors, fn in self._hooks:
-            first = min((first_reader[id(t)] for t in tensors
-                         if id(t) in first_reader), default=-1)
-            due.setdefault(first, []).append(fn)
+        for tensor, fn in self._hooks:
+            due.setdefault(first_reader.get(id(tensor), -1), []).append(fn)
         loss.grad = np.ones((), dtype=np.float64)
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]

@@ -1,9 +1,9 @@
 """Training: three cross-entropy losses, three Adam optimizers. An epoch is
 one pass over the shuffled corpus; each batch gets one forward of the
 character, word and meta heads, one backward of their three summed losses
-and one step of each model's optimizer, taken inside that backward once
-the model's gradients are complete; each gradient is folded into the
-optimizer's moments as soon as it is final. Both schedules run this one
+and then one step of each model's optimizer; inside that backward, each
+gradient is folded into its optimizer's moments as soon as it is final.
+Both schedules run this one
 loop. In separate optimization (the paper's) the encoders' outputs reach
 the combiner detached, so each model learns from its own loss alone;
 joint optimization, kept for the optimization ablation, leaves them
@@ -518,10 +518,10 @@ def _draw_masks(model: TaggerModel, batch: list[Sentence],
     """Dropout masks of the char, word and meta models, keyed by view;
     drawn sentence by sentence, in the order the per-sentence forward
     used."""
-    char = model.char_sent if model.char_sent is not None \
+    char = model.char_sent.view if model.char_sent is not None \
         else model.char_token
     return dict(zip(_HEADS, nn.draw_masks(
-        rng, batch, char.dropout_sites, model.word.dropout_sites,
+        rng, batch, char.dropout_sites, model.word.view.dropout_sites,
         model.combiner.dropout_sites)))
 
 
@@ -532,25 +532,25 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
                             ) -> tuple[float, float, float]:
     """One epoch of synchronized training over the shuffled corpus, for
     either schedule of ``model.config.optimization``. Per batch: one
-    forward of the three heads (see ``forward``) and one backward of the
-    three summed losses, inside which ``opt_char``, ``opt_word`` and
-    ``opt_meta`` each step once. In separate optimization the encoders'
-    outputs are detached before the combiner, so each model's gradient
-    comes from its own loss alone; in joint optimization the meta loss
-    reaches the encoders too. The meta model reads the encoders as they
-    stood before this batch's update. Returns the mean per-batch loss of
-    the char, word and meta heads.
+    forward of the three heads (see ``forward``), one backward of the
+    three summed losses, then one step of ``opt_meta``, ``opt_char`` and
+    ``opt_word``, the order in which the sweep finishes their models, so
+    a non-finite gradient stops the batch with the models swept before
+    its own moved. In separate optimization the encoders' outputs are
+    detached before the combiner, so each model's gradient comes from
+    its own loss alone; in joint optimization the meta loss reaches the
+    encoders too. The meta model reads the encoders as they stood before
+    this batch's update. Returns the mean per-batch loss of the char,
+    word and meta heads.
 
     Each parameter's gradient is folded into its optimizer's moments and
     dropped (``Adam.fold``) at the point of the sweep where it is
     complete, its earliest reader (``Graph.when_final``), so a layer's
-    gradients are gone once its backward has run; each optimizer's step
-    is hooked to the point where its whole model is folded. The three
-    views' gradients are thus never held together, nor a view's finished
-    layers' beside its next. Where the folds and steps fall changes no
-    value: each optimizer touches only its own parameters, each once
-    every backward that reads it has run, and moves them only in its
-    step.
+    gradients are gone once its backward has run. The three views'
+    gradients are thus never held together, nor a view's finished
+    layers' beside its next. Where the folds fall changes no value: each
+    folds a gradient no later node adds to, and parameters move only in
+    the steps.
 
     A head's batch loss is the mean over its sentences of each sentence's
     mean token loss, computed in one forward over the whole batch by
@@ -575,9 +575,10 @@ def train_epoch_synchronous(model: TaggerModel, opt_char: Adam,
             total = T.add(T.add(losses[0], losses[1]), losses[2])
         for opt in optimizers:
             for i, (_, p) in enumerate(opt.params):
-                g.when_final([p], functools.partial(opt.fold, i))
-            g.when_final([p for _, p in opt.params], opt.step)
+                g.when_final(p, functools.partial(opt.fold, i))
         g.backward(total)
+        for opt in (opt_meta, opt_char, opt_word):
+            opt.step()
         batch_losses.append([l.item() for l in losses])
     for opt in reversed(optimizers):
         opt.zero_grad()

@@ -9,9 +9,11 @@ fast:
   ``nn.softmax_xent_rows``;
 * ``mean_loss``: the mean of per-sentence losses, which a training batch
   loss equals by weighting its token rows;
-* ``synchronous_epoch``: ``training.train_epoch_synchronous`` with every
-  optimizer stepped after the whole backward, where the package steps
-  each inside the sweep.
+* ``synchronous_epoch``: ``training.train_epoch_synchronous`` with no
+  gradient folded inside the backward sweep: each optimizer's step finds
+  every gradient still held;
+* ``unblocked_adam_step``: ``training.Adam.step`` as one whole-array
+  formula per parameter, where the package folds and applies in blocks.
 
 The ops these compose that the tagger itself never runs live here too:
 ``sigmoid`` and ``tanh`` (the fused LSTM computes its gates in place),
@@ -125,8 +127,9 @@ def synchronous_epoch(model: training.TaggerModel, optimizers,
                       sentences, order: np.ndarray, batch_size: int,
                       rng: np.random.Generator) -> tuple[float, ...]:
     """One epoch of the synchronized loop with each of ``optimizers``
-    stepped, in order, once the batch's whole backward has run; returns
-    the char, word and meta heads' mean batch losses."""
+    stepped, in order, once the batch's whole backward has run, which
+    folds nothing; returns the char, word and meta heads' mean batch
+    losses."""
     detach = model.config.optimization == "separate"
     batch_losses = []
     for start in range(0, len(order), batch_size):
@@ -147,6 +150,30 @@ def synchronous_epoch(model: training.TaggerModel, optimizers,
             opt.step()
         batch_losses.append([l.item() for l in losses])
     return tuple(float(np.mean(column)) for column in zip(*batch_losses))
+
+
+def unblocked_adam_step(opt):
+    """Adam.step as one whole-array formula per parameter: the oracle the
+    blocked, in-place step must match bit for bit."""
+    rate = opt.effective_rate()
+    opt.steps += 1
+    t = opt.steps
+    b1, b2 = opt.beta1, opt.beta2
+    for name, p in opt.params:
+        g = p.grad
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise T.NonFiniteError(f"non-finite gradient in {name}")
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p.data -= rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -1069,6 +1069,22 @@ class TestGridAndAblate:
                          "--sizes", sizes]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
+    def test_a_huge_sizes_range_reaches_its_first_cell(self, monkeypatch):
+        """More sizes than ``sys.maxsize`` allocate nothing up front: the
+        grid starts training its first cell."""
+        cells = []
+
+        def interrupted(model, *args, **kwargs):
+            cells.append((model.config.char_bilstm_size,
+                          model.config.word_bilstm_size))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(training, "train_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["grid", "--sizes", f"1:{10 ** 21}:1",
+                      "--train", str(FIXTURES / "tiny.conllu")])
+        assert cells == [(1, 1)]
+
     @pytest.mark.parametrize("command", [
         ["grid", "--sizes", "8:8:8"],
         ["ablate", "--axis", "components", "--seeds", "1"]])

@@ -374,13 +374,14 @@ class TestBatches:
                             vocabs.n_tags, rng)
         return cs, ct, wd, mp
 
-    def assert_batch_equals_singletons(self, p, encode, sents):
+    def assert_batch_equals_singletons(self, p, encode, sents, sites):
+        """``encode(p, ...)`` under masks drawn over ``sites``."""
         r_batch, r_one = np.random.default_rng(5), np.random.default_rng(5)
-        [masks] = nn.draw_masks(r_batch, sents, p.dropout_sites)
+        [masks] = nn.draw_masks(r_batch, sents, sites)
         batched = encode(p, sents, masks)
         singles = []
         for s in sents:
-            [masks] = nn.draw_masks(r_one, [s], p.dropout_sites)
+            [masks] = nn.draw_masks(r_one, [s], sites)
             singles.append(encode(p, [s], masks))
         for i, out in enumerate(batched):
             want = np.concatenate([one[i].data for one in singles])
@@ -390,17 +391,20 @@ class TestBatches:
     def test_char_sentence_encoder(self):
         sents, vocabs = make_world(self.texts)
         cs = self.dropout_triple(vocabs)[0]
-        self.assert_batch_equals_singletons(cs, encoders.encode_chars_sentence, sents)
+        self.assert_batch_equals_singletons(
+            cs, encoders.encode_chars_sentence, sents, cs.view.dropout_sites)
 
     def test_char_token_encoder(self):
         sents, vocabs = make_world(self.texts)
         ct = self.dropout_triple(vocabs)[1]
-        self.assert_batch_equals_singletons(ct, encoders.encode_chars_token, sents)
+        self.assert_batch_equals_singletons(
+            ct, encoders.encode_chars_token, sents, ct.dropout_sites)
 
     def test_word_encoder(self):
         sents, vocabs = make_world(self.texts)
         wd = self.dropout_triple(vocabs)[2]
-        self.assert_batch_equals_singletons(wd, encoders.encode_words, sents)
+        self.assert_batch_equals_singletons(
+            wd, encoders.encode_words, sents, wd.view.dropout_sites)
 
     def test_combiner(self):
         sents, vocabs = make_world(self.texts)
@@ -418,7 +422,8 @@ class TestBatches:
                                 T.Tensor(m_w.data[pick]),
                                 encoders.token_counts(batch), masks)
 
-        self.assert_batch_equals_singletons(mp, combine, sents)
+        self.assert_batch_equals_singletons(mp, combine, sents,
+                                            mp.dropout_sites)
 
     def test_batch_gradients_equal_summed_singletons(self):
         sents, vocabs = make_world(self.texts)

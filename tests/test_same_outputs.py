@@ -64,3 +64,11 @@ def test_studies_file_drops_only_the_timing_lines():
             "== optimization (2 seeds, 12s) ==\npaired t=1.0 p=0.5\n\n")
     assert same_outputs.without_timings(text) == \
         "config  seeds\n\npaired t=1.0 p=0.5\n\n"
+
+
+def test_memory_file_keeps_only_the_digest_line():
+    text = ("model 181.0 MiB, moments 362.0 MiB (not counted below)\n"
+            "entry 117.0 MiB\npeak 186.3 MiB at lstm_run (880, 800)\n"
+            "after 0.1 MiB\ndigest f59a948f\npeak RSS 781.4 MiB\n")
+    assert same_outputs.digest_line(text) == "digest f59a948f\n"
+    assert same_outputs.digest_line("peak RSS 781.4 MiB\n") == ""

@@ -249,7 +249,7 @@ class TestWhenFinal:
             early = self.spy("early", [a], events)
             late = self.spy("late", [early, a, other], events)
             loss = tsum(late)
-        g.when_final([a], hook)
+        g.when_final(a, hook)
         g.backward(loss)
         # the later reader alone does not fire it; the node before the
         # earliest reader runs after it
@@ -264,7 +264,7 @@ class TestWhenFinal:
             other = self.spy("other", [b], events)
             self.spy("unused", [a], events)
             loss = tsum(self.spy("late", [a, other], events))
-        g.when_final([a], lambda: events.append("hook"))
+        g.when_final(a, lambda: events.append("hook"))
         g.backward(loss)
         assert events == ["late", "hook", "other"]
 
@@ -273,8 +273,8 @@ class TestWhenFinal:
         events = []
         with T.Graph() as g:
             loss = tsum(self.spy("only", [a], events))
-        g.when_final([unread], lambda: events.append("hook"))
-        g.when_final([a], lambda: events.append("hook a"))
+        g.when_final(unread, lambda: events.append("hook"))
+        g.when_final(a, lambda: events.append("hook a"))
         g.backward(loss)
         assert events == ["only", "hook a", "hook"]
         assert unread.grad is None

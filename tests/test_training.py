@@ -1,7 +1,12 @@
 """Optimizer arithmetic, schedule locality, determinism, checkpoints."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from metatagger import data, encoders, evaluation, meta, nn, training
@@ -79,30 +84,6 @@ class TestAdam:
         assert abs(p.data) < 0.05
 
 
-def unblocked_adam_step(opt):
-    """Adam.step as one whole-array formula per parameter: the oracle the
-    blocked, in-place step must match bit for bit."""
-    rate = opt.effective_rate()
-    opt.steps += 1
-    t = opt.steps
-    b1, b2 = opt.beta1, opt.beta2
-    for name, p in opt.params:
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise T.NonFiniteError(f"non-finite gradient in {name}")
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data -= rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-
-
 BLOCK = training._ADAM_BLOCK
 
 
@@ -138,7 +119,7 @@ class TestBlockedAdam:
             if before_step is not None:
                 before_step(opts[0])
             opts[0].step()
-            unblocked_adam_step(opts[1])
+            oracles.unblocked_adam_step(opts[1])
             for (name, a), (_, b) in zip(blocked, plain):
                 assert a.grad is None
                 assert np.array_equal(a.data, b.data), name
@@ -473,9 +454,9 @@ class TestScheduleLocality:
     def test_steps_inside_the_sweep_match_steps_after_it(
             self, optimization, char_encoder):
         """Two batches of ``train_epoch_synchronous``, whose optimizers
-        fold each gradient and step inside the backward sweep, leave every
-        parameter and every Adam moment bitwise where stepping after the
-        whole backward (``oracles.synchronous_epoch``) leaves them."""
+        fold each gradient inside the backward sweep, leave every
+        parameter and every Adam moment bitwise where folding nothing
+        before the steps (``oracles.synchronous_epoch``) leaves them."""
         config = small_config(optimization=optimization,
                               char_encoder=char_encoder)
 
@@ -510,7 +491,7 @@ class TestScheduleLocality:
         """The sweep runs the meta model's nodes, then the character
         model's, then the word model's. When a node of one model runs its
         backward, every gradient of the models swept before it is already
-        applied and gone."""
+        folded and gone."""
         model, tr, _ = training.prepare(
             small_config(optimization=optimization), mini_corpus(6),
             mini_corpus(6))
@@ -547,6 +528,48 @@ class TestScheduleLocality:
             swept = order[:order.index(view)]
             assert not set(live) & set(swept), (view, live)
         assert {view for view, _ in seen} == set(order)
+
+    @pytest.mark.parametrize("optimization", ["separate", "joint"])
+    def test_the_optimizers_step_after_the_sweep_meta_char_word(
+            self, monkeypatch, optimization):
+        """Each batch's three steps come after the backward of its last
+        node, in the order the sweep finishes the models: meta, char,
+        word."""
+        model, tr, _ = training.prepare(
+            small_config(optimization=optimization), mini_corpus(6),
+            mini_corpus(6))
+        events = []
+
+        class Logged(training.Adam):
+            def __init__(self, view, params):
+                super().__init__(params)
+                self.view = view
+
+            def step(self):
+                events.append(self.view)
+                super().step()
+
+        def spy(fn):
+            def bwd(g):
+                events.append("node")
+                return fn(g)
+            return bwd
+
+        backward = T.Graph.backward
+
+        def spied(graph, loss):
+            for node in graph.nodes:
+                node.backward_fn = spy(node.backward_fn)
+            backward(graph, loss)
+
+        monkeypatch.setattr(T.Graph, "backward", spied)
+        training.train_epoch_synchronous(
+            model, Logged("char", model.char_parameters()),
+            Logged("word", model.word_parameters()),
+            Logged("meta", model.meta_parameters()), tr, np.arange(len(tr)),
+            3, np.random.default_rng(0))
+        assert [e for e, _ in itertools.groupby(events)] == \
+            ["node", "meta", "char", "word"] * 2
 
     @pytest.mark.parametrize("optimization", ["separate", "joint"])
     def test_a_layer_holds_no_gradient_once_its_backward_has_run(
@@ -592,6 +615,137 @@ class TestScheduleLocality:
         training.train_model(model, tr, dv)
         for name, arr in model.array_manifest():
             np.testing.assert_array_equal(before[name], arr, err_msg=name)
+
+
+FORMS = ("xa", "yb", "xab", "b", "ya", "xbb")
+
+
+@st.composite
+def two_batch_runs(draw):
+    """A small config of either schedule and character encoder, dropout
+    on or off, a corpus of 2-6 sentences of 1-5 tokens, an order that
+    fills two batches, and an Adam block size."""
+    layers, size = st.integers(1, 2), st.integers(3, 9)
+    rate = draw(st.sampled_from([0.0, 0.25]))
+    sentences = draw(st.lists(st.lists(st.sampled_from(FORMS), min_size=1,
+                                       max_size=5), min_size=2, max_size=6))
+    batch_size = draw(st.integers(1, min(4, len(sentences) - 1)))
+    order = draw(st.permutations(range(len(sentences))))[:2 * batch_size]
+    config = training.TrainConfig(
+        seed=draw(st.integers(0, 2 ** 16)), batch_size=batch_size,
+        optimization=draw(st.sampled_from(["separate", "joint"])),
+        char_encoder=draw(st.sampled_from(["sentence", "token"])),
+        gather=",".join(draw(st.lists(st.sampled_from(encoders.GATHER_PARTS),
+                                      min_size=1, unique=True))),
+        char_bilstm_layers=draw(layers), word_bilstm_layers=draw(layers),
+        meta_bilstm_layers=draw(layers), char_bilstm_size=draw(size),
+        word_bilstm_size=draw(size), meta_bilstm_size=draw(size),
+        mlp_size=draw(size), char_emb_dim=draw(size),
+        word_emb_dim=draw(size), lstm_dropout=rate, mlp_dropout=rate,
+        word_emb_dropout=rate, char_emb_dropout=rate, learning_rate=0.01,
+        mlp_init="scaled", char_emb_init="scaled")
+    text = "\n\n".join("\n".join(
+        f"{i + 1}\t{form}\t_\t_\tT{form[0]}\t_\t0\t_\t_\t_"
+        for i, form in enumerate(tokens)) for tokens in sentences) + "\n"
+    return config, text, np.array(order), draw(st.integers(2, 16))
+
+
+def slopes(model, batch, masks, rng, eps=1e-6):
+    """The three summed batch losses' slope along a random unit direction
+    over every parameter: from the taped gradients, and by central
+    differences under the same ``masks``. The combiner's inputs stay
+    attached, so the taped gradient is the whole loss's in either
+    schedule."""
+    golds = np.concatenate([s.tag_ids for s in batch])
+    weights = np.concatenate([np.full(len(s), 1.0 / (len(s) * len(batch)))
+                              for s in batch])
+    params = [p for _, p in model.all_parameters()]
+    saved = [p.data.copy() for p in params]
+    steps = [rng.normal(size=p.shape) for p in params]
+    norm = np.sqrt(sum(np.vdot(d, d) for d in steps))
+    steps = [d / norm for d in steps]
+
+    def loss():
+        losses = [nn.softmax_xent_rows(logits, golds, weights)
+                  for logits in training.forward(model, batch, masks,
+                                                 detach=False)]
+        return T.add(T.add(losses[0], losses[1]), losses[2])
+
+    oracles.zero_grads(model.all_parameters())
+    with T.Graph() as g:
+        total = loss()
+    g.backward(total)
+    taped = sum(float(np.vdot(p.grad, d)) for p, d in zip(params, steps))
+    oracles.zero_grads(model.all_parameters())
+    ends = []
+    for sign in (1, -1):
+        for p, x, d in zip(params, saved, steps):
+            p.data[...] = x + sign * eps * d
+        ends.append(loss().item())
+    for p, x in zip(params, saved):
+        p.data[...] = x
+    return taped, (ends[0] - ends[1]) / (2 * eps)
+
+
+class FoldedAdam(training.Adam):
+    """Checks at each step that the sweep's hooks folded every gradient."""
+
+    def step(self):
+        held = [name for name, p in self.params if p.grad is not None]
+        assert not held, f"not folded in the sweep: {held}"
+        super().step()
+
+
+class WholeArrayAdam(training.Adam):
+    def step(self):
+        oracles.unblocked_adam_step(self)
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_batch_runs())
+def test_two_batches_on_both_threads_match_the_whole_array_oracle(run):
+    """Two batches of ``train_epoch_synchronous`` with every layer's
+    directions, and every fold and step, split onto ``nn``'s worker, in
+    blocks of a few elements, leave the parameters, Adam moments and
+    losses bitwise where ``oracles.synchronous_epoch`` leaves them on one
+    thread with the whole-array Adam; and each step finds every gradient
+    folded inside the sweep. Both sides run the same ops, so the first
+    batch's taped gradient is also held to central differences along a
+    random direction."""
+    config, text, order, block = run
+    sides = []
+    for adam in (FoldedAdam, WholeArrayAdam):
+        model, tr, _ = training.prepare(config, data.parse_conllu(text),
+                                        data.parse_conllu(text))
+        opts = [adam(ps, lr=config.learning_rate) for ps in (
+            model.char_parameters(), model.word_parameters(),
+            model.meta_parameters())]
+        args = (tr, order, config.batch_size,
+                np.random.default_rng(config.seed))
+        if adam is FoldedAdam:
+            first = [tr[i] for i in order[:config.batch_size]]
+            rng = np.random.default_rng(config.seed + 1)
+            with mock.patch.object(nn, "_PARALLEL_MIN_WORK", 0), \
+                    mock.patch.object(training, "_ADAM_BLOCK", block):
+                taped, numeric = slopes(
+                    model, first, training._draw_masks(model, first, rng),
+                    rng)
+                losses = training.train_epoch_synchronous(model, *opts,
+                                                          *args)
+            assert abs(taped - numeric) <= 1e-6 * max(1, abs(numeric))
+        else:
+            losses = oracles.synchronous_epoch(model, opts, *args)
+        sides.append((model, opts, losses))
+    (model, opts, losses), (want, want_opts, want_losses) = sides
+    assert losses == want_losses
+    for (name, got), (_, ref) in zip(model.all_parameters(),
+                                     want.all_parameters()):
+        assert np.array_equal(got.data, ref.data), name
+    for opt, ref in zip(opts, want_opts):
+        assert opt.steps == ref.steps == 2
+        for name in opt.m:
+            assert np.array_equal(opt.m[name], ref.m[name]), name
+            assert np.array_equal(opt.v[name], ref.v[name]), name
 
 
 class TestTrainLoop:
@@ -865,6 +1019,18 @@ class TestForward:
         assert g.nodes
         idle = [node.op for node in g.nodes if node.output.grad is None]
         assert not idle, f"{schedule}: taped ops without a gradient: {idle}"
+
+    def test_the_combiner_lists_an_input_site_but_draws_no_mask(self):
+        """The combiner's body lists the "emb" site first, at rate 0, so
+        it draws no mask there; the encoders' bodies draw theirs."""
+        model, tr, _ = training.prepare(small_config(), mini_corpus(4),
+                                        mini_corpus(4))
+        sites = model.combiner.dropout_sites(tr[0])
+        assert sites[0] == ("emb", model.combiner.stack.layers[0][0]
+                            .input_size, 0.0)
+        masks = training._draw_masks(model, tr, np.random.default_rng(0))
+        assert "emb" not in masks["meta"]
+        assert "emb" in masks["char"] and "emb" in masks["word"]
 
     @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
     def test_runs_words_then_chars_then_combiner_once(self, monkeypatch,
