@@ -3,6 +3,13 @@ MLP, classifier) over the concatenated per-token MLP outputs of the
 character and word models. It gathers nothing, and its input takes no
 dropout: its MLP reads every BiLSTM output row.
 
+What it reads of each encoder is a package decision, since the paper's
+abstract does not say: the encoder's MLP output after that encoder's
+"mlp" dropout mask, the output ``nn.view_forward`` returns to
+``training.forward``. Over 40 seeds of the optimization study, separate
+minus joint optimization is -0.41 points as built and -0.07 when the
+combiner reads the outputs before the masks (README, Experiments).
+
 ``training.build_model`` builds the body with ``nn.view_params``. Whether
 the combiner's loss reaches the encoders is decided by
 ``training.forward``, which hands this model their outputs.

@@ -39,9 +39,11 @@ the forward and in the backward pass; numpy releases the GIL in its
 products, so they overlap even with single-threaded BLAS. The worker
 runs plain numpy only: the tape is read and written on the calling
 thread, and each direction does exactly the arithmetic it would alone.
-The worker also serves ``training.Adam``: a large enough step runs the
-second half of its blocks there, through ``run_calls``, which states
-when the worker is free.
+The worker also serves ``training.Adam``, whose large enough folds and
+steps run the second half of their blocks there, and
+``training.checkpoint_load``, which reads the second half of a
+checkpoint's array bytes there; both go through ``run_calls``, which
+states when the worker is free.
 
 Batches are B sequences stacked row-wise with their ``lengths``.
 Dropout masks are drawn up front, sequence by sequence, by
@@ -215,11 +217,13 @@ def run_calls(parallel: bool, calls: list) -> list:
     waited for before this returns or raises; an exception raised on it
     is raised here, unless the first call raised already.
 
-    The rule every user of the worker keeps: it runs only what a call of
-    this function gave it, so it is free whenever no such call is under
-    way. Code between ops, such as ``training.Adam.fold`` run from a tape
-    hook, may therefore call this from the calling thread; it must never
-    be called from the worker itself.
+    Its users are ``lstm_run``, ``training.Adam`` and
+    ``training.checkpoint_load``. The rule each keeps: the worker runs
+    only what a call of this function gave it, so it is free whenever no
+    such call is under way. Code between ops, such as
+    ``training.Adam.fold`` run from a tape hook, may therefore call this
+    from the calling thread; it must never be called from the worker
+    itself.
     """
     if not parallel:
         return [fn(*args) for fn, *args in calls]

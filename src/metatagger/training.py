@@ -845,10 +845,28 @@ def _read_manifest(path: str, head: bytes) -> dict:
     return manifest
 
 
+def _read_at(fd: int, dest: np.ndarray, offset: int) -> int:
+    """Fill ``dest``, a byte array, from the file at ``offset`` with
+    positional reads; the number of bytes read, short only where the file
+    ends first."""
+    done = 0
+    while done < dest.size:
+        n = os.preadv(fd, [dest[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
+
+
 def checkpoint_load(path: str) -> Checkpoint:
-    """Read a checkpoint: the manifest line, then each array straight from
-    the file. The arrays' byte count is checked against the file's before
-    any array is allocated."""
+    """Read a checkpoint: the manifest line, then every array's bytes into
+    one buffer, each array a view of it. The arrays' byte count is checked
+    against the file's before the buffer is allocated. The bytes are read
+    in two halves, cut at their midpoint, the second on ``nn``'s worker
+    thread (``nn.run_calls``) while this one reads the first. Both read at
+    positions of the descriptor that read the manifest, so a file replaced
+    meanwhile is not mixed in; one cut meanwhile is a truncated
+    checkpoint."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(path, fh.readline())
         config = config_from_dict(manifest["config"])
@@ -859,16 +877,29 @@ def checkpoint_load(path: str) -> Checkpoint:
         entries = [(entry["name"], tuple(entry["shape"]))
                    for entry in manifest["arrays"]]
         _check_structure(path, config, dict(entries))
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        start = fh.tell()
+        left = os.fstat(fh.fileno()).st_size - start
+        ends = []  # each array's end, in elements of the buffer
         for name, shape in entries:
-            left -= math.prod(shape) * 8
-            if left < 0:
+            ends.append((ends[-1] if ends else 0) + math.prod(shape))
+            if ends[-1] * 8 > left:
                 raise ValueError(f"{path}: truncated checkpoint "
                                  f"(array {name!r} incomplete)")
-        if left:
+        if ends[-1] * 8 < left:
             raise ValueError(f"{path}: trailing bytes after the last array")
-        arrays = {name: np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
-                  for name, shape in entries}
+        buffer = np.empty(ends[-1], "<f8")
+        arrays = {name: buffer[end - math.prod(shape):end].reshape(shape)
+                  for (name, shape), end in zip(entries, ends)}
+        raw = buffer.view(np.uint8)
+        cut = buffer.size // 2 * 8
+        got = nn.run_calls(True, [
+            (_read_at, fh.fileno(), raw[:cut], start),
+            (_read_at, fh.fileno(), raw[cut:], start + cut)])
+        if got != [cut, raw.size - cut]:
+            read = got[0] if got[0] < cut else cut + got[1]
+            name = entries[int(np.searchsorted(ends, read // 8, "right"))][0]
+            raise ValueError(f"{path}: truncated checkpoint "
+                             f"(array {name!r} incomplete)")
     vocabs = Vocabs(words=manifest["vocabs"]["words"],
                     chars=manifest["vocabs"]["chars"],
                     tags=manifest["vocabs"]["tags"],

@@ -393,6 +393,53 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ") and "'meta.extra'" in err
 
+    @pytest.mark.parametrize("where", ["first", "second", "boundary"])
+    def test_a_checkpoint_cut_while_read_is_data_error(
+            self, trained, tmp_path, corpus_dir, capsys, monkeypatch, where):
+        """The file is cut once its size has been checked, inside the first
+        or the second half of its array bytes, or in the second at the end
+        of an array: the load names the first array the cut leaves
+        incomplete, and ``tag`` ends in one line."""
+        blob = (trained / "model.ckpt").read_bytes()
+        head = blob.partition(b"\n")[0]
+        start = len(head) + 1
+        mid = (len(blob) - start) // 16 * 8
+        entries = json.loads(head)["arrays"]
+        ends = np.cumsum([8 * np.prod(entry["shape"]) for entry in entries])
+        kept = int({"first": mid // 2,
+                    "second": (mid + len(blob) - start) // 2,
+                    "boundary": ends[ends > mid][0]}[where])
+        name = entries[np.argmax(ends > kept)]["name"]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        key = (bad.stat().st_dev, bad.stat().st_ino)
+        fstat, preadv = os.fstat, os.preadv
+        reads = []
+
+        def fstat_then_cut(fd):
+            result = fstat(fd)
+            if (result.st_dev, result.st_ino) == key:
+                os.truncate(bad, start + kept)
+            return result
+
+        def counted_preadv(*args):  # a read that spins at the end fails
+            reads.append(args)
+            assert len(reads) < 100, "the read does not stop at the end"
+            return preadv(*args)
+        monkeypatch.setattr(os, "fstat", fstat_then_cut)
+        monkeypatch.setattr(os, "preadv", counted_preadv)
+        message = f"truncated checkpoint (array {name!r} incomplete)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            training.checkpoint_load(bad)
+        bad.write_bytes(blob)
+        capsys.readouterr()
+        assert cli.main(["tag", "--checkpoint", str(bad),
+                         "--input", str(corpus_dir / "dev.conllu"),
+                         "--output", str(tmp_path / "o.conllu")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ") and message in err
+
     @pytest.mark.parametrize("setting", [
         "word_bilstm_layers=0", "meta_bilstm_layers=0", "mlp_size=0",
         "char_bilstm_size=-1", "char_emb_dim=0", "word_emb_dim=0",

@@ -1166,6 +1166,66 @@ class TestCheckpoint:
                            r"\(array 'meta.classifier.bias' incomplete\)"):
             training.checkpoint_load(path)
 
+    def test_a_file_replaced_while_read_gives_the_first_file(self, tmp_path,
+                                                             monkeypatch):
+        """Once the manifest is read, the path is replaced by a checkpoint
+        of the same config and other weights; the arrays still come from
+        the file whose manifest was read."""
+        import os
+        _, ckpt, path, _ = self.trained(tmp_path)
+        other = tmp_path / "other.ckpt"
+        training.checkpoint_save(other, training.Checkpoint(
+            config=ckpt.config, vocabs=ckpt.vocabs,
+            arrays={name: a + 1.0 for name, a in ckpt.arrays.items()},
+            best_score=ckpt.best_score, best_epoch=ckpt.best_epoch))
+        read_manifest = training._read_manifest
+
+        def then_replace(*args):
+            manifest = read_manifest(*args)
+            os.replace(other, path)
+            return manifest
+        monkeypatch.setattr(training, "_read_manifest", then_replace)
+        loaded = training.checkpoint_load(path)
+        assert not other.exists()
+        for name, a in ckpt.arrays.items():
+            assert loaded.arrays[name].tobytes() == a.tobytes(), name
+
+    @pytest.mark.parametrize("char_encoder", ["sentence", "token"])
+    def test_a_load_reads_one_buffer_in_two_halves(self, tmp_path,
+                                                   monkeypatch, char_encoder):
+        """A load hands one call to ``nn``'s worker, holds at its peak
+        little beyond the arrays' bytes, and gives C-contiguous, writeable
+        float64 arrays bitwise the saved ones. The byte midpoint of this
+        model's arrays falls inside one of them."""
+        import tracemalloc
+        sents = mini_corpus(6)
+        config = small_config(char_encoder=char_encoder,
+                              char_bilstm_size=64, word_bilstm_size=64,
+                              meta_bilstm_size=64, mlp_size=64)
+        model, _, _ = training.prepare(config, sents, sents)
+        saved = dict(model.array_manifest())
+        path = tmp_path / "model.ckpt"
+        training.checkpoint_save(path, training.Checkpoint(
+            config=config, vocabs=model.vocabs, arrays=saved,
+            best_score=0.0, best_epoch=0))
+        nbytes = sum(a.nbytes for a in saved.values())
+        assert nbytes // 16 * 8 not in np.cumsum([a.nbytes
+                                                  for a in saved.values()])
+        submitted = TestBlockedAdam.submissions(monkeypatch)
+        tracemalloc.start()
+        try:
+            loaded = training.checkpoint_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(submitted) == 1
+        assert peak <= 1.05 * nbytes
+        assert list(loaded.arrays) == list(saved)
+        for name, a in loaded.arrays.items():
+            assert a.dtype == np.float64, name
+            assert a.flags.c_contiguous and a.flags.writeable, name
+            assert a.tobytes() == saved[name].tobytes(), name
+
     def test_trailing_bytes_rejected(self, tmp_path):
         _, _, path, _ = self.trained(tmp_path)
         path.write_bytes(path.read_bytes() + bytes(8))
