@@ -14,6 +14,9 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
   separate and in joint optimization (2-layer encoders, 3 epochs),
   writing the `--log` file and the checkpoint, then `tag` of the dev
   corpus with each checkpoint;
+* `train` without `--dev`, at the same settings, writing held-out.log
+  and held-out.ckpt: the only run that holds out part of the training
+  corpus as its dev corpus (`data.dev_split`);
 * `eval --csv` of the first tagged file against the dev corpus;
 * `grid --sizes 8:16:8`, four cells at the same settings;
 * `ablate` on each axis (`components`, `context`, `gather` and
@@ -37,7 +40,7 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 27 files and exits 0 if all
+It prints `same` or `DIFF` for each of the 29 files and exits 0 if all
 are equal, 1 if any differs and 2 if a run fails.
 """
 
@@ -66,8 +69,8 @@ COLUMN_TASKS = ("upos", "feats")  # trained on the fixture below
 FIXTURES = ROOT / "tests" / "fixtures"
 OUTPUTS = [f"{run}.{ext}" for run in RUNS + list(COLUMN_TASKS)
            for ext in ("log", "ckpt", "conllu")] \
-    + ["eval.csv", "grid.csv"] + [f"ablate-{axis}.csv" for axis in AXES] \
-    + ["eval-feats.csv"]
+    + ["held-out.log", "held-out.ckpt", "eval.csv", "grid.csv"] \
+    + [f"ablate-{axis}.csv" for axis in AXES] + ["eval-feats.csv"]
 STUDIES = "studies.txt"  # written from run_experiments.py's output
 DIGEST = "train-memory-digest.txt"  # train_memory.py's digest line
 
@@ -100,6 +103,8 @@ def commands(train: Path, dev: Path, vectors: Path) -> list[list[str]]:
                     "--log", f"{run}.log"])
         out.append(["tag", "--checkpoint", f"{run}.ckpt", "--input",
                     str(dev), "--output", f"{run}.conllu"])
+    out.append(["train", "--train", str(train), *SETTINGS,
+                "--checkpoint", "held-out.ckpt", "--log", "held-out.log"])
     out.append(["eval", "--gold", str(dev), "--pred", f"{RUNS[0]}.conllu",
                 "--csv", "eval.csv"])
     out.append(["grid", "--sizes", "8:16:8", *with_vectors,

@@ -325,16 +325,14 @@ def load_pretrained(path: str, vocabs: Vocabs,
 # ---------------------------------------------------------------------------
 # splitting
 
-def dev_split(corpus: list[Sentence], fraction: float = 0.1,
+def dev_split(corpus: list[Sentence],
               seed: int = 0) -> tuple[list[Sentence], list[Sentence]]:
-    """Seeded sentence-level split; dev gets ceil(fraction * N) sentences.
-    Both halves keep their original corpus order."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"dev fraction must be in (0, 1), got {fraction}")
+    """Seeded sentence-level split; dev gets 10% of the N sentences,
+    rounded up. Both halves keep their original corpus order."""
     n = len(corpus)
     if n < 2:
         raise DataError(f"cannot split a corpus of {n} sentence(s)")
-    n_dev = math.ceil(fraction * n)
+    n_dev = math.ceil(0.1 * n)
     perm = np.random.default_rng(seed).permutation(n)
     dev_idx = set(perm[:n_dev].tolist())
     train = [s for i, s in enumerate(corpus) if i not in dev_idx]

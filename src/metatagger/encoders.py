@@ -3,7 +3,9 @@
 * sentence-level character encoder: the char view's body
   (``nn.ViewParams``) over the whole character stream, spaces included;
   between its BiLSTM and its MLP a token's representation is gathered
-  from the forward and backward outputs at its first and last character
+  from the forward and backward outputs at its first and last character,
+  the parts its config names, which ``nn.view_forward`` finds from each
+  token's span in the batch's stacked streams
 * token-level character encoder: unidirectional LSTM over a single token's
   characters plus attention pooling; sees no context at all, kept as the
   contrastive baseline
@@ -104,13 +106,8 @@ def encode_chars_sentence(p: CharSentEncoderParams, batch: list[Sentence],
                             for s, start in zip(batch, starts)])
     emb = T.take_rows(p.char_table,
                       np.concatenate([s.char_ids for s in batch]))
-    # each part's id in the gather layout of nn.view_forward
-    firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]
-    source = {"F_1st": firsts, "F_last": lasts,
-              "B_1st": firsts + 1, "B_last": lasts + 1}
-    ids = np.stack([source[name] for name in p.gather], axis=1)
     return nn.view_forward(p.view, emb, stream_lens, masks,
-                           gather=(ids, token_counts(batch)))
+                           gather=(spans, p.gather, token_counts(batch)))
 
 
 @dataclass
@@ -161,9 +158,9 @@ def encode_chars_token(p: CharTokenEncoderParams, batch: list[Sentence],
     # each stream without the spaces that separate its tokens
     ids = np.concatenate([np.delete(s.char_ids, s.spans[:-1, 1] + 1)
                           for s in batch])
-    emb = nn.apply_mask(T.take_rows(p.char_table, ids),
-                        masks.get("emb"), lens)
-    states = nn.lstm_run(p.lstm, emb, masks.get("state"), lengths=lens)
+    states = nn.lstm_run(p.lstm, T.take_rows(p.char_table, ids),
+                         masks.get("state"), lengths=lens,
+                         x_mask=masks.get("emb"))
     reps = nn.char_attention(p.attn_vec, states, lens)
     return reps, nn.affine(p.classifier, reps)
 

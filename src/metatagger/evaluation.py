@@ -46,25 +46,18 @@ class EvalReport:
         return out
 
 
-def _tags_of(item, task: str) -> list[str]:
-    if isinstance(item, Sentence):
-        return item.gold_tags(task)
-    return list(item)
-
-
 def score(gold_sentences: list[Sentence], predictions, task: str) -> EvalReport:
-    """Token accuracy of predictions against gold, exact string match on the
-    task column. ``predictions`` may be Sentences (a tagged file) or plain
-    per-sentence tag-string lists."""
+    """Token accuracy of predictions, the Sentences of a tagged file,
+    against gold, exact string match on the task column."""
     if len(gold_sentences) != len(predictions):
         raise AlignmentError(
             f"{len(gold_sentences)} gold sentences vs {len(predictions)} "
             f"predicted")
     total = correct = 0
     confusion: dict[tuple[str, str], int] = {}
-    for i, (g_sent, p_item) in enumerate(zip(gold_sentences, predictions)):
+    for i, (g_sent, p_sent) in enumerate(zip(gold_sentences, predictions)):
         g_tags = g_sent.gold_tags(task)
-        p_tags = _tags_of(p_item, task)
+        p_tags = p_sent.gold_tags(task)
         if len(g_tags) != len(p_tags):
             raise AlignmentError(
                 f"sentence {i + 1}: {len(g_tags)} gold tokens vs "

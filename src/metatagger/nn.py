@@ -8,6 +8,8 @@ The char, word and meta models share one body, ``ViewParams``, run by
 ``view_forward``: input dropout, a BiLSTM stack, an ELU-over-affine MLP
 over the stack's rows or, for the character model, the states gathered
 at each token's first and last character, and an affine classifier.
+``view_forward`` alone knows where in the stack's output each gathered
+state lies; the character model hands it token spans and part names.
 
 The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
@@ -81,7 +83,8 @@ def zeros(shape) -> Tensor:
 
 
 def init_std(kind: str, fan_in: int) -> float:
-    """Weight init scale: "gaussian" is unit variance, "scaled" is 1/fan_in."""
+    """Weight init scale: "gaussian" is unit variance, "scaled" is
+    1/sqrt(fan_in)."""
     if kind == "gaussian":
         return 1.0
     if kind == "scaled":
@@ -433,8 +436,6 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
             f"{reverse.hidden_size}, forward {params.input_size} -> "
             f"{params.hidden_size}")
     n = xs.shape[0]
-    if n == 0:
-        raise T.ShapeError("lstm_run: empty sequence")
     lengths = _check_lengths(lengths, n, "lstm_run")
     hs = params.hidden_size
     rows, batch_sizes, order, ranks = _packing(lengths)
@@ -630,21 +631,28 @@ def view_forward(p: ViewParams, x: Tensor, lengths, masks: dict | None,
     """(rows, MLP output, logits) of the body ``p`` over the input rows
     ``x`` of the sequences split by ``lengths``, each part under its mask
     of ``masks`` (see ``dropout_sites``). The rows are the stack's output
-    unless ``gather``, the character model's (ids, counts), is given.
-    Then ids (tokens, parts) index the output seen as (2 * N, hidden),
-    where row 2i is row i's forward state and row 2i + 1 its backward
-    one, and the rows are the tokens, their parts side by side, split by
-    ``counts``, the sentences' token counts."""
+    unless ``gather``, the character model's (spans, parts, counts), is
+    given. Then the rows are the tokens, split by ``counts``, the
+    sentences' token counts: each row of ``spans`` (tokens, 2) holds a
+    token's first and last row of ``x``, and its row holds side by side
+    the states ``parts`` names, "F_1st" and "F_last" the forward state
+    at its first and last row, "B_1st" and "B_last" the backward one."""
     masks = masks or {}
     rows = bilstm_stack_run(p.stack, apply_mask(x, masks.get("emb"), lengths),
                             lengths=lengths, masks=masks)
     if gather is not None:
-        ids, lengths = gather
+        spans, parts, lengths = gather
         hidden = p.stack.hidden_size
+        # row 2i of the output seen as (2 * N, hidden) is row i's forward
+        # state and row 2i + 1 its backward one
+        firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]
+        source = {"F_1st": firsts, "F_last": lasts,
+                  "B_1st": firsts + 1, "B_last": lasts + 1}
+        ids = np.stack([source[name] for name in parts], axis=1)
         rows = T.reshape(
             T.take_rows(T.reshape(rows, (2 * rows.shape[0], hidden)),
                         ids.reshape(-1)),
-            (len(ids), ids.shape[1] * hidden))
+            (len(ids), len(parts) * hidden))
     m = apply_mask(T.elu(affine(p.mlp, rows)), masks.get("mlp"), lengths)
     return rows, m, affine(p.classifier, m)
 

@@ -32,9 +32,8 @@ TAG_FLIPS = {"K1": "K2", "K2": "K1", "S1": "S2", "S2": "S1",
              "KA": "TU", "TU": "KA"}
 
 
-def _all_stems(rng: np.random.Generator, length: int = 3) -> list[str]:
-    letters = list(STEM_LETTERS)
-    stems = ["".join(p) for p in permutations(letters, length)]
+def _all_stems(rng: np.random.Generator) -> list[str]:
+    stems = ["".join(p) for p in permutations(STEM_LETTERS, 3)]
     rng.shuffle(stems)
     return stems
 
@@ -98,15 +97,15 @@ def closed_vocabulary(rng: np.random.Generator, n_forms: int = 12
 
 
 def complementary_sentences(lexicon: dict[str, str], stems: list[str],
-                            n_sentences: int, rng: np.random.Generator,
-                            n_pairs_low: int = 2, n_pairs_high: int = 3
+                            n_sentences: int, rng: np.random.Generator
                             ) -> list[Sentence]:
-    """Alternating closed-vocabulary and open-class suffix-tagged tokens."""
+    """Two or three pairs per sentence of a closed-vocabulary token and an
+    open-class suffix-tagged one."""
     closed_forms = list(lexicon)
     out = []
     for _ in range(n_sentences):
         pairs = []
-        for _ in range(int(rng.integers(n_pairs_low, n_pairs_high + 1))):
+        for _ in range(int(rng.integers(2, 4))):
             w = closed_forms[rng.integers(len(closed_forms))]
             pairs.append((w, lexicon[w]))
             suffix = SUFFIXES[rng.integers(2)]

@@ -724,12 +724,7 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(checkpoint.config),
-        "vocabs": {
-            "words": checkpoint.vocabs.words,
-            "chars": checkpoint.vocabs.chars,
-            "tags": checkpoint.vocabs.tags,
-            "task": checkpoint.vocabs.task,
-        },
+        "vocabs": vars(checkpoint.vocabs),
         "best_score": checkpoint.best_score,
         "best_epoch": checkpoint.best_epoch,
         "arrays": [{"name": n, "shape": list(checkpoint.arrays[n].shape)}
@@ -755,7 +750,7 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
 
 
 _MANIFEST_KEYS = ("config", "vocabs", "best_score", "best_epoch", "arrays")
-_VOCAB_KEYS = ("words", "chars", "tags", "task")
+_VOCAB_KEYS = tuple(f.name for f in dataclasses.fields(Vocabs))
 
 
 def _require(path: str, what: str, mapping, keys) -> None:
@@ -900,10 +895,7 @@ def checkpoint_load(path: str) -> Checkpoint:
             name = entries[int(np.searchsorted(ends, read // 8, "right"))][0]
             raise ValueError(f"{path}: truncated checkpoint "
                              f"(array {name!r} incomplete)")
-    vocabs = Vocabs(words=manifest["vocabs"]["words"],
-                    chars=manifest["vocabs"]["chars"],
-                    tags=manifest["vocabs"]["tags"],
-                    task=manifest["vocabs"]["task"])
+    vocabs = Vocabs(**{key: manifest["vocabs"][key] for key in _VOCAB_KEYS})
     return Checkpoint(config=config, vocabs=vocabs, arrays=arrays,
                       best_score=manifest["best_score"],
                       best_epoch=manifest["best_epoch"])

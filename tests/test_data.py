@@ -266,33 +266,29 @@ class TestDevSplit:
         return corpus_of(*[f"w{i} x{i}" for i in range(n)])
 
     def test_sizes_100(self):
-        train, dev = data.dev_split(self.make(100), 0.05, seed=1)
-        assert len(train) == 95 and len(dev) == 5
+        train, dev = data.dev_split(self.make(100), seed=1)
+        assert len(train) == 90 and len(dev) == 10
 
     def test_ceil_on_small(self):
-        train, dev = data.dev_split(self.make(10), 0.05, seed=1)
-        assert len(dev) == 1 and len(train) == 9
+        train, dev = data.dev_split(self.make(15), seed=1)
+        assert len(dev) == 2 and len(train) == 13
 
     def test_seed_determinism(self):
         c = self.make(30)
-        a = data.dev_split(c, 0.2, seed=7)
-        b = data.dev_split(c, 0.2, seed=7)
+        a = data.dev_split(c, seed=7)
+        b = data.dev_split(c, seed=7)
         assert [s.forms() for s in a[1]] == [s.forms() for s in b[1]]
 
     def test_partition(self):
         c = self.make(20)
-        train, dev = data.dev_split(c, 0.25, seed=3)
+        train, dev = data.dev_split(c, seed=3)
         ids = lambda xs: {id(s) for s in xs}
         assert ids(train) | ids(dev) == ids(c)
         assert ids(train) & ids(dev) == set()
 
     def test_too_small(self):
         with pytest.raises(data.DataError):
-            data.dev_split(self.make(1), 0.5, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            data.dev_split(self.make(10), 1.5, seed=0)
+            data.dev_split(self.make(1), seed=0)
 
 
 class TestTaggedOutput:

@@ -130,6 +130,30 @@ class TestCharSentence:
         with pytest.raises(ValueError):
             encoders.canonical_gather(())
 
+    def test_each_part_is_the_stack_state_it_names(self):
+        """Each gathered block is one direction's half of the stack's
+        output at the token's first or last character, in a batch of two
+        sentences with one- and multi-character tokens."""
+        sents, vocabs = make_world(["a bc def", "gh i"])
+        cs, _, _ = small_encoders(vocabs)
+        g, _, _ = encoders.encode_chars_sentence(cs, sents)
+        ids = np.concatenate([s.char_ids for s in sents])
+        out = nn.bilstm_stack_run(
+            cs.view.stack, T.take_rows(cs.char_table, ids),
+            lengths=[len(s.char_ids) for s in sents]).data
+        h = cs.view.stack.hidden_size
+        halves = {"F": out[:, :h], "B": out[:, h:]}
+        spans = np.concatenate([sents[0].spans,
+                                sents[1].spans + len(sents[0].char_ids)])
+        assert spans.tolist() == [[0, 0], [2, 3], [5, 7], [8, 9], [11, 11]]
+        where = {"1st": 0, "last": 1}
+        for row, span in enumerate(spans):
+            for k, part in enumerate(cs.gather):
+                direction, end = part.split("_")
+                want = halves[direction][span[where[end]]]
+                assert np.array_equal(g.data[row, k * h:(k + 1) * h], want), \
+                    (row, part)
+
 
 class TestCharToken:
     def test_context_free_bit_exact(self):
@@ -161,6 +185,51 @@ class TestCharToken:
         r, logits = encoders.encode_chars_token(ct, [sents[0]])
         assert r.shape == (3, 6)
         assert logits.shape == (3, vocabs.n_tags)
+
+    def test_embedding_mask_is_applied_by_the_lstm_run(self):
+        """Under dropout, reps, logits and every parameter gradient are
+        bitwise those of the mask applied by ``apply_mask`` in front of an
+        ``lstm_run`` without ``x_mask``, and the tape records no product
+        for the mask."""
+        sents, vocabs = make_world(["the dog barks", "a", "ab cd"])
+        config = small_config(char_emb_dropout=0.3, lstm_dropout=0.2)
+        ct = encoders.char_token_encoder(config, vocabs.n_chars,
+                                         vocabs.n_tags,
+                                         np.random.default_rng(7))
+        [masks] = nn.draw_masks(np.random.default_rng(3), sents,
+                                ct.dropout_sites)
+        assert "emb" in masks and "state" in masks
+        forms = [f for s in sents for f in s.forms()]
+        lens = [len(f) for f in forms]
+        ids = [vocabs.char_id(c) for f in forms for c in f]
+        golds = np.concatenate([s.tag_ids for s in sents])
+
+        def composed(p, batch, masks):
+            emb = nn.apply_mask(T.take_rows(p.char_table, ids),
+                                masks["emb"], lens)
+            states = nn.lstm_run(p.lstm, emb, masks["state"], lengths=lens)
+            reps = nn.char_attention(p.attn_vec, states, lens)
+            return reps, nn.affine(p.classifier, reps)
+
+        def run(encode):
+            oracles.zero_grads(ct.parameters())
+            with T.Graph() as g:
+                reps, logits = encode(ct, sents, masks)
+                loss = nn.softmax_xent_rows(logits, golds)
+            g.backward(loss)
+            grads = {n: p.grad.copy() for n, p in ct.parameters()}
+            return reps.data, logits.data, grads, [n.op for n in g.nodes]
+
+        reps, logits, grads, ops = run(encoders.encode_chars_token)
+        want_reps, want_logits, want_grads, want_ops = run(composed)
+        assert np.array_equal(reps, want_reps)
+        assert np.array_equal(logits, want_logits)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+        assert "elementwise_mul" in want_ops
+        assert "elementwise_mul" not in ops
+        assert len(ops) == len(want_ops) - 1
 
     def test_grad_check(self):
         sents, vocabs = make_world(["ab c"])

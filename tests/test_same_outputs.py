@@ -39,7 +39,7 @@ def test_outputs_are_the_files_the_commands_write():
             cmd[0], ("--checkpoint", "--log", "--out"))
         written += [cmd[i + 1] for i, arg in enumerate(cmd) if arg in flags]
     assert sorted(written) == sorted(same_outputs.OUTPUTS)
-    assert len(written) == 25
+    assert len(written) == 27
 
 
 def test_grid_and_ablate_read_the_vectors_file():

@@ -1082,6 +1082,20 @@ class TestCheckpoint:
         assert loaded.config == ckpt.config
         assert loaded.vocabs.tags == ckpt.vocabs.tags
 
+    def test_vocab_table_is_the_vocabs_fields(self, tmp_path):
+        """The manifest's vocabs object holds ``Vocabs``' fields in their
+        declared order; one that holds an extra key still loads."""
+        import dataclasses
+        import json
+        _, ckpt, path, _ = self.trained(tmp_path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        assert list(manifest["vocabs"]) == \
+            [f.name for f in dataclasses.fields(data.Vocabs)]
+        manifest["vocabs"]["extra"] = {"x": 1}
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        assert training.checkpoint_load(path).vocabs == ckpt.vocabs
+
     def test_save_gives_the_mode_of_a_plain_open(self, tmp_path):
         _, ckpt, path, _ = self.trained(tmp_path)
         plain = tmp_path / "plain"
@@ -1391,11 +1405,14 @@ class TestEvaluate:
         assert all(s.tag_ids[-1] == -1 and -1 not in s.tag_ids[:-1]
                    for s in dev if s.tokens)
         for head in ("char", "word", "meta"):
-            want = evaluation.score(dev, self.head_tags(model, dev, head),
-                                    task).accuracy
+            tagged = data.parse_conllu(data.write_conllu(
+                dev, self.head_tags(model, dev, head), task), task)
+            want = evaluation.score(dev, tagged, task).accuracy
             assert 0.0 < want < 1.0
             assert training.accuracies(model, dev)[head] == want
         assert training.tag_corpus(model, dev) == \
             self.head_tags(model, dev, "meta")
+        tagged = data.parse_conllu(data.write_conllu([empty], [[]], task),
+                                   task)
         assert training.evaluate(model, [empty]) == 0.0 == \
-            evaluation.score([empty], [[]], task).accuracy
+            evaluation.score([empty], tagged, task).accuracy
