@@ -54,9 +54,7 @@ def measure(seed: int, tiny: bool) -> dict:
     train, dev = synthetic.complementary_corpora(
         seed, n_train=8 if tiny else 32, n_dev=2)
     model, train, _ = training.prepare(config, train, dev)
-    opts = [training.Adam(params, lr=config.learning_rate,
-                          decay=config.decay, beta1=config.beta1,
-                          beta2=config.beta2, epsilon=config.adam_epsilon)
+    opts = [training._make_adam(params, config)
             for params in (model.char_parameters(), model.word_parameters(),
                            model.meta_parameters())]
     found = {"params": sum(p.data.nbytes for _, p in model.all_parameters()),

@@ -258,9 +258,11 @@ def _peak_rss_mb() -> float:
 def cmd_eval(ns) -> int:
     _check_outputs({"gold": ns.gold, "pred": ns.pred, "csv": ns.csv},
                    ("csv",))
+    t0 = time.perf_counter()
     gold = _parse_corpus(ns.gold, ns.task)
     pred = _parse_corpus(ns.pred, ns.task)
     report = evaluation.score(gold, pred, ns.task)
+    seconds = time.perf_counter() - t0
     for line in report.lines():
         print(line)
     if ns.csv:
@@ -268,6 +270,9 @@ def cmd_eval(ns) -> int:
             "task,total,correct,accuracy\n"
             f"{report.task},{report.total},{report.correct},"
             f"{report.accuracy:.6f}\n", encoding="utf-8")
+    rate = report.total / seconds if seconds > 0 else 0.0
+    print(f"eval: {report.total} tokens in {seconds:.3f} s, {rate:.0f} tok/s",
+          file=sys.stderr)
     return 0
 
 

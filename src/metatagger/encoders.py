@@ -4,8 +4,9 @@
   (``nn.ViewParams``) over the whole character stream, spaces included;
   between its BiLSTM and its MLP a token's representation is gathered
   from the forward and backward outputs at its first and last character,
-  the parts its config names, which ``nn.view_forward`` finds from each
-  token's span in the batch's stacked streams
+  the parts its config names (``nn.GATHER_PARTS``), which
+  ``nn.view_forward`` finds from each token's span in the batch's
+  stacked streams
 * token-level character encoder: unidirectional LSTM over a single token's
   characters plus attention pooling; sees no context at all, kept as the
   contrastive baseline
@@ -38,21 +39,6 @@ from .tensor import Tensor
 
 if TYPE_CHECKING:
     from .training import TrainConfig
-
-GATHER_PARTS = ("F_1st", "F_last", "B_1st", "B_last")
-
-
-def canonical_gather(parts) -> tuple[str, ...]:
-    """Validate a gather strategy and fix its order to the canonical one."""
-    got = set(parts)
-    bad = got - set(GATHER_PARTS)
-    if bad:
-        raise ValueError(f"unknown gather parts {sorted(bad)}; "
-                         f"valid: {GATHER_PARTS}")
-    if not got:
-        raise ValueError("gather strategy must name at least one output")
-    return tuple(p for p in GATHER_PARTS if p in got)
-
 
 @dataclass
 class CharSentEncoderParams:

@@ -9,28 +9,21 @@ The char, word and meta models share one body, ``ViewParams``, run by
 over the stack's rows or, for the character model, the states gathered
 at each token's first and last character, and an affine classifier.
 ``view_forward`` alone knows where in the stack's output each gathered
-state lies; the character model hands it token spans and part names.
+state lies; the character model hands it token spans and part names,
+which this module names (``GATHER_PARTS``), as it names the weight init
+kinds it implements (``INIT_KINDS``).
 
 The LSTM has one path, ``lstm_run``: a fused op over a batch of sequences
 of different lengths, packed time-major the way PyTorch's PackedSequence
-is. The input projection is one matrix product over a block of whole
-steps: every row when the op is recorded, since the backward reads
-every gate, and at most ``_PROJECT_ROWS`` rows when it is not, so an
-unrecorded run holds one such block per direction beside its (N, 2H)
-result. Each step advances the sequences still running with one
+is. Each step advances the sequences still running with one
 (live, H) @ (H, 4H) product; the hand-written backward mirrors the
-loop. A recorded run keeps for it only the (N, 4H) gate values of each
-direction: the cell states are rebuilt from the gates and c0 with the
-forward's own ops, and the masked input, the masked states each step
-read and the tanh of the cell states from the input, the run's own
-result and those, reusing the buffers of what it has finished with. The
-layer-input dropout mask is applied inside the op too, so it stores no
-masked copy of the input. Its gates use the package's one logistic,
-``tensor.logistic_``, in one call in place on each step's (live, 4H)
-pre-activations; the candidate columns then take the tanh of a copy of
-theirs. The readable reference the tests pin the fused op to, the same
-cell composed from primitive ops, is ``lstm_step`` in
-``tests/oracles.py``.
+loop. What a run holds, recorded or not, is stated by ``lstm_run``, and
+how a recorded one rebuilds the rest for its backward by ``_direction``.
+Its gates use the package's one logistic, ``tensor.logistic_``, in one
+call in place on each step's (live, 4H) pre-activations; the candidate
+columns then take the tanh of a copy of theirs. The readable reference
+the tests pin the fused op to, the same cell composed from primitive
+ops, is ``lstm_step`` in ``tests/oracles.py``.
 
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
 which reads each sequence from its end through a reversed packing and
@@ -50,7 +43,10 @@ states when the worker is free.
 Batches are B sequences stacked row-wise with their ``lengths``.
 Dropout masks are drawn up front, sequence by sequence, by
 ``draw_masks`` and applied per sequence, so a batch consumes the random
-generator exactly as running its sequences one at a time would.
+generator exactly as running its sequences one at a time would. A mask
+is a constant of the op that applies it, never a tape input, and no
+gradient is computed for it: ``apply_mask``'s one node, or ``lstm_run``'s
+``h_mask``, ``reverse_mask`` and ``x_mask``.
 """
 
 from __future__ import annotations
@@ -80,6 +76,10 @@ def gaussian(shape, rng: np.random.Generator, std: float) -> Tensor:
 def zeros(shape) -> Tensor:
     """A trainable parameter of zeros."""
     return Tensor(np.zeros(shape), requires_grad=True)
+
+
+# The weight init kinds ``init_std`` implements.
+INIT_KINDS = ("gaussian", "scaled")
 
 
 def init_std(kind: str, fan_in: int) -> float:
@@ -122,10 +122,11 @@ def draw_masks(rng: np.random.Generator, units, *site_fns
 def apply_mask(x: Tensor, mask: np.ndarray | None, lengths) -> Tensor:
     """Multiply the rows of each sequence of ``x`` by its own row of
     ``mask`` (one per sequence, reused at every position); identity for
-    None."""
+    None. One "mask" node, whose one input is ``x``."""
     if mask is None:
         return x
-    return T.mul(x, Tensor(np.repeat(mask, lengths, axis=0)))
+    rows = np.repeat(mask, lengths, axis=0)
+    return T.record("mask", (x,), x.data * rows, lambda g: (g * rows,))
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +627,21 @@ def view_params(config: TrainConfig, view: str, input_size: int, n_tags: int,
                       config.lstm_dropout, config.mlp_dropout)
 
 
+GATHER_PARTS = ("F_1st", "F_last", "B_1st", "B_last")
+
+
+def canonical_gather(parts) -> tuple[str, ...]:
+    """Validate a gather strategy and fix its order to the canonical one."""
+    got = set(parts)
+    bad = got - set(GATHER_PARTS)
+    if bad:
+        raise ValueError(f"unknown gather parts {sorted(bad)}; "
+                         f"valid: {GATHER_PARTS}")
+    if not got:
+        raise ValueError("gather strategy must name at least one output")
+    return tuple(p for p in GATHER_PARTS if p in got)
+
+
 def view_forward(p: ViewParams, x: Tensor, lengths, masks: dict | None,
                  gather=None) -> tuple[Tensor, Tensor, Tensor]:
     """(rows, MLP output, logits) of the body ``p`` over the input rows
@@ -646,8 +662,8 @@ def view_forward(p: ViewParams, x: Tensor, lengths, masks: dict | None,
         # row 2i of the output seen as (2 * N, hidden) is row i's forward
         # state and row 2i + 1 its backward one
         firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]
-        source = {"F_1st": firsts, "F_last": lasts,
-                  "B_1st": firsts + 1, "B_last": lasts + 1}
+        source = dict(zip(GATHER_PARTS,
+                          (firsts, lasts, firsts + 1, lasts + 1)))
         ids = np.stack([source[name] for name in parts], axis=1)
         rows = T.reshape(
             T.take_rows(T.reshape(rows, (2 * rows.shape[0], hidden)),

@@ -1,9 +1,11 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
 The op set is deliberately small: just the ops the tagger's forward pass
-runs, with the fused LSTM, loss and attention ops of ``nn`` registered
-through ``record``. Matrix products take 2-D operands only. Forward
-values are computed eagerly. Inside the ``with`` block of a
+runs (``add``, ``matmul``, ``concat``, ``elu``, ``take_rows`` and
+``reshape``), with the fused LSTM, loss and attention ops and the dropout
+mask of ``nn`` registered through ``record``; ops only the tests compose
+live in ``tests/oracles.py``. Matrix products take 2-D operands only.
+Forward values are computed eagerly. Inside the ``with`` block of a
 :class:`Graph`, every op that touches a ``requires_grad`` tensor appends a
 tape entry, and ``backward`` replays the tape in reverse; gradients
 accumulate additively when a tensor feeds several ops. Outside any
@@ -206,19 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (g, gb)
 
     return record("add", (a, b), out, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of same-shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise_mul: shapes {a.shape} and {b.shape} differ")
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (g * bd, g * ad)
-
-    return record("elementwise_mul", (a, b), out, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -50,9 +50,9 @@ CHOICES = {
     "char_encoder": ("sentence", "token"),
     "mlp_activation": ("elu",),
     "word_emb_init": ("zero",),
-    "char_emb_init": ("gaussian", "scaled"),
-    "mlp_init": ("gaussian", "scaled"),
-    "lstm_init": ("gaussian", "scaled"),
+    "char_emb_init": nn.INIT_KINDS,
+    "mlp_init": nn.INIT_KINDS,
+    "lstm_init": nn.INIT_KINDS,
     "optimizer": ("adam",),
     "loss": ("cross_entropy",),
 }
@@ -121,7 +121,7 @@ class TrainConfig:
     min_count: int = 1
 
     def gather_parts(self) -> tuple[str, ...]:
-        return encoders.canonical_gather(
+        return nn.canonical_gather(
             p.strip() for p in self.gather.split(","))
 
     def validate(self) -> None:

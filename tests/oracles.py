@@ -17,9 +17,11 @@ fast:
 
 The ops these compose that the tagger itself never runs live here too:
 ``sigmoid`` and ``tanh`` (the fused LSTM computes its gates in place),
-``slice_rows`` and ``tsum``, the scalar sum that turns an output into a
-loss. ``grad_check`` compares a loss's taped gradients against central
-finite differences; ``zero_grads`` clears gradients before a backward.
+``mul``, the product of two taped operands (``nn.apply_mask`` takes its
+mask as a constant of its one-input node), ``slice_rows`` and ``tsum``,
+the scalar sum that turns an output into a loss. ``grad_check`` compares
+a loss's taped gradients against central finite differences;
+``zero_grads`` clears gradients before a backward.
 """
 
 from typing import Callable
@@ -49,6 +51,20 @@ def tanh(a: T.Tensor) -> T.Tensor:
         return (g * (1.0 - out * out),)
 
     return T.record("tanh", (a,), out, bwd)
+
+
+def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Elementwise (Hadamard) product of same-shaped tensors."""
+    if a.shape != b.shape:
+        raise T.ShapeError(
+            f"elementwise_mul: shapes {a.shape} and {b.shape} differ")
+    out = a.data * b.data
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        return (g * bd, g * ad)
+
+    return T.record("elementwise_mul", (a, b), out, bwd)
 
 
 def tsum(a: T.Tensor) -> T.Tensor:
@@ -100,8 +116,8 @@ def lstm_step(params: nn.LstmParams, x_t: T.Tensor, h_prev: T.Tensor,
     f = sigmoid(slice_rows(s, hs, 2 * hs))
     g = tanh(slice_rows(s, 2 * hs, 3 * hs))
     o = sigmoid(slice_rows(s, 3 * hs, 4 * hs))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h = T.mul(o, tanh(c))
+    c = T.add(mul(f, c_prev), mul(i, g))
+    h = mul(o, tanh(c))
     return h, c
 
 
@@ -120,7 +136,7 @@ def mean_loss(losses: list[T.Tensor]) -> T.Tensor:
     total = losses[0]
     for l in losses[1:]:
         total = T.add(total, l)
-    return T.mul(total, T.Tensor(1.0 / len(losses)))
+    return mul(total, T.Tensor(1.0 / len(losses)))
 
 
 def synchronous_epoch(model: training.TaggerModel, optimizers,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metatagger import cli, data, synthetic, training
+from metatagger import cli, data, evaluation, synthetic, training
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -1067,6 +1067,24 @@ class TestTagAndEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "line 1: malformed feature pair 'Case'" in err
+
+    def test_eval_reports_its_time_on_stderr(self, corpus_dir, tmp_path,
+                                             capsys):
+        """One stderr line; stdout is the report's lines and the CSV its
+        one row, as without the line."""
+        dev = corpus_dir / "dev.conllu"
+        gold = data.parse_conllu(dev.read_text())
+        report = evaluation.score(gold, gold, "xpos")
+        csv = tmp_path / "r.csv"
+        assert cli.main(["eval", "--gold", str(dev), "--pred", str(dev),
+                         "--csv", str(csv)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "".join(line + "\n" for line in report.lines())
+        assert csv.read_text() == (
+            f"task,total,correct,accuracy\nxpos,{report.total},"
+            f"{report.total},1.000000\n")
+        assert re.fullmatch(rf"eval: {report.total} tokens in \d+\.\d{{3}} s, "
+                            r"\d+ tok/s\n", err), err
 
     def test_eval_identical_files(self, corpus_dir, capsys):
         gold = str(corpus_dir / "dev.conllu")

@@ -31,7 +31,7 @@ def small_config(**overrides):
     return training.TrainConfig(**{**sizes, **overrides})
 
 
-def small_encoders(vocabs, seed=1, gather=encoders.GATHER_PARTS):
+def small_encoders(vocabs, seed=1, gather=nn.GATHER_PARTS):
     rng = np.random.default_rng(seed)
     config = small_config(gather=",".join(gather))
     cs = encoders.char_sent_encoder(config, vocabs.n_chars, vocabs.n_tags,
@@ -126,9 +126,9 @@ class TestCharSentence:
 
     def test_bad_gather_rejected(self):
         with pytest.raises(ValueError):
-            encoders.canonical_gather(("F_1st", "middle"))
+            nn.canonical_gather(("F_1st", "middle"))
         with pytest.raises(ValueError):
-            encoders.canonical_gather(())
+            nn.canonical_gather(())
 
     def test_each_part_is_the_stack_state_it_names(self):
         """Each gathered block is one direction's half of the stack's
@@ -189,8 +189,8 @@ class TestCharToken:
     def test_embedding_mask_is_applied_by_the_lstm_run(self):
         """Under dropout, reps, logits and every parameter gradient are
         bitwise those of the mask applied by ``apply_mask`` in front of an
-        ``lstm_run`` without ``x_mask``, and the tape records no product
-        for the mask."""
+        ``lstm_run`` without ``x_mask``, and the tape records no "mask"
+        node."""
         sents, vocabs = make_world(["the dog barks", "a", "ab cd"])
         config = small_config(char_emb_dropout=0.3, lstm_dropout=0.2)
         ct = encoders.char_token_encoder(config, vocabs.n_chars,
@@ -227,8 +227,8 @@ class TestCharToken:
         assert grads.keys() == want_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], want_grads[name]), name
-        assert "elementwise_mul" in want_ops
-        assert "elementwise_mul" not in ops
+        assert want_ops.count("mask") == 1
+        assert "mask" not in ops
         assert len(ops) == len(want_ops) - 1
 
     def test_grad_check(self):
@@ -507,7 +507,7 @@ class TestBatches:
                 for batch in batches:
                     _, _, logits = encoders.encode_chars_sentence(cs, batch)
                     n = logits.shape[0]
-                    losses.append(T.mul(nn.softmax_xent_rows(
+                    losses.append(oracles.mul(nn.softmax_xent_rows(
                         logits, golds[start:start + n]), T.Tensor(float(n))))
                     start += n
                 loss = losses[0]

@@ -1,5 +1,5 @@
 """No module under src/, scripts/ or tests/ imports a name it never uses,
-and nothing defined under src/ goes unused.
+and nothing defined under src/ or in tests/oracles.py goes unused.
 
 Both scans read syntax trees with the standard library alone. A name bound
 by an import statement must appear as a name somewhere else in its file;
@@ -8,7 +8,9 @@ belongs to the benchmark. A function, method or class defined under src/
 must be referenced, outside its own definition, somewhere in src/,
 scripts/ or perfbench/: as a name, as an attribute, or as a part of a
 dotted string constant such as perfbench's ``"training.Adam.step"``.
-Dunder names are exempt; tests do not count as a use.
+Dunder names are exempt; tests do not count as a use. One defined in
+tests/oracles.py must be referenced so somewhere under tests/, where tests
+are the only users.
 """
 
 import ast
@@ -134,9 +136,17 @@ class Orphan:
                                            ("lib.py", 21, "Orphan")]
 
 
+def _sources(*folders) -> dict[str, str]:
+    return {str(path.relative_to(ROOT)): path.read_text("utf-8")
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_nothing_under_src_is_orphaned():
-    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8")
-               for folder in ("src", "scripts", "perfbench")
-               for path in sorted((ROOT / folder).rglob("*.py"))}
+    sources = _sources("src", "scripts", "perfbench")
     defining = [path for path in sources if path.startswith("src")]
     assert orphaned_names(sources, defining) == []
+
+
+def test_no_oracle_is_orphaned():
+    assert orphaned_names(_sources("tests"), ["tests/oracles.py"]) == []

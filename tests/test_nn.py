@@ -83,13 +83,13 @@ def composed_run(p, xs_data, mask=None, weights=None):
     h, c = p.h0, p.c0
     rows = []
     for t in range(xs_data.shape[0]):
-        h_in = T.mul(h, mask_t) if mask_t is not None else h
+        h_in = oracles.mul(h, mask_t) if mask_t is not None else h
         x_t = T.reshape(oracles.slice_rows(xs, t, t + 1), (p.input_size,))
         h, c = oracles.lstm_step(p, x_t, h_in, c)
         rows.append(T.reshape(h, (1, p.hidden_size)))
     out = T.concat(rows, axis=0)
     if weights is not None:
-        out = T.mul(out, T.Tensor(weights))
+        out = oracles.mul(out, T.Tensor(weights))
     return oracles.tsum(out)
 
 
@@ -147,7 +147,7 @@ class TestLstmRunFused:
 
         def fused():
             out = nn.lstm_run(p, T.Tensor(xs), mask, lengths=[6])
-            return oracles.tsum(T.mul(out, T.Tensor(w)))
+            return oracles.tsum(oracles.mul(out, T.Tensor(w)))
 
         loss_a, grads_a = self.grads_of(fused, p)
         loss_b, grads_b = self.grads_of(lambda: composed_run(p, xs, mask, w), p)
@@ -171,7 +171,7 @@ class TestLstmRunFused:
 
         def f():
             out = nn.lstm_run(p, T.Tensor(xs), lengths=[5])
-            return oracles.tsum(T.mul(out, T.Tensor(w)))
+            return oracles.tsum(oracles.mul(out, T.Tensor(w)))
 
         assert oracles.grad_check(f, p.parameters("lstm")) < 1e-6
 
@@ -431,6 +431,31 @@ class TestDropout:
         assert np.all(col_kept | col_dropped)
         assert col_dropped.any() and col_kept.any()
 
+    def test_mask_is_a_constant_of_its_node(self):
+        """One "mask" node whose only input is ``x``; its output and
+        ``x``'s gradient are bitwise those of the mask rows multiplied in
+        as a second, constant operand."""
+        lengths = [3, 1, 4]
+        [masks] = nn.draw_masks(np.random.default_rng(5), lengths,
+                                one_site(0.4, 6))
+        rows = T.Tensor(np.repeat(masks["x"], lengths, axis=0))
+        w = rng.normal(size=(8, 6))
+
+        def run(apply):
+            x = T.Tensor(np.arange(48.0).reshape(8, 6) / 7, requires_grad=True)
+            with T.Graph() as g:
+                y = apply(x)
+                loss = oracles.tsum(oracles.mul(y, T.Tensor(w)))
+            g.backward(loss)
+            return x, y, g.nodes[0]
+
+        x, y, node = run(lambda x: nn.apply_mask(x, masks["x"], lengths))
+        _, want_y, want_node = run(lambda x: oracles.mul(x, rows))
+        assert node.op == "mask" and node.output is y
+        assert len(node.inputs) == 1 and node.inputs[0] is x
+        assert np.array_equal(y.data, want_y.data)
+        assert np.array_equal(x.grad, want_node.inputs[0].grad)
+
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             nn.draw_masks(np.random.default_rng(0), [1], one_site(1.0, 3))
@@ -580,7 +605,7 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
 
     def batched():
         out["batched"] = nn.lstm_run(p, xs, mask, lengths=lengths)
-        return oracles.tsum(T.mul(out["batched"], T.Tensor(w)))
+        return oracles.tsum(oracles.mul(out["batched"], T.Tensor(w)))
 
     parts = [T.Tensor(xs_data[a:a + k], requires_grad=True)
              for a, k in zip(starts, lengths)]
@@ -589,8 +614,8 @@ def test_packed_batch_matches_separate_runs(lengths, hidden, width,
         rows = []
         for i, (x, a, k) in enumerate(zip(parts, starts, lengths)):
             m = None if mask is None else mask[i:i + 1]
-            rows.append(T.mul(nn.lstm_run(p, x, m, lengths=[k]),
-                              T.Tensor(w[a:a + k])))
+            rows.append(oracles.mul(nn.lstm_run(p, x, m, lengths=[k]),
+                                    T.Tensor(w[a:a + k])))
         out["separate"] = T.concat(rows, axis=0)
         return oracles.tsum(out["separate"])
 
@@ -617,7 +642,7 @@ class TestPackedBatch:
 
         def f():
             out = nn.lstm_run(p, xs, mask, lengths=[2, 4, 1])
-            return oracles.tsum(T.mul(out, T.Tensor(w)))
+            return oracles.tsum(oracles.mul(out, T.Tensor(w)))
 
         params = p.parameters("lstm") + [("xs", xs)]
         assert oracles.grad_check(f, params) < 1e-4
@@ -669,7 +694,7 @@ class TestPackedBatch:
                                        lengths)):
             one = nn.char_attention(v, T.Tensor(s.data[a:a + k]), [k])
             np.testing.assert_allclose(got.data[i], one.data[0], atol=1e-12)
-        err = oracles.grad_check(lambda: oracles.tsum(T.mul(
+        err = oracles.grad_check(lambda: oracles.tsum(oracles.mul(
             nn.char_attention(v, s, lengths),
             T.Tensor(np.arange(9.0).reshape(3, 3)))), [("v", v), ("s", s)])
         assert err < 1e-6
@@ -735,14 +760,14 @@ def test_two_directions_match_the_composed_layer_bitwise(
     rev = reversal(lengths)
 
     def fused():
-        return T.mul(nn.lstm_run(p_f, xs, m_f, lengths=lengths, reverse=p_b,
-                                 reverse_mask=m_b), w)
+        return oracles.mul(nn.lstm_run(p_f, xs, m_f, lengths=lengths,
+                                       reverse=p_b, reverse_mask=m_b), w)
 
     def composed():
         f = nn.lstm_run(p_f, xs, m_f, lengths=lengths)
         r = T.take_rows(nn.lstm_run(p_b, T.take_rows(xs, rev), m_b,
                                     lengths=lengths), rev)
-        return T.mul(T.concat([f, r], axis=1), w)
+        return oracles.mul(T.concat([f, r], axis=1), w)
 
     want = bilayer_grads(composed, p_f, p_b, xs)
     inline = bilayer_grads(fused, p_f, p_b, xs)
@@ -795,7 +820,7 @@ class TestTwoDirections:
         def f():
             out = nn.lstm_run(p_f, xs, m_f, lengths=[2, 4, 1], reverse=p_b,
                               reverse_mask=m_b)
-            return oracles.tsum(T.mul(out, w))
+            return oracles.tsum(oracles.mul(out, w))
 
         params = p_f.parameters("f") + p_b.parameters("b") + [("xs", xs)]
         assert oracles.grad_check(f, params) < 1e-4
@@ -1024,7 +1049,7 @@ def masked_layer_grads(fused, p_f, p_b, xs, lengths, x_mask, m_f, m_b, w):
         else:
             out = nn.lstm_run(p_f, nn.apply_mask(xs, x_mask, lengths), m_f,
                               lengths=lengths, reverse=p_b, reverse_mask=m_b)
-        loss = oracles.tsum(T.mul(out, w))
+        loss = oracles.tsum(oracles.mul(out, w))
     g.backward(loss)
     return [out.data] + [t.grad for _, t in params] + [xs.grad]
 
@@ -1077,7 +1102,7 @@ def test_no_input_gradient_when_the_input_takes_none(monkeypatch):
         oracles.zero_grads(params)
         xs = T.Tensor(data, requires_grad=requires_grad)
         with T.Graph() as graph:
-            loss = oracles.tsum(T.mul(nn.lstm_run(
+            loss = oracles.tsum(oracles.mul(nn.lstm_run(
                 p_f, xs, lengths=[4, 2, 3], reverse=p_b, x_mask=x_mask), w))
         node, returned = graph.nodes[0], []
         inner = node.backward_fn

@@ -635,7 +635,7 @@ def two_batch_runs(draw):
         seed=draw(st.integers(0, 2 ** 16)), batch_size=batch_size,
         optimization=draw(st.sampled_from(["separate", "joint"])),
         char_encoder=draw(st.sampled_from(["sentence", "token"])),
-        gather=",".join(draw(st.lists(st.sampled_from(encoders.GATHER_PARTS),
+        gather=",".join(draw(st.lists(st.sampled_from(nn.GATHER_PARTS),
                                       min_size=1, unique=True))),
         char_bilstm_layers=draw(layers), word_bilstm_layers=draw(layers),
         meta_bilstm_layers=draw(layers), char_bilstm_size=draw(size),
