@@ -64,10 +64,9 @@ def main(argv=None) -> None:
     for name in names:
         t0 = time.time()
         results = run_study(name, ns.seeds)
-        rows = evaluation.ablation_report(results)
         print(f"== {name} ({ns.seeds} seeds, {time.time() - t0:.0f}s) ==")
-        print(evaluation.render_table(rows))
-        print(evaluation.render_csv(rows, training.TrainConfig().task),
+        print(evaluation.render_table(results))
+        print(evaluation.render_csv(results, training.TrainConfig().task),
               end="")
         if name == "optimization":
             try:

@@ -332,9 +332,8 @@ def cmd_ablate(ns) -> int:
     for k in range(ns.seeds):
         run_axis(dataclasses.replace(config, seed=config.seed + k), ns.axis,
                  vocabs, vectors, train_sents, dev_sents, results)
-    rows = evaluation.ablation_report(results)
-    print(evaluation.render_table(rows))
-    csv = evaluation.render_csv(rows, task=config.task)
+    print(evaluation.render_table(results))
+    csv = evaluation.render_csv(results, task=config.task)
     if ns.out:
         Path(ns.out).write_text(csv, encoding="utf-8")
         print(f"rows written to {ns.out}")

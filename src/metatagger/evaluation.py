@@ -83,41 +83,23 @@ def mean_stdev(values) -> tuple[float, float]:
     return float(arr.mean()), sd
 
 
-@dataclass
-class AblationRow:
-    config: str
-    n_seeds: int
-    mean: float
-    stdev: float
-    values: list[float]
-
-
-def ablation_report(results: dict[str, list[float]]) -> list[AblationRow]:
-    """Per-configuration mean/stdev over seeds, in insertion order."""
-    rows = []
-    for config, values in results.items():
-        if not values:
-            raise ValueError(f"configuration {config!r} has no results")
-        m, sd = mean_stdev(values)
-        rows.append(AblationRow(config=config, n_seeds=len(values),
-                                mean=m, stdev=sd, values=list(values)))
-    return rows
-
-
-def render_table(rows: list[AblationRow]) -> str:
-    width = max(len(r.config) for r in rows)
+def render_table(results: dict[str, list[float]]) -> str:
+    """Seeds, mean and stdev in points of each label of ``results``."""
+    width = max(len(config) for config in results)
     lines = [f"{'config'.ljust(width)}  seeds    mean   stdev"]
-    for r in rows:
-        lines.append(f"{r.config.ljust(width)}  {r.n_seeds:5d}  "
-                     f"{100 * r.mean:6.2f}  {100 * r.stdev:6.2f}")
+    for config, values in results.items():
+        mean, sd = mean_stdev(values)
+        lines.append(f"{config.ljust(width)}  {len(values):5d}  "
+                     f"{100 * mean:6.2f}  {100 * sd:6.2f}")
     return "\n".join(lines)
 
 
-def render_csv(rows: list[AblationRow], task: str) -> str:
+def render_csv(results: dict[str, list[float]], task: str) -> str:
+    """One ``config,seed,task,accuracy`` row per value of ``results``."""
     lines = ["config,seed,task,accuracy"]
-    for r in rows:
-        for seed, v in enumerate(r.values):
-            lines.append(f"{r.config},{seed},{task},{v:.6f}")
+    for config, values in results.items():
+        for seed, v in enumerate(values):
+            lines.append(f"{config},{seed},{task},{v:.6f}")
     return "\n".join(lines) + "\n"
 
 

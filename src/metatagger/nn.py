@@ -25,12 +25,14 @@ columns then take the tanh of a copy of theirs. The readable reference
 the tests pin the fused op to, the same cell composed from primitive
 ops, is ``lstm_step`` in ``tests/oracles.py``.
 
+A BiLSTM stack (``Stack``) is its list of layers, each a forward and a
+backward direction.
 A BiLSTM layer is one ``lstm_run`` call with a ``reverse`` direction,
-which reads each sequence from its end through a reversed packing and
-writes its states beside the forward ones. The two directions share no
-state, so for large enough layers the reverse one runs on a single
-module-level worker thread while the caller runs the forward one, in
-the forward and in the backward pass; numpy releases the GIL in its
+which reads each sequence from its end through the packing's reverse
+rows and writes its states beside the forward ones. The two directions
+share no state, so for large enough layers the reverse one runs on a
+single module-level worker thread while the caller runs the forward one,
+in the forward and in the backward pass; numpy releases the GIL in its
 products, so they overlap even with single-threaded BLAS. The worker
 runs plain numpy only: the tape is read and written on the calling
 thread, and each direction does exactly the arithmetic it would alone.
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,6 +68,9 @@ if TYPE_CHECKING:
 
 # One dropout site of a model: (key, mask width, rate).
 Site = tuple[str, int, float]
+# A BiLSTM stack: per layer its (forward, backward) directions; each layer
+# after the first reads the concatenation of both outputs of the one below.
+Stack = list[tuple["LstmParams", "LstmParams"]]
 
 
 def gaussian(shape, rng: np.random.Generator, std: float) -> Tensor:
@@ -174,26 +179,25 @@ def _check_lengths(lengths, n: int, op: str) -> np.ndarray:
     return lengths
 
 
-def _packing(lengths: np.ndarray, reverse: bool = False
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Time-major packed layout of stacked sequences.
+def _packing(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Time-major packed layout of stacked sequences, for both directions.
 
     Sequences are sorted longest first (ties keep batch order), so at step
     t the live ones are a prefix of that order, ``batch_sizes[t]`` of them.
-    Returns (rows, batch_sizes, order, ranks): packed row i holds stacked
-    row ``rows[i]`` of sorted sequence ``ranks[i]``, and sorted sequence r
-    is batch sequence ``order[r]``. With ``reverse`` step t reads each
-    sequence's t-th row from its end; only ``rows`` differs.
+    Returns (rows, reverse_rows, batch_sizes, order, ranks): packed row i
+    holds stacked row ``rows[i]`` of sorted sequence ``ranks[i]``, the
+    sequence's t-th row at step t, and sorted sequence r is batch sequence
+    ``order[r]``. ``reverse_rows[i]`` is that sequence's t-th row from its
+    end, the row the reverse direction reads there.
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     live = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]
     steps, ranks = np.nonzero(live)  # row-major: time, then sorted rank
     seqs = order[ranks]
-    if reverse:
-        steps = lengths[seqs] - 1 - steps
-    starts = np.cumsum(lengths) - lengths
-    return starts[seqs] + steps, live.sum(axis=1), order, ranks
+    starts = (np.cumsum(lengths) - lengths)[seqs]
+    return (starts + steps, starts + lengths[seqs] - 1 - steps,
+            live.sum(axis=1), order, ranks)
 
 
 # Multiply-adds of one direction (rows x 4H x (input + H)) below which a
@@ -439,7 +443,7 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     n = xs.shape[0]
     lengths = _check_lengths(lengths, n, "lstm_run")
     hs = params.hidden_size
-    rows, batch_sizes, order, ranks = _packing(lengths)
+    rows, reverse_rows, batch_sizes, order, ranks = _packing(lengths)
 
     def checked(m, name, width):
         if m is None:
@@ -456,7 +460,7 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     runs = [(params, checked(h_mask, "h_mask", hs), rows)]
     if reverse is not None:
         runs.append((reverse, checked(reverse_mask, "reverse_mask", hs),
-                     _packing(lengths, reverse=True)[0]))
+                     reverse_rows))
     inputs = (xs,) + tuple(t for p, _, _ in runs for t in (
         p.w_x, p.w_h, p.bias, p.h0, p.c0))
     track = T.tracking(inputs)
@@ -490,51 +494,40 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 # BiLSTM stack
 
-@dataclass
-class BiLstmStack:
-    """Stacked bidirectional LSTM; each layer holds a forward and a backward
-    direction, deeper layers read the concatenation of both outputs."""
-    layers: list[tuple[LstmParams, LstmParams]] = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.layers[0][0].hidden_size
-
-    def parameters(self, prefix: str):
-        out = []
-        for j, (fwd, bwd) in enumerate(self.layers):
-            out.extend(fwd.parameters(f"{prefix}.layer{j}.fwd"))
-            out.extend(bwd.parameters(f"{prefix}.layer{j}.bwd"))
-        return out
-
-
 def bilstm_stack(input_size: int, hidden_size: int, depth: int,
-                 rng: np.random.Generator, init: str = "scaled") -> BiLstmStack:
-    layers = []
+                 rng: np.random.Generator, init: str = "scaled") -> Stack:
+    stack = []
     size = input_size
     for _ in range(depth):
-        layers.append((lstm_params(size, hidden_size, rng, init),
-                       lstm_params(size, hidden_size, rng, init)))
+        stack.append((lstm_params(size, hidden_size, rng, init),
+                      lstm_params(size, hidden_size, rng, init)))
         size = 2 * hidden_size
-    return BiLstmStack(layers)
+    return stack
 
 
-def stack_sites(stack: BiLstmStack, rate: float) -> list[Site]:
+def stack_parameters(stack: Stack, prefix: str):
+    """(name, parameter) pairs of ``stack``, layer by layer: the forward
+    direction under ``{prefix}.layer{j}.fwd``, then the backward one under
+    ``{prefix}.layer{j}.bwd``."""
+    out = []
+    for j, (fwd, bwd) in enumerate(stack):
+        out.extend(fwd.parameters(f"{prefix}.layer{j}.fwd"))
+        out.extend(bwd.parameters(f"{prefix}.layer{j}.bwd"))
+    return out
+
+
+def stack_sites(stack: Stack, rate: float) -> list[Site]:
     """Dropout sites of a stack run, in draw order: per layer the input
     mask, then the forward and the backward state masks."""
     sites = []
-    for j, (p_fwd, p_bwd) in enumerate(stack.layers):
+    for j, (p_fwd, p_bwd) in enumerate(stack):
         sites += [(f"layer{j}.in", p_fwd.input_size, rate),
                   (f"layer{j}.fwd", p_fwd.hidden_size, rate),
                   (f"layer{j}.bwd", p_bwd.hidden_size, rate)]
     return sites
 
 
-def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
+def bilstm_stack_run(stack: Stack, xs: Tensor, *, lengths,
                      masks: dict | None = None) -> Tensor:
     """Top-layer outputs, (rows, 2 * hidden) with the forward states then
     the backward ones, for the sequences stacked in ``xs`` and split by
@@ -545,11 +538,11 @@ def bilstm_stack_run(stack: BiLstmStack, xs: Tensor, *, lengths,
     direction per layer. ``lstm_run`` applies both, so a layer records
     one tape node and no masked copy of its input.
     """
-    if stack.depth == 0:
+    if not stack:
         raise T.ShapeError("bilstm_stack_run: stack has no layers")
     masks = masks or {}
     h = xs
-    for j, (p_fwd, p_bwd) in enumerate(stack.layers):
+    for j, (p_fwd, p_bwd) in enumerate(stack):
         h = lstm_run(p_fwd, h, masks.get(f"layer{j}.fwd"), lengths=lengths,
                      reverse=p_bwd, reverse_mask=masks.get(f"layer{j}.bwd"),
                      x_mask=masks.get(f"layer{j}.in"))
@@ -585,10 +578,11 @@ def affine(p: Affine, x: Tensor) -> Tensor:
 @dataclass
 class ViewParams:
     """The body of the char, word and meta models, run by
-    ``view_forward``: dropout on its input rows, BiLSTM stack, ELU MLP
-    with dropout on its output, classifier. The owning model builds the
-    input rows and puts its embedding tables' names in front."""
-    stack: BiLstmStack
+    ``view_forward``: dropout on its input rows, BiLSTM stack (a
+    ``Stack``, whose widths its first layer's forward direction gives),
+    ELU MLP with dropout on its output, classifier. The owning model
+    builds the input rows and puts its embedding tables' names in front."""
+    stack: Stack
     mlp: Affine
     classifier: Affine
     emb_dropout: float
@@ -598,13 +592,13 @@ class ViewParams:
     def dropout_sites(self, sentence) -> list[Site]:
         """The input rows' site ("emb"), the stack's, then the MLP
         output's ("mlp"); a site at rate 0 draws nothing."""
-        return ([("emb", self.stack.layers[0][0].input_size,
+        return ([("emb", self.stack[0][0].input_size,
                   self.emb_dropout)]
                 + stack_sites(self.stack, self.lstm_dropout)
                 + [("mlp", self.mlp.weight.shape[1], self.mlp_dropout)])
 
     def parameters(self, prefix: str):
-        return (self.stack.parameters(f"{prefix}.stack")
+        return (stack_parameters(self.stack, f"{prefix}.stack")
                 + self.mlp.parameters(f"{prefix}.mlp")
                 + self.classifier.parameters(f"{prefix}.classifier"))
 
@@ -658,7 +652,7 @@ def view_forward(p: ViewParams, x: Tensor, lengths, masks: dict | None,
                             lengths=lengths, masks=masks)
     if gather is not None:
         spans, parts, lengths = gather
-        hidden = p.stack.hidden_size
+        hidden = p.stack[0][0].hidden_size
         # row 2i of the output seen as (2 * N, hidden) is row i's forward
         # state and row 2i + 1 its backward one
         firsts, lasts = 2 * spans[:, 0], 2 * spans[:, 1]

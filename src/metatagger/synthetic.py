@@ -74,16 +74,13 @@ def suffix_context_sentences(stems: list[str], n_sentences: int,
     return _conllu(out)
 
 
-def suffix_context_corpora(seed: int, n_train: int = 60, n_dev: int = 30,
-                           n_stems: int = 40
+def suffix_context_corpora(seed: int, n_train: int = 60, n_dev: int = 30
                            ) -> tuple[list[Sentence], list[Sentence]]:
-    """Train/dev pair with disjoint stem inventories."""
+    """Train/dev pair with disjoint inventories of 40 stems each."""
     rng = np.random.default_rng(seed)
     stems = _all_stems(rng)
-    train_stems = stems[:n_stems]
-    dev_stems = stems[n_stems:2 * n_stems]
-    train = suffix_context_sentences(train_stems, n_train, rng)
-    dev = suffix_context_sentences(dev_stems, n_dev, rng)
+    train = suffix_context_sentences(stems[:40], n_train, rng)
+    dev = suffix_context_sentences(stems[40:80], n_dev, rng)
     return train, dev
 
 
@@ -131,18 +128,18 @@ def corrupt_tags(sentences: list[Sentence], rate: float, seed: int) -> None:
 
 
 def complementary_corpora(seed: int, n_train: int = 60, n_dev: int = 30,
-                          n_stems: int = 40, n_closed: int = 12,
+                          n_closed: int = 12,
                           noise_rate: float = 0.0,
                           noise_seed: int | None = None
                           ) -> tuple[list[Sentence], list[Sentence]]:
-    """Train/dev pair sharing the closed lexicon, with disjoint open stems.
+    """Train/dev pair sharing the closed lexicon, with disjoint inventories
+    of 40 open stems each.
     ``noise_rate`` corrupts train tags only; dev stays clean."""
     rng = np.random.default_rng(seed)
     lexicon = closed_vocabulary(rng, n_closed)
     stems = _all_stems(rng)
-    train = complementary_sentences(lexicon, stems[:n_stems], n_train, rng)
-    dev = complementary_sentences(lexicon, stems[n_stems:2 * n_stems],
-                                  n_dev, rng)
+    train = complementary_sentences(lexicon, stems[:40], n_train, rng)
+    dev = complementary_sentences(lexicon, stems[40:80], n_dev, rng)
     if noise_rate > 0.0:
         corrupt_tags(train, noise_rate,
                      seed if noise_seed is None else noise_seed)

@@ -3,18 +3,18 @@ one pass over the shuffled corpus; each batch gets one forward of the
 character, word and meta heads, one backward of their three summed losses
 and then one step of each model's optimizer; inside that backward, each
 gradient is folded into its optimizer's moments as soon as it is final.
-Both schedules run this one
-loop. In separate optimization (the paper's) the encoders' outputs reach
-the combiner detached, so each model learns from its own loss alone;
-joint optimization, kept for the optimization ablation, leaves them
-attached, so the meta loss moves the encoders too. Adam is elementwise,
-so three optimizers with the same settings and step count update the
-parameters exactly as one over all of them would. Either way the meta
-model reads the encoders as they stood before the batch's update. Dev
-accuracy of the meta predictions drives model selection; the best epoch
-lives in its checkpoint file alone. ``forward`` is the one forward of
-all three heads, for training, evaluation and tagging alike: it computes
-every head each time and decides where the meta head's gradient stops.
+Both schedules run this one loop. In separate optimization (the paper's)
+the encoders' outputs reach the combiner detached, so each model learns
+from its own loss alone; joint optimization, kept for the optimization
+ablation, leaves them attached, so the meta loss moves the encoders too.
+Adam is elementwise, so three optimizers with the same settings and step
+count update the parameters exactly as one over all of them would.
+Either way the meta model reads the encoders as they stood before the
+batch's update. Dev accuracy of the meta predictions drives model
+selection; the best epoch lives in its checkpoint file alone.
+``forward`` is the one forward of all three heads, for training,
+evaluation and tagging alike: it computes every head each time and
+decides where the meta head's gradient stops.
 
 Also here: the hyperparameter dataclass with the reference defaults, the
 deterministic checkpoint container, and the per-epoch log line format.

@@ -105,7 +105,7 @@ def test_criterion_01_gradients():
     stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
     worst["bilstm_stack"] = oracles.grad_check(
         lambda: oracles.tsum(nn.bilstm_stack_run(stack, xs, lengths=[4])),
-        stack.parameters("st"))
+        nn.stack_parameters(stack, "st"))
     x_in = T.Tensor(np.random.default_rng(9).standard_normal((5, 3)),
                     requires_grad=True)
     mask_rng = np.random.default_rng(10)
@@ -115,7 +115,7 @@ def test_criterion_01_gradients():
     worst["bilstm_stack+input_masks"] = oracles.grad_check(
         lambda: oracles.tsum(nn.bilstm_stack_run(stack, x_in, lengths=[3, 2],
                                                  masks=masks)),
-        stack.parameters("st") + [("xs", x_in)])
+        nn.stack_parameters(stack, "st") + [("xs", x_in)])
 
     table = T.Tensor(np.random.default_rng(6).standard_normal((5, 3)),
                      requires_grad=True)
@@ -217,7 +217,7 @@ def test_criterion_05_meta_combination():
     ok = sum(m >= max(c, w) - 0.002 for c, w, m in zip(
         results["char-only"], results["word-only"], results["meta"]))
     elapsed = time.monotonic() - t0
-    table = evaluation.render_table(evaluation.ablation_report(results))
+    table = evaluation.render_table(results)
     print(table)
     assert ok >= 8, f"meta within 0.2 pts of best single view in {ok}/10\n" \
                     + table

@@ -141,7 +141,7 @@ class TestCharSentence:
         out = nn.bilstm_stack_run(
             cs.view.stack, T.take_rows(cs.char_table, ids),
             lengths=[len(s.char_ids) for s in sents]).data
-        h = cs.view.stack.hidden_size
+        h = cs.view.stack[0][0].hidden_size
         halves = {"F": out[:, :h], "B": out[:, h:]}
         spans = np.concatenate([sents[0].spans,
                                 sents[1].spans + len(sents[0].char_ids)])

@@ -123,26 +123,28 @@ class TestAblationMath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluation.mean_stdev([])
+        with pytest.raises(ValueError):
+            evaluation.render_table({"a": [0.5], "b": []})
 
     def test_report_rows(self):
-        rows = evaluation.ablation_report(
-            {"char": [0.9, 0.92], "word": [0.8]})
-        assert [r.config for r in rows] == ["char", "word"]
-        assert rows[0].n_seeds == 2
-        assert abs(rows[0].mean - 0.91) < 1e-12
-        assert rows[1].stdev == 0.0
+        table = evaluation.render_table({"char-only": [0.9, 0.92],
+                                         "word-only": [0.8],
+                                         "meta": [0.7, 0.8, 0.9]})
+        assert table.split("\n") == [
+            "config     seeds    mean   stdev",
+            "char-only      2   91.00    1.41",
+            "word-only      1   80.00    0.00",
+            "meta           3   80.00   10.00"]
 
     def test_csv_row_count_and_shape(self):
-        rows = evaluation.ablation_report({"a": [0.5, 0.6], "b": [0.7]})
-        csv = evaluation.render_csv(rows, "xpos")
-        lines = csv.strip().split("\n")
-        assert lines[0] == "config,seed,task,accuracy"
-        assert len(lines) == 4
-        assert lines[1] == "a,0,xpos,0.500000"
+        csv = evaluation.render_csv({"a": [0.5, 0.6], "b": [0.7]}, "xpos")
+        assert csv == ("config,seed,task,accuracy\n"
+                       "a,0,xpos,0.500000\n"
+                       "a,1,xpos,0.600000\n"
+                       "b,0,xpos,0.700000\n")
 
     def test_table_renders(self):
-        rows = evaluation.ablation_report({"meta": [0.95, 0.97]})
-        table = evaluation.render_table(rows)
+        table = evaluation.render_table({"meta": [0.95, 0.97]})
         assert "meta" in table and "96.00" in table
 
 

@@ -10,7 +10,9 @@ scripts/ or perfbench/: as a name, as an attribute, or as a part of a
 dotted string constant such as perfbench's ``"training.Adam.step"``.
 Dunder names are exempt; tests do not count as a use. One defined in
 tests/oracles.py must be referenced so somewhere under tests/, where tests
-are the only users.
+are the only users. A parameter with a default, of a def under src/, must
+be passed, by position or by keyword, by some call in src/, scripts/ or
+perfbench/: a default no caller overrides is a constant.
 """
 
 import ast
@@ -150,3 +152,101 @@ def test_nothing_under_src_is_orphaned():
 
 def test_no_oracle_is_orphaned():
     assert orphaned_names(_sources("tests"), ["tests/oracles.py"]) == []
+
+
+def unpassed_defaults(sources: dict[str, str],
+                      defining) -> list[tuple[str, int, str]]:
+    """(file, line, "name(parameter=)") of each parameter with a default,
+    of a def in a file of ``defining``, that no call in ``sources`` passes
+    by position or by keyword. Calls match defs by name, as the orphan
+    scan's references do: a call of a name or an attribute counts for
+    every def of that name, and a call of a class for its ``__init__``.
+    A def in a class body is a method, whose first parameter no call
+    passes. A ``*args`` counts for every position from its own on, and a
+    ``**kwargs`` for every parameter."""
+    defs, calls = [], {}
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        methods = {}  # id of each method's def -> the name calls use
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods[id(item)] = (node.name
+                                             if item.name == "__init__"
+                                             else item.name)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                calls.setdefault(name, []).append(node)
+        defs += [(path, node, methods.get(id(node), node.name),
+                  id(node) in methods)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))]
+
+    def passes(call, position, name) -> bool:
+        stars = [i for i, arg in enumerate(call.args)
+                 if isinstance(arg, ast.Starred)]
+        return (position is not None and (
+                    position < len(call.args)
+                    or any(i <= position for i in stars))
+                or any(k.arg in (name, None) for k in call.keywords))
+
+    found = []
+    for path, node, callee, bound in defs:
+        if path not in defining:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i - bound, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                      if d is not None]
+        found += [(path, node.lineno, f"{node.name}({name}=)")
+                  for position, name in defaulted
+                  if not any(passes(call, position, name)
+                             for call in calls.get(callee, ()))]
+    return sorted(found)
+
+
+def test_the_default_scan_finds_each_unpassed_parameter():
+    library = '''
+class Widget:
+    def __init__(self, size=1, colour="red"):
+        pass
+
+    def draw(self, scale=1.0, *, fill=None):
+        pass
+
+
+def make(n, spare=0, *, mode="a", kind="b"):
+    pass
+
+
+def spread(a=0, b=0, c=0):
+    pass
+'''
+    user = ("import lib\n"
+            "w = lib.Widget(3)\n"
+            "w.draw(fill=1)\n"
+            "lib.make(1, mode='c')\n"
+            "lib.spread(1, *rest)\n"
+            "lib.make(2, **options)\n")
+    assert unpassed_defaults({"lib.py": library, "user.py": user},
+                             ("lib.py",)) == [
+        ("lib.py", 3, "__init__(colour=)"),
+        ("lib.py", 6, "draw(scale=)")]
+
+
+def test_every_default_under_src_is_passed():
+    sources = _sources("src", "scripts", "perfbench")
+    defining = [path for path in sources if path.startswith("src")]
+    # ``main`` is the console entry point: its ``argv`` defaults to the
+    # command line, and only tests pass it arguments
+    assert [(path, name) for path, _, name
+            in unpassed_defaults(sources, defining)
+            if (path, name) != ("src/metatagger/cli.py", "main(argv=)")] == []

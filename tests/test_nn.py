@@ -219,7 +219,7 @@ class TestBiLstmStack:
         stack = nn.bilstm_stack(3, 4, 1, np.random.default_rng(1))
         x = rng.normal(size=(1, 3))
         f, b = halves(nn.bilstm_stack_run(stack, T.Tensor(x), lengths=[1]))
-        pf, pb = stack.layers[0]
+        pf, pb = stack[0]
         hf, _ = oracles.lstm_step(pf, T.Tensor(x[0]), pf.h0, pf.c0)
         hb, _ = oracles.lstm_step(pb, T.Tensor(x[0]), pb.h0, pb.c0)
         np.testing.assert_allclose(f[0], hf.data, atol=1e-12)
@@ -230,8 +230,8 @@ class TestBiLstmStack:
         # reversed backward outputs of the original stack
         r = np.random.default_rng(2)
         stack = nn.bilstm_stack(3, 4, 1, r)
-        pf, pb = stack.layers[0]
-        swapped = nn.BiLstmStack([(pb, pf)])
+        pf, pb = stack[0]
+        swapped = [(pb, pf)]
         xs = rng.normal(size=(5, 3))
         f1, b1 = halves(nn.bilstm_stack_run(stack, T.Tensor(xs),
                                             lengths=[5]))
@@ -255,7 +255,18 @@ class TestBiLstmStack:
             return oracles.tsum(nn.bilstm_stack_run(stack, T.Tensor(xs),
                                                     lengths=[4]))
 
-        assert oracles.grad_check(f, stack.parameters("stack")) < 1e-6
+        assert oracles.grad_check(f, nn.stack_parameters(stack, "stack")) < 1e-6
+
+    def test_parameters_are_named_by_layer_and_direction(self):
+        stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(3))
+        named = nn.stack_parameters(stack, "s")
+        assert [name for name, _ in named] == [
+            f"s.layer{j}.{d}.{part}" for j in range(2)
+            for d in ("fwd", "bwd")
+            for part in ("w_x", "w_h", "bias", "h0", "c0")]
+        assert [id(t) for _, t in named] == [
+            id(t) for layer in stack for direction in layer
+            for _, t in direction.parameters("")]
 
     def test_dropout_changes_output_and_eval_does_not(self):
         stack = nn.bilstm_stack(3, 4, 2, np.random.default_rng(5))
@@ -579,6 +590,31 @@ def lstm_grads(p, xs_parts, loss_fn):
     grads = {n: t.grad.copy() for n, t in p.parameters("p")}
     grads["xs"] = np.concatenate([x.grad for x in xs_parts])
     return loss.item(), grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+@example(lengths=[3, 1, 3, 2, 3])
+def test_packing_reads_each_sequence_from_both_ends(lengths):
+    """Step t of a sequence that starts at stacked row s and has length L
+    reads row s + t forward and row s + L - 1 - t in reverse."""
+    lengths = np.array(lengths, dtype=np.intp)
+    n = int(lengths.sum())
+    rows, reverse_rows, batch_sizes, order, ranks = nn._packing(lengths)
+    assert sorted(rows.tolist()) == list(range(n))
+    assert sorted(reverse_rows.tolist()) == list(range(n))
+    assert (np.diff(batch_sizes) <= 0).all() and batch_sizes.sum() == n
+    assert order.tolist() == sorted(range(len(lengths)),
+                                    key=lambda b: -lengths[b])
+    starts = np.cumsum(lengths) - lengths
+    i = 0
+    for t, k in enumerate(batch_sizes):
+        for rank in range(k):
+            s, length = starts[order[rank]], lengths[order[rank]]
+            assert ranks[i] == rank and t < length
+            assert rows[i] == s + t
+            assert reverse_rows[i] == s + length - 1 - t
+            i += 1
 
 
 @settings(max_examples=40, deadline=None)

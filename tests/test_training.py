@@ -1026,8 +1026,8 @@ class TestForward:
         model, tr, _ = training.prepare(small_config(), mini_corpus(4),
                                         mini_corpus(4))
         sites = model.combiner.dropout_sites(tr[0])
-        assert sites[0] == ("emb", model.combiner.stack.layers[0][0]
-                            .input_size, 0.0)
+        assert sites[0] == ("emb", model.combiner.stack[0][0].input_size,
+                            0.0)
         masks = training._draw_masks(model, tr, np.random.default_rng(0))
         assert "emb" not in masks["meta"]
         assert "emb" in masks["char"] and "emb" in masks["word"]
