@@ -8,12 +8,17 @@ context, components and optimization axes on synthetic corpora per seed.
 
 Each study trains small models over several seeds and prints a
 mean/stdev table and `ablate`'s CSV. Acceptance criteria 4 to 6 run them.
-Runtimes on one core are a few minutes per study at the default 10 seeds;
-importing the CLI pins one BLAS thread.
+The seeds of a study run in one process per usable core: at the default
+10 seeds a study takes about 10 to 15 s on two cores, 15 to 25 s on
+one. Importing the CLI pins one BLAS thread, which the seed processes
+inherit.
 """
 
 import argparse
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from metatagger import cli, evaluation, synthetic, training
 
@@ -40,16 +45,29 @@ PROTOCOLS = {
 
 
 def run_study(name: str, seeds: int) -> dict[str, list[float]]:
-    """Dev accuracy of each label of ``cli.ABLATIONS[name]``, one per seed,
-    by label: seed k prepares the study's corpora for k once, and
-    ``cli.run_axis`` trains each model on them at config seed k + 1."""
+    """Dev accuracy of each label of ``cli.ABLATIONS[name]``, one per seed
+    in seed order, by label: ``cli.run_seed`` prepares the study's corpora
+    for seed k once and trains each model on them at config seed k + 1.
+
+    The seeds are independent, so they run in a pool of ``spawn``
+    processes, one per usable core, or in this process when there is one
+    core or one seed; an error in a seed is raised here. A forked child
+    would inherit ``nn``'s worker thread pool without its thread."""
     corpora, settings = PROTOCOLS[name]
+    jobs = [(training.TrainConfig(**{**SMALL, **settings, "seed": k + 1}),
+             name, *corpora(k)) for k in range(seeds)]
+    workers = min(len(os.sched_getaffinity(0)), seeds)
+    if workers == 1:
+        per_seed = [cli.run_seed(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) \
+                as pool:
+            per_seed = list(pool.map(cli.run_seed, *zip(*jobs)))
     results = {}
-    for k in range(seeds):
-        config = training.TrainConfig(**{**SMALL, **settings, "seed": k + 1})
-        model, train, dev = training.prepare(config, *corpora(k))
-        cli.run_axis(config, name, model.vocabs, model.word.pretrained.data,
-                     train, dev, results)
+    for seed_results in per_seed:
+        for label, accs in seed_results.items():
+            results.setdefault(label, []).extend(accs)
     return results
 
 

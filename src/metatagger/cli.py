@@ -74,6 +74,18 @@ def run_axis(config, axis, vocabs, vectors, train, dev, results) -> None:
             results.setdefault(label, []).append(scores[head])
 
 
+def run_seed(config, axis, train, dev) -> dict[str, list[float]]:
+    """Each label's dev accuracy, as a one-value list, of one seed of a
+    study: ``train`` and ``dev`` prepared once at ``config``, then
+    ``run_axis``. Everything it needs comes in its arguments, so a
+    ``spawn`` process can run it."""
+    model, train, dev = training.prepare(config, train, dev)
+    results = {}
+    run_axis(config, axis, model.vocabs, model.word.pretrained.data,
+             train, dev, results)
+    return results
+
+
 class CliUsageError(Exception):
     pass
 

@@ -85,7 +85,7 @@ def mean_stdev(values) -> tuple[float, float]:
 
 def render_table(results: dict[str, list[float]]) -> str:
     """Seeds, mean and stdev in points of each label of ``results``."""
-    width = max(len(config) for config in results)
+    width = max(len(config) for config in ["config", *results])
     lines = [f"{'config'.ljust(width)}  seeds    mean   stdev"]
     for config, values in results.items():
         mean, sd = mean_stdev(values)

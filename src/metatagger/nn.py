@@ -283,9 +283,12 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
     then the masked input, the masked states each step read (``dest``
     rows of the step before, or h0, times ``mask``) and, step by step,
     the tanh of the cell states. ``dest`` must therefore hold the run's
-    output until the backward. The masked states go in the cell states'
-    buffer once the step loop is done with it, and the input gradient,
-    returned in packed row order, in the masked input's.
+    output until the backward. Each step of the backward's loop writes its
+    gate gradients over its own gate values, which no other step reads,
+    so the gates' buffer ends up holding their gradient and the closure
+    allocates no second (n, 4H) array. The masked states go in the cell
+    states' buffer once the step loop is done with it, and the input
+    gradient, returned in packed row order, in the masked input's.
     Without ``track`` a block is at most ``_PROJECT_ROWS`` rows, and all
     the run holds beside ``dest`` is one block's packed input, gates, cell
     and hidden states.
@@ -352,7 +355,6 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
             r0, r1 = offsets[t], offsets[t + 1]
             cp = c0[:k] if t == 0 else cs[offsets[t - 1]:offsets[t - 1] + k]
             cs[r0:r1] += gates[r0:r1, hs:2 * hs] * cp
-        d_s = np.empty((n, 4 * hs))
         dh = np.zeros((n_seq, hs))  # gradient reaching h_{t-1}, per sequence
         dc = np.zeros((n_seq, hs))
         for t in range(len(batch_sizes) - 1, -1, -1):
@@ -364,15 +366,19 @@ def _direction(params: LstmParams, xs: np.ndarray, x_mask: np.ndarray | None,
             gg, og = a[:, 2 * hs:3 * hs], a[:, 3 * hs:]
             dht = g_out[rows[r0:r1]] + dh[:k]
             dct = dc[:k] + dht * og * (1.0 - tc * tc)
-            ds = d_s[r0:r1]
-            ds[:, :hs] = dct * gg * ig * (1.0 - ig)
-            ds[:, hs:2 * hs] = dct * cp * fg * (1.0 - fg)
-            ds[:, 2 * hs:3 * hs] = dct * ig * (1.0 - gg * gg)
-            ds[:, 3 * hs:] = dht * tc * og * (1.0 - og)
+            # the step's gate gradients go over its own gate values, which
+            # no other step reads: a column block is written once every
+            # gradient that reads it is computed, the input gate's last
+            d_ig = dct * gg * ig * (1.0 - ig)
             dc[:k] = dct * fg
-            dh[:k] = ds @ wh.T
+            fg[...] = dct * cp * fg * (1.0 - fg)
+            gg[...] = dct * ig * (1.0 - gg * gg)
+            og[...] = dht * tc * og * (1.0 - og)
+            ig[...] = d_ig
+            dh[:k] = a @ wh.T
             if mask is not None:
                 dh[:k] *= mask[:k]
+        d_s = gates  # now every row's gate gradients
         # step t > 0 read rows offsets[t-1]: offsets[t-1] + k of the step
         # before, a shift by batch_sizes[t-1]; rebuilt in the cell states'
         # buffer, dead once the loop has run
@@ -419,13 +425,15 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     run over its own packed rows (see ``_packing``) with its masks sorted
     to the packed order, writing its ``hidden`` columns of the result.
     One tape node; its backward, written by hand, mirrors the loop of
-    each direction, writes the forward direction's input gradient into
-    the stacked rows, adds the reverse one's and multiplies the sum by
-    ``x_mask``; it computes no input gradient when ``xs`` takes none.
+    each direction. It adds the forward direction's input gradient,
+    moved to the reverse one's packed order, into the reverse one's,
+    multiplies the sum by ``x_mask`` and gathers it into the stacked rows
+    once; it computes no input gradient when ``xs`` takes none.
     Only what the backward reads is kept: a recorded run holds, per
     direction, its (N, 4 * hidden) gate values beside ``xs``, the masks and
     its own result, and rebuilds the cell states, the masked input and the
-    masked states from those. An unrecorded one holds, beside the result,
+    masked states from those; the backward writes the gates' gradients
+    over the gate values. An unrecorded one holds, beside the result,
     one block of at most ``_PROJECT_ROWS`` packed rows per direction at a
     time, so its memory grows with the (N, 2 * hidden) result and not with
     the (N, 4 * hidden) gates.
@@ -477,16 +485,20 @@ def lstm_run(params: LstmParams, xs: Tensor, h_mask: np.ndarray | None = None,
     def bwd(g_out):
         grads = run_calls(parallel, [
             (b, g_out[:, k * hs:(k + 1) * hs]) for k, b in enumerate(bwds)])
-        d_xs = None
-        if input_grad:
-            # each direction's input gradient is in its own packed order
-            d_xs = np.empty(xs.shape)
-            d_xs[runs[0][2]] = grads[0][0]
-            for (_, _, r), g in zip(runs[1:], grads[1:]):
-                d_xs[r] += g[0]
-            if x_mask is not None:
-                d_xs *= np.repeat(x_mask, lengths, axis=0)
-        return (d_xs,) + tuple(d for g in grads for d in g[1:])
+        d_params = tuple(d for g in grads for d in g[1:])
+        # each direction's input gradient, in its own packed order
+        d_px = [g[0] for g in grads]
+        del grads
+        if not input_grad:
+            return (None,) + d_params
+        # the last direction's buffer takes the sum, the forward one's
+        # rows moved to its order; each is dropped once read
+        d, r = d_px.pop(), runs[-1][2]
+        if d_px:
+            d += d_px.pop()[np.argsort(rows)[r]]
+        if x_sorted is not None:
+            d *= x_sorted[ranks]
+        return (d[np.argsort(r)],) + d_params
 
     return T.record("lstm_run", inputs, result, bwd)
 

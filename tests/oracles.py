@@ -5,6 +5,8 @@ that a fused or batched op of ``src/`` replaces, kept readable rather than
 fast:
 
 * ``lstm_step``: one LSTM cell update; ``nn.lstm_run`` is pinned to it;
+* ``scattered_input_grad``: ``nn.lstm_run``'s input gradient summed in the
+  stacked rows, where the op sums it in one direction's packed rows;
 * ``softmax_xent``: the cross-entropy of one logits vector, per row of
   ``nn.softmax_xent_rows``;
 * ``mean_loss``: the mean of per-sentence losses, which a training batch
@@ -119,6 +121,21 @@ def lstm_step(params: nn.LstmParams, x_t: T.Tensor, h_prev: T.Tensor,
     c = T.add(mul(f, c_prev), mul(i, g))
     h = mul(o, tanh(c))
     return h, c
+
+
+def scattered_input_grad(packed_grads, packed_rows, x_mask, lengths):
+    """``nn.lstm_run``'s input gradient from its directions' own, each in
+    its packed order: direction k's row i belongs to stacked row
+    ``packed_rows[k][i]``. The first is scattered into the stacked rows,
+    each later one added there, and the sum multiplied by the row's
+    sequence's ``x_mask`` row, if given."""
+    d_xs = np.empty(packed_grads[0].shape)
+    d_xs[packed_rows[0]] = packed_grads[0]
+    for rows, g in zip(packed_rows[1:], packed_grads[1:]):
+        d_xs[rows] += g
+    if x_mask is not None:
+        d_xs *= np.repeat(x_mask, lengths, axis=0)
+    return d_xs
 
 
 def softmax_xent(logits: T.Tensor, gold: int) -> T.Tensor:

@@ -353,6 +353,34 @@ def test_criterion_10_config_fidelity(capsys):
                f"{elapsed:.2f}s < 1s")
 
 
+def test_study_seeds_in_processes_match_one_process(monkeypatch):
+    """Seed processes give each label's accuracies of the in-process loop,
+    in seed order, with more seeds than processes."""
+    corpora, settings = run_experiments.PROTOCOLS["optimization"]
+    monkeypatch.setitem(run_experiments.PROTOCOLS, "optimization",
+                        (corpora, dict(settings, max_epochs=2)))
+    results = []
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(run_experiments.os, "sched_getaffinity",
+                            lambda pid, cores=cores: cores)
+        results.append(run_experiments.run_study("optimization", 3))
+    assert sorted(results[0]) == ["joint", "separate"]
+    assert all(len(accs) == 3 for accs in results[0].values())
+    assert results[1] == results[0]
+
+
+def test_an_error_in_a_seed_process_fails_the_study(monkeypatch):
+    corpora, settings = run_experiments.PROTOCOLS["optimization"]
+    monkeypatch.setitem(
+        run_experiments.PROTOCOLS, "optimization",
+        (lambda k: corpora(k) if k == 0 else ([], []),
+         dict(settings, max_epochs=1)))
+    monkeypatch.setattr(run_experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    with pytest.raises(ValueError, match="no non-empty sentences"):
+        run_experiments.run_study("optimization", 2)
+
+
 def test_study_script_on_one_seed_and_on_none(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         run_experiments.main(["context", "--seeds", "0"])

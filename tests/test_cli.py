@@ -911,6 +911,41 @@ def test_cli_import_leaves_scipy_out():
     assert cli_process_state(None)[1] == "False"
 
 
+def test_reruns_at_two_blas_threads_write_the_same_bytes(tmp_path):
+    """Criterion 8 under OPENBLAS_NUM_THREADS=2: two runs of one `train`
+    command write the same log and checkpoint bytes. Each 16-sentence
+    batch holds over 400 character rows, and two OpenBLAS threads sum the
+    weight-gradient products over that many rows in another order than
+    one thread does: measured with OpenBLAS 0.3.31 on Haswell kernels,
+    a one-thread run writes other checkpoint bytes."""
+    train, dev = synthetic.complementary_corpora(9, n_train=32, n_dev=6)
+    (tmp_path / "train.conllu").write_text(data.write_conllu(train))
+    (tmp_path / "dev.conllu").write_text(data.write_conllu(dev))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    sizes = dict(max_epochs=3, batch_size=16, char_bilstm_layers=1,
+                 word_bilstm_layers=1, meta_bilstm_layers=1,
+                 char_bilstm_size=32, word_bilstm_size=32,
+                 meta_bilstm_size=32, mlp_size=16, char_emb_dim=16,
+                 word_emb_dim=16, learning_rate=0.01)
+    outputs = []
+    for run in ("a", "b"):
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from metatagger import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))",
+             "train", "--train", "train.conllu", "--dev", "dev.conllu",
+             "--checkpoint", f"{run}.ckpt", "--log", f"{run}.log",
+             "--seed", "21"]
+            + [a for k, v in sizes.items() for a in ("--set", f"{k}={v}")],
+            cwd=tmp_path, env=env, check=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=300)
+        outputs.append(((tmp_path / f"{run}.log").read_bytes(),
+                        (tmp_path / f"{run}.ckpt").read_bytes()))
+    assert outputs[0][0].count(b"\n") == 4  # epoch 0 and three trained
+    assert outputs[0] == outputs[1]
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained):
         ckpt = training.checkpoint_load(str(trained / "model.ckpt"))

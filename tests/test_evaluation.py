@@ -143,6 +143,14 @@ class TestAblationMath:
                        "a,1,xpos,0.600000\n"
                        "b,0,xpos,0.700000\n")
 
+    def test_short_labels_keep_the_header_aligned(self):
+        table = evaluation.render_table({"char": [0.9, 0.92],
+                                         "word": [0.8]})
+        assert table.split("\n") == [
+            "config  seeds    mean   stdev",
+            "char        2   91.00    1.41",
+            "word        1   80.00    0.00"]
+
     def test_table_renders(self):
         table = evaluation.render_table({"meta": [0.95, 0.97]})
         assert "meta" in table and "96.00" in table

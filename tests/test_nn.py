@@ -1158,6 +1158,82 @@ def test_no_input_gradient_when_the_input_takes_none(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       st.integers(1, 4), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 31 - 1))
+@example(lengths=[3, 1, 4], hidden=3, width=2, two=True, input_mask=True,
+         worker=True, seed=8)
+def test_input_gradient_is_the_scattered_sum_bitwise(
+        lengths, hidden, width, two, input_mask, worker, seed):
+    """The directions' input gradients, summed in one's packed rows and
+    gathered into stacked order, are bitwise their sum scattered into the
+    stacked rows (``oracles.scattered_input_grad``)."""
+    g = np.random.default_rng(seed)
+    p_f, p_b = (nn.lstm_params(width, hidden, g) for _ in range(2))
+    for _, t in p_f.parameters("f") + p_b.parameters("b"):
+        t.data[...] = g.normal(size=t.shape)
+    n, b = sum(lengths), len(lengths)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    x_mask = (g.random((b, width)) < 0.6) / 0.6 if input_mask else None
+    g_out = g.normal(size=(n, (2 if two else 1) * hidden))
+    packed = []  # (forward?, packed rows, input gradient) per direction
+    direction = nn._direction
+
+    def spied(params, *args):
+        bwd = direction(params, *args)
+
+        def spied_bwd(g):
+            grads = bwd(g)
+            # a copy: the op sums into one direction's buffer in place
+            packed.append((params is not p_f, args[3], grads[0].copy()))
+            return grads
+        return spied_bwd
+
+    saved = nn._direction, nn._PARALLEL_MIN_WORK
+    nn._direction = spied
+    nn._PARALLEL_MIN_WORK = 0 if worker else saved[1]
+    try:
+        with T.Graph() as graph:
+            nn.lstm_run(p_f, xs, lengths=lengths,
+                        reverse=p_b if two else None, x_mask=x_mask)
+        d_xs = graph.nodes[0].backward_fn(g_out)[0]
+    finally:
+        nn._direction, nn._PARALLEL_MIN_WORK = saved
+    packed.sort(key=lambda e: e[0])  # the forward direction first
+    assert len(packed) == (2 if two else 1)
+    want = oracles.scattered_input_grad([e[2] for e in packed],
+                                        [e[1] for e in packed], x_mask,
+                                        lengths)
+    assert np.array_equal(d_xs, want)
+
+
+@pytest.mark.parametrize("worker", [False, True])
+def test_recorded_backward_allocates_no_second_gates_array(monkeypatch,
+                                                            worker):
+    """A recorded two-direction layer's backward writes each direction's
+    gate gradients over its taped gates: its traced peak stays below the
+    bytes of one (rows, 4H) array per direction running at a time."""
+    import tracemalloc
+    monkeypatch.setattr(nn, "_PARALLEL_MIN_WORK", 0 if worker else 1 << 62)
+    g = np.random.default_rng(6)
+    width, hidden, lengths = 4, 32, [100] * 8
+    n = sum(lengths)
+    p_f, p_b = nn.lstm_params(width, hidden, g), nn.lstm_params(width, hidden, g)
+    xs = T.Tensor(g.normal(size=(n, width)), requires_grad=True)
+    with T.Graph() as graph:
+        out = nn.lstm_run(p_f, xs, lengths=lengths, reverse=p_b)
+    g_out = g.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        grads = graph.nodes[0].backward_fn(g_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == xs.shape
+    assert peak < (2 if worker else 1) * n * 4 * hidden * 8
+
+
 def test_recorded_stack_keeps_gates_per_row():
     """Beside the layers' outputs, a recorded two-layer stack with every
     dropout mask keeps about 4H float64 values per packed row and
