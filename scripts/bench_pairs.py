@@ -14,9 +14,12 @@ the failed and attempted operations of each side and, for each end-to-end
 metric of BENCHMARK.json, the median, first and third quartile of each
 side, in how many pairs the change is better, whether that meets the rule
 for claiming a gain and whether the change stays within the metric's
-bound; then every run. A run that exits non-zero or prints no result is
+bound; then each side's env line (numpy and BLAS build, thread count,
+...) and every run. A run that exits non-zero or prints no result is
 recorded with its exit code and left out of the summary. Last it prints
-that summary, one line per workload and metric.
+that summary, one line per workload and metric. Sides whose `blas` or
+OPENBLAS_NUM_THREADS differ are not compared: it stops, writes no file
+and exits 1.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def run_once(root: Path, workload: str) -> dict:
             "metrics": {name: round(m["value"], 4)
                         for name, m in last["metrics"].items()},
             "env": env}
+
+
+def unlike(machine: dict) -> list[str]:
+    """The BLAS settings, ``blas`` and ``OPENBLAS_NUM_THREADS``, in which
+    the sides' envs in ``machine`` differ."""
+    return [key for key in ("blas", "OPENBLAS_NUM_THREADS")
+            if len({env.get(key) for env in machine.values()}) > 1]
 
 
 def spread(values: list[float]) -> dict:
@@ -145,12 +155,17 @@ def main() -> int:
                 for side in order:
                     result = run_once(sides[side], workload)
                     env = result.pop("env", {})
-                    machine = machine or env
+                    if env:
+                        machine.setdefault(side, env)
                     runs.append({"workload": workload, "pair": pair,
                                  "side": side, **result})
                     shown = result.get("metrics", result)
                     print(f"{workload} pair {pair} {side}: "
                           f"{json.dumps(shown)}", flush=True)
+                    if unlike(machine):
+                        print(f"sides differ in {', '.join(unlike(machine))}"
+                              f": {json.dumps(machine)}", file=sys.stderr)
+                        return 1
     summary = {w: summarise([r for r in runs if r["workload"] == w],
                             bench["end_to_end"])
                for w in workloads}

@@ -46,29 +46,32 @@ PROTOCOLS = {
 
 def run_study(name: str, seeds: int) -> dict[str, list[float]]:
     """Dev accuracy of each label of ``cli.ABLATIONS[name]``, one per seed
-    in seed order, by label: ``cli.run_seed`` prepares the study's corpora
-    for seed k once and trains each model on them at config seed k + 1.
+    in seed order, by label: the study's corpora for seed k are prepared
+    once, here, and ``cli.run_axis`` trains each model on them at config
+    seed k + 1.
 
-    The seeds are independent, so they run in a pool of ``spawn``
-    processes, one per usable core, or in this process when there is one
-    core or one seed; an error in a seed is raised here. A forked child
-    would inherit ``nn``'s worker thread pool without its thread."""
+    The seeds are independent, so ``cli.run_axis`` runs in a pool of
+    ``spawn`` processes, one per usable core, or in this process when
+    there is one core or one seed; an error in a seed is raised here. A
+    forked child would inherit ``nn``'s worker thread pool without its
+    thread."""
     corpora, settings = PROTOCOLS[name]
-    jobs = [(training.TrainConfig(**{**SMALL, **settings, "seed": k + 1}),
-             name, *corpora(k)) for k in range(seeds)]
+    jobs = []
+    for k in range(seeds):
+        config = training.TrainConfig(**{**SMALL, **settings, "seed": k + 1})
+        model, train, dev = training.prepare(config, *corpora(k))
+        jobs.append((config, name, model.vocabs, model.word.pretrained.data,
+                     train, dev))
     workers = min(len(os.sched_getaffinity(0)), seeds)
     if workers == 1:
-        per_seed = [cli.run_seed(*job) for job in jobs]
+        per_seed = [cli.run_axis(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("spawn")) \
                 as pool:
-            per_seed = list(pool.map(cli.run_seed, *zip(*jobs)))
-    results = {}
-    for seed_results in per_seed:
-        for label, accs in seed_results.items():
-            results.setdefault(label, []).extend(accs)
-    return results
+            per_seed = list(pool.map(cli.run_axis, *zip(*jobs)))
+    return {label: [accs[label] for accs in per_seed]
+            for label in per_seed[0]}
 
 
 def main(argv=None) -> None:

@@ -40,8 +40,10 @@ OPENBLAS_NUM_THREADS=1, it runs the command line:
 `grid` and `ablate` read the vectors file (`--pretrained`), so the path
 from that file to each cell's or variant's model is compared too.
 
-It prints `same` or `DIFF` for each of the 29 files and exits 0 if all
-are equal, 1 if any differs and 2 if a run fails.
+It prints the numpy and BLAS build, this interpreter's and so both
+sides', and the OPENBLAS_NUM_THREADS each side ran with, then `same` or
+`DIFF` for each of the 29 files, and exits 0 if all are equal, 1 if any
+differs and 2 if a run fails.
 """
 
 from __future__ import annotations
@@ -140,9 +142,21 @@ def digest_line(text: str) -> str:
                    if line.startswith("digest "))
 
 
-def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
+def blas_build() -> str:
+    """numpy's version and BLAS build, read as perfbench/workloads.py's
+    ``environment`` reads them."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        return f"numpy {np.__version__}, BLAS unknown"
+
+
+def run_side(tree: Path, cmds: list[list[str]], out: Path) -> str:
     """Run ``cmds`` and then the studies and memory scripts of ``tree``
-    with its package, in ``out``."""
+    with its package, in ``out``; the OPENBLAS_NUM_THREADS they ran
+    with."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1")
@@ -161,6 +175,7 @@ def run_side(tree: Path, cmds: list[list[str]], out: Path) -> None:
          "--seed", "3"], cwd=out, env=env, check=True,
         stdout=subprocess.PIPE, text=True).stdout
     (out / DIGEST).write_text(digest_line(memory), encoding="utf-8")
+    return env["OPENBLAS_NUM_THREADS"]
 
 
 def compare(parent: Path, change: Path, names) -> dict[str, bool]:
@@ -188,9 +203,10 @@ def main() -> int:
         write_vectors(train, tmp / "corpus" / "vectors.txt")
         cmds = commands(train, tmp / "corpus" / "complementary_dev.conllu",
                         tmp / "corpus" / "vectors.txt")
+        threads = {}
         for side, tree in (("parent", tmp / "parent"), ("change", ROOT)):
             try:
-                run_side(tree, cmds, tmp / f"{side}-out")
+                threads[side] = run_side(tree, cmds, tmp / f"{side}-out")
             except subprocess.CalledProcessError as e:
                 what = f"metatagger {e.cmd[3]}" if e.cmd[1] == "-m" \
                     else Path(e.cmd[1]).name
@@ -199,6 +215,8 @@ def main() -> int:
                 return 2
         same = compare(tmp / "parent-out", tmp / "change-out",
                        OUTPUTS + [STUDIES, DIGEST])
+    print(f"{blas_build()}; OPENBLAS_NUM_THREADS parent "
+          f"{threads['parent']}, change {threads['change']}")
     for name, equal in same.items():
         print(f"{'same' if equal else 'DIFF'} {name}")
     return 0 if all(same.values()) else 1

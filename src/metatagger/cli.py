@@ -61,28 +61,18 @@ ABLATIONS = {
 }
 
 
-def run_axis(config, axis, vocabs, vectors, train, dev, results) -> None:
-    """Train each model of ``ABLATIONS[axis]`` once, at ``config`` with its
-    overrides, from prepared corpora and their ``vocabs`` and ``vectors``;
-    append each label's dev accuracy, from one pass, to ``results``."""
+def run_axis(config, axis, vocabs, vectors, train, dev) -> dict[str, float]:
+    """Each label's dev accuracy, from one pass, after training each model
+    of ``ABLATIONS[axis]`` once, at ``config`` with its overrides, from
+    prepared corpora and their ``vocabs`` and ``vectors``. Everything it
+    needs comes in its arguments, so a ``spawn`` process can run it."""
+    results = {}
     for overrides, labels in ABLATIONS[axis]:
         model = training.build_model(dataclasses.replace(config, **overrides),
                                      vocabs, vectors)
         training.train_model(model, train, dev)
         scores = training.accuracies(model, dev)
-        for label, head in labels.items():
-            results.setdefault(label, []).append(scores[head])
-
-
-def run_seed(config, axis, train, dev) -> dict[str, list[float]]:
-    """Each label's dev accuracy, as a one-value list, of one seed of a
-    study: ``train`` and ``dev`` prepared once at ``config``, then
-    ``run_axis``. Everything it needs comes in its arguments, so a
-    ``spawn`` process can run it."""
-    model, train, dev = training.prepare(config, train, dev)
-    results = {}
-    run_axis(config, axis, model.vocabs, model.word.pretrained.data,
-             train, dev, results)
+        results.update((label, scores[head]) for label, head in labels.items())
     return results
 
 
@@ -340,10 +330,11 @@ def cmd_ablate(ns) -> int:
     model, train_sents, dev_sents, notice = _prepare(config, paths)
     vocabs, vectors = model.vocabs, model.word.pretrained.data
     del model  # each model of the axis builds its own
-    results = {}
-    for k in range(ns.seeds):
-        run_axis(dataclasses.replace(config, seed=config.seed + k), ns.axis,
-                 vocabs, vectors, train_sents, dev_sents, results)
+    per_seed = [run_axis(dataclasses.replace(config, seed=config.seed + k),
+                         ns.axis, vocabs, vectors, train_sents, dev_sents)
+                for k in range(ns.seeds)]
+    results = {label: [accs[label] for accs in per_seed]
+               for label in per_seed[0]}
     print(evaluation.render_table(results))
     csv = evaluation.render_csv(results, task=config.task)
     if ns.out:

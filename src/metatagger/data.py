@@ -191,7 +191,7 @@ def write_conllu(sentences: list[Sentence],
 # ---------------------------------------------------------------------------
 # vocabularies
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabs:
     """Frozen string-to-id maps. Id 0 is the unknown word / unknown char;
     real entries start at 1. Tags carry no unknown entry: the tag inventory

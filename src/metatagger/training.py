@@ -74,12 +74,15 @@ _BOUNDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters. The defaults are the reference settings audited by
     the golden-config test; fields that audit does not pin (batch size,
     epoch budget, LSTM weight init, embedding widths) are documented
-    package decisions."""
+    package decisions. A config is checked once, when it is made, by its
+    constructor or ``dataclasses.replace`` (each key against its rule in
+    ``CHOICES`` or ``_BOUNDS``, and ``gather``), and cannot be changed
+    afterwards."""
     task: str = "xpos"
     seed: int = 1
     max_epochs: int = 200
@@ -124,7 +127,7 @@ class TrainConfig:
         return nn.canonical_gather(
             p.strip() for p in self.gather.split(","))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ValueError(f"config key {key!r} must be "
@@ -153,9 +156,7 @@ def config_from_dict(values: dict) -> TrainConfig:
         if key not in fields:
             raise ValueError(f"unknown config key {key!r}")
         kwargs[key] = _coerce(raw, fields[key].type, key)
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    return TrainConfig(**kwargs)
 
 
 def _coerce(raw, typ: str, key: str):
@@ -375,12 +376,16 @@ class TaggerModel:
         return (self.char_parameters() + self.word_parameters()
                 + self.meta_parameters())
 
+    def saved_tensors(self):
+        """Stable (name, tensor) list of everything a checkpoint saves and
+        a tag run needs: the trainable parameters plus the frozen
+        pretrained matrix."""
+        return self.all_parameters() + [("word.pretrained",
+                                         self.word.pretrained)]
+
     def array_manifest(self):
-        """Stable (name, array) list covering everything a tag run needs:
-        trainable parameters plus the frozen pretrained matrix."""
-        entries = [(name, p.data) for name, p in self.all_parameters()]
-        entries.append(("word.pretrained", self.word.pretrained.data))
-        return entries
+        """``saved_tensors`` as (name, array) pairs."""
+        return [(name, p.data) for name, p in self.saved_tensors()]
 
 
 class _NoDraw:
@@ -400,8 +405,8 @@ def build_model(config: TrainConfig, vocabs: Vocabs,
     (config, vocabs, pretrained) triple determines every array. With
     ``arrays`` (a checkpoint's, by name) nothing is drawn: the weights are
     zero placeholders for ``Checkpoint.rebuild`` to replace, and the frozen
-    pretrained matrix is ``arrays["word.pretrained"]`` itself."""
-    config.validate()
+    pretrained matrix is ``arrays["word.pretrained"]`` itself. ``config``
+    was checked when it was made."""
     if arrays is None:
         rng = np.random.default_rng(config.seed)
     else:
@@ -600,12 +605,11 @@ class Checkpoint:
                                      arrays=self.arrays))
 
     def bind(self, model: TaggerModel) -> TaggerModel:
-        """Point each of ``model``'s arrays, its parameters and the frozen
-        pretrained matrix, at the saved array of its name, so training the
-        model changes ``self.arrays`` as well. An array that is missing, of
-        the wrong shape or unused is an error."""
-        named = model.all_parameters() + [("word.pretrained",
-                                           model.word.pretrained)]
+        """Point each of ``model.saved_tensors()``, its parameters and the
+        frozen pretrained matrix, at the saved array of its name, so
+        training the model changes ``self.arrays`` as well. An array that
+        is missing, of the wrong shape or unused is an error."""
+        named = model.saved_tensors()
         for name, p in named:
             saved = self.arrays.get(name)
             if saved is None:
@@ -630,10 +634,10 @@ def prepare(config: TrainConfig, train_sentences: list[Sentence],
     pretrained vectors aligned to the vocabulary, model built: every read
     and check of a run's inputs. A command that trains several models
     prepares once and builds each from this model's vocabularies and
-    frozen vectors (``model.vocabs``, ``model.word.pretrained.data``)."""
+    frozen vectors (``model.vocabs``, ``model.word.pretrained.data``).
+    ``config`` was checked when it was made."""
     from .data import assign_ids, build_vocabs, load_pretrained
 
-    config.validate()
     train_sentences = [s for s in train_sentences if len(s.tokens) > 0]
     dev_sentences = [s for s in dev_sentences if len(s.tokens) > 0]
     if not train_sentences:
@@ -749,7 +753,7 @@ def checkpoint_save(path: str, checkpoint: Checkpoint) -> None:
         raise
 
 
-_MANIFEST_KEYS = ("config", "vocabs", "best_score", "best_epoch", "arrays")
+_MANIFEST_KEYS = tuple(f.name for f in dataclasses.fields(Checkpoint))
 _VOCAB_KEYS = tuple(f.name for f in dataclasses.fields(Vocabs))
 
 

@@ -9,6 +9,7 @@ whose command line is checked here too.
 
 import importlib.util
 import time
+from concurrent.futures.process import _RemoteTraceback
 from pathlib import Path
 
 import numpy as np
@@ -355,10 +356,12 @@ def test_criterion_10_config_fidelity(capsys):
 
 def test_study_seeds_in_processes_match_one_process(monkeypatch):
     """Seed processes give each label's accuracies of the in-process loop,
-    in seed order, with more seeds than processes."""
+    in seed order, with more seeds than processes; seed k's are
+    ``cli.run_axis``'s at config seed k + 1 on that seed's corpora."""
     corpora, settings = run_experiments.PROTOCOLS["optimization"]
+    settings = dict(settings, max_epochs=2)
     monkeypatch.setitem(run_experiments.PROTOCOLS, "optimization",
-                        (corpora, dict(settings, max_epochs=2)))
+                        (corpora, settings))
     results = []
     for cores in ({0}, {0, 1}):
         monkeypatch.setattr(run_experiments.os, "sched_getaffinity",
@@ -367,9 +370,19 @@ def test_study_seeds_in_processes_match_one_process(monkeypatch):
     assert sorted(results[0]) == ["joint", "separate"]
     assert all(len(accs) == 3 for accs in results[0].values())
     assert results[1] == results[0]
+    for k in range(3):
+        config = small_config(**settings, seed=k + 1)
+        model, train, dev = training.prepare(config, *corpora(k))
+        alone = cli.run_axis(config, "optimization", model.vocabs,
+                             model.word.pretrained.data, train, dev)
+        assert alone == {label: accs[k] for label, accs in results[0].items()}
 
 
-def test_an_error_in_a_seed_process_fails_the_study(monkeypatch):
+def test_a_seed_that_fails_to_prepare_fails_the_study_before_the_pool(
+        monkeypatch):
+    """Each seed's corpora are prepared in this process, so corpora that
+    fail ``training.prepare`` fail the study before any seed process
+    starts."""
     corpora, settings = run_experiments.PROTOCOLS["optimization"]
     monkeypatch.setitem(
         run_experiments.PROTOCOLS, "optimization",
@@ -377,8 +390,28 @@ def test_an_error_in_a_seed_process_fails_the_study(monkeypatch):
          dict(settings, max_epochs=1)))
     monkeypatch.setattr(run_experiments.os, "sched_getaffinity",
                         lambda pid: {0, 1})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a seed process pool was started")
+
+    monkeypatch.setattr(run_experiments, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="no non-empty sentences"):
         run_experiments.run_study("optimization", 2)
+
+
+def test_an_error_in_a_seed_process_fails_the_study(monkeypatch):
+    """Training that diverges inside the seed processes fails the study
+    with the error it raised there."""
+    corpora, settings = run_experiments.PROTOCOLS["optimization"]
+    monkeypatch.setitem(
+        run_experiments.PROTOCOLS, "optimization",
+        (corpora, dict(settings, max_epochs=1, learning_rate=1e200)))
+    monkeypatch.setattr(run_experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    with pytest.raises(T.NonFiniteError, match="non-finite gradient in ") \
+            as raised:
+        run_experiments.run_study("optimization", 2)
+    assert isinstance(raised.value.__cause__, _RemoteTraceback)
 
 
 def test_study_script_on_one_seed_and_on_none(capsys, monkeypatch):

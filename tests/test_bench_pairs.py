@@ -97,3 +97,55 @@ def test_summary_lines_give_each_metric_of_each_workload():
         "within_bound True",
         "paper-train setup_s: parent 1 [1-1], change 1.3 [1.3-1.3], change "
         "better in 0/10 pairs, gain_rule_met False, within_bound False"]
+
+
+def test_unlike_names_each_blas_setting_the_sides_differ_in():
+    env = {"blas": "scipy-openblas 0.3.31", "OPENBLAS_NUM_THREADS": "1",
+           "nproc": 2}
+    assert bench_pairs.unlike({"parent": env}) == []
+    assert bench_pairs.unlike({"parent": env,
+                               "change": dict(env, nproc=4)}) == []
+    assert bench_pairs.unlike({"parent": env, "change": dict(
+        env, OPENBLAS_NUM_THREADS="2")}) == ["OPENBLAS_NUM_THREADS"]
+    assert bench_pairs.unlike({"parent": env, "change": {}}) == [
+        "blas", "OPENBLAS_NUM_THREADS"]
+
+
+def run_main(monkeypatch, tmp_path, threads: dict) -> int:
+    """``bench_pairs.main`` over 2 pairs of stand-in runs at ``tmp_path``,
+    whose env gives each side the OPENBLAS_NUM_THREADS of ``threads``."""
+    (tmp_path / "BENCHMARK.json").write_text(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+
+    def run_once(root, workload):
+        side = "change" if root == tmp_path else "parent"
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"tok_s": 100.0, "fwd_tok_s": 100.0,
+                            "setup_s": 1.0, "peak_rss_mb": 500.0},
+                "env": {"blas": "openblas", "side": side,
+                        "OPENBLAS_NUM_THREADS": threads[side]}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.sys, "argv",
+                        ["bench_pairs.py", "HEAD", "probe", "--pairs", "2"])
+    return bench_pairs.main()
+
+
+def test_the_file_holds_each_sides_env(monkeypatch, tmp_path):
+    import json
+    assert run_main(monkeypatch, tmp_path,
+                    {"parent": "1", "change": "1"}) == 0
+    doc = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert {side: env["side"] for side, env in doc["machine"].items()} \
+        == {"parent": "parent", "change": "change"}
+
+
+def test_sides_at_other_blas_threads_write_no_file(monkeypatch, tmp_path,
+                                                   capsys):
+    assert run_main(monkeypatch, tmp_path,
+                    {"parent": "1", "change": "2"}) == 1
+    assert not (tmp_path / "BENCH_probe.json").exists()
+    assert capsys.readouterr().err.startswith(
+        "sides differ in OPENBLAS_NUM_THREADS: ")

@@ -1204,12 +1204,16 @@ class TestGridAndAblate:
 
     def test_ablate_components_csv(self, corpus_dir, tmp_path, monkeypatch):
         trained, scored = [], []
-        accuracies = training.accuracies
+
+        def accuracies(model, dev):  # each head's own score of the seed
+            scored.append(model.config.seed)
+            return {"char": model.config.seed / 10,
+                    "word": model.config.seed / 100,
+                    "meta": model.config.seed / 1000}
+
         monkeypatch.setattr(training, "train_model",
                             lambda *args: trained.append(args))
-        monkeypatch.setattr(training, "accuracies",
-                            lambda *args: scored.append(args)
-                            or accuracies(*args))
+        monkeypatch.setattr(training, "accuracies", accuracies)
         out = tmp_path / "a.csv"
         code = cli.main(["ablate", "--axis", "components", "--seeds", "2",
                          "--train", str(corpus_dir / "train.conllu"),
@@ -1223,6 +1227,11 @@ class TestGridAndAblate:
         assert configs == ["char-only"] * 2 + ["word-only"] * 2 + ["meta"] * 2
         assert len(trained) == 2  # one model per seed scores all three heads
         assert len(scored) == 2  # from one pass over dev
+        # each label's rows in seed order, each its seed's model's score
+        assert scored[1] == scored[0] + 1
+        assert [l.split(",")[3] for l in lines[1:]] == [
+            f"{seed / scale:.6f}" for scale in (10, 100, 1000)
+            for seed in scored]
 
     def test_ablate_gather_enumerates_strategies(self, corpus_dir, tmp_path,
                                                  monkeypatch):

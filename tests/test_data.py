@@ -206,6 +206,13 @@ class TestVocabs:
         assert sents[0].tag_ids.tolist() == [0, 1]
         assert -1 in sents[1].tag_ids.tolist()
 
+    def test_vocabs_are_frozen(self):
+        import dataclasses
+        v = data.build_vocabs(corpus_of("a b"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.task = "upos"
+        assert v.task == "xpos"
+
     def test_tag_strings_inverse(self):
         v = data.build_vocabs(corpus_of("a b"))
         names = v.tag_strings()

@@ -72,3 +72,23 @@ def test_memory_file_keeps_only_the_digest_line():
             "after 0.1 MiB\ndigest f59a948f\npeak RSS 781.4 MiB\n")
     assert same_outputs.digest_line(text) == "digest f59a948f\n"
     assert same_outputs.digest_line("peak RSS 781.4 MiB\n") == ""
+
+
+def test_blas_build_is_read_as_perfbench_reads_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    import workloads
+    env = workloads.environment(0)
+    assert same_outputs.blas_build() == \
+        f"numpy {env['numpy']}, BLAS {env['blas']}"
+
+
+def test_each_side_reports_the_blas_threads_it_ran_with(tmp_path,
+                                                         monkeypatch):
+    ran = []
+    monkeypatch.setattr(same_outputs.subprocess, "run",
+                        lambda cmd, env, **kw: ran.append(env) or
+                        same_outputs.subprocess.CompletedProcess(cmd, 0, ""))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert same_outputs.run_side(tmp_path, [["eval"]], tmp_path / "out") \
+        == "1"
+    assert {env["OPENBLAS_NUM_THREADS"] for env in ran} == {"1"}

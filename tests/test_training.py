@@ -281,11 +281,20 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            training.TrainConfig(task="pos").validate()
+            training.TrainConfig(task="pos")
         with pytest.raises(ValueError):
-            training.TrainConfig(optimization="both").validate()
+            training.TrainConfig(optimization="both")
         with pytest.raises(ValueError):
-            training.TrainConfig(gather="F_mid").validate()
+            training.TrainConfig(gather="F_mid")
+
+    def test_a_config_is_checked_when_made_and_cannot_change(self):
+        import dataclasses
+        config = training.TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.batch_size = 0
+        with pytest.raises(ValueError, match="'batch_size' must be >= 1"):
+            dataclasses.replace(config, batch_size=0)
+        assert config.batch_size == 32
 
     def test_every_key_has_one_rule(self):
         """Each non-bool key but ``gather`` (checked by ``gather_parts``)
